@@ -358,7 +358,10 @@ def parse_poly(text, names):
                 kind2, val2 = tk.next()
                 if kind2 != "int":
                     raise ValueError("'/' only between integer literals")
-                return Poly.const(arity, Fraction(num, int(val2)))
+                den = int(val2)
+                if den == 0:
+                    raise ValueError(f"division by zero in {num}/{val2}")
+                return Poly.const(arity, Fraction(num, den))
             return Poly.const(arity, num)
         if kind == "name":
             if val not in index:

@@ -161,34 +161,69 @@ def _valid(alpha, key):
     return all(a >= 0 for k, a in enumerate(alpha) if k not in key)
 
 
+_RHS = -1  # row-dict key of the right-hand side; columns are >= 0
+
+
 def _solve_exact(rows, ncols):
-    """Gaussian elimination over Fraction.  rows: (coeff-dict, rhs).
-    Returns a solution vector (free vars = 0) or None if inconsistent."""
-    mat = [[row.get(j, Fraction(0)) for j in range(ncols)] + [rhs]
-           for row, rhs in rows]
+    """Sparse Gauss-Jordan elimination over Fraction.
+
+    rows: (coeff-dict {col: value}, rhs) pairs over columns 0..ncols-1.  Each
+    row is kept as a dict of its nonzero entries (rhs under the key _RHS),
+    and an index from each column (and _RHS) to the rows holding it limits
+    every elimination step to the rows that hold the pivot column.  Pivots
+    are taken in increasing column order; among the rows not yet used as
+    pivots, the one with the fewest nonzeros wins, ties broken by row index.
+
+    Full elimination with column-ordered pivots reaches the unique reduced
+    row echelon form, so the pivot columns, and the solution with every free
+    variable set to 0, do not depend on the row order or the pivot-row
+    choice.  Returns that solution vector, or None when the system is
+    inconsistent (a row reduces to a lone nonzero right-hand side).
+    """
+    live = []
+    holders = {}  # col or _RHS -> indices of the rows with a nonzero entry
+    for i, (coeffs, rhs) in enumerate(rows):
+        row = {j: a for j, a in coeffs.items() if a}
+        if rhs:
+            row[_RHS] = rhs
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+        live.append(row)
+    used = set()
     pivots = []
-    r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        cands = holders.get(col, ())
+        piv = min((i for i in cands if i not in used),
+                  key=lambda i: (len(live[i]), i), default=None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    for i in range(r, len(mat)):
-        if mat[i][ncols]:
-            return None
+        prow = live[piv]
+        inv = Fraction(1) / prow[col]
+        for j in prow:
+            prow[j] *= inv
+        for i in list(cands):
+            if i == piv:
+                continue
+            row = live[i]
+            f = row[col]
+            for j, a in prow.items():
+                v = row.get(j, 0) - f * a
+                if v:
+                    if j not in row:
+                        holders.setdefault(j, set()).add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(i)
+        used.add(piv)
+        pivots.append((col, piv))
+    # every column left in a non-pivot row was eliminated, so a right-hand
+    # side that survives there reads 0 = rhs
+    if holders.get(_RHS, set()) - used:
+        return None
     sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = mat[i][ncols]
+    for col, i in pivots:
+        sol[col] = live[i].get(_RHS, Fraction(0))
     return sol
 
 

@@ -102,8 +102,9 @@ class TransitionSet:
 
     Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2;
     rows/columns are ordered with the pivot rows moved last.  Inverse and
-    reversed transitions are derived, not stored: det Z_ij = h_ij makes
-    Z_ij^{-1} = adjugate(Z_ij) * h_ji.
+    reversed transitions are derived, not stored in Z: det Z_ij = h_ij makes
+    Z_ij^{-1} = adjugate(Z_ij) * h_ji.  get() keeps each reversed transition
+    it derives, so a set computes it once.
     """
 
     rank: int
@@ -115,6 +116,8 @@ class TransitionSet:
     blocks: dict           # (i, j) -> {"P": .., "Q": .., "R": .., "S": ..}
     branch: dict           # (i, j) -> "unit" | "split"
     x: dict = field(default_factory=dict)   # correction chains per pair
+    # reversed transitions derived by get(); valid because Z never changes
+    _reversed: dict = field(default_factory=dict, repr=False, compare=False)
 
     def get(self, i, j):
         """Transition for the ordered overlap (i, j)."""
@@ -122,8 +125,11 @@ class TransitionSet:
             return MatrixL.identity(self.cover.chart_ctx(i), self.rank)
         if (i, j) in self.Z:
             return self.Z[(i, j)]
-        Zij = self.Z[(j, i)]
-        return Zij.adjugate().scalar_mul(self.lb.h(i, j, Zij.ctx))
+        if (i, j) not in self._reversed:
+            Zji = self.Z[(j, i)]
+            self._reversed[(i, j)] = Zji.adjugate().scalar_mul(
+                self.lb.h(i, j, Zji.ctx))
+        return self._reversed[(i, j)]
 
 
 @dataclass
@@ -635,9 +641,8 @@ def build_bundle(doc, lift_order=None, max_degree=None):
         twist = int(lbdoc["twist"])
     except (TypeError, ValueError):
         raise ShapeViolation("line_bundle twist must be an integer")
-    try:
-        rank = int(doc.get("rank"))
-    except (TypeError, ValueError):
+    rank = doc.get("rank")
+    if not isinstance(rank, int) or isinstance(rank, bool):
         raise ShapeViolation("rank must be an integer")
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from serrekit.algebra import LocElem, Poly, transport
-from serrekit.cech import (CechCochain, coboundary_solve, cohomology_dim,
-                           differential, is_cocycle)
+from serrekit.cech import (CechCochain, _solve_exact, coboundary_solve,
+                           cohomology_dim, differential, is_cocycle)
 from serrekit.cover import AmbientSpec, LineBundleData, standard_cover
 from serrekit.errors import (Inconclusive, NotACocycle, Obstructed,
                              PreconditionViolated, ShapeViolation)
@@ -278,3 +278,95 @@ def test_is_cocycle_detects_coboundaries():
     y = CechCochain(cover, lb, 0, 1,
                     {(i,): (elem(cover, (i,), "1"),) for i in cover.charts})
     assert is_cocycle(differential(y))
+
+
+def _dense_solve_exact(rows, ncols):
+    """Reference: the dense Gauss-Jordan solver the sparse one replaced."""
+    mat = [[row.get(j, Fraction(0)) for j in range(ncols)] + [rhs]
+           for row, rhs in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = Fraction(1) / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    for i in range(r, len(mat)):
+        if mat[i][ncols]:
+            return None
+    sol = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        sol[col] = mat[i][ncols]
+    return sol
+
+
+def _random_system(rng):
+    """A sparse Fraction system with empty rows, unused columns, explicit
+    zero entries, zero right-hand sides and dependent rows; the right-hand
+    side is either free (often inconsistent) or A x for a random x."""
+    ncols = rng.choice([0, 1, 2, 3, 5, 8, 12])
+    nrows = rng.randint(0, 14)
+    density = rng.choice([0.1, 0.25, 0.5])
+    used_cols = [j for j in range(ncols) if rng.random() < 0.8]
+
+    def value():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]),
+                        rng.choice([1, 1, 2, 3]))
+
+    coeffs = []
+    for _ in range(nrows):
+        row = {j: value() for j in used_cols if rng.random() < density}
+        if row and rng.random() < 0.1:
+            row[rng.choice(list(row))] = Fraction(0)
+        if coeffs and rng.random() < 0.2:
+            other = rng.choice(coeffs)
+            f = value()
+            for j, a in other.items():
+                row[j] = row.get(j, Fraction(0)) + f * a
+        coeffs.append(row)
+    if rng.random() < 0.5:
+        x = [value() if rng.random() < 0.7 else Fraction(0)
+             for _ in range(ncols)]
+        rhs = [sum((a * x[j] for j, a in row.items()), Fraction(0))
+               for row in coeffs]
+    else:
+        rhs = [value() if rng.random() < 0.6 else Fraction(0)
+               for _ in coeffs]
+    return list(zip(coeffs, rhs)), ncols
+
+
+def test_sparse_solver_matches_dense_reference():
+    rng = random.Random(20061017)
+    outcomes = {"solved": 0, "inconsistent": 0}
+    for _ in range(3000):
+        rows, ncols = _random_system(rng)
+        expected = _dense_solve_exact(rows, ncols)
+        got = _solve_exact(rows, ncols)
+        assert got == expected, (rows, ncols)
+        outcomes["solved" if got is not None else "inconsistent"] += 1
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert _solve_exact(shuffled, ncols) == expected, (rows, ncols)
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_sparse_solver_edge_cases():
+    assert _solve_exact([], 0) == []
+    assert _solve_exact([({}, Fraction(0))], 0) == []
+    assert _solve_exact([({}, Fraction(2))], 0) is None
+    assert _solve_exact([({}, Fraction(0))], 3) == [Fraction(0)] * 3
+    assert _solve_exact([({0: Fraction(0)}, Fraction(1))], 1) is None
+    # x0 + x2 = 1, x2 = 3, column 1 free: the free variable is 0
+    rows = [({0: Fraction(1), 2: Fraction(1)}, Fraction(1)),
+            ({2: Fraction(1)}, Fraction(3))]
+    assert _solve_exact(rows, 3) == [Fraction(-2), Fraction(0), Fraction(3)]

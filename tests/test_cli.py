@@ -76,6 +76,22 @@ def test_build_schema_failures(tmp_path, capsys):
     assert code == 1 and "error[parse]" in err
 
 
+@pytest.mark.parametrize("rank", [2.7, 2.0, True, "2", None])
+def test_build_rejects_non_integer_rank(tmp_path, capsys, rank):
+    doc = dict(POINT, rank=rank)
+    code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert "error[parse]: rank must be an integer" in err
+
+
+def test_build_rejects_division_by_zero_in_polynomial(tmp_path, capsys):
+    doc = dict(POINT, subscheme={"mode": "global_ci", "F": "1/0*x0",
+                                 "G": "x1"})
+    code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert "error[parse]" in err and "division by zero" in err
+
+
 def test_build_zero_sections_tagged_load_sections(tmp_path, capsys):
     doc = dict(POINT, sections={"2": ["0"]})
     code, _, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
