@@ -548,10 +548,6 @@ class LocElem:
     def const(cls, ctx, value):
         return cls(ctx, Poly.const(ctx.nvars, value))
 
-    @classmethod
-    def from_poly(cls, ctx, p):
-        return cls(ctx, p)
-
     # -- views ---------------------------------------------------------------
 
     def is_zero(self):
@@ -562,11 +558,6 @@ class LocElem:
         for key in sorted(self.den, key=_unit_sort):
             out = out * (self.ctx.unit_poly(key) ** self.den[key])
         return out
-
-    def constant_value(self):
-        if self.den:
-            raise ValueError("not a constant")
-        return self.num.constant_value()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -647,11 +638,6 @@ class LocElem:
         return s
 
 
-def loc_normalize(e):
-    """Re-run canonical normalization (constructor already applies it)."""
-    return LocElem(e.ctx, e.num, dict(e.den))
-
-
 def unit_decomposition(e):
     """Write e as c * prod(units^a) with c a nonzero rational, or None.
 
@@ -679,18 +665,6 @@ def unit_decomposition(e):
         if a:
             exps[key] = a
     return c, exps
-
-
-def is_unit_expression(e):
-    return unit_decomposition(e) is not None
-
-
-def unit_inverse(e):
-    """Exact inverse of a unit expression."""
-    dec = unit_decomposition(e)
-    if dec is None:
-        raise PreconditionViolated("inverse of a non-unit localized element")
-    return LocElem.one(e.ctx) / e
 
 
 # -- transport ----------------------------------------------------------------
@@ -860,12 +834,6 @@ class MatrixL:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
 
     def __add__(self, other):
         self._chk(other)

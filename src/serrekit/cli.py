@@ -18,14 +18,14 @@ import json
 import sys
 from itertools import combinations
 
-from .algebra import LocElem, MatrixL, format_poly, parse_poly
+from .algebra import LocElem, MatrixL, SUnit, format_poly, parse_poly
 from .cech import CechCochain, cohomology_dim
-from .cover import (AmbientSpec, LineBundleData, SectionData, SubschemeData,
-                    standard_cover)
+from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
+                    SubschemeData)
 from .errors import (FormMismatch, H1Obstruction, Inconclusive, Obstructed,
                      SerreError, ShapeViolation)
-from .serre import (BundleResult, FrameData, ObstructionData, TransitionSet,
-                    build_bundle, compare_bundles)
+from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
+                    compare_bundles)
 from .verify import run_all
 
 # Stage tags on exceptions name pipeline phases; the CLI reports them as the
@@ -107,10 +107,10 @@ def bundle_doc(bundle):
         "mode": bundle.sub.mode,
         "units": {str(u.chart): {"form": format_poly(u.form, names),
                                  "degree": u.degree}
-                  for u in cover.registered_units()},
+                  for u in cover.sunits},
         "charts": charts,
         "overlaps": overlaps,
-        "obstruction": _cochain_doc(bundle.obstruction.cochain),
+        "obstruction": _cochain_doc(bundle.obstruction),
         "correction": _cochain_doc(bundle.xi),
         "meta": meta,
         "verification": bundle.report.to_doc() if bundle.report else [],
@@ -127,6 +127,18 @@ def _need(doc, key, kind, where):
     if kind is not None and not isinstance(val, kind):
         raise ShapeViolation(f"{where}: key {key!r} has the wrong type")
     return val
+
+
+def _chart_key(key, where):
+    """A chart index written as an object key or a JSON integer."""
+    if isinstance(key, str):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    elif isinstance(key, int) and not isinstance(key, bool):
+        return key
+    raise ShapeViolation(f"{where}: bad chart key {key!r}")
 
 
 def _elem_load(ctx, doc, where):
@@ -162,23 +174,12 @@ def _cochain_load(cover, lb, degree, width, doc, where):
         raise ShapeViolation(f"{where}: expected a list of components")
     data = {}
     for entry in doc:
-        key = tuple(int(i) for i in _need(entry, "key", list, where))
+        key = tuple(_chart_key(i, where)
+                    for i in _need(entry, "key", list, where))
         ctx = cover.ctx(key)
         data[key] = _vec_load(ctx, _need(entry, "values", list, where),
                               width, f"{where} {key}")
     return CechCochain(cover, lb, degree, width, data)
-
-
-def _blocks_of(Zm, r):
-    ctx = Zm.ctx
-    rng = range(r - 2)
-    tail = range(r - 2, r)
-    return {
-        "P": MatrixL(ctx, [[Zm[a, b] for b in rng] for a in rng]),
-        "Q": MatrixL(ctx, [[Zm[a, b] for b in tail] for a in rng]),
-        "R": MatrixL(ctx, [[Zm[a, b] for b in rng] for a in tail]),
-        "S": MatrixL(ctx, [[Zm[a, b] for b in tail] for a in tail]),
-    }
 
 
 def load_bundle(doc):
@@ -193,15 +194,16 @@ def load_bundle(doc):
     amb = _need(doc, "ambient", dict, "document")
     ambient = AmbientSpec(_need(amb, "kind", str, "ambient"),
                           int(_need(amb, "dim", int, "ambient")))
-    cover = standard_cover(ambient)
-    names = cover.hom_names()
+    names = Cover(ambient).hom_names()
+    units = []
     for chart_key, u in sorted(_need(doc, "units", dict, "document").items()):
         try:
             form = parse_poly(_need(u, "form", str, "units"), names)
         except ValueError as exc:
             raise ShapeViolation(f"units: {exc}") from exc
-        cover.restore_unit(int(chart_key), form,
-                           int(_need(u, "degree", int, "units")))
+        units.append(SUnit(_chart_key(chart_key, "units"), form,
+                           int(_need(u, "degree", int, "units"))))
+    cover = Cover(ambient, units)
     twist = int(_need(_need(doc, "line_bundle", dict, "document"),
                       "twist", int, "line_bundle"))
     lb = LineBundleData(ambient, twist)
@@ -210,11 +212,11 @@ def load_bundle(doc):
         raise ShapeViolation("document: rank must be >= 2")
 
     charts_doc = _need(doc, "charts", dict, "document")
-    if sorted(int(k) for k in charts_doc) != list(cover.charts):
+    keys = [_chart_key(k, "charts") for k in charts_doc]
+    if sorted(keys) != list(cover.charts):
         raise ShapeViolation("document: chart set does not match the cover")
     frames, pairs, meets, sections, t_map, tier_map = {}, {}, {}, {}, {}, {}
-    for key, ch in charts_doc.items():
-        i = int(key)
+    for i, ch in zip(keys, charts_doc.values()):
         ctx = cover.chart_ctx(i)
         where = f"chart {i}"
         t = int(_need(ch, "t", int, where))
@@ -227,18 +229,7 @@ def load_bundle(doc):
         g = _elem_load(ctx, _need(ch, "g", dict, where), where)
         s = _vec_load(ctx, _need(ch, "s", list, where), r - 1, where)
         M = _mat_load(ctx, _need(ch, "M", list, where), (r, r - 1), where)
-        one = LocElem.one(ctx)
-        zero = LocElem.zero(ctx)
-        tp = [[one if a == b else zero for b in range(r - 1)]
-              for a in range(r - 1)]
-        for m in range(r - 1):
-            if m != t - 1:
-                tp[m][t - 1] = s[m].scale(-sign)
-        tpp = [[zero] * (r - 1) for _ in range(2)]
-        tpp[0][t - 1] = f
-        tpp[1][t - 1] = g
-        frames[i] = FrameData(chart=i, t=t, sign=sign, f=f, g=g, s=s,
-                              Tp=MatrixL(ctx, tp), Tpp=MatrixL(ctx, tpp), M=M)
+        frames[i] = FrameData(chart=i, t=t, sign=sign, f=f, g=g, s=s, M=M)
         pairs[i] = (f, g)
         meets[i] = bool(_need(ch, "meets", bool, where))
         sections[i] = s
@@ -249,7 +240,7 @@ def load_bundle(doc):
     sorted_pairs = tuple(combinations(cover.charts, 2))
     if sorted(overlaps_doc) != sorted(f"{i},{j}" for i, j in sorted_pairs):
         raise ShapeViolation("document: overlap set does not match the cover")
-    Z_raw, Z_cor, blocks_raw, blocks_cor, branch, empty = {}, {}, {}, {}, {}, {}
+    Z_raw, Z_cor, branch, empty = {}, {}, {}, {}
     for (i, j) in sorted_pairs:
         ov = overlaps_doc[f"{i},{j}"]
         ctx = cover.ctx((i, j))
@@ -263,28 +254,23 @@ def load_bundle(doc):
                                   (r, r), where)
         Z_cor[(i, j)] = _mat_load(ctx, _need(ov, "corrected", list, where),
                                   (r, r), where)
-        blocks_raw[(i, j)] = _blocks_of(Z_raw[(i, j)], r)
-        blocks_cor[(i, j)] = _blocks_of(Z_cor[(i, j)], r)
 
     sub = SubschemeData(cover, str(_need(doc, "mode", str, "document")),
                         pairs, meets, {}, empty)
     secs = SectionData(sections, t_map, tier_map, r)
-    raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw,
-                        blocks_raw, branch)
-    cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor,
-                        blocks_cor, branch)
-    obs_cochain = _cochain_load(cover, lb, 2, r - 1,
-                                _need(doc, "obstruction", list, "document"),
-                                "obstruction")
+    raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw, branch)
+    cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor, branch)
+    obs = _cochain_load(cover, lb, 2, r - 1,
+                        _need(doc, "obstruction", list, "document"),
+                        "obstruction")
     xi = _cochain_load(cover, lb, 1, r - 1,
                        _need(doc, "correction", list, "document"),
                        "correction")
     meta = dict(_need(doc, "meta", dict, "document"))
     for field in ("pivots", "tiers"):
         if isinstance(meta.get(field), dict):
-            meta[field] = {int(k): v for k, v in meta[field].items()}
-    obs = ObstructionData(tuple(combinations(cover.charts, 3)), {}, {},
-                          obs_cochain)
+            meta[field] = {_chart_key(k, f"meta {field}"): v
+                           for k, v in meta[field].items()}
     return BundleResult(ambient=ambient, cover=cover, lb=lb, rank=r, sub=sub,
                         secs=secs, frames=frames, transitions=cor, raw=raw,
                         obstruction=obs, xi=xi, meta=meta)

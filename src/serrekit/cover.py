@@ -5,9 +5,10 @@ chart.  A codimension-two subscheme arrives either as one global complete
 intersection (two homogeneous forms) or as per-chart pairs; charts the
 subscheme misses are completed with the canonical pair (1, 0).  Sections are
 (r-1)-tuples per chart; loading selects each chart's pivot component t_i,
-registers section units where the pivot is not already invertible, builds the
-2x2 overlap matrices A_ij, and validates the overlap compatibility of the
-sections.
+fixes a section unit where the pivot is not already invertible (a cover's
+units are set when it is built, so loading ends on a new cover carrying
+them), builds the 2x2 overlap matrices A_ij, and validates the overlap
+compatibility of the sections.
 """
 
 from __future__ import annotations
@@ -35,64 +36,36 @@ class AmbientSpec:
 
 
 class Cover:
-    """The standard cover plus the mutable registry of section units.
+    """The standard cover with its section units, fixed at construction.
 
-    Contexts built by `ctx` reflect the registry at call time; after
-    registering units, previously built localized elements can be re-homed
-    with `upgrade`.
+    Contexts built by `ctx` carry every section unit of the cover, so an
+    element built on one cover is moved onto another with `transport`.
     """
 
-    def __init__(self, ambient):
+    def __init__(self, ambient, sunits=()):
         self.ambient = ambient
         if ambient.kind == "projective":
             self.charts = tuple(range(ambient.dim + 1))
         else:
             self.charts = (0,)
-        self._sunits = {}
+        by_chart = {}
+        for unit in sunits:
+            if by_chart.setdefault(unit.chart, unit) != unit:
+                raise PreconditionViolated(
+                    f"chart {unit.chart} already has a different registered "
+                    "unit")
+        self.sunits = tuple(by_chart[c] for c in sorted(by_chart))
 
     def ctx(self, indices, home=None):
         indices = tuple(sorted(set(indices)))
         if not indices or any(i not in self.charts for i in indices):
             raise ShapeViolation(f"bad chart indices {indices}")
         home = min(indices) if home is None else home
-        sunits = tuple(self._sunits[c] for c in sorted(self._sunits))
         return Context(self.ambient.kind, self.ambient.dim, home, indices,
-                       sunits)
+                       self.sunits)
 
     def chart_ctx(self, i):
         return self.ctx((i,))
-
-    def register_sunit(self, chart, chart_poly):
-        """Designate a chart polynomial as invertible on its (shrunk) chart."""
-        if self.ambient.kind == "projective":
-            form, deg = homogenize(chart_poly, chart, self.ambient.dim)
-        else:
-            form, deg = chart_poly, max(chart_poly.total_degree(), 0)
-        unit = SUnit(chart, form, deg)
-        old = self._sunits.get(chart)
-        if old is not None and old != unit:
-            raise PreconditionViolated(
-                f"chart {chart} already has a different registered unit")
-        self._sunits[chart] = unit
-        return unit
-
-    def registered_units(self):
-        """All registered section units, in chart order."""
-        return tuple(self._sunits[c] for c in sorted(self._sunits))
-
-    def restore_unit(self, chart, form, degree):
-        """Re-install a previously serialized section unit as-is."""
-        unit = SUnit(chart, form, degree)
-        old = self._sunits.get(chart)
-        if old is not None and old != unit:
-            raise PreconditionViolated(
-                f"chart {chart} already has a different registered unit")
-        self._sunits[chart] = unit
-        return unit
-
-    def upgrade(self, e):
-        """Transport a LocElem into the current (possibly enlarged) context."""
-        return transport(e, self.ctx(e.ctx.indices, e.ctx.home))
 
     def hom_names(self):
         if self.ambient.kind == "affine":
@@ -102,6 +75,16 @@ class Cover:
 
 def standard_cover(ambient):
     return Cover(ambient)
+
+
+def section_unit(ambient, chart, chart_poly):
+    """The section unit that makes a chart polynomial invertible on its
+    (shrunk) chart."""
+    if ambient.kind == "projective":
+        form, deg = homogenize(chart_poly, chart, ambient.dim)
+    else:
+        form, deg = chart_poly, max(chart_poly.total_degree(), 0)
+    return SUnit(chart, form, deg)
 
 
 class LineBundleData:
@@ -146,13 +129,6 @@ class SubschemeData:
     def pair_on(self, i, ctx):
         f, g = self.pairs[i]
         return transport(f, ctx), transport(g, ctx)
-
-    def refresh_contexts(self):
-        """Re-home all chart pairs after unit registration."""
-        self.pairs = {
-            i: (self.cover.upgrade(f), self.cover.upgrade(g))
-            for i, (f, g) in self.pairs.items()
-        }
 
 
 def _parse_chart_poly(cover, chart, text, what):
@@ -295,12 +271,6 @@ class SectionData:
     tier: dict        # chart -> which pivot rule fired (1..4)
     rank: int
 
-    def refresh_contexts(self, cover):
-        self.sections = {
-            i: tuple(cover.upgrade(s) for s in ss)
-            for i, ss in self.sections.items()
-        }
-
 
 def _choose_pivot(f, g, sections):
     """Pivot tiers: constant; monomial (register); already a unit; nonvanishing
@@ -322,13 +292,16 @@ def _choose_pivot(f, g, sections):
 
 
 def load_sections(cover, lb, sub, doc, rank):
-    """Parse, validate and register the section data; fills sub.A on the way.
+    """Parse and validate the section data, fix the section units, and fill
+    sub.A on the way.
 
     Per chart meeting Y: the r-1 section components together with (f, g) must
     generate the unit ideal, and a pivot component must be invertible on the
     chart's shrunk open set (tiers above).  Off-Y charts always carry the
-    canonical tuple (1, 0, ..., 0).  After unit registration the overlap
-    matrices are built and the section compatibility
+    canonical tuple (1, 0, ..., 0).  Pivots are chosen on the unit-free
+    `cover`; the cover with the chosen section units then replaces sub.cover,
+    and the chart pairs and section tuples are moved onto it.  Then the
+    overlap matrices are built and the section compatibility
     s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) is enforced on every
     ordered overlap.
     """
@@ -359,6 +332,7 @@ def load_sections(cover, lb, sub, doc, rank):
     sections = {}
     t_map = {}
     tier_map = {}
+    units = []
     for i in cover.charts:
         ctx = cover.chart_ctx(i)
         if not sub.meets_Y[i]:
@@ -382,15 +356,21 @@ def load_sections(cover, lb, sub, doc, rank):
                 f"chart {i}: no section component is invertible on the chart "
                 "or nonvanishing on Y; no pivot available")
         if to_register is not None:
-            cover.register_sunit(i, to_register)
+            units.append(section_unit(cover.ambient, i, to_register))
         sections[i] = ss
         t_map[i] = t
         tier_map[i] = tier
 
+    # The pivots above were chosen without section units; a chart context
+    # exposes only its own chart's unit, so no chart's choice depends on the
+    # units of the others.
+    cover = Cover(cover.ambient, units)
+    for i in cover.charts:
+        ctx = cover.chart_ctx(i)
+        sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
+        sections[i] = tuple(transport(e, ctx) for e in sections[i])
+    sub.cover = cover
     secs = SectionData(sections, t_map, tier_map, rank)
-    # Units may have been registered: rebuild every context-bound object.
-    sub.refresh_contexts()
-    secs.refresh_contexts(cover)
     extend_off_Y(sub)
 
     for i in cover.charts:

@@ -159,14 +159,6 @@ def buchberger(gens, arity, key=None):
     return GroebnerBasis(arity, gens, basis, rows, key)
 
 
-def groebner(gens, arity, key=None):
-    return buchberger(gens, arity, key)
-
-
-def reduce_with_cofactors(p, gb):
-    return gb.reduce(p)
-
-
 # -- saturation (Rabinowitsch) ----------------------------------------------------
 
 def _lift_poly(p, extra=1):

@@ -20,6 +20,7 @@ raises, it never warns.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import LocElem, MatrixL, from_blocks, transport
@@ -56,23 +57,14 @@ def _tprime_apply(svec, t, sign, xs):
     return out
 
 
-def _tprime_unapply(svec, t, sign, xs):
-    """Closed-form inverse of `_tprime_apply`: flip the off-pivot sign."""
-    piv = xs[t - 1]
-    out = list(xs)
-    for m in range(len(xs)):
-        if m != t - 1:
-            out[m] = xs[m] + (svec[m] * piv).scale(sign)
-    return out
-
-
 def tprime_apply_inverse(u, frame):
     """Solve T' w = u on the frame's own chart by the closed form.
 
-    The pivot entry is fixed and every other entry gains
-    (-1)^t * s_m * u_{t}; multiplying T' back returns u exactly.
+    T' inverted is T' with the opposite off-pivot sign: the pivot entry is
+    fixed and every other entry gains (-1)^t * s_m * u_{t}; multiplying T'
+    back returns u exactly.
     """
-    return tuple(_tprime_unapply(list(frame.s), frame.t, frame.sign, list(u)))
+    return tuple(_tprime_apply(list(frame.s), frame.t, -frame.sign, list(u)))
 
 
 @dataclass
@@ -80,6 +72,10 @@ class FrameData:
     """Per-chart frame: T' is (r-1)x(r-1) unipotent with pivot column built
     from the normalized sections, T'' is the 2x(r-1) block whose pivot column
     is (f; g), and M stacks T' without its pivot row over T''.
+
+    T' and T'' are derived from (t, sign, f, g, s).  M is stored: it is built
+    from them when not given, and a loaded document supplies its own, which
+    the verify suite then checks.
 
     Exact identities checked at build time (D = delete pivot row, D' = delete
     pivot column): D T' D' = I, T'' D' = 0, D T' s = 0, T'' s = sign (f; g).
@@ -91,20 +87,44 @@ class FrameData:
     f: LocElem
     g: LocElem
     s: tuple        # normalized sections; s[t-1] == sign exactly
-    Tp: MatrixL     # (r-1) x (r-1)
-    Tpp: MatrixL    # 2 x (r-1)
-    M: MatrixL      # r x (r-1)
+    M: MatrixL = None   # r x (r-1)
+
+    def __post_init__(self):
+        if self.M is None:
+            top = self.Tp.delete_row(self.t - 1)
+            self.M = from_blocks(self.f.ctx, [[top], [self.Tpp]])
+
+    @cached_property
+    def Tp(self):
+        """(r-1) x (r-1): identity with pivot column -sign * s off the pivot."""
+        ctx, t = self.f.ctx, self.t
+        n = len(self.s)
+        one, zero = LocElem.one(ctx), LocElem.zero(ctx)
+        rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
+        for m in range(n):
+            if m != t - 1:
+                rows[m][t - 1] = self.s[m].scale(-self.sign)
+        return MatrixL(ctx, rows)
+
+    @cached_property
+    def Tpp(self):
+        """2 x (r-1): (f; g) in the pivot column, zero elsewhere."""
+        zero = LocElem.zero(self.f.ctx)
+        rows = [[zero] * len(self.s) for _ in range(2)]
+        rows[0][self.t - 1] = self.f
+        rows[1][self.t - 1] = self.g
+        return MatrixL(self.f.ctx, rows)
 
 
 @dataclass
 class TransitionSet:
-    """Transition matrices on sorted overlaps with their named blocks.
+    """Transition matrices on sorted overlaps.
 
-    Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2;
-    rows/columns are ordered with the pivot rows moved last.  Inverse and
-    reversed transitions are derived, not stored in Z: det Z_ij = h_ij makes
-    Z_ij^{-1} = adjugate(Z_ij) * h_ji.  get() keeps each reversed transition
-    it derives, so a set computes it once.
+    Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2
+    (see `blocks`); rows/columns are ordered with the pivot rows moved last.
+    Inverse and reversed transitions are derived, not stored in Z:
+    det Z_ij = h_ij makes Z_ij^{-1} = adjugate(Z_ij) * h_ji.  get() keeps
+    each reversed transition it derives, so a set computes it once.
     """
 
     rank: int
@@ -113,9 +133,7 @@ class TransitionSet:
     lb: object
     pairs: tuple           # sorted (i, j), i < j
     Z: dict                # (i, j) -> r x r MatrixL on cover.ctx((i, j))
-    blocks: dict           # (i, j) -> {"P": .., "Q": .., "R": .., "S": ..}
     branch: dict           # (i, j) -> "unit" | "split"
-    x: dict = field(default_factory=dict)   # correction chains per pair
     # reversed transitions derived by get(); valid because Z never changes
     _reversed: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -131,18 +149,15 @@ class TransitionSet:
                 self.lb.h(i, j, Zji.ctx))
         return self._reversed[(i, j)]
 
-
-@dataclass
-class ObstructionData:
-    """Triple-overlap defect: per sorted triple the factored functions beta,
-    the r x 2 defect block B (the only nonzero columns of Z_ik - Z_ij Z_jk),
-    and the induced degree-2 cochain c with values in r-1 dual-bundle copies.
-    """
-
-    triples: tuple
-    beta: dict            # (i, j, k) -> (r-1)-tuple on the triple overlap
-    B: dict               # (i, j, k) -> r x 2 MatrixL
-    cochain: CechCochain  # degree 2, width r-1
+    def blocks(self, i, j):
+        """(P, Q, R, S), the blocks of Z_ij on a sorted overlap (i, j)."""
+        Z = self.Z[(i, j)]
+        k = self.rank - 2
+        top, bottom = Z.rows[:k], Z.rows[k:]
+        return (MatrixL(Z.ctx, [row[:k] for row in top]),
+                MatrixL(Z.ctx, [row[k:] for row in top]),
+                MatrixL(Z.ctx, [row[:k] for row in bottom]),
+                MatrixL(Z.ctx, [row[k:] for row in bottom]))
 
 
 @dataclass
@@ -166,7 +181,7 @@ class BundleResult:
     frames: dict
     transitions: TransitionSet      # corrected
     raw: TransitionSet
-    obstruction: ObstructionData
+    obstruction: CechCochain        # triple-overlap defect, degree 2
     xi: CechCochain                 # solved correction 1-cochain
     meta: dict
     report: object = None
@@ -267,21 +282,8 @@ def build_frames(sub, secs):
         t = secs.t[i]
         sgn = _sign(t)
         s = tuple(secs.sections[i])
-        one, zero = LocElem.one(ctx), LocElem.zero(ctx)
-
-        rows = [[one if a == b else zero for b in range(r - 1)]
-                for a in range(r - 1)]
-        for m in range(r - 1):
-            if m != t - 1:
-                rows[m][t - 1] = s[m].scale(-sgn)
-        Tp = MatrixL(ctx, rows)
-
-        prows = [[zero] * (r - 1) for _ in range(2)]
-        prows[0][t - 1] = f
-        prows[1][t - 1] = g
-        Tpp = MatrixL(ctx, prows)
-
-        M = from_blocks(ctx, [[Tp.delete_row(t - 1)], [Tpp]])
+        frame = FrameData(chart=i, t=t, sign=sgn, f=f, g=g, s=s)
+        Tp, Tpp = frame.Tp, frame.Tpp
 
         top = Tp.delete_row(t - 1)
         if top.delete_col(t - 1) != MatrixL.identity(ctx, r - 2):
@@ -297,8 +299,7 @@ def build_frames(sub, secs):
             raise PreconditionViolated(
                 f"chart {i}: pair block misses sign * (f; g) on the sections")
 
-        frames[i] = FrameData(chart=i, t=t, sign=sgn, f=f, g=g, s=s,
-                              Tp=Tp, Tpp=Tpp, M=M)
+        frames[i] = frame
     return frames
 
 
@@ -316,7 +317,7 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
     """
     cover = sub.cover
     r = secs.rank
-    Zs, blocks, branch = {}, {}, {}
+    Zs, branch = {}, {}
     pairs = tuple(combinations(cover.charts, 2))
     for i, j in pairs:
         ctx = cover.ctx((i, j))
@@ -369,9 +370,8 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
             raise GluingFailure(
                 f"overlap ({i}, {j}): transition determinant is not h_ij")
         Zs[(i, j)] = Z
-        blocks[(i, j)] = {"P": P, "Q": Q, "R": R, "S": S}
     return TransitionSet(rank=r, status="raw", cover=cover, lb=lb,
-                         pairs=pairs, Z=Zs, blocks=blocks, branch=branch)
+                         pairs=pairs, Z=Zs, branch=branch)
 
 
 def obstruction(Z, frames):
@@ -380,12 +380,12 @@ def obstruction(Z, frames):
     D = Z_ik - Z_ij Z_jk must vanish outside its last two columns; those
     columns factor row-by-row through (g_k, -f_k), the two pivot rows factor
     once more through (f_i; g_i), and the resulting beta vector is pulled
-    back through T'_i^{-1} and signed by (-1)^{t_k} to form the cochain
-    value on (i, j, k)."""
+    back through T'_i^{-1} and signed by (-1)^{t_k} to form the value on
+    (i, j, k) of the returned degree-2 cochain, with values in r-1 copies of
+    the dual line bundle."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
-    triples = tuple(combinations(cover.charts, 3))
-    beta_map, B_map, data = {}, {}, {}
-    for i, j, k in triples:
+    data = {}
+    for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
         D = (Z.Z[(i, k)].transport_to(ctx)
              - Z.Z[(i, j)].transport_to(ctx) @ Z.Z[(j, k)].transport_to(ctx))
@@ -410,28 +410,26 @@ def obstruction(Z, frames):
         beta = hat[:fr_i.t - 1] + [bt] + hat[fr_i.t - 1:]
         s_i = [transport(e, ctx) for e in fr_i.s]
         val = tuple(e.scale(fr_k.sign)
-                    for e in _tprime_unapply(s_i, fr_i.t, fr_i.sign, beta))
-        beta_map[(i, j, k)] = tuple(beta)
-        B_map[(i, j, k)] = MatrixL(
-            ctx, [[D[row, r - 2], D[row, r - 1]] for row in range(r)])
+                    for e in _tprime_apply(s_i, fr_i.t, -fr_i.sign, beta))
         if any(not e.is_zero() for e in val):
             data[(i, j, k)] = val
     c = CechCochain(cover, lb, 2, r - 1, data)
     if not is_cocycle(c):
         raise NotACocycle("triple-overlap defect cochain is not closed")
-    return ObstructionData(triples=triples, beta=beta_map, B=B_map, cochain=c)
+    return c
 
 
 def correct(Z, obs, frames, max_degree=8):
-    """Solve the coboundary equation and push the solution into Q and S.
+    """Solve d xi = obs for the obstruction cochain obs and push the
+    solution into Q and S.
 
     With x_ij = (-1)^{t_j} T'_i xi_ij: Q gains the rank-one rows
     x_m (g_j, -f_j) for off-pivot m, S gains x_{t_i} (f_i; g_i)(g_j, -f_j).
     The corrected set satisfies Z_ik = Z_ij Z_jk exactly on every triple,
     with det and M-transport preserved.  Returns (corrected set, xi)."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
-    xi = coboundary_solve(obs.cochain, max_degree=max_degree)
-    newZ, newblocks, xmap = {}, {}, {}
+    xi = coboundary_solve(obs, max_degree=max_degree)
+    newZ = {}
     for i, j in Z.pairs:
         ctx = cover.ctx((i, j))
         fr_i, fr_j = frames[i], frames[j]
@@ -441,8 +439,7 @@ def correct(Z, obs, frames, max_degree=8):
              _tprime_apply(s_i, t_i, fr_i.sign, list(xi.get((i, j))))]
         fi, gi = transport(fr_i.f, ctx), transport(fr_i.g, ctx)
         fj, gj = transport(fr_j.f, ctx), transport(fr_j.g, ctx)
-        b = Z.blocks[(i, j)]
-        Q, S = b["Q"], b["S"]
+        P, Q, R, S = Z.blocks(i, j)
         xhat = [x[m] for m in range(r - 1) if m != t_i - 1]
         if xhat and any(not e.is_zero() for e in xhat):
             Q = Q + MatrixL(ctx, [[e * gj, -(e * fj)] for e in xhat])
@@ -450,7 +447,7 @@ def correct(Z, obs, frames, max_degree=8):
         if not xt.is_zero():
             S = S + MatrixL(ctx, [[(fi * xt) * gj, -((fi * xt) * fj)],
                                   [(gi * xt) * gj, -((gi * xt) * fj)]])
-        Znew = from_blocks(ctx, [[b["P"], Q], [b["R"], S]])
+        Znew = from_blocks(ctx, [[P, Q], [R, S]])
         Mi = fr_i.M.transport_to(ctx)
         Mj = fr_j.M.transport_to(ctx)
         if Znew @ Mj != Mi:
@@ -460,11 +457,8 @@ def correct(Z, obs, frames, max_degree=8):
             raise GluingFailure(
                 f"overlap ({i}, {j}): correction broke the determinant")
         newZ[(i, j)] = Znew
-        newblocks[(i, j)] = {"P": b["P"], "Q": Q, "R": b["R"], "S": S}
-        xmap[(i, j)] = tuple(x)
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
-                              pairs=Z.pairs, Z=newZ, blocks=newblocks,
-                              branch=dict(Z.branch), x=xmap)
+                              pairs=Z.pairs, Z=newZ, branch=dict(Z.branch))
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
         lhs = corrected.Z[(i, k)].transport_to(ctx)
@@ -514,16 +508,16 @@ def compare_bundles(A, B, max_degree=8):
         ctx = A.cover.ctx((i, j))
         fr_i, fr_j = A.frames[i], A.frames[j]
         t_i = fr_i.t
-        ba = A.transitions.blocks[(i, j)]
-        bb = B.transitions.blocks[(i, j)]
-        if ba["P"] != bb["P"] or ba["R"] != bb["R"]:
+        Pa, Qa, Ra, Sa = A.transitions.blocks(i, j)
+        Pb, Qb, Rb, Sb = B.transitions.blocks(i, j)
+        if Pa != Pb or Ra != Rb:
             raise FormMismatch(
                 f"overlap ({i}, {j}): frame blocks differ; the transition "
                 "sets are not comparable")
         fi, gi = transport(fr_i.f, ctx), transport(fr_i.g, ctx)
         fj, gj = transport(fr_j.f, ctx), transport(fr_j.g, ctx)
-        dQ = bb["Q"] - ba["Q"]
-        dS = bb["S"] - ba["S"]
+        dQ = Qb - Qa
+        dS = Sb - Sa
         try:
             xs = [koszul_divide(dQ[m, 0], -dQ[m, 1], fj, gj)
                   for m in range(r - 2)]
@@ -547,7 +541,7 @@ def compare_bundles(A, B, max_degree=8):
                 "shape")
         s_i = [transport(e, ctx) for e in fr_i.s]
         val = tuple(e.scale(fr_j.sign)
-                    for e in _tprime_unapply(s_i, t_i, fr_i.sign, x))
+                    for e in _tprime_apply(s_i, t_i, -fr_i.sign, x))
         if any(not e.is_zero() for e in val):
             data[(i, j)] = val
 
@@ -617,6 +611,14 @@ def _sections_table(doc):
     raise ShapeViolation("sections must be a table or a list of entries")
 
 
+def _int_field(value, what):
+    """An input field that must be a genuine integer: no bool, float or
+    numeric string is coerced."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ShapeViolation(f"{what} must be an integer")
+    return value
+
+
 def build_bundle(doc, lift_order=None, max_degree=None):
     """Run the whole pipeline on a parsed input document.
 
@@ -630,20 +632,13 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     amb = doc.get("ambient")
     if not isinstance(amb, dict) or "kind" not in amb or "dim" not in amb:
         raise ShapeViolation("ambient needs 'kind' and 'dim'")
-    try:
-        ambient = AmbientSpec(str(amb["kind"]), int(amb["dim"]))
-    except (TypeError, ValueError):
-        raise ShapeViolation("ambient dim must be an integer")
+    ambient = AmbientSpec(str(amb["kind"]),
+                          _int_field(amb["dim"], "ambient dim"))
     lbdoc = doc.get("line_bundle")
     if not isinstance(lbdoc, dict) or "twist" not in lbdoc:
         raise ShapeViolation("line_bundle needs a 'twist'")
-    try:
-        twist = int(lbdoc["twist"])
-    except (TypeError, ValueError):
-        raise ShapeViolation("line_bundle twist must be an integer")
-    rank = doc.get("rank")
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise ShapeViolation("rank must be an integer")
+    twist = _int_field(lbdoc["twist"], "line_bundle twist")
+    rank = _int_field(doc.get("rank"), "rank")
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")
     options = doc.get("options") or {}
@@ -655,10 +650,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
         raise ShapeViolation("lift_order must be 'fg' or 'gf'")
     if max_degree is None:
         max_degree = options.get("max_degree", 8)
-    try:
-        max_degree = int(max_degree)
-    except (TypeError, ValueError):
-        raise ShapeViolation("max_degree must be an integer")
+    max_degree = _int_field(max_degree, "max_degree")
     if max_degree < 0:
         raise ShapeViolation("max_degree must be non-negative")
 
@@ -667,6 +659,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     sub = load_subscheme(cover, doc.get("subscheme"))
     secs = load_sections(cover, lb, sub, _sections_table(doc.get("sections")),
                          rank)
+    cover = sub.cover
 
     normalize_generators(sub, secs)
     adjust_glue(sub, secs, lb, lift_order=lift_order)

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 
 from .algebra import LocElem, MatrixL, transport
 from .cech import differential, is_cocycle
-from .ideals import ideal_equal, is_unit_ideal
+from .ideals import ideal_equal, in_ideal, is_unit_ideal
 
 
 @dataclass
@@ -102,9 +102,21 @@ def verify_det(Z, lb):
     return entries
 
 
+def _minor_ideal_gap(minors, f, g):
+    """Name the first generator of (minors) or (f, g) outside the other."""
+    for row, minor in enumerate(minors):
+        if not in_ideal(minor, [f, g]):
+            return f"minor {row} not in (f, g)"
+    for name, p in (("f", f), ("g", g)):
+        if not in_ideal(p, minors):
+            return f"{name} not in the minor ideal"
+
+
 def verify_dependency_locus(frames, sub):
     """The maximal-minor ideal of M_i equals (f_i, g_i) on subscheme charts
-    and is the unit ideal elsewhere."""
+    and is the unit ideal elsewhere.  Minor k is det of M_i without row k;
+    a failure names the first generator of one ideal missing from the
+    other."""
     entries = []
     for i in sorted(frames):
         fr = frames[i]
@@ -112,14 +124,16 @@ def verify_dependency_locus(frames, sub):
         minors = [fr.M.delete_row(row).det() for row in range(r)]
         if sub.meets_Y[i]:
             ok = ideal_equal(minors, [fr.f, fr.g])
+            witness = "" if ok else _minor_ideal_gap(minors, fr.f, fr.g)
         else:
             ok = is_unit_ideal(minors)
+            witness = "" if ok else "minors do not generate the unit ideal"
         entries.append(ReportEntry("dependency_locus", f"chart {i}", ok,
-                                   "" if ok else "minor ideal mismatch"))
+                                   witness))
     return entries
 
 
-def verify_section_relation(frames, secs):
+def verify_section_relation(frames):
     """M_i s_i = (0, ..., 0, sign f_i, sign g_i) exactly, so every entry of
     the section relation lies in (f_i, g_i)."""
     entries = []
@@ -153,9 +167,9 @@ def verify_glue_identities(Z, sub, lb, frames):
         fj, gj = sub.pair_on(j, ctx)
         sgn = fr_i.sign * fr_j.sign
         h = lb.h(i, j, ctx)
-        b = Z.blocks[(i, j)]
+        _, _, R, S = Z.blocks(i, j)
 
-        lhs = MatrixL(ctx, [[gi, -fi]]) @ b["S"]
+        lhs = MatrixL(ctx, [[gi, -fi]]) @ S
         rhs = MatrixL(ctx, [[gj, -fj]]).scalar_mul(h.scale(sgn))
         entries.append(_entry("glue_row_transform_S", f"overlap ({i}, {j})",
                               lhs == rhs, lhs - rhs))
@@ -165,7 +179,7 @@ def verify_glue_identities(Z, sub, lb, frames):
                 for m in range(r - 1) if m != fr_j.t - 1]]
         expected = MatrixL(ctx, [[fi], [gi]]) @ MatrixL(ctx, sel)
         entries.append(_entry("glue_selector_R", f"overlap ({i}, {j})",
-                              b["R"] == expected, b["R"] - expected))
+                              R == expected, R - expected))
 
         lhsZ = _mrow(ctx, r, fi, gi) @ Z.Z[(i, j)]
         rhsZ = _mrow(ctx, r, fj, gj).scalar_mul(h.scale(sgn))
@@ -207,13 +221,13 @@ def verify_defect_shape(Z, frames):
 def run_all(bundle):
     """Full deterministic verification suite for a BundleResult."""
     entries = []
-    entries += verify_section_relation(bundle.frames, bundle.secs)
+    entries += verify_section_relation(bundle.frames)
     entries += verify_dependency_locus(bundle.frames, bundle.sub)
     entries += verify_glue_identities(bundle.raw, bundle.sub, bundle.lb,
                                       bundle.frames)
     entries += verify_det(bundle.raw, bundle.lb)
     entries += verify_defect_shape(bundle.raw, bundle.frames)
-    c = bundle.obstruction.cochain
+    c = bundle.obstruction
     entries.append(ReportEntry("obstruction_cocycle", "all triples",
                                is_cocycle(c)))
     entries.append(ReportEntry("correction_solves_obstruction", "all pairs",

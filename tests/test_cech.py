@@ -7,7 +7,8 @@ import pytest
 from serrekit.algebra import LocElem, Poly, transport
 from serrekit.cech import (CechCochain, _solve_exact, coboundary_solve,
                            cohomology_dim, differential, is_cocycle)
-from serrekit.cover import AmbientSpec, LineBundleData, standard_cover
+from serrekit.cover import (AmbientSpec, Cover, LineBundleData, section_unit,
+                            standard_cover)
 from serrekit.errors import (Inconclusive, NotACocycle, Obstructed,
                              PreconditionViolated, ShapeViolation)
 
@@ -232,9 +233,8 @@ def test_obstruction_vanishes_when_positivity_allows():
 
 def test_ansatz_solves_section_unit_denominator():
     ambient = P(2)
-    cover = standard_cover(ambient)
-    ctx0 = cover.chart_ctx(0)
-    cover.register_sunit(0, ctx0.parse("1 + x1"))
+    ctx0 = standard_cover(ambient).chart_ctx(0)
+    cover = Cover(ambient, [section_unit(ambient, 0, ctx0.parse("1 + x1"))])
     lb = LineBundleData(ambient, 0)
     y0 = LocElem(cover.ctx((0,)), Poly.const(2, 1), {"s0": 1})
     y = CechCochain(cover, lb, 0, 1, {(0,): (y0,)})
@@ -245,9 +245,8 @@ def test_ansatz_solves_section_unit_denominator():
 
 def test_ansatz_failure_is_inconclusive():
     ambient = P(2)
-    cover = standard_cover(ambient)
-    ctx0 = cover.chart_ctx(0)
-    cover.register_sunit(0, ctx0.parse("1 + x1"))
+    ctx0 = standard_cover(ambient).chart_ctx(0)
+    cover = Cover(ambient, [section_unit(ambient, 0, ctx0.parse("1 + x1"))])
     lb = LineBundleData(ambient, 3)
     ctx = cover.ctx((0, 1, 2))
     v = LocElem(ctx, ctx.parse("x2^2"), {"c1": 1, "s0": 1})

@@ -76,12 +76,25 @@ def test_build_schema_failures(tmp_path, capsys):
     assert code == 1 and "error[parse]" in err
 
 
-@pytest.mark.parametrize("rank", [2.7, 2.0, True, "2", None])
-def test_build_rejects_non_integer_rank(tmp_path, capsys, rank):
-    doc = dict(POINT, rank=rank)
+@pytest.mark.parametrize("path, value, label", [
+    *(pytest.param(("rank",), v, "rank", id=str(v))
+      for v in (2.7, 2.0, True, "2", None)),
+    *(pytest.param(("ambient", "dim"), v, "ambient dim", id=f"dim-{v}")
+      for v in ("2", 2.0, True)),
+    *(pytest.param(("line_bundle", "twist"), v, "line_bundle twist",
+                   id=f"twist-{v}") for v in (1.5, "1", True)),
+    *(pytest.param(("options", "max_degree"), v, "max_degree",
+                   id=f"max_degree-{v}") for v in (2.9, "2", True)),
+])
+def test_build_rejects_non_integer_rank(tmp_path, capsys, path, value, label):
+    doc = json.loads(json.dumps(dict(POINT, options={})))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
     assert code == 1 and out == ""
-    assert "error[parse]: rank must be an integer" in err
+    assert f"error[parse]: {label} must be an integer" in err
 
 
 def test_build_rejects_division_by_zero_in_polynomial(tmp_path, capsys):
@@ -121,6 +134,68 @@ def test_verify_catches_hand_edit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", edited)
     assert code == 1
     assert "determinant_corrected" in err
+
+
+def _built_point(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    assert run_cli(capsys, "build", write_doc(tmp_path, POINT),
+                   "-o", str(out))[0] == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _verify_edited_M(tmp_path, capsys, row, num):
+    """Verify the point bundle with one entry of M on chart 2 replaced; M is
+    ((x0), (-x1)) there, so the minors are (-x1, x0)."""
+    doc = _built_point(tmp_path, capsys)
+    doc["charts"]["2"]["M"][row][0]["num"] = num
+    return run_cli(capsys, "verify", write_doc(tmp_path, doc, "edited.json"))
+
+
+def test_verify_catches_hand_edited_M(tmp_path, capsys):
+    code, out, err = _verify_edited_M(tmp_path, capsys, 0, "x0 + 1")
+    assert code == 1
+    assert ("check failed: section_relation [chart 2]" in err
+            or "check failed: dependency_locus [chart 2]" in err)
+    failed = {(e["check"], e["scope"]) for e in json.loads(out)
+              if not e["passed"]}
+    assert ("dependency_locus", "chart 2") in failed
+
+
+@pytest.mark.parametrize("row, num, witness", [
+    (0, "x0 + 1", "minor 1 not in (f, g)"),
+    (1, "-x1^2", "g not in the minor ideal"),
+])
+def test_dependency_locus_witness_names_generator(tmp_path, capsys, row, num,
+                                                  witness):
+    code, out, _ = _verify_edited_M(tmp_path, capsys, row, num)
+    assert code == 1
+    entry, = [e for e in json.loads(out)
+              if (e["check"], e["scope"]) == ("dependency_locus", "chart 2")]
+    assert not entry["passed"] and entry["witness"] == witness
+
+
+# Each edit puts the key "x" where a chart index belongs; an uncaught
+# ValueError would escape `main` and fail the test.
+NON_INTEGER_KEY_EDITS = {
+    "charts": lambda d: d["charts"].update(x=d["charts"].pop("0")),
+    "units": lambda d: d["units"].update(x={"form": "x0", "degree": 1}),
+    "obstruction": lambda d: d["obstruction"].append(
+        {"key": ["x", 1, 2], "values": []}),
+    "correction": lambda d: d["correction"].append(
+        {"key": ["x", 1], "values": []}),
+    "meta.pivots": lambda d: d["meta"]["pivots"].update(x=1),
+    "meta.tiers": lambda d: d["meta"]["tiers"].update(x=0),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NON_INTEGER_KEY_EDITS))
+def test_verify_rejects_non_integer_chart_key(tmp_path, capsys, where):
+    doc = _built_point(tmp_path, capsys)
+    NON_INTEGER_KEY_EDITS[where](doc)
+    code, out, err = run_cli(capsys, "verify",
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1 and out == ""
+    assert "error[parse]" in err and "bad chart key 'x'" in err
 
 
 def test_verify_truncated_file(tmp_path, capsys):

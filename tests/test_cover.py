@@ -126,7 +126,7 @@ def test_load_sections_tier4_registers_unit():
     sub = load_subscheme(cover, {"mode": "charts", "pairs": {"2": ["x0", "x1"]}})
     secs = load_sections(cover, lb, sub, {"2": ["1 + x0"]}, rank=2)
     assert secs.t[2] == 1 and secs.tier[2] == 4
-    ctx2 = cover.chart_ctx(2)
+    ctx2 = sub.cover.chart_ctx(2)
     assert "s2" in ctx2.unit_keys()
     # with the unit registered, the pivot is invertible on the shrunk chart
     assert is_unit_ideal([secs.sections[2][0]])

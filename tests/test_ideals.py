@@ -10,8 +10,8 @@ from serrekit.errors import (NotCoprime, NotInIdeal, NotRegularPair,
                              PreconditionViolated)
 from serrekit.ideals import (buchberger, elim_key, ideal_equal, in_ideal,
                              invert, is_unit_ideal, koszul_divide, lift_pair,
-                             member_with_lift, reduce_with_cofactors,
-                             regular_pair, unit_certificate)
+                             member_with_lift, regular_pair,
+                             unit_certificate)
 
 
 def _ctx(indices, home=None, dim=2, sunits=()):
@@ -72,7 +72,7 @@ def test_reduce_with_cofactors_identity():
         gens = [_rand_poly(rng, 2) for _ in range(2)]
         gb = buchberger(gens, 2)
         p = _rand_poly(rng, 2)
-        cof, rem = reduce_with_cofactors(p, gb)
+        cof, rem = gb.reduce(p)
         acc = rem
         for c, g in zip(cof, gens):
             acc = acc + c * g
