@@ -124,7 +124,9 @@ def _need(doc, key, kind, where):
     if not isinstance(doc, dict) or key not in doc:
         raise ShapeViolation(f"{where}: missing key {key!r}")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    # bool is a subclass of int, but a JSON true is no integer
+    if kind is not None and (not isinstance(val, kind)
+                             or isinstance(val, bool) and kind is not bool):
         raise ShapeViolation(f"{where}: key {key!r} has the wrong type")
     return val
 
@@ -146,7 +148,7 @@ def _elem_load(ctx, doc, where):
     den = _need(doc, "den", dict, where)
     try:
         parsed = ctx.parse(num)
-        return LocElem(ctx, parsed, {str(k): int(v) for k, v in den.items()})
+        return LocElem(ctx, parsed, {k: _need(den, k, int, where) for k in den})
     except (ValueError, KeyError) as exc:
         raise ShapeViolation(f"{where}: {exc}") from exc
 
@@ -193,7 +195,7 @@ def load_bundle(doc):
         raise ShapeViolation("document: unknown schema tag")
     amb = _need(doc, "ambient", dict, "document")
     ambient = AmbientSpec(_need(amb, "kind", str, "ambient"),
-                          int(_need(amb, "dim", int, "ambient")))
+                          _need(amb, "dim", int, "ambient"))
     names = Cover(ambient).hom_names()
     units = []
     for chart_key, u in sorted(_need(doc, "units", dict, "document").items()):
@@ -202,12 +204,12 @@ def load_bundle(doc):
         except ValueError as exc:
             raise ShapeViolation(f"units: {exc}") from exc
         units.append(SUnit(_chart_key(chart_key, "units"), form,
-                           int(_need(u, "degree", int, "units"))))
+                           _need(u, "degree", int, "units")))
     cover = Cover(ambient, units)
-    twist = int(_need(_need(doc, "line_bundle", dict, "document"),
-                      "twist", int, "line_bundle"))
+    twist = _need(_need(doc, "line_bundle", dict, "document"),
+                  "twist", int, "line_bundle")
     lb = LineBundleData(ambient, twist)
-    r = int(_need(doc, "rank", int, "document"))
+    r = _need(doc, "rank", int, "document")
     if r < 2:
         raise ShapeViolation("document: rank must be >= 2")
 
@@ -219,10 +221,10 @@ def load_bundle(doc):
     for i, ch in zip(keys, charts_doc.values()):
         ctx = cover.chart_ctx(i)
         where = f"chart {i}"
-        t = int(_need(ch, "t", int, where))
+        t = _need(ch, "t", int, where)
         if not 1 <= t <= r - 1:
             raise ShapeViolation(f"{where}: pivot position out of range")
-        sign = int(_need(ch, "sign", int, where))
+        sign = _need(ch, "sign", int, where)
         if sign != (-1 if t % 2 else 1):
             raise ShapeViolation(f"{where}: sign does not match pivot parity")
         f = _elem_load(ctx, _need(ch, "f", dict, where), where)
@@ -231,10 +233,10 @@ def load_bundle(doc):
         M = _mat_load(ctx, _need(ch, "M", list, where), (r, r - 1), where)
         frames[i] = FrameData(chart=i, t=t, sign=sign, f=f, g=g, s=s, M=M)
         pairs[i] = (f, g)
-        meets[i] = bool(_need(ch, "meets", bool, where))
+        meets[i] = _need(ch, "meets", bool, where)
         sections[i] = s
         t_map[i] = t
-        tier_map[i] = int(_need(ch, "tier", int, where))
+        tier_map[i] = _need(ch, "tier", int, where)
 
     overlaps_doc = _need(doc, "overlaps", dict, "document")
     sorted_pairs = tuple(combinations(cover.charts, 2))
@@ -249,13 +251,13 @@ def load_bundle(doc):
         if br not in ("unit", "split"):
             raise ShapeViolation(f"{where}: unknown branch {br!r}")
         branch[(i, j)] = br
-        empty[(i, j)] = bool(_need(ov, "empty", bool, where))
+        empty[(i, j)] = _need(ov, "empty", bool, where)
         Z_raw[(i, j)] = _mat_load(ctx, _need(ov, "raw", list, where),
                                   (r, r), where)
         Z_cor[(i, j)] = _mat_load(ctx, _need(ov, "corrected", list, where),
                                   (r, r), where)
 
-    sub = SubschemeData(cover, str(_need(doc, "mode", str, "document")),
+    sub = SubschemeData(cover, _need(doc, "mode", str, "document"),
                         pairs, meets, {}, empty)
     secs = SectionData(sections, t_map, tier_map, r)
     raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw, branch)
@@ -276,7 +278,7 @@ def load_bundle(doc):
                         obstruction=obs, xi=xi, meta=meta)
 
 
-def iso_doc(iso, cover):
+def iso_doc(iso):
     return {
         "schema": "serre-isomorphism/1",
         "y": {str(i): _vec_doc(iso.y[i]) for i in sorted(iso.y)},
@@ -473,7 +475,7 @@ def cmd_compare(args):
     except SerreError as exc:
         _fail(exc)
         return 1
-    payload = iso_doc(iso, a.cover)
+    payload = iso_doc(iso)
     _emit(payload, args, _text_iso(payload))
     return 0
 

@@ -24,12 +24,11 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import LocElem, MatrixL, from_blocks, transport
-from .cech import CechCochain, coboundary_solve, cohomology_dim, is_cocycle
+from .cech import CechCochain, coboundary_solve, cohomology_dim
 from .cover import (AmbientSpec, LineBundleData, load_sections,
                     load_subscheme, standard_cover)
-from .errors import (FormMismatch, GluingFailure, H1Obstruction, NotACocycle,
-                     Obstructed, PreconditionViolated, SerreError,
-                     ShapeViolation)
+from .errors import (FormMismatch, GluingFailure, H1Obstruction, Obstructed,
+                     PreconditionViolated, SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
 
 
@@ -77,8 +76,8 @@ class FrameData:
     from them when not given, and a loaded document supplies its own, which
     the verify suite then checks.
 
-    Exact identities checked at build time (D = delete pivot row, D' = delete
-    pivot column): D T' D' = I, T'' D' = 0, D T' s = 0, T'' s = sign (f; g).
+    By construction (D, D' delete the pivot row, column) D T' D' = I,
+    T'' D' = 0, and, as s[t-1] == sign, D T' s = 0, T'' s = sign (f; g).
     """
 
     chart: int
@@ -123,8 +122,9 @@ class TransitionSet:
     Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2
     (see `blocks`); rows/columns are ordered with the pivot rows moved last.
     Inverse and reversed transitions are derived, not stored in Z:
-    det Z_ij = h_ij makes Z_ij^{-1} = adjugate(Z_ij) * h_ji.  get() keeps
-    each reversed transition it derives, so a set computes it once.
+    det Z_ij = h_ij makes Z_ij^{-1} = adjugate(Z_ij) * h_ji.  A set keeps
+    what it derives (reversed transitions from `get`, `det`, `defect`), so
+    the build and the verify suite compute each once.
     """
 
     rank: int
@@ -134,8 +134,8 @@ class TransitionSet:
     pairs: tuple           # sorted (i, j), i < j
     Z: dict                # (i, j) -> r x r MatrixL on cover.ctx((i, j))
     branch: dict           # (i, j) -> "unit" | "split"
-    # reversed transitions derived by get(); valid because Z never changes
-    _reversed: dict = field(default_factory=dict, repr=False, compare=False)
+    # (kind, *charts) -> value derived from Z; valid because Z never changes
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def get(self, i, j):
         """Transition for the ordered overlap (i, j)."""
@@ -143,11 +143,29 @@ class TransitionSet:
             return MatrixL.identity(self.cover.chart_ctx(i), self.rank)
         if (i, j) in self.Z:
             return self.Z[(i, j)]
-        if (i, j) not in self._reversed:
+        key = ("get", i, j)
+        if key not in self._derived:
             Zji = self.Z[(j, i)]
-            self._reversed[(i, j)] = Zji.adjugate().scalar_mul(
+            self._derived[key] = Zji.adjugate().scalar_mul(
                 self.lb.h(i, j, Zji.ctx))
-        return self._reversed[(i, j)]
+        return self._derived[key]
+
+    def det(self, i, j):
+        """det Z_ij on the ordered overlap (i, j)."""
+        key = ("det", i, j)
+        if key not in self._derived:
+            self._derived[key] = self.get(i, j).det()
+        return self._derived[key]
+
+    def defect(self, i, j, k):
+        """Z_ik - Z_ij Z_jk on the overlap of the ordered triple (i, j, k)."""
+        key = ("defect", i, j, k)
+        if key not in self._derived:
+            ctx = self.cover.ctx((i, j, k))
+            self._derived[key] = (self.get(i, k).transport_to(ctx)
+                                  - self.get(i, j).transport_to(ctx)
+                                  @ self.get(j, k).transport_to(ctx))
+        return self._derived[key]
 
     def blocks(self, i, j):
         """(P, Q, R, S), the blocks of Z_ij on a sorted overlap (i, j)."""
@@ -272,34 +290,13 @@ def adjust_glue(sub, secs, lb, lift_order="fg"):
 
 
 def build_frames(sub, secs):
-    """Construct T', T'', M per chart and check the frame identities."""
-    cover = sub.cover
-    r = secs.rank
+    """Construct the frame (T', T'', M) of every chart."""
     frames = {}
-    for i in cover.charts:
+    for i in sub.cover.charts:
         f, g = sub.pairs[i]
-        ctx = f.ctx
         t = secs.t[i]
-        sgn = _sign(t)
-        s = tuple(secs.sections[i])
-        frame = FrameData(chart=i, t=t, sign=sgn, f=f, g=g, s=s)
-        Tp, Tpp = frame.Tp, frame.Tpp
-
-        top = Tp.delete_row(t - 1)
-        if top.delete_col(t - 1) != MatrixL.identity(ctx, r - 2):
-            raise PreconditionViolated(
-                f"chart {i}: pivot-deleted frame is not the identity")
-        if Tpp.delete_col(t - 1) != MatrixL.zeros(ctx, 2, r - 2):
-            raise PreconditionViolated(
-                f"chart {i}: pair block has entries off the pivot column")
-        if r > 2 and any(not e.is_zero() for e in top.matvec(s)):
-            raise PreconditionViolated(
-                f"chart {i}: frame does not annihilate the section tuple")
-        if Tpp.matvec(s) != (f.scale(sgn), g.scale(sgn)):
-            raise PreconditionViolated(
-                f"chart {i}: pair block misses sign * (f; g) on the sections")
-
-        frames[i] = frame
+        frames[i] = FrameData(chart=i, t=t, sign=_sign(t), f=f, g=g,
+                              s=tuple(secs.sections[i]))
     return frames
 
 
@@ -313,7 +310,7 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
     built from comaximality certificates of both chart pairs; Q lifts the
     off-pivot entries of (-1)^{t_j} T'_i s_j over (f_j, g_j), which lie in
     the ideal by the section compatibility.  Checks M_i = Z_ij M_j and
-    det Z_ij = h_ij exactly.
+    det Z_ij = h_ij exactly (`_check_glue`).
     """
     cover = sub.cover
     r = secs.rank
@@ -359,19 +356,28 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
         Tpp = fr_i.Tpp.transport_to(ctx)
         P = Tp.delete_row(t_i - 1).delete_col(t_j - 1)
         R = Tpp.delete_col(t_j - 1)
-        Z = from_blocks(ctx, [[P, Q], [R, S]])
+        Zs[(i, j)] = from_blocks(ctx, [[P, Q], [R, S]])
+    raw = TransitionSet(rank=r, status="raw", cover=cover, lb=lb,
+                        pairs=pairs, Z=Zs, branch=branch)
+    _check_glue(raw, frames)
+    return raw
 
-        Mi = fr_i.M.transport_to(ctx)
-        Mj = fr_j.M.transport_to(ctx)
-        if Z @ Mj != Mi:
+
+def _check_glue(Z, frames):
+    """Z_ij M_j = M_i and det Z_ij = h_ij on every sorted overlap.  A raw set
+    fails at stage glue, a corrected one at stage correction."""
+    stage = "glue" if Z.status == "raw" else "correction"
+    for i, j in Z.pairs:
+        ctx = Z.cover.ctx((i, j))
+        Mi = frames[i].M.transport_to(ctx)
+        if Z.Z[(i, j)] @ frames[j].M.transport_to(ctx) != Mi:
             raise GluingFailure(
-                f"overlap ({i}, {j}): transition does not carry M_{j} to M_{i}")
-        if Z.det() != lb.h(i, j, ctx):
+                f"overlap ({i}, {j}): {Z.status} transition does not carry "
+                f"M_{j} to M_{i}", stage=stage)
+        if Z.det(i, j) != Z.lb.h(i, j, ctx):
             raise GluingFailure(
-                f"overlap ({i}, {j}): transition determinant is not h_ij")
-        Zs[(i, j)] = Z
-    return TransitionSet(rank=r, status="raw", cover=cover, lb=lb,
-                         pairs=pairs, Z=Zs, branch=branch)
+                f"overlap ({i}, {j}): {Z.status} transition determinant is "
+                "not h_ij", stage=stage)
 
 
 def obstruction(Z, frames):
@@ -387,8 +393,7 @@ def obstruction(Z, frames):
     data = {}
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
-        D = (Z.Z[(i, k)].transport_to(ctx)
-             - Z.Z[(i, j)].transport_to(ctx) @ Z.Z[(j, k)].transport_to(ctx))
+        D = Z.defect(i, j, k)
         for row in range(r):
             for col in range(r - 2):
                 if not D[row, col].is_zero():
@@ -413,10 +418,7 @@ def obstruction(Z, frames):
                     for e in _tprime_apply(s_i, fr_i.t, -fr_i.sign, beta))
         if any(not e.is_zero() for e in val):
             data[(i, j, k)] = val
-    c = CechCochain(cover, lb, 2, r - 1, data)
-    if not is_cocycle(c):
-        raise NotACocycle("triple-overlap defect cochain is not closed")
-    return c
+    return CechCochain(cover, lb, 2, r - 1, data)
 
 
 def correct(Z, obs, frames, max_degree=8):
@@ -447,27 +449,16 @@ def correct(Z, obs, frames, max_degree=8):
         if not xt.is_zero():
             S = S + MatrixL(ctx, [[(fi * xt) * gj, -((fi * xt) * fj)],
                                   [(gi * xt) * gj, -((gi * xt) * fj)]])
-        Znew = from_blocks(ctx, [[P, Q], [R, S]])
-        Mi = fr_i.M.transport_to(ctx)
-        Mj = fr_j.M.transport_to(ctx)
-        if Znew @ Mj != Mi:
-            raise GluingFailure(
-                f"overlap ({i}, {j}): correction broke the M transport")
-        if Znew.det() != lb.h(i, j, ctx):
-            raise GluingFailure(
-                f"overlap ({i}, {j}): correction broke the determinant")
-        newZ[(i, j)] = Znew
+        newZ[(i, j)] = from_blocks(ctx, [[P, Q], [R, S]])
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
                               pairs=Z.pairs, Z=newZ, branch=dict(Z.branch))
+    _check_glue(corrected, frames)
     for i, j, k in combinations(cover.charts, 3):
-        ctx = cover.ctx((i, j, k))
-        lhs = corrected.Z[(i, k)].transport_to(ctx)
-        rhs = (corrected.Z[(i, j)].transport_to(ctx)
-               @ corrected.Z[(j, k)].transport_to(ctx))
-        if lhs != rhs:
+        zero = MatrixL.zeros(cover.ctx((i, j, k)), r, r)
+        if corrected.defect(i, j, k) != zero:
             raise GluingFailure(
                 f"triple ({i}, {j}, {k}): corrected transitions are not a "
-                "cocycle")
+                "cocycle", stage="correction")
     return corrected, xi
 
 
@@ -546,8 +537,6 @@ def compare_bundles(A, B, max_degree=8):
             data[(i, j)] = val
 
     xi = CechCochain(A.cover, A.lb, 1, r - 1, data)
-    if not is_cocycle(xi):
-        raise NotACocycle("recovered difference cochain is not closed")
     try:
         Y = coboundary_solve(xi, max_degree=max_degree)
     except Obstructed as exc:

@@ -1,9 +1,11 @@
 """Exact post-hoc verification of the construction contract.
 
-Every check re-evaluates a polynomial identity from scratch and reports a
-pass flag plus, on failure, the offending difference in canonical form.
-Checks never raise on mathematical failure — a failed identity becomes a
-report entry so the caller can decide; only malformed inputs raise.
+Every check evaluates a polynomial identity exactly and reports a pass flag
+plus, on failure, the offending difference in canonical form.  Checks never
+raise on mathematical failure — a failed identity becomes a report entry so
+the caller can decide; only malformed inputs raise.  `run_all` reads the
+determinants and triple defects a transition set keeps (`TransitionSet.det`,
+`.defect`), so on a fresh build it reuses what the build computed.
 
 The full suite (`run_all`) covers: the per-chart frame/section relations,
 the dependency-locus minor ideals, the raw gluing identities (row-functional
@@ -16,7 +18,7 @@ correction, and the corrected cocycle identity with two-sided inverses.
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .algebra import LocElem, MatrixL, transport
+from .algebra import LocElem, MatrixL
 from .cech import differential, is_cocycle
 from .ideals import ideal_equal, in_ideal, is_unit_ideal
 
@@ -79,11 +81,8 @@ def verify_cocycle(Z):
         entries.append(
             _entry("transition_inverse", f"overlap ({i}, {j})", ok, diff))
     for i, j, k in permutations(cover.charts, 3):
-        ctx = cover.ctx((i, j, k))
-        diff = (Z.get(i, k).transport_to(ctx)
-                - Z.get(i, j).transport_to(ctx)
-                @ Z.get(j, k).transport_to(ctx))
-        ok = diff == MatrixL.zeros(ctx, r, r)
+        diff = Z.defect(i, j, k)
+        ok = diff == MatrixL.zeros(diff.ctx, r, r)
         entries.append(
             _entry("transition_cocycle", f"triple ({i}, {j}, {k})", ok, diff))
     return entries
@@ -94,8 +93,7 @@ def verify_det(Z, lb):
     entries = []
     cover = Z.cover
     for i, j in permutations(cover.charts, 2):
-        ctx = cover.ctx((i, j))
-        diff = Z.get(i, j).det() - lb.h(i, j, ctx)
+        diff = Z.det(i, j) - lb.h(i, j, cover.ctx((i, j)))
         entries.append(
             _entry(f"determinant_{Z.status}", f"overlap ({i}, {j})",
                    diff.is_zero(), diff))
@@ -155,7 +153,8 @@ def verify_glue_identities(Z, sub, lb, frames):
       (b) R_ij = (f_i; g_i) times the pivot selector row (1 at t_i, with
           column t_j deleted);
       (c) (0..0, g_i, -f_i) Z_ij = (-1)^{t_i+t_j} h_ij (0..0, g_j, -f_j);
-      (d) the same row functional annihilates the triple defect.
+      (d) the same row functional annihilates the triple defect; the
+          witness is its value on Z_ij Z_jk - Z_ik.
     """
     entries = []
     cover = Z.cover
@@ -189,9 +188,7 @@ def verify_glue_identities(Z, sub, lb, frames):
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
         fi, gi = sub.pair_on(i, ctx)
-        D = (Z.Z[(i, j)].transport_to(ctx) @ Z.Z[(j, k)].transport_to(ctx)
-             - Z.Z[(i, k)].transport_to(ctx))
-        prod = _mrow(ctx, r, fi, gi) @ D
+        prod = _mrow(ctx, r, -fi, -gi) @ Z.defect(i, j, k)
         ok = prod == MatrixL.zeros(ctx, 1, r)
         entries.append(
             _entry("glue_row_kills_defect", f"triple ({i}, {j}, {k})", ok,
@@ -206,10 +203,7 @@ def verify_defect_shape(Z, frames):
     cover = Z.cover
     r = Z.rank
     for i, j, k in combinations(cover.charts, 3):
-        ctx = cover.ctx((i, j, k))
-        D = (Z.Z[(i, k)].transport_to(ctx)
-             - Z.Z[(i, j)].transport_to(ctx)
-             @ Z.Z[(j, k)].transport_to(ctx))
+        D = Z.defect(i, j, k)
         bad = [(row, col) for row in range(r) for col in range(r - 2)
                if not D[row, col].is_zero()]
         entries.append(ReportEntry(

@@ -1,10 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from serrekit import serre
+from serrekit.algebra import LocElem
+from serrekit.cech import CechCochain
 from serrekit.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench"
+SKEW_LINES = str(CORPUS / "inputs" / "skew_lines_p3.json")
 
 
 POINT = {
@@ -124,6 +131,30 @@ def test_build_obstructed_exit_two_with_witness(tmp_path, capsys):
     assert "error[correct]" in err
 
 
+def test_build_correction_failure_tagged_correct(capsys, monkeypatch):
+    """A solved correction of zero leaves the four obstruction components of
+    the skew lines in place, so the corrected set fails its cocycle check:
+    a failure of the correction, not of the raw gluing."""
+    monkeypatch.setattr(serre, "coboundary_solve", lambda obs, max_degree: (
+        CechCochain(obs.cover, obs.lb, 1, obs.width, {})))
+    code, out, err = run_cli(capsys, "build", SKEW_LINES)
+    assert code == 1 and out == ""
+    assert err.startswith("error[correct]: triple (0, 1, 2): corrected "
+                          "transitions are not a cocycle")
+
+
+def test_build_non_closed_obstruction_tagged_cech(capsys, monkeypatch):
+    """The coboundary solver refuses a 2-cochain that is not closed."""
+    def not_closed(Z, frames):
+        ctx = Z.cover.ctx((0, 1, 2))
+        return CechCochain(Z.cover, Z.lb, 2, 1, {(0, 1, 2): (LocElem.one(ctx),)})
+    monkeypatch.setattr(serre, "obstruction", not_closed)
+    code, out, err = run_cli(capsys, "build", SKEW_LINES)
+    assert code == 1 and out == ""
+    assert err.startswith("error[cech]: coboundary_solve target is not a "
+                          "cocycle")
+
+
 def test_verify_catches_hand_edit(tmp_path, capsys):
     src = write_doc(tmp_path, POINT)
     out = tmp_path / "bundle.json"
@@ -196,6 +227,33 @@ def test_verify_rejects_non_integer_chart_key(tmp_path, capsys, where):
                              write_doc(tmp_path, doc, "edited.json"))
     assert code == 1 and out == ""
     assert "error[parse]" in err and "bad chart key 'x'" in err
+
+
+def _obstruction_den(doc):
+    return doc["obstruction"][0]["values"][0]["den"]
+
+
+# Each edit of the point_p2 reference puts a value that is not a JSON
+# integer where the bundle document needs one (each once read as 1).
+NON_INTEGER_VALUE_EDITS = {
+    "twist true": lambda d: d["line_bundle"].update(twist=True),
+    "tier true": lambda d: d["charts"]["2"].update(tier=True),
+    "t true": lambda d: d["charts"]["2"].update(t=True),
+    "exponent 1.5": lambda d: _obstruction_den(d).update(c1=1.5),
+    "exponent string": lambda d: _obstruction_den(d).update(c1="1"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_INTEGER_VALUE_EDITS))
+def test_verify_rejects_non_integer_value(tmp_path, capsys, edit):
+    doc = json.loads((CORPUS / "refs" / "point_p2.json").read_text(
+        encoding="utf-8"))
+    assert _obstruction_den(doc) == {"c1": 1}
+    NON_INTEGER_VALUE_EDITS[edit](doc)
+    code, out, err = run_cli(capsys, "verify",
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error[parse]: ")
 
 
 def test_verify_truncated_file(tmp_path, capsys):

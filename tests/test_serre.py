@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,7 +10,8 @@ from serrekit.algebra import LocElem, MatrixL, Poly, transport
 from serrekit.cech import cohomology_dim
 from serrekit.cover import (AmbientSpec, LineBundleData, load_sections,
                             load_subscheme, standard_cover)
-from serrekit.errors import FormMismatch, Obstructed, ShapeViolation
+from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
+                             ShapeViolation)
 from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
                             compare_bundles, correct, normalize_generators,
@@ -262,6 +264,35 @@ def test_skew_lines_build_and_correction():
     assert cohomology_dim(bundle.ambient, -2, 2) == 0
     assert cohomology_dim(bundle.ambient, -2, 1) == 0
     assert bundle.meta["unique"] is True
+
+
+def test_transition_set_keeps_dets_and_defects():
+    bundle = build_bundle(skew_lines_doc())
+    raw, corrected, cover = bundle.raw, bundle.transitions, bundle.cover
+    for i, j, k in combinations(cover.charts, 3):
+        ctx = cover.ctx((i, j, k))
+        Zij, Zjk, Zik = (raw.Z[p].transport_to(ctx)
+                         for p in ((i, j), (j, k), (i, k)))
+        D = raw.defect(i, j, k)
+        assert D == Zik - Zij @ Zjk
+        assert raw.defect(i, j, k) is D
+    triples = list(permutations(cover.charts, 3))
+    assert len(triples) == 24
+    for i, j, k in triples:
+        D = corrected.defect(i, j, k)
+        assert D == MatrixL.zeros(D.ctx, 2, 2)
+    for i, j in permutations(cover.charts, 2):
+        assert raw.det(i, j) == bundle.lb.h(i, j, cover.ctx((i, j)))
+
+
+def test_build_Z_failure_is_tagged_glue():
+    cover, lb, sub, secs = _loaded(ci_line_doc())
+    normalize_generators(sub, secs)
+    adjust_glue(sub, secs, lb)
+    sub.A[(2, 3)] = sub.A[(2, 3)].scalar_mul(2)
+    with pytest.raises(GluingFailure) as err:
+        build_Z(build_frames(sub, secs), sub, secs, lb)
+    assert err.value.stage == "glue"
 
 
 def test_two_points_rank_three_build():
