@@ -36,7 +36,8 @@ from .errors import (Inconclusive, NotACocycle, Obstructed, PreconditionViolated
 
 
 class CechCochain:
-    """Sparse cochain: only nonzero values are stored."""
+    """Sparse cochain: only nonzero values are stored.  The data never
+    changes after construction, so a cochain keeps its differential."""
 
     def __init__(self, cover, lb, degree, width, data=None):
         if degree < 0:
@@ -46,6 +47,7 @@ class CechCochain:
         self.degree = degree
         self.width = width
         self.data = {}
+        self._differential = None
         for key, val in (data or {}).items():
             key = tuple(key)
             if tuple(sorted(set(key))) != key or len(key) != degree + 1:
@@ -112,7 +114,10 @@ class CechCochain:
 
 
 def differential(c):
-    """The twisted Cech differential described in the module docstring."""
+    """The twisted Cech differential described in the module docstring,
+    computed once per cochain and kept on it."""
+    if c._differential is not None:
+        return c._differential
     cover, lb = c.cover, c.lb
     p = c.degree
     out = {}
@@ -131,7 +136,8 @@ def differential(c):
             for w in range(c.width):
                 acc[w] = acc[w] + moved[w].scale(sign)
         out[key] = tuple(acc)
-    return CechCochain(cover, lb, p + 1, c.width, out)
+    c._differential = CechCochain(cover, lb, p + 1, c.width, out)
+    return c._differential
 
 
 def is_cocycle(c):

@@ -45,25 +45,37 @@ def _lift(p, f, g, order):
     return lift_pair(p, f, g)
 
 
-def _tprime_apply(svec, t, sign, xs):
-    """Multiply the unipotent frame T' (pivot column t built from svec) into
-    the vector xs: entry m != t-1 picks up -sign * svec[m] * xs[t-1]."""
-    piv = xs[t - 1]
-    out = list(xs)
-    for m in range(len(xs)):
-        if m != t - 1:
-            out[m] = xs[m] - (svec[m] * piv).scale(sign)
-    return out
+def _rank_one(x, t, fi, gi, fj, gj, r):
+    """The r x r rank-one coboundary update u (0, ..., 0, g_j, -f_j) with
+    u = (x without entry t; f_i x_t; g_i x_t): the shape of the triple
+    defect, of the correction and of the difference of two builds."""
+    ctx, xt = fi.ctx, x[t - 1]
+    zero = LocElem.zero(ctx)
+    u = x[:t - 1] + x[t:] + [fi * xt, gi * xt]
+    return MatrixL(ctx, [[zero] * (r - 2) + [e * gj, -(e * fj)] for e in u])
+
+
+def _rank_one_factor(D, t, fi, gi, fj, gj):
+    """The x with D == _rank_one(x, t, fi, gi, fj, gj, r): every row of D's
+    last two columns is Koszul-divided by (g_j, -f_j), then the two pivot
+    rows by (f_i, g_i); a row of two zeros gives 0 without a division.
+    Raises a SerreError when a division does not exist."""
+    def divide(a, b, f, g):
+        return a if a.is_zero() and b.is_zero() else koszul_divide(a, b, f, g)
+    w = [divide(row[-2], -row[-1], fj, gj) for row in D.rows]
+    return w[:t - 1] + [divide(w[-1], w[-2], fi, gi)] + w[t - 1:-2]
+
+
+def off_columns(D):
+    """(row, col) of every nonzero entry of D outside its last two columns."""
+    rows, cols = D.shape
+    return [(row, col) for row in range(rows) for col in range(cols - 2)
+            if not D[row, col].is_zero()]
 
 
 def tprime_apply_inverse(u, frame):
-    """Solve T' w = u on the frame's own chart by the closed form.
-
-    T' inverted is T' with the opposite off-pivot sign: the pivot entry is
-    fixed and every other entry gains (-1)^t * s_m * u_{t}; multiplying T'
-    back returns u exactly.
-    """
-    return tuple(_tprime_apply(list(frame.s), frame.t, -frame.sign, list(u)))
+    """Solve T' w = u on the frame's own chart by the closed form."""
+    return tuple(frame.apply(u, frame.f.ctx, inverse=True))
 
 
 @dataclass
@@ -74,7 +86,9 @@ class FrameData:
 
     T' and T'' are derived from (t, sign, f, g, s).  M is stored: it is built
     from them when not given, and a loaded document supplies its own, which
-    the verify suite then checks.
+    the verify suite then checks.  `on(ctx)` restricts (f, g, s) to an
+    overlap once; `apply` multiplies T' or T'^{-1} into a vector there, which
+    carries the vectors x of the rank-one updates (`_rank_one`).
 
     By construction (D, D' delete the pivot row, column) D T' D' = I,
     T'' D' = 0, and, as s[t-1] == sign, D T' s = 0, T'' s = sign (f; g).
@@ -87,11 +101,28 @@ class FrameData:
     g: LocElem
     s: tuple        # normalized sections; s[t-1] == sign exactly
     M: MatrixL = None   # r x (r-1)
+    # ctx -> (f, g, s) transported there; valid because a frame never changes
+    _on: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M is None:
             top = self.Tp.delete_row(self.t - 1)
             self.M = from_blocks(self.f.ctx, [[top], [self.Tpp]])
+
+    def on(self, ctx):
+        """(f, g, s) restricted to the overlap context ctx."""
+        if ctx not in self._on:
+            self._on[ctx] = (transport(self.f, ctx), transport(self.g, ctx),
+                             [transport(e, ctx) for e in self.s])
+        return self._on[ctx]
+
+    def apply(self, xs, ctx, inverse=False):
+        """T' xs on ctx: entry m != t gains -sign s_m x_t and the pivot entry
+        is fixed; T'^{-1} is T' with the opposite off-pivot sign."""
+        s, t = self.on(ctx)[2], self.t
+        sign = -self.sign if inverse else self.sign
+        return [x if m == t - 1 else x - (s[m] * xs[t - 1]).scale(sign)
+                for m, x in enumerate(xs)]
 
     @cached_property
     def Tp(self):
@@ -321,10 +352,8 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
         fr_i, fr_j = frames[i], frames[j]
         t_i, sgn_i = fr_i.t, fr_i.sign
         t_j, sgn_j = fr_j.t, fr_j.sign
-        fi, gi = sub.pair_on(i, ctx)
-        fj, gj = sub.pair_on(j, ctx)
-        s_i = [transport(e, ctx) for e in fr_i.s]
-        s_j = [transport(e, ctx) for e in fr_j.s]
+        fi, gi, _ = fr_i.on(ctx)
+        fj, gj, s_j = fr_j.on(ctx)
         sji = s_j[t_i - 1]
 
         if invert(sji) is not None:
@@ -343,14 +372,9 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
                 f"overlap ({i}, {j}): chart {j}'s tuple is not invertible at "
                 f"pivot {t_i} and the overlap still meets the subscheme")
 
-        tps = _tprime_apply(s_i, t_i, sgn_i, s_j)
-        qrows = []
-        for m in range(r - 1):
-            if m == t_i - 1:
-                continue
-            a, b = _lift(tps[m].scale(sgn_j), fj, gj, lift_order)
-            qrows.append([a, b])
-        Q = MatrixL(ctx, qrows)
+        tps = fr_i.apply(s_j, ctx)
+        Q = MatrixL(ctx, [list(_lift(e.scale(sgn_j), fj, gj, lift_order))
+                          for m, e in enumerate(tps) if m != t_i - 1])
 
         Tp = fr_i.Tp.transport_to(ctx)
         Tpp = fr_i.Tpp.transport_to(ctx)
@@ -383,73 +407,53 @@ def _check_glue(Z, frames):
 def obstruction(Z, frames):
     """Extract the triple-overlap defect as an exact degree-2 cocycle.
 
-    D = Z_ik - Z_ij Z_jk must vanish outside its last two columns; those
-    columns factor row-by-row through (g_k, -f_k), the two pivot rows factor
-    once more through (f_i; g_i), and the resulting beta vector is pulled
-    back through T'_i^{-1} and signed by (-1)^{t_k} to form the value on
-    (i, j, k) of the returned degree-2 cochain, with values in r-1 copies of
-    the dual line bundle."""
+    D = Z_ik - Z_ij Z_jk must vanish outside its last two columns and factor
+    as D = `_rank_one`(beta, t_i, f_i, g_i, f_k, g_k); beta pulled back
+    through T'_i^{-1} and signed by (-1)^{t_k} is the value on (i, j, k) of
+    the returned degree-2 cochain, with values in r-1 copies of the dual
+    line bundle."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
     data = {}
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
         D = Z.defect(i, j, k)
-        for row in range(r):
-            for col in range(r - 2):
-                if not D[row, col].is_zero():
-                    raise ShapeViolation(
-                        f"triple ({i}, {j}, {k}): defect has entries outside "
-                        "the final two columns", stage="glue")
+        if off_columns(D):
+            raise ShapeViolation(
+                f"triple ({i}, {j}, {k}): defect has entries outside the "
+                "final two columns", stage="glue")
         fr_i, fr_k = frames[i], frames[k]
-        fi, gi = transport(fr_i.f, ctx), transport(fr_i.g, ctx)
-        fk, gk = transport(fr_k.f, ctx), transport(fr_k.g, ctx)
+        fi, gi, _ = fr_i.on(ctx)
+        fk, gk, _ = fr_k.on(ctx)
         try:
-            w = [koszul_divide(D[row, r - 2], -D[row, r - 1], fk, gk)
-                 for row in range(r)]
-            bt = koszul_divide(w[r - 1], w[r - 2], fi, gi)
+            beta = _rank_one_factor(D, fr_i.t, fi, gi, fk, gk)
         except SerreError as exc:
             raise ShapeViolation(
                 f"triple ({i}, {j}, {k}): defect block does not factor "
                 f"through the chart pairs ({exc})", stage="glue")
-        hat = w[:r - 2]
-        beta = hat[:fr_i.t - 1] + [bt] + hat[fr_i.t - 1:]
-        s_i = [transport(e, ctx) for e in fr_i.s]
         val = tuple(e.scale(fr_k.sign)
-                    for e in _tprime_apply(s_i, fr_i.t, -fr_i.sign, beta))
+                    for e in fr_i.apply(beta, ctx, inverse=True))
         if any(not e.is_zero() for e in val):
             data[(i, j, k)] = val
     return CechCochain(cover, lb, 2, r - 1, data)
 
 
 def correct(Z, obs, frames, max_degree=8):
-    """Solve d xi = obs for the obstruction cochain obs and push the
-    solution into Q and S.
-
-    With x_ij = (-1)^{t_j} T'_i xi_ij: Q gains the rank-one rows
-    x_m (g_j, -f_j) for off-pivot m, S gains x_{t_i} (f_i; g_i)(g_j, -f_j).
-    The corrected set satisfies Z_ik = Z_ij Z_jk exactly on every triple,
-    with det and M-transport preserved.  Returns (corrected set, xi)."""
+    """Solve d xi = obs for the obstruction cochain obs and add the solution
+    to every transition: with x_ij = (-1)^{t_j} T'_i xi_ij, Z_ij gains the
+    rank-one update `_rank_one`(x_ij, t_i, f_i, g_i, f_j, g_j), so Q and S
+    change and P and R do not.  The corrected set satisfies Z_ik = Z_ij Z_jk
+    exactly on every triple, with det and M-transport preserved.  Returns
+    (corrected set, xi)."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
     xi = coboundary_solve(obs, max_degree=max_degree)
     newZ = {}
     for i, j in Z.pairs:
         ctx = cover.ctx((i, j))
         fr_i, fr_j = frames[i], frames[j]
-        t_i = fr_i.t
-        s_i = [transport(e, ctx) for e in fr_i.s]
-        x = [e.scale(fr_j.sign) for e in
-             _tprime_apply(s_i, t_i, fr_i.sign, list(xi.get((i, j))))]
-        fi, gi = transport(fr_i.f, ctx), transport(fr_i.g, ctx)
-        fj, gj = transport(fr_j.f, ctx), transport(fr_j.g, ctx)
-        P, Q, R, S = Z.blocks(i, j)
-        xhat = [x[m] for m in range(r - 1) if m != t_i - 1]
-        if xhat and any(not e.is_zero() for e in xhat):
-            Q = Q + MatrixL(ctx, [[e * gj, -(e * fj)] for e in xhat])
-        xt = x[t_i - 1]
-        if not xt.is_zero():
-            S = S + MatrixL(ctx, [[(fi * xt) * gj, -((fi * xt) * fj)],
-                                  [(gi * xt) * gj, -((gi * xt) * fj)]])
-        newZ[(i, j)] = from_blocks(ctx, [[P, Q], [R, S]])
+        fi, gi, _ = fr_i.on(ctx)
+        fj, gj, _ = fr_j.on(ctx)
+        x = [e.scale(fr_j.sign) for e in fr_i.apply(xi.get((i, j)), ctx)]
+        newZ[(i, j)] = Z.Z[(i, j)] + _rank_one(x, fr_i.t, fi, gi, fj, gj, r)
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
                               pairs=Z.pairs, Z=newZ, branch=dict(Z.branch))
     _check_glue(corrected, frames)
@@ -465,12 +469,12 @@ def correct(Z, obs, frames, max_degree=8):
 def compare_bundles(A, B, max_degree=8):
     """Decide whether two builds over identical local data are isomorphic.
 
-    The block deltas dQ = Q' - Q and dS = S' - S must have the rank-one
-    coboundary shape; the recovered x chain is pulled back to a degree-1
-    cocycle xi, a 0-chain y with delta(y) = xi is solved for, and the chart
-    automorphisms N_i = I + (pivot frame of y_i) * (0..0, g_i, -f_i) are
-    returned after checking det N_i = 1, N_i M_i = M_i and
-    Z_ij N_j = N_i Z'_ij exactly."""
+    Each dZ = Z'_ij - Z_ij must vanish outside its last two columns and
+    factor like a triple defect, dZ = `_rank_one`(x_ij, t_i, f_i, g_i, f_j,
+    g_j); x pulled back through T'_i^{-1} is a degree-1 cocycle xi, delta(Y)
+    = xi is solved, and with y_i = (-1)^{t_i} T'_i Y_i the automorphisms
+    N_i = I + `_rank_one`(y_i, t_i, f_i, g_i, f_i, g_i) are returned after
+    checking det N_i = 1, N_i M_i = M_i and Z_ij N_j = N_i Z'_ij exactly."""
     if A.ambient != B.ambient:
         raise FormMismatch("the two bundles live on different ambient spaces")
     if A.lb.twist != B.lb.twist:
@@ -498,41 +502,24 @@ def compare_bundles(A, B, max_degree=8):
     for i, j in A.transitions.pairs:
         ctx = A.cover.ctx((i, j))
         fr_i, fr_j = A.frames[i], A.frames[j]
-        t_i = fr_i.t
-        Pa, Qa, Ra, Sa = A.transitions.blocks(i, j)
-        Pb, Qb, Rb, Sb = B.transitions.blocks(i, j)
-        if Pa != Pb or Ra != Rb:
+        dZ = B.transitions.Z[(i, j)] - A.transitions.Z[(i, j)]
+        if off_columns(dZ):
             raise FormMismatch(
                 f"overlap ({i}, {j}): frame blocks differ; the transition "
                 "sets are not comparable")
-        fi, gi = transport(fr_i.f, ctx), transport(fr_i.g, ctx)
-        fj, gj = transport(fr_j.f, ctx), transport(fr_j.g, ctx)
-        dQ = Qb - Qa
-        dS = Sb - Sa
+        fi, gi, _ = fr_i.on(ctx)
+        fj, gj, _ = fr_j.on(ctx)
         try:
-            xs = [koszul_divide(dQ[m, 0], -dQ[m, 1], fj, gj)
-                  for m in range(r - 2)]
-            if dS == MatrixL.zeros(ctx, 2, 2):
-                xt = LocElem.zero(ctx)
-            else:
-                a = koszul_divide(dS[1, 0], dS[0, 0], fi, gi)
-                bcof = koszul_divide(-dS[1, 1], -dS[0, 1], fi, gi)
-                xt = koszul_divide(a, bcof, fj, gj)
+            x = _rank_one_factor(dZ, fr_i.t, fi, gi, fj, gj)
+            rank_one = dZ == _rank_one(x, fr_i.t, fi, gi, fj, gj, r)
         except SerreError:
+            rank_one = False
+        if not rank_one:
             raise FormMismatch(
                 f"overlap ({i}, {j}): block difference is not of coboundary "
                 "shape")
-        x = xs[:t_i - 1] + [xt] + xs[t_i - 1:]
-        rebuiltQ = MatrixL(ctx, [[e * gj, -(e * fj)] for e in xs])
-        rebuiltS = MatrixL(ctx, [[(fi * xt) * gj, -((fi * xt) * fj)],
-                                 [(gi * xt) * gj, -((gi * xt) * fj)]])
-        if (r > 2 and dQ != rebuiltQ) or dS != rebuiltS:
-            raise FormMismatch(
-                f"overlap ({i}, {j}): block difference is not of coboundary "
-                "shape")
-        s_i = [transport(e, ctx) for e in fr_i.s]
         val = tuple(e.scale(fr_j.sign)
-                    for e in _tprime_apply(s_i, t_i, -fr_i.sign, x))
+                    for e in fr_i.apply(x, ctx, inverse=True))
         if any(not e.is_zero() for e in val):
             data[(i, j)] = val
 
@@ -549,19 +536,10 @@ def compare_bundles(A, B, max_degree=8):
     for i in A.cover.charts:
         fr = A.frames[i]
         ctx = fr.f.ctx
-        yvals = [transport(e, ctx) for e in Y.get((i,))]
-        y = [e.scale(fr.sign)
-             for e in _tprime_apply(list(fr.s), fr.t, fr.sign, yvals)]
-        yt = y[fr.t - 1]
-        yhat = [y[m] for m in range(r - 1) if m != fr.t - 1]
-        f, g = fr.f, fr.g
-        one = LocElem.one(ctx)
-        K = MatrixL(ctx, [[e * g, -(e * f)] for e in yhat])
-        W = MatrixL(ctx, [[one + (f * yt) * g, -((f * yt) * f)],
-                          [(g * yt) * g, one - (g * yt) * f]])
-        N = from_blocks(ctx, [[MatrixL.identity(ctx, r - 2), K],
-                              [MatrixL.zeros(ctx, 2, r - 2), W]])
-        if N.det() != one:
+        y = [e.scale(fr.sign) for e in fr.apply(Y.get((i,)), ctx)]
+        N = (MatrixL.identity(ctx, r)
+             + _rank_one(y, fr.t, fr.f, fr.g, fr.f, fr.g, r))
+        if N.det() != LocElem.one(ctx):
             raise FormMismatch(f"chart {i}: automorphism determinant is not 1")
         if N @ fr.M != fr.M:
             raise FormMismatch(f"chart {i}: automorphism moves the sections")

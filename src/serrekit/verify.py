@@ -4,8 +4,9 @@ Every check evaluates a polynomial identity exactly and reports a pass flag
 plus, on failure, the offending difference in canonical form.  Checks never
 raise on mathematical failure — a failed identity becomes a report entry so
 the caller can decide; only malformed inputs raise.  `run_all` reads the
-determinants and triple defects a transition set keeps (`TransitionSet.det`,
-`.defect`), so on a fresh build it reuses what the build computed.
+kept determinants and triple defects (`TransitionSet.det`, `.defect`),
+cochain differentials and frame restrictions (`FrameData.on`), so on a
+fresh build it reuses what the build computed.
 
 The full suite (`run_all`) covers: the per-chart frame/section relations,
 the dependency-locus minor ideals, the raw gluing identities (row-functional
@@ -21,6 +22,7 @@ from itertools import combinations, permutations
 from .algebra import LocElem, MatrixL
 from .cech import differential, is_cocycle
 from .ideals import ideal_equal, in_ideal, is_unit_ideal
+from .serre import off_columns
 
 
 @dataclass
@@ -147,7 +149,7 @@ def verify_section_relation(frames):
     return entries
 
 
-def verify_glue_identities(Z, sub, lb, frames):
+def verify_glue_identities(Z, lb, frames):
     """Raw-set identities on sorted overlaps and triples:
       (a) (g_i, -f_i) S_ij = (-1)^{t_i+t_j} h_ij (g_j, -f_j);
       (b) R_ij = (f_i; g_i) times the pivot selector row (1 at t_i, with
@@ -162,8 +164,8 @@ def verify_glue_identities(Z, sub, lb, frames):
     for i, j in Z.pairs:
         ctx = cover.ctx((i, j))
         fr_i, fr_j = frames[i], frames[j]
-        fi, gi = sub.pair_on(i, ctx)
-        fj, gj = sub.pair_on(j, ctx)
+        fi, gi, _ = fr_i.on(ctx)
+        fj, gj, _ = fr_j.on(ctx)
         sgn = fr_i.sign * fr_j.sign
         h = lb.h(i, j, ctx)
         _, _, R, S = Z.blocks(i, j)
@@ -187,7 +189,7 @@ def verify_glue_identities(Z, sub, lb, frames):
 
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
-        fi, gi = sub.pair_on(i, ctx)
+        fi, gi, _ = frames[i].on(ctx)
         prod = _mrow(ctx, r, -fi, -gi) @ Z.defect(i, j, k)
         ok = prod == MatrixL.zeros(ctx, 1, r)
         entries.append(
@@ -200,12 +202,8 @@ def verify_defect_shape(Z, frames):
     """The raw triple defect Z_ik - Z_ij Z_jk vanishes outside its last two
     columns (the factored rank-one shape lives there)."""
     entries = []
-    cover = Z.cover
-    r = Z.rank
-    for i, j, k in combinations(cover.charts, 3):
-        D = Z.defect(i, j, k)
-        bad = [(row, col) for row in range(r) for col in range(r - 2)
-               if not D[row, col].is_zero()]
+    for i, j, k in combinations(Z.cover.charts, 3):
+        bad = off_columns(Z.defect(i, j, k))
         entries.append(ReportEntry(
             "defect_shape", f"triple ({i}, {j}, {k})", not bad,
             "" if not bad else f"nonzero entries at {bad}"))
@@ -217,8 +215,7 @@ def run_all(bundle):
     entries = []
     entries += verify_section_relation(bundle.frames)
     entries += verify_dependency_locus(bundle.frames, bundle.sub)
-    entries += verify_glue_identities(bundle.raw, bundle.sub, bundle.lb,
-                                      bundle.frames)
+    entries += verify_glue_identities(bundle.raw, bundle.lb, bundle.frames)
     entries += verify_det(bundle.raw, bundle.lb)
     entries += verify_defect_shape(bundle.raw, bundle.frames)
     c = bundle.obstruction

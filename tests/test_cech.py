@@ -129,6 +129,16 @@ def test_differential_degree_one_all_ones():
     assert dx.get((0, 1, 2))[0] == elem(cover, (0, 1, 2), "1")
 
 
+def test_differential_is_kept_on_the_cochain():
+    cover = standard_cover(P(2))
+    lb = LineBundleData(P(2), 0)
+    y = CechCochain(cover, lb, 0, 1, {(0,): (elem(cover, (0,), "x1"),)})
+    dy = differential(y)
+    assert differential(y) is dy
+    assert differential(dy) is differential(dy)
+    assert is_cocycle(dy)
+
+
 def _random_elem(rng, ctx):
     num = Poly.zero(ctx.nvars)
     for _ in range(rng.randint(1, 3)):

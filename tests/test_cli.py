@@ -327,6 +327,26 @@ def test_compare_different_ambient_exit_one(tmp_path, capsys):
     assert code == 1 and "error[compare]" in err
 
 
+@pytest.mark.parametrize("col, num, message", [
+    (0, "2", "frame blocks differ"),
+    (2, "1", "not of coboundary shape"),
+], ids=["P", "Q"])
+def test_compare_edited_corrected_entry_exit_two(tmp_path, capsys, col, num,
+                                                 message):
+    """An edited corrected P entry of a rank-4 reference makes it
+    incomparable with itself; an edited Q entry breaks the rank-one
+    coboundary shape of the difference."""
+    ref = CORPUS / "refs" / "line_p3_r4.json"
+    doc = json.loads(ref.read_text())
+    entry = doc["overlaps"]["0,1"]["corrected"][0][col]
+    assert entry["num"] != num
+    entry["num"] = num
+    code, _, err = run_cli(capsys, "compare", str(ref),
+                           write_doc(tmp_path, doc, "edited.json"))
+    assert code == 2
+    assert "error[compare]" in err and message in err
+
+
 def test_module_entry_point_and_stdin(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "serrekit.cli", "cohomology",

@@ -1,11 +1,15 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every function the benchmark traces still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "serrekit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "serrekit"
 
 
 def _unused_imports(path):
@@ -27,3 +31,32 @@ def _unused_imports(path):
                          ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded without installing its wrappers."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    """A renamed or deleted traced function would fail every benchmark
+    operation; `tracing.install()` looks each name up this way."""
+    tracing = _tracing()
+    missing = []
+    for full in tracing.NAMES:
+        layer, name = full.split(".", 1)
+        home = importlib.import_module(f"serrekit.{layer}")
+        cls_name, _, meth = name.rpartition(".")
+        if cls_name:
+            cls = getattr(home, cls_name, None)
+            found = (cls is not None and tracing._OPERATORS.get(meth, meth)
+                     in vars(cls))
+        else:
+            found = callable(getattr(home, name, None))
+        if not found:
+            missing.append(full)
+    assert missing == []

@@ -295,6 +295,38 @@ def test_build_Z_failure_is_tagged_glue():
     assert err.value.stage == "glue"
 
 
+def _raw_with_bumped_entry(bundle, pair, row, col):
+    """A copy of the raw set with 1 added to one entry of Z_pair."""
+    raw = bundle.raw
+    Z = dict(raw.Z)
+    rows = [list(r) for r in Z[pair].rows]
+    rows[row][col] = rows[row][col] + LocElem.one(Z[pair].ctx)
+    Z[pair] = MatrixL(Z[pair].ctx, rows)
+    return TransitionSet(rank=raw.rank, status="raw", cover=raw.cover,
+                         lb=raw.lb, pairs=raw.pairs, Z=Z, branch=raw.branch)
+
+
+def test_obstruction_rejects_defect_outside_last_columns():
+    bundle = build_bundle(two_points_doc())
+    raw = _raw_with_bumped_entry(bundle, (0, 2), 0, 0)
+    with pytest.raises(ShapeViolation) as err:
+        obstruction(raw, bundle.frames)
+    assert err.value.stage == "glue"
+    assert str(err.value) == ("triple (0, 1, 2): defect has entries outside "
+                              "the final two columns")
+
+
+def test_obstruction_rejects_defect_that_does_not_factor():
+    bundle = build_bundle(two_points_doc())
+    raw = _raw_with_bumped_entry(bundle, (0, 2), 0, 1)
+    with pytest.raises(ShapeViolation) as err:
+        obstruction(raw, bundle.frames)
+    assert err.value.stage == "glue"
+    assert str(err.value).startswith(
+        "triple (0, 1, 2): defect block does not factor through the chart "
+        "pairs (")
+
+
 def test_two_points_rank_three_build():
     bundle = build_bundle(two_points_doc())
     assert bundle.report.ok
