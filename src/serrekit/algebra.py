@@ -6,7 +6,10 @@ transport of localized elements between contexts, and dense little matrices
 over localized elements.
 
 Everything is exact: coefficients are `fractions.Fraction`, all comparisons are
-symbolic identities (cross-multiplication), and no tolerance appears anywhere.
+symbolic identities (localized elements over equal denominators compare
+numerators, others cross-multiply), and no tolerance appears anywhere.
+Arithmetic trusts the terms it has just computed (`Poly._of`); input from
+parsers and documents goes through the checking `Poly(...)` constructor.
 
 Conventions
 -----------
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import PreconditionViolated
 
@@ -43,7 +47,8 @@ class Poly:
 
     Terms map exponent tuples (length == arity) to nonzero Fractions.  The
     zero polynomial has an empty term dict.  Instances are treated as
-    immutable; all operations return new objects.
+    immutable; all operations return new objects.  `Poly(arity, terms)`
+    checks and cleans its input; `Poly._of` does not (see there).
     """
 
     __slots__ = ("arity", "terms", "_hash")
@@ -60,6 +65,21 @@ class Poly:
                     clean[tuple(exps)] = coeff
         self.terms = clean
         self._hash = None
+
+    @classmethod
+    def _of(cls, arity, terms):
+        """Trusted constructor for terms this module has just computed.
+
+        Contract: `terms` is a dict that nothing else references, every key
+        is a tuple of `arity` ints and every value a nonzero `Fraction`.
+        Nothing is checked, so only code inside this module may call it;
+        input from parsers and documents goes through `Poly(...)`.
+        """
+        p = cls.__new__(cls)
+        p.arity = arity
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -123,18 +143,19 @@ class Poly:
         self._chk(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e)
+            s = c if s is None else s + c
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        return Poly(self.arity, terms)
+                del terms[e]
+        return Poly._of(self.arity, terms)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.arity, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -143,13 +164,14 @@ class Poly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = terms.get(e)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     terms[e] = s
                 else:
                     del terms[e]
-        return Poly(self.arity, terms)
+        return Poly._of(self.arity, terms)
 
     __rmul__ = __mul__
 
@@ -157,7 +179,7 @@ class Poly:
         c = Fraction(c)
         if not c:
             return Poly.zero(self.arity)
-        return Poly(self.arity, {e: c * v for e, v in self.terms.items()})
+        return Poly._of(self.arity, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -200,8 +222,8 @@ class Poly:
 def divide_exact(p, q):
     """Exact multivariate division: p / q as a Poly, or None if not exact.
 
-    Ordinary grevlex long division that insists on a zero remainder.  Fast
-    path for monomial divisors.
+    Ordinary grevlex long division that insists on a zero remainder, run on
+    one mutable remainder dict.  Fast path for monomial divisors.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -211,23 +233,41 @@ def divide_exact(p, q):
         (qe, qc), = q.terms.items()
         out = {}
         for e, c in p.terms.items():
-            d = tuple(a - b for a, b in zip(e, qe))
-            if any(x < 0 for x in d):
+            d = tuple(map(sub, e, qe))
+            if min(d) < 0:
                 return None
             out[d] = c / qc
-        return Poly(p.arity, out)
+        return Poly._of(p.arity, out)
     qe, qc = q.leading()
-    rem = p
-    quot = Poly.zero(p.arity)
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        d = tuple(a - b for a, b in zip(re, qe))
-        if any(x < 0 for x in d):
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        re = max(rem, key=grevlex_key)
+        d = tuple(map(sub, re, qe))
+        if min(d) < 0:
             return None
-        t = Poly.monomial(p.arity, d, rc / qc)
-        quot = quot + t
-        rem = rem - t * q
-    return quot
+        t = rem[re] / qc
+        quot[d] = t
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, d, e2))
+            s = rem.get(e, 0) - t * c2
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return Poly._of(p.arity, quot)
+
+
+def _cancel_variable(p, pos, cap=None):
+    """(p / x^m, m) for the variable x at position pos and the largest m
+    (at most cap, if given) with x^m dividing the nonzero polynomial p."""
+    m = min(e[pos] for e in p.terms)
+    if cap is not None and cap < m:
+        m = cap
+    if not m:
+        return p, 0
+    return Poly._of(p.arity, {e[:pos] + (e[pos] - m,) + e[pos + 1:]: c
+                              for e, c in p.terms.items()}), m
 
 
 # -- printing and parsing ---------------------------------------------------
@@ -297,43 +337,50 @@ class _Tok:
         return tok
 
 
+# Deepest nesting of parentheses and unary minus signs `parse_poly` accepts;
+# each level costs the recursive-descent parser a few stack frames, so
+# deeper input would exhaust the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 def parse_poly(text, names):
     """Parse '+ - * ^ ( )' polynomial syntax over the given variable names.
 
     Integer and a/b rational literals are allowed; '/' is only permitted
     between integer literals.  Implicit multiplication is not supported.
+    Parentheses and unary minus signs nest at most MAX_NESTING deep.
     """
     arity = len(names)
     index = {n: i for i, n in enumerate(names)}
     tk = _Tok(str(text))
 
-    def parse_expr():
+    def parse_expr(depth):
         sign = 1
         kind, _ = tk.peek()
         if kind in ("+", "-"):
             tk.next()
             sign = -1 if kind == "-" else 1
-        node = parse_term().scale(sign)
+        node = parse_term(depth).scale(sign)
         while True:
             kind, _ = tk.peek()
             if kind == "+":
                 tk.next()
-                node = node + parse_term()
+                node = node + parse_term(depth)
             elif kind == "-":
                 tk.next()
-                node = node - parse_term()
+                node = node - parse_term(depth)
             else:
                 return node
 
-    def parse_term():
-        node = parse_factor()
+    def parse_term(depth):
+        node = parse_factor(depth)
         while tk.peek()[0] == "*":
             tk.next()
-            node = node * parse_factor()
+            node = node * parse_factor(depth)
         return node
 
-    def parse_factor():
-        base = parse_base()
+    def parse_factor(depth):
+        base = parse_base(depth)
         if tk.peek()[0] == "^":
             tk.next()
             kind, val = tk.next()
@@ -342,15 +389,18 @@ def parse_poly(text, names):
             return base ** int(val)
         return base
 
-    def parse_base():
+    def parse_base(depth):
         kind, val = tk.next()
+        if kind in ("(", "-") and depth == MAX_NESTING:
+            raise ValueError("polynomial nests parentheses or signs more "
+                             f"than {MAX_NESTING} deep")
         if kind == "(":
-            node = parse_expr()
+            node = parse_expr(depth + 1)
             if tk.next()[0] != ")":
                 raise ValueError("unbalanced parenthesis")
             return node
         if kind == "-":
-            return -parse_base()
+            return -parse_base(depth + 1)
         if kind == "int":
             num = int(val)
             if tk.peek()[0] == "/":
@@ -369,7 +419,7 @@ def parse_poly(text, names):
             return Poly.variable(arity, index[val])
         raise ValueError("malformed polynomial expression")
 
-    out = parse_expr()
+    out = parse_expr(0)
     if tk.peek()[0] is not None:
         raise ValueError(f"trailing input in polynomial: {text!r}")
     return out
@@ -439,6 +489,11 @@ class Context:
             raise ValueError("context indices must be sorted")
         if self.home not in self.indices:
             raise ValueError("home chart must belong to the context")
+        # axes and unit polynomials, computed once; not a field, so it stays
+        # out of == and hash (the fields never change: frozen)
+        axes = (tuple(range(1, self.dim + 1)) if self.kind == "affine" else
+                tuple(k for k in range(self.dim + 1) if k != self.home))
+        object.__setattr__(self, "_memo", {"axes": axes})
 
     @property
     def nvars(self):
@@ -446,9 +501,7 @@ class Context:
 
     def axes(self):
         """Homogeneous coordinate index carried by each chart variable."""
-        if self.kind == "affine":
-            return tuple(range(1, self.dim + 1))
-        return tuple(k for k in range(self.dim + 1) if k != self.home)
+        return self._memo["axes"]
 
     def var_names(self):
         return tuple(f"x{k}" for k in self.axes())
@@ -462,6 +515,12 @@ class Context:
 
     def unit_poly(self, key):
         """The unit as a polynomial in this context's variables."""
+        u = self._memo.get(key)
+        if u is None:
+            u = self._memo[key] = self._unit_poly(key)
+        return u
+
+    def _unit_poly(self, key):
         if key.startswith("c"):
             k = int(key[1:])
             if k == self.home or k not in self.indices:
@@ -501,9 +560,14 @@ class LocElem:
     """num / prod(unit^e): a regular function on the context's open set.
 
     `den` maps unit keys to positive exponents.  Construction normalizes:
-    zero numerator clears the denominator, and each unit is greedily cancelled
-    against the numerator in the fixed key order (deterministic; canonical for
-    pairwise-coprime units, which covers the standard coordinate units).
+    a zero numerator clears the denominator; otherwise, in the fixed key
+    order, each section unit is cancelled greedily, one exact division at a
+    time, and each coordinate unit x_k at once, by the least power of x_k
+    over the numerator's terms (capped by its exponent).  The form is
+    canonical among coordinate-unit denominators and greedy-deterministic
+    with section units; `normalize=False` keeps (num, den) as given.  `==`
+    compares numerators when the `den` dicts are equal (sound for any form:
+    units are not zero-divisors) and cross-multiplies otherwise.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -521,14 +585,19 @@ class LocElem:
                 den = {}
             else:
                 for key in sorted(den, key=_unit_sort):
-                    u = ctx.unit_poly(key)
-                    while den.get(key, 0) > 0:
-                        q = divide_exact(num, u)
-                        if q is None:
-                            break
-                        num = q
-                        den[key] -= 1
-                    if den.get(key) == 0:
+                    if key[0] == "c":
+                        num, m = _cancel_variable(
+                            num, ctx.axes().index(int(key[1:])), den[key])
+                        den[key] -= m
+                    else:
+                        u = ctx.unit_poly(key)
+                        while den[key] > 0:
+                            q = divide_exact(num, u)
+                            if q is None:
+                                break
+                            num = q
+                            den[key] -= 1
+                    if den[key] == 0:
                         del den[key]
         self.ctx = ctx
         self.num = num
@@ -575,8 +644,12 @@ class LocElem:
         b = other.num
         for k, e in common.items():
             u = self.ctx.unit_poly(k)
-            a = a * u ** (e - self.den.get(k, 0))
-            b = b * u ** (e - other.den.get(k, 0))
+            da = e - self.den.get(k, 0)
+            db = e - other.den.get(k, 0)
+            if da:
+                a = a * u ** da
+            if db:
+                b = b * u ** db
         return LocElem(self.ctx, a + b, common)
 
     def __sub__(self, other):
@@ -624,6 +697,8 @@ class LocElem:
         if not isinstance(other, LocElem):
             return NotImplemented
         self._chk(other)
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den_poly()) == (other.num * self.den_poly())
 
     def __hash__(self):
@@ -642,13 +717,19 @@ def unit_decomposition(e):
     """Write e as c * prod(units^a) with c a nonzero rational, or None.
 
     Extraction is greedy in the fixed unit order, which decides monomial
-    cocktails of the standard units deterministically.
+    cocktails of the standard units deterministically: section units one
+    exact division at a time, then each coordinate unit's full power at once.
     """
     if e.is_zero():
         return None
     x = e.num
     extracted = {}
     for key in sorted(e.ctx.unit_keys(), key=_unit_sort):
+        if key[0] == "c":
+            x, m = _cancel_variable(x, e.ctx.axes().index(int(key[1:])))
+            if m:
+                extracted[key] = m
+            continue
         u = e.ctx.unit_poly(key)
         while True:
             q = divide_exact(x, u)
@@ -893,11 +974,11 @@ class MatrixL:
         if n == 1:
             return self.rows[0][0]
         acc = LocElem.zero(self.ctx)
-        sub = self.delete_row(0)
+        rest = self.delete_row(0)
         for j in range(n):
             if self.rows[0][j].is_zero():
                 continue
-            minor = sub.delete_col(j).det()
+            minor = rest.delete_col(j).det()
             term = self.rows[0][j] * minor
             acc = acc + (term if j % 2 == 0 else -term)
         return acc

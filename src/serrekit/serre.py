@@ -87,8 +87,9 @@ class FrameData:
     T' and T'' are derived from (t, sign, f, g, s).  M is stored: it is built
     from them when not given, and a loaded document supplies its own, which
     the verify suite then checks.  `on(ctx)` restricts (f, g, s) to an
-    overlap once; `apply` multiplies T' or T'^{-1} into a vector there, which
-    carries the vectors x of the rank-one updates (`_rank_one`).
+    overlap once, and `M_on(ctx)` restricts M once; `apply` multiplies T' or
+    T'^{-1} into a vector there, which carries the vectors x of the rank-one
+    updates (`_rank_one`).
 
     By construction (D, D' delete the pivot row, column) D T' D' = I,
     T'' D' = 0, and, as s[t-1] == sign, D T' s = 0, T'' s = sign (f; g).
@@ -101,7 +102,8 @@ class FrameData:
     g: LocElem
     s: tuple        # normalized sections; s[t-1] == sign exactly
     M: MatrixL = None   # r x (r-1)
-    # ctx -> (f, g, s) transported there; valid because a frame never changes
+    # ctx -> (f, g, s) and (ctx, "M") -> M, transported there; valid because
+    # a frame never changes
     _on: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,6 +117,13 @@ class FrameData:
             self._on[ctx] = (transport(self.f, ctx), transport(self.g, ctx),
                              [transport(e, ctx) for e in self.s])
         return self._on[ctx]
+
+    def M_on(self, ctx):
+        """M restricted to the overlap context ctx."""
+        key = (ctx, "M")
+        if key not in self._on:
+            self._on[key] = self.M.transport_to(ctx)
+        return self._on[key]
 
     def apply(self, xs, ctx, inverse=False):
         """T' xs on ctx: entry m != t gains -sign s_m x_t and the pivot entry
@@ -393,8 +402,7 @@ def _check_glue(Z, frames):
     stage = "glue" if Z.status == "raw" else "correction"
     for i, j in Z.pairs:
         ctx = Z.cover.ctx((i, j))
-        Mi = frames[i].M.transport_to(ctx)
-        if Z.Z[(i, j)] @ frames[j].M.transport_to(ctx) != Mi:
+        if Z.Z[(i, j)] @ frames[j].M_on(ctx) != frames[i].M_on(ctx):
             raise GluingFailure(
                 f"overlap ({i}, {j}): {Z.status} transition does not carry "
                 f"M_{j} to M_{i}", stage=stage)

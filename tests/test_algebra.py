@@ -174,6 +174,190 @@ def test_division_by_unit():
         num / LocElem(ctx, x0 + x1, {})
 
 
+# -- reference implementations of the fast paths ------------------------------
+#
+# The kernel divides in place on one term dict, cancels a coordinate unit in
+# one step and compares equal denominators by numerators alone.  These are
+# the slower forms it replaced, kept as references: Poly-level long division,
+# unit-by-unit cancellation, and equality by cross-multiplication.
+
+
+def _divide_exact_reference(p, q):
+    if p.is_zero():
+        return Poly.zero(p.arity)
+    qe, qc = q.leading()
+    rem = p
+    quot = Poly.zero(p.arity)
+    while not rem.is_zero():
+        re, rc = rem.leading()
+        d = tuple(a - b for a, b in zip(re, qe))
+        if any(x < 0 for x in d):
+            return None
+        t = Poly.monomial(p.arity, d, rc / qc)
+        quot = quot + t
+        rem = rem - t * q
+    return quot
+
+
+def _unit_order(key):
+    return (0 if key[0] == "s" else 1, int(key[1:]))
+
+
+def _normalize_reference(ctx, num, den):
+    den = {k: e for k, e in den.items() if e}
+    if num.is_zero():
+        return num, {}
+    for key in sorted(den, key=_unit_order):
+        u = ctx.unit_poly(key)
+        while den[key] > 0:
+            q = _divide_exact_reference(num, u)
+            if q is None:
+                break
+            num = q
+            den[key] -= 1
+        if den[key] == 0:
+            del den[key]
+    return num, den
+
+
+def _unit_decomposition_reference(e):
+    if e.is_zero():
+        return None
+    x = e.num
+    extracted = {}
+    for key in sorted(e.ctx.unit_keys(), key=_unit_order):
+        u = e.ctx.unit_poly(key)
+        while True:
+            q = _divide_exact_reference(x, u)
+            if q is None or q.is_zero():
+                break
+            extracted[key] = extracted.get(key, 0) + 1
+            x = q
+    if not x.is_constant():
+        return None
+    exps = {}
+    for key in set(extracted) | set(e.den):
+        a = extracted.get(key, 0) - e.den.get(key, 0)
+        if a:
+            exps[key] = a
+    return x.constant_value(), exps
+
+
+def _cross_equal(a, b):
+    return a.num * b.den_poly() == b.num * a.den_poly()
+
+
+def _unit_ctx():
+    """P^2 on charts (0, 1, 2), home 0, with a non-monomial section unit on
+    chart 1 (x1 (x1 + x0)) and a monomial one on chart 2 (x2)."""
+    hom = ("x0", "x1", "x2")
+    return Context("projective", 2, 0, (0, 1, 2), (
+        SUnit(1, parse_poly("x1^2 + x0*x1", hom), 2),
+        SUnit(2, parse_poly("x2", hom), 1)))
+
+
+def _rand_unit_multiple(rng, ctx, keys):
+    """A random polynomial times random powers of the given units."""
+    num = _rand_poly(rng, ctx.nvars, deg=2, nterms=rng.randint(1, 4))
+    for key in keys:
+        num = num * ctx.unit_poly(key) ** rng.randint(0, 3)
+    return num
+
+
+def test_divide_exact_matches_reference():
+    rng = random.Random(61)
+    exact = inexact = 0
+    for _ in range(600):
+        arity = rng.randint(1, 3)
+        q = _rand_poly(rng, arity, deg=2, nterms=rng.randint(1, 3))
+        if q.is_zero():
+            continue
+        a = _rand_poly(rng, arity, deg=3, nterms=rng.randint(0, 4))
+        p = a * q if rng.random() < 0.5 else a
+        got = divide_exact(p, q)
+        assert got == _divide_exact_reference(p, q)
+        if got is None:
+            inexact += 1
+        else:
+            exact += 1
+            assert got * q == p
+    assert exact > 200 and inexact > 100
+
+
+def test_normalization_matches_reference():
+    rng = random.Random(67)
+    ctx = _unit_ctx()
+    keys = ctx.unit_keys()
+    assert keys == ("c1", "c2", "s1", "s2")
+    cancelled = 0
+    for _ in range(400):
+        num = _rand_unit_multiple(rng, ctx, keys)
+        den = {k: rng.randint(0, 3) for k in rng.sample(keys, rng.randint(0, 4))}
+        e = LocElem(ctx, num, den)
+        ref_num, ref_den = _normalize_reference(ctx, num, den)
+        assert (e.num, e.den) == (ref_num, ref_den)
+        cancelled += e.den != {k: a for k, a in den.items() if a}
+    # coordinate units alone (the canonical case) on another chart layout
+    cctx = _ctx((0, 1, 3), home=1, dim=3)
+    for _ in range(200):
+        num = _rand_unit_multiple(rng, cctx, cctx.unit_keys())
+        den = {k: rng.randint(0, 4) for k in cctx.unit_keys()}
+        e = LocElem(cctx, num, den)
+        assert (e.num, e.den) == _normalize_reference(cctx, num, den)
+    assert cancelled > 100
+
+
+def test_unit_decomposition_matches_reference():
+    rng = random.Random(71)
+    ctx = _unit_ctx()
+    keys = ctx.unit_keys()
+    units = 0
+    for _ in range(400):
+        if rng.random() < 0.6:
+            num = Poly.const(2, Fraction(rng.choice([-3, -1, 2, 5]),
+                                         rng.randint(1, 4)))
+            for key in keys:
+                num = num * ctx.unit_poly(key) ** rng.randint(0, 2)
+        else:
+            num = _rand_unit_multiple(rng, ctx, keys)
+        den = {k: rng.randint(0, 2) for k in keys}
+        e = LocElem(ctx, num, den, normalize=rng.random() < 0.5)
+        got = unit_decomposition(e)
+        assert got == _unit_decomposition_reference(e)
+        units += got is not None
+    assert units > 150
+
+
+def test_locelem_equality_matches_cross_multiplication():
+    rng = random.Random(73)
+    ctx = _unit_ctx()
+    keys = ctx.unit_keys()
+    same_den = equal = 0
+    for _ in range(400):
+        den = {k: rng.randint(1, 2) for k in rng.sample(keys, 2)}
+        a = LocElem(ctx, _rand_unit_multiple(rng, ctx, keys), den,
+                    normalize=False)
+        pick = rng.randrange(4)
+        if pick == 0:    # same element, scaled representation
+            key = rng.choice(keys)
+            u = ctx.unit_poly(key)
+            b_den = dict(den)
+            b_den[key] = b_den.get(key, 0) + 1
+            b = LocElem(ctx, a.num * u, b_den, normalize=False)
+        elif pick == 1:  # equal den, as the ansatz basis of the Cech solver
+            b = LocElem(ctx, a.num * 1, dict(den), normalize=False)
+        elif pick == 2:  # equal den, different numerator
+            b = LocElem(ctx, _rand_unit_multiple(rng, ctx, keys), dict(den),
+                        normalize=False)
+        else:            # normalized form of a
+            b = LocElem(ctx, a.num, dict(den))
+        same_den += a.den == b.den
+        equal += _cross_equal(a, b)
+        assert (a == b) == _cross_equal(a, b)
+        assert (b == a) == _cross_equal(a, b)
+    assert same_den > 150 and equal > 150
+
+
 # -- transport -------------------------------------------------------------------
 
 

@@ -112,6 +112,16 @@ def test_build_rejects_division_by_zero_in_polynomial(tmp_path, capsys):
     assert "error[parse]" in err and "division by zero" in err
 
 
+@pytest.mark.parametrize("form", ["(" * 3000 + "x0" + ")" * 3000,
+                                  "-" * 3000 + "x0"],
+                         ids=["parentheses", "signs"])
+def test_build_rejects_deeply_nested_polynomial(tmp_path, capsys, form):
+    doc = dict(POINT, subscheme={"mode": "global_ci", "F": form, "G": "x1"})
+    code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert "error[parse]" in err and "more than 100 deep" in err
+
+
 def test_build_zero_sections_tagged_load_sections(tmp_path, capsys):
     doc = dict(POINT, sections={"2": ["0"]})
     code, _, err = run_cli(capsys, "build", write_doc(tmp_path, doc))

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import of the package is used, and
-every function the benchmark traces still exists."""
+"""Source hygiene: every module-level import of the package is used, every
+function the benchmark traces still exists, and the unchecked polynomial
+constructor stays inside the arithmetic kernel."""
 
 import ast
 import importlib
@@ -60,3 +61,22 @@ def test_traced_names_resolve():
         if not found:
             missing.append(full)
     assert missing == []
+
+
+def test_trusted_constructor_stays_in_algebra():
+    """`Poly._of` skips every check on its terms, so only `algebra.py`, whose
+    operations build clean terms themselves, may reach it: input from parsers
+    and documents must go through `Poly(...)`."""
+    offenders = []
+    for path in sorted(ROOT.glob("**/*.py")):
+        rel = path.relative_to(ROOT)
+        if (rel.parts[0].startswith(".")
+                or path in (SRC / "algebra.py", Path(__file__).resolve())):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Attribute) and node.attr == "_of")
+                    or (isinstance(node, ast.Constant)
+                        and node.value == "_of")):
+                offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
