@@ -285,6 +285,16 @@ def test_transition_set_keeps_dets_and_defects():
         assert raw.det(i, j) == bundle.lb.h(i, j, cover.ctx((i, j)))
 
 
+def test_frame_keeps_M_per_overlap():
+    bundle = build_bundle(skew_lines_doc())
+    for i, j in combinations(bundle.cover.charts, 2):
+        ctx = bundle.cover.ctx((i, j))
+        for fr in (bundle.frames[i], bundle.frames[j]):
+            M = fr.M_on(ctx)
+            assert M == fr.M.transport_to(ctx) and M.ctx == ctx
+            assert fr.M_on(ctx) is M
+
+
 def test_build_Z_failure_is_tagged_glue():
     cover, lb, sub, secs = _loaded(ci_line_doc())
     normalize_generators(sub, secs)
