@@ -24,6 +24,15 @@ Conventions
 * Designated units carry string keys: ``"c<k>"`` is the coordinate unit
   ``x_k / x_home`` (available when chart ``k`` belongs to the context) and
   ``"s<c>"`` is the registered section unit of chart ``c``.
+* Moving between charts goes through exponent vectors over the homogeneous
+  coordinates x_0 .. x_n.  On P^n a localized element is read as
+  ``e = form · x^γ / ∏ s_c^{m_c}`` (`_homogeneous_view`): ``form`` is its
+  homogenized numerator, ``γ`` collects the home and coordinate-unit powers
+  and ``s_c`` is the homogeneous form of the section unit of chart c.  A
+  degree-0 vector ``α`` is read back on a chart by `chart_monomial`, which
+  sends its negative entries to coordinate-unit denominators.  The line
+  bundle O(d) has transitions ``h_ij = x^{d(e_j − e_i)}``, with ``e_k`` the
+  k-th unit vector.
 """
 
 from __future__ import annotations
@@ -184,8 +193,10 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.arity, 1)
-        for _ in range(n):
+        if n == 0:
+            return Poly.const(self.arity, 1)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -628,6 +639,26 @@ class LocElem:
             out = out * (self.ctx.unit_poly(key) ** self.den[key])
         return out
 
+    def num_over(self, den):
+        """The numerator of self over `den`, a multiple of self.den."""
+        num = self.num
+        for k, e in den.items():
+            a = e - self.den.get(k, 0)
+            if a:
+                num = num * self.ctx.unit_poly(k) ** a
+        return num
+
+    def times_units(self, exps):
+        """self * prod(unit^exps[k]), integer exponents of either sign."""
+        num = self.num
+        den = dict(self.den)
+        for k, a in exps.items():
+            if a > 0:
+                num = num * self.ctx.unit_poly(k) ** a
+            elif a < 0:
+                den[k] = den.get(k, 0) - a
+        return LocElem(self.ctx, num, den)
+
     # -- arithmetic ---------------------------------------------------------
 
     def _chk(self, other):
@@ -638,19 +669,12 @@ class LocElem:
 
     def __add__(self, other):
         self._chk(other)
-        keys = set(self.den) | set(other.den)
-        common = {k: max(self.den.get(k, 0), other.den.get(k, 0)) for k in keys}
-        a = self.num
-        b = other.num
-        for k, e in common.items():
-            u = self.ctx.unit_poly(k)
-            da = e - self.den.get(k, 0)
-            db = e - other.den.get(k, 0)
-            if da:
-                a = a * u ** da
-            if db:
-                b = b * u ** db
-        return LocElem(self.ctx, a + b, common)
+        common = dict(self.den)
+        for k, e in other.den.items():
+            if e > common.get(k, 0):
+                common[k] = e
+        return LocElem(self.ctx, self.num_over(common) + other.num_over(common),
+                       common)
 
     def __sub__(self, other):
         return self + (-other)
@@ -684,14 +708,8 @@ class LocElem:
         if dec is None:
             raise PreconditionViolated("division by a non-unit localized element")
         c, exps = dec
-        num = self.num.scale(Fraction(1) / c)
-        den = dict(self.den)
-        for k, e in exps.items():
-            if e > 0:
-                den[k] = den.get(k, 0) + e
-            elif e < 0:
-                num = num * self.ctx.unit_poly(k) ** (-e)
-        return LocElem(self.ctx, num, den)
+        return self.scale(Fraction(1) / c).times_units(
+            {k: -e for k, e in exps.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LocElem):
@@ -750,17 +768,56 @@ def unit_decomposition(e):
 
 # -- transport ----------------------------------------------------------------
 
+def _homogeneous_view(e):
+    """(form, gamma, m) with e = form · x^gamma / prod(s_c^m[c]) of total
+    degree 0 on P^n; m maps section-unit charts to exponents."""
+    ctx = e.ctx
+    h = ctx.home
+    form, deg = homogenize(e.num, h, ctx.dim)
+    gamma = [0] * (ctx.dim + 1)
+    gamma[h] = -deg
+    m = {}
+    for key, a in e.den.items():
+        k = int(key[1:])
+        if key[0] == "c":
+            gamma[k] -= a
+            gamma[h] += a
+        else:
+            gamma[h] += ctx.sunit(k).degree * a
+            m[k] = a
+    return form, gamma, m
+
+
+def chart_monomial(alpha, ctx, num=None):
+    """(num · x^alpha, den) on a projective context's home chart, num = 1 if
+    None: each negative entry of the degree-0 vector alpha becomes a
+    coordinate-unit denominator, PreconditionViolated outside the context."""
+    exps = [0] * ctx.nvars
+    den = {}
+    for k, a in enumerate(alpha):
+        if k == ctx.home or a == 0:
+            continue
+        if a > 0:
+            exps[ctx.axes().index(k)] = a
+        else:
+            if k not in ctx.indices:
+                raise PreconditionViolated(
+                    f"element has a pole along x{k} = 0, not invertible on "
+                    f"charts {ctx.indices}")
+            den[f"c{k}"] = -a
+    mono = Poly._of(ctx.nvars, {tuple(exps): Fraction(1)})
+    if num is None:
+        return mono, den
+    return (num * mono if any(exps) else num), den
+
+
 def transport(e, dst):
     """Rewrite a localized element in another context, exactly.
 
     The destination must be a restriction of the source (its index set
-    contains the source's) over the same ambient space; the home chart may
-    change.  Projective transport goes through the homogeneous intermediate:
-    the numerator is homogenized, all coordinate-unit and section-unit
-    denominators become Laurent exponents against the homogeneous
-    coordinates, and the result is dehomogenized at the destination home.
-    A negative Laurent exponent at a coordinate not invertible in the
-    destination raises PreconditionViolated.
+    contains the source's) over the same ambient space.  A new home chart
+    goes through `_homogeneous_view` and `chart_monomial`; a pole along a
+    coordinate not invertible in the destination raises PreconditionViolated.
     """
     src = e.ctx
     if src == dst:
@@ -770,47 +827,13 @@ def transport(e, dst):
     if not set(src.indices) <= set(dst.indices):
         raise PreconditionViolated(
             f"transport target {dst.indices} does not refine {src.indices}")
-
-    if src.kind == "affine":
-        # One chart only: re-context, checking the units are still available.
+    if src.home == dst.home:
         return LocElem(dst, e.num, dict(e.den))
-
-    n = src.dim
-    h, h2 = src.home, dst.home
-    form, deg = homogenize(e.num, h, n)
-    gamma = [0] * (n + 1)
-    gamma[h] -= deg
-    s_exps = {}
-    for key, m in e.den.items():
-        if key.startswith("c"):
-            k = int(key[1:])
-            gamma[k] -= m
-            gamma[h] += m
-        else:
-            c = int(key[1:])
-            u = src.sunit(c)
-            gamma[h] += u.degree * m
-            s_exps[c] = s_exps.get(c, 0) + m
-    shift = deg - sum(src.sunit(c).degree * m for c, m in s_exps.items())
-    gamma[h2] += shift
-    if sum(gamma) != 0:
-        raise AssertionError("transport bookkeeping lost homogeneity")
-
-    num = dehomogenize(form, h2)
-    den = {}
-    for k in range(n + 1):
-        if k == h2 or gamma[k] == 0:
-            continue
-        if gamma[k] > 0:
-            num = num * Poly.variable(n, dst.axes().index(k)) ** gamma[k]
-        else:
-            if k not in dst.indices:
-                raise PreconditionViolated(
-                    f"element has a pole along x{k} = 0, not invertible on "
-                    f"charts {dst.indices}")
-            den[f"c{k}"] = -gamma[k]
-    for c, m in s_exps.items():
-        den[f"s{c}"] = den.get(f"s{c}", 0) + m
+    form, gamma, m = _homogeneous_view(e)
+    gamma[dst.home] -= sum(gamma)
+    num, den = chart_monomial(gamma, dst, dehomogenize(form, dst.home))
+    for c, a in m.items():
+        den[f"s{c}"] = a
     return LocElem(dst, num, den)
 
 
@@ -826,28 +849,19 @@ def to_laurent(e):
     ctx = e.ctx
     if ctx.kind != "projective":
         return None
-    n = ctx.dim
-    form, deg = homogenize(e.num, ctx.home, n)
-    gamma = [0] * (n + 1)
-    gamma[ctx.home] -= deg
+    form, gamma, m = _homogeneous_view(e)
     scale = Fraction(1)
-    for key, m in e.den.items():
-        if key.startswith("c"):
-            k = int(key[1:])
-            gamma[k] -= m
-            gamma[ctx.home] += m
-        else:
-            u = ctx.sunit(int(key[1:]))
-            if len(u.form.terms) != 1:
-                return None
-            (ue, uc), = u.form.terms.items()
-            for k in range(n + 1):
-                gamma[k] -= ue[k] * m
-            gamma[ctx.home] += u.degree * m
-            scale /= uc ** m
+    for c, a in m.items():
+        u = ctx.sunit(c)
+        if len(u.form.terms) != 1:
+            return None
+        (ue, uc), = u.form.terms.items()
+        for k in range(ctx.dim + 1):
+            gamma[k] -= ue[k] * a
+        scale /= uc ** a
     out = {}
     for te, tc in form.terms.items():
-        key = tuple(te[k] + gamma[k] for k in range(n + 1))
+        key = tuple(map(add, te, gamma))
         v = out.get(key, Fraction(0)) + tc * scale
         if v:
             out[key] = v
@@ -858,24 +872,12 @@ def to_laurent(e):
 
 def from_laurent(laurent, ctx):
     """Rebuild a LocElem from a degree-0 Laurent dict over hom. coordinates."""
-    n = ctx.dim
     total = LocElem.zero(ctx)
     for alpha, coeff in sorted(laurent.items()):
         if sum(alpha) != 0:
             raise ValueError("Laurent term is not degree zero")
-        num = Poly.const(n, coeff)
-        den = {}
-        for k in range(n + 1):
-            if k == ctx.home or alpha[k] == 0:
-                continue
-            if alpha[k] > 0:
-                num = num * Poly.variable(n, ctx.axes().index(k)) ** alpha[k]
-            else:
-                if k not in ctx.indices:
-                    raise PreconditionViolated(
-                        f"Laurent term needs 1/x{k} outside charts {ctx.indices}")
-                den[f"c{k}"] = -alpha[k]
-        total = total + LocElem(ctx, num, den)
+        num, den = chart_monomial(alpha, ctx)
+        total = total + LocElem(ctx, num.scale(coeff), den)
     return total
 
 
@@ -933,16 +935,9 @@ class MatrixL:
         if self.shape[1] != other.shape[0]:
             raise ValueError("matmul shape mismatch")
         self._chk_ctx(other)
-        out = []
-        for i in range(self.shape[0]):
-            row = []
-            for j in range(other.shape[1]):
-                acc = LocElem.zero(self.ctx)
-                for k in range(self.shape[1]):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixL(self.ctx, out)
+        cols = list(zip(*other.rows))
+        return MatrixL(self.ctx, [[_dot(r, col, self.ctx) for col in cols]
+                                  for r in self.rows])
 
     def matvec(self, vec):
         if len(vec) != self.shape[1]:

@@ -351,15 +351,8 @@ def _solve_ansatz(c, max_degree):
             for e in everything:
                 for k, a in e.den.items():
                     common[k] = max(common.get(k, 0), a)
-
-            def cleared(e):
-                num = e.num
-                for k, a in common.items():
-                    num = num * ctx.unit_poly(k) ** (a - e.den.get(k, 0))
-                return num
-
-            poly_cols = {col: cleared(e) for col, e in terms.items()}
-            rhs_poly = cleared(target[w])
+            poly_cols = {col: e.num_over(common) for col, e in terms.items()}
+            rhs_poly = target[w].num_over(common)
             monos = set(rhs_poly.terms)
             for q in poly_cols.values():
                 monos.update(q.terms)

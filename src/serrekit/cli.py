@@ -18,7 +18,8 @@ import json
 import sys
 from itertools import combinations
 
-from .algebra import LocElem, MatrixL, SUnit, format_poly, parse_poly
+from .algebra import (LocElem, MatrixL, SUnit, format_poly, is_homogeneous,
+                      parse_poly)
 from .cech import CechCochain, cohomology_dim
 from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
                     SubschemeData)
@@ -196,15 +197,26 @@ def load_bundle(doc):
     amb = _need(doc, "ambient", dict, "document")
     ambient = AmbientSpec(_need(amb, "kind", str, "ambient"),
                           _need(amb, "dim", int, "ambient"))
-    names = Cover(ambient).hom_names()
+    bare = Cover(ambient)
     units = []
     for chart_key, u in sorted(_need(doc, "units", dict, "document").items()):
         try:
-            form = parse_poly(_need(u, "form", str, "units"), names)
+            form = parse_poly(_need(u, "form", str, "units"), bare.hom_names())
         except ValueError as exc:
             raise ShapeViolation(f"units: {exc}") from exc
-        units.append(SUnit(_chart_key(chart_key, "units"), form,
-                           _need(u, "degree", int, "units")))
+        chart = _chart_key(chart_key, "units")
+        degree = _need(u, "degree", int, "units")
+        # what `cover.section_unit` builds: on a chart of the cover, a nonzero
+        # form of the stated degree, homogeneous on projective space
+        if chart not in bare.charts:
+            raise ShapeViolation(f"units: chart {chart} outside the cover")
+        projective = ambient.kind == "projective"
+        if (form.is_zero() or form.total_degree() != degree
+                or projective and not is_homogeneous(form)):
+            raise ShapeViolation(
+                f"units: chart {chart} needs a nonzero "
+                f"{'homogeneous ' if projective else ''}form of degree {degree}")
+        units.append(SUnit(chart, form, degree))
     cover = Cover(ambient, units)
     twist = _need(_need(doc, "line_bundle", dict, "document"),
                   "twist", int, "line_bundle")

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, homogenize,
-                      dehomogenize, is_homogeneous, parse_poly, transport)
+from .algebra import (Context, LocElem, MatrixL, SUnit, chart_monomial,
+                      dehomogenize, homogenize, is_homogeneous, parse_poly,
+                      transport)
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
 from .ideals import (ideal_equal, in_ideal, invert, is_unit_ideal, lift_pair,
@@ -40,6 +41,8 @@ class Cover:
 
     Contexts built by `ctx` carry every section unit of the cover, so an
     element built on one cover is moved onto another with `transport`.
+    Each context is built once and kept, so the unit polynomials it memoizes
+    serve every element of the cover.
     """
 
     def __init__(self, ambient, sunits=()):
@@ -55,14 +58,19 @@ class Cover:
                     f"chart {unit.chart} already has a different registered "
                     "unit")
         self.sunits = tuple(by_chart[c] for c in sorted(by_chart))
+        self._ctxs = {}  # (indices, home) -> Context, filled by `ctx`
 
     def ctx(self, indices, home=None):
+        """The context of an overlap, built once per (indices, home)."""
         indices = tuple(sorted(set(indices)))
         if not indices or any(i not in self.charts for i in indices):
             raise ShapeViolation(f"bad chart indices {indices}")
         home = min(indices) if home is None else home
-        return Context(self.ambient.kind, self.ambient.dim, home, indices,
-                       self.sunits)
+        ctx = self._ctxs.get((indices, home))
+        if ctx is None:
+            ctx = self._ctxs[indices, home] = Context(
+                self.ambient.kind, self.ambient.dim, home, indices, self.sunits)
+        return ctx
 
     def chart_ctx(self, i):
         return self.ctx((i,))
@@ -105,16 +113,7 @@ class LineBundleData:
         delta = [0] * (self.ambient.dim + 1)
         delta[j] += self.twist
         delta[i] -= self.twist
-        num = Poly.const(ctx.nvars, 1)
-        den = {}
-        for k, e in enumerate(delta):
-            if k == ctx.home or e == 0:
-                continue
-            if e > 0:
-                num = num * Poly.variable(ctx.nvars, ctx.axes().index(k)) ** e
-            else:
-                den[f"c{k}"] = -e
-        return LocElem(ctx, num, den)
+        return LocElem(ctx, *chart_monomial(delta, ctx))
 
 
 @dataclass

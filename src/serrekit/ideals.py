@@ -179,6 +179,22 @@ def _split_T(p):
 _SAT_CACHE = {}
 
 
+def _rabinowitsch(ctx):
+    """(u, 1 - T*u): the product u of the context's units and its
+    Rabinowitsch relation in k[x, T], T a new last variable."""
+    n = ctx.nvars
+    u = Poly.const(n, 1)
+    for k in ctx.unit_keys():
+        u = u * ctx.unit_poly(k)
+    return u, Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * _lift_poly(u)
+
+
+def _T_free(basis):
+    """The elements of a k[x, T] basis that do not involve T, in k[x]."""
+    return [Poly(b.arity - 1, {e[:-1]: c for e, c in b.terms.items()})
+            for b in basis if all(e[-1] == 0 for e in b.terms)]
+
+
 def _sat_gb(ctx, nums):
     """Cached Groebner data for the saturated ideal of `nums` in the context's
     localized ring.  Returns (gb, u_poly_or_None); when u is present the gb
@@ -187,18 +203,11 @@ def _sat_gb(ctx, nums):
     hit = _SAT_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    ukeys = ctx.unit_keys()
-    if not ukeys:
-        gb = buchberger(list(nums), ctx.nvars)
-        out = (gb, None)
+    if not ctx.unit_keys():
+        out = (buchberger(list(nums), ctx.nvars), None)
     else:
-        n = ctx.nvars
-        u = Poly.const(n, 1)
-        for k in ukeys:
-            u = u * ctx.unit_poly(k)
-        lifted = [_lift_poly(g) for g in nums]
-        rel = Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * _lift_poly(u)
-        gb = buchberger(lifted + [rel], n + 1)
+        u, rel = _rabinowitsch(ctx)
+        gb = buchberger([_lift_poly(g) for g in nums] + [rel], ctx.nvars + 1)
         out = (gb, u)
     _SAT_CACHE[cache_key] = out
     return out
@@ -212,16 +221,12 @@ def _check_ctxs(elems):
     return ctx
 
 
-def _times_units(e, exps):
-    """Multiply a LocElem by prod(unit^exps[key]) with integer exponents."""
-    num = e.num
-    den = dict(e.den)
-    for k, a in exps.items():
-        if a > 0:
-            num = num * e.ctx.unit_poly(k) ** a
-        elif a < 0:
-            den[k] = den.get(k, 0) - a
-    return LocElem(e.ctx, num, den)
+def _sat_reduce(p, gens):
+    """Reduce p by the saturated basis of gens: (ctx, u, cofactors, rem)."""
+    ctx = _check_ctxs([p] + list(gens))
+    gb, u = _sat_gb(ctx, tuple(g.num for g in gens))
+    cof, rem = gb.reduce(_lift_poly(p.num) if u is not None else p.num)
+    return ctx, u, cof, rem
 
 
 def member_with_lift(p, gens):
@@ -230,11 +235,7 @@ def member_with_lift(p, gens):
     Returns LocElems a_m with p == sum(a_m * gens[m]) in the localized ring,
     or None if p is not a member.  Complete: saturation is built in.
     """
-    ctx = _check_ctxs([p] + list(gens))
-    nums = tuple(g.num for g in gens)
-    gb, u = _sat_gb(ctx, nums)
-    target = _lift_poly(p.num) if u is not None else p.num
-    cof, rem = gb.reduce(target)
+    ctx, u, cof, rem = _sat_reduce(p, gens)
     if not rem.is_zero():
         return None
     ukeys = ctx.unit_keys()
@@ -257,7 +258,7 @@ def member_with_lift(p, gens):
         shift = dict(g.den)
         for k, e in p.den.items():
             shift[k] = shift.get(k, 0) - e
-        out.append(_times_units(a, shift))
+        out.append(a.times_units(shift))
     # paranoia: the certificate is an exact identity or it does not leave
     acc = LocElem.zero(ctx)
     for a, g in zip(out, gens):
@@ -268,12 +269,7 @@ def member_with_lift(p, gens):
 
 
 def in_ideal(p, gens):
-    ctx = _check_ctxs([p] + list(gens))
-    nums = tuple(g.num for g in gens)
-    gb, u = _sat_gb(ctx, nums)
-    target = _lift_poly(p.num) if u is not None else p.num
-    _, rem = gb.reduce(target)
-    return rem.is_zero()
+    return _sat_reduce(p, gens)[3].is_zero()
 
 
 def is_unit_ideal(gens):
@@ -345,20 +341,11 @@ def koszul_divide(u, v, f, g):
 
 def _saturation_gens(ctx, p):
     """Polynomial generators of ((p) : u^infinity) in k[x], via T-elimination."""
-    ukeys = ctx.unit_keys()
-    if not ukeys:
+    if not ctx.unit_keys():
         return [p]
-    n = ctx.nvars
-    u = Poly.const(n, 1)
-    for k in ukeys:
-        u = u * ctx.unit_poly(k)
-    rel = Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * _lift_poly(u)
-    gb = buchberger([_lift_poly(p), rel], n + 1, key=elim_key(1))
-    out = []
-    for b in gb.basis:
-        if all(e[-1] == 0 for e in b.terms):
-            out.append(Poly(n, {e[:-1]: c for e, c in b.terms.items()}))
-    return out
+    _, rel = _rabinowitsch(ctx)
+    return _T_free(buchberger([_lift_poly(p), rel], ctx.nvars + 1,
+                              key=elim_key(1)).basis)
 
 
 def _colon_principal(gens, q, arity):
@@ -368,15 +355,12 @@ def _colon_principal(gens, q, arity):
     one = Poly.const(arity + 1, 1)
     aux = [t * _lift_poly(g) for g in gens]
     aux.append((one - t) * _lift_poly(q))
-    gb = buchberger(aux, arity + 1, key=elim_key(1))
     out = []
-    for b in gb.basis:
-        if all(e[-1] == 0 for e in b.terms):
-            inter = Poly(arity, {e[:-1]: c for e, c in b.terms.items()})
-            quo = divide_exact(inter, q)
-            if quo is None:
-                raise AssertionError("intersection element not divisible by q")
-            out.append(quo)
+    for inter in _T_free(buchberger(aux, arity + 1, key=elim_key(1)).basis):
+        quo = divide_exact(inter, q)
+        if quo is None:
+            raise AssertionError("intersection element not divisible by q")
+        out.append(quo)
     return out
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from serrekit.algebra import (
     from_blocks, from_laurent, grevlex_key, homogenize, dehomogenize,
     parse_poly, to_laurent, transport, unit_decomposition,
 )
+from serrekit.cover import AmbientSpec, LineBundleData
 from serrekit.errors import PreconditionViolated
 
 
@@ -449,6 +451,264 @@ def test_laurent_requires_monomial_sunits():
     # (x2/x0) / (x1^2/x0^2) = x0*x2/x1^2
     lau = to_laurent(e2)
     assert lau == {(1, -2, 1): Fraction(1)}
+
+
+# -- homogeneous bookkeeping against the forms it replaced ----------------------
+#
+# `transport`, `to_laurent`, `from_laurent` and `LineBundleData.h` share
+# `_homogeneous_view` and `chart_monomial`; `LocElem.times_units` replaced a
+# helper of the ideals layer.  Normalization with section units is greedy, so
+# the shared forms must hand `LocElem` the same (num, den) as these, the
+# separate forms they replaced, kept as references.
+
+
+def _transport_reference(e, dst):
+    src = e.ctx
+    if src == dst:
+        return e
+    if (src.kind, src.dim) != (dst.kind, dst.dim):
+        raise PreconditionViolated("transport between different ambients")
+    if not set(src.indices) <= set(dst.indices):
+        raise PreconditionViolated("target does not refine the source")
+    if src.kind == "affine":
+        return LocElem(dst, e.num, dict(e.den))
+    n = src.dim
+    h, h2 = src.home, dst.home
+    form, deg = homogenize(e.num, h, n)
+    gamma = [0] * (n + 1)
+    gamma[h] -= deg
+    s_exps = {}
+    for key, m in e.den.items():
+        if key.startswith("c"):
+            k = int(key[1:])
+            gamma[k] -= m
+            gamma[h] += m
+        else:
+            c = int(key[1:])
+            gamma[h] += src.sunit(c).degree * m
+            s_exps[c] = s_exps.get(c, 0) + m
+    gamma[h2] += deg - sum(src.sunit(c).degree * m for c, m in s_exps.items())
+    assert sum(gamma) == 0
+    num = dehomogenize(form, h2)
+    den = {}
+    for k in range(n + 1):
+        if k == h2 or gamma[k] == 0:
+            continue
+        if gamma[k] > 0:
+            num = num * Poly.variable(n, dst.axes().index(k)) ** gamma[k]
+        else:
+            if k not in dst.indices:
+                raise PreconditionViolated(f"pole along x{k} = 0")
+            den[f"c{k}"] = -gamma[k]
+    for c, m in s_exps.items():
+        den[f"s{c}"] = den.get(f"s{c}", 0) + m
+    return LocElem(dst, num, den)
+
+
+def _to_laurent_reference(e):
+    ctx = e.ctx
+    if ctx.kind != "projective":
+        return None
+    n = ctx.dim
+    form, deg = homogenize(e.num, ctx.home, n)
+    gamma = [0] * (n + 1)
+    gamma[ctx.home] -= deg
+    scale = Fraction(1)
+    for key, m in e.den.items():
+        if key.startswith("c"):
+            k = int(key[1:])
+            gamma[k] -= m
+            gamma[ctx.home] += m
+        else:
+            u = ctx.sunit(int(key[1:]))
+            if len(u.form.terms) != 1:
+                return None
+            (ue, uc), = u.form.terms.items()
+            for k in range(n + 1):
+                gamma[k] -= ue[k] * m
+            gamma[ctx.home] += u.degree * m
+            scale /= uc ** m
+    out = {}
+    for te, tc in form.terms.items():
+        key = tuple(te[k] + gamma[k] for k in range(n + 1))
+        v = out.get(key, Fraction(0)) + tc * scale
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+    return out
+
+
+def _from_laurent_reference(laurent, ctx):
+    n = ctx.dim
+    total = LocElem.zero(ctx)
+    for alpha, coeff in sorted(laurent.items()):
+        if sum(alpha) != 0:
+            raise ValueError("Laurent term is not degree zero")
+        num = Poly.const(n, coeff)
+        den = {}
+        for k in range(n + 1):
+            if k == ctx.home or alpha[k] == 0:
+                continue
+            if alpha[k] > 0:
+                num = num * Poly.variable(n, ctx.axes().index(k)) ** alpha[k]
+            else:
+                if k not in ctx.indices:
+                    raise PreconditionViolated(f"Laurent term needs 1/x{k}")
+                den[f"c{k}"] = -alpha[k]
+        total = total + LocElem(ctx, num, den)
+    return total
+
+
+def _h_reference(twist, i, j, ctx):
+    if ctx.kind == "affine" or i == j or twist == 0:
+        return LocElem.one(ctx)
+    delta = [0] * (ctx.dim + 1)
+    delta[j] += twist
+    delta[i] -= twist
+    num = Poly.const(ctx.nvars, 1)
+    den = {}
+    for k, e in enumerate(delta):
+        if k == ctx.home or e == 0:
+            continue
+        if e > 0:
+            num = num * Poly.variable(ctx.nvars, ctx.axes().index(k)) ** e
+        else:
+            den[f"c{k}"] = -e
+    return LocElem(ctx, num, den)
+
+
+def _times_units_reference(e, exps):
+    num = e.num
+    den = dict(e.den)
+    for k, a in exps.items():
+        if a > 0:
+            num = num * e.ctx.unit_poly(k) ** a
+        elif a < 0:
+            den[k] = den.get(k, 0) - a
+    return LocElem(e.ctx, num, den)
+
+
+def _same(a, b):
+    return (a.ctx, a.num, a.den) == (b.ctx, b.num, b.den)
+
+
+def _p3_units(monomial):
+    """Section units of P^3 on charts 1 and 3: monomial forms (3 x1^2, x3)
+    or non-monomial ones (x1^2 + x0*x2, x3 + x2)."""
+    hom = ("x0", "x1", "x2", "x3")
+    forms = ("3*x1^2", "x3") if monomial else ("x1^2 + x0*x2", "x3 + x2")
+    return (SUnit(1, parse_poly(forms[0], hom), 2),
+            SUnit(3, parse_poly(forms[1], hom), 1))
+
+
+def _rand_elem(rng, ctx):
+    """A random element over random powers of the context's units, built
+    normalized or as given."""
+    keys = ctx.unit_keys()
+    num = _rand_unit_multiple(rng, ctx, rng.sample(keys, min(2, len(keys))))
+    den = {k: rng.randint(0, 2)
+           for k in rng.sample(keys, rng.randint(0, len(keys)))}
+    return LocElem(ctx, num, den, normalize=rng.random() < 0.5)
+
+
+def test_transport_matches_reference():
+    rng = random.Random(79)
+    moved = {"home kept": 0, "home changed": 0, "monomial unit": 0,
+             "non-monomial unit": 0}
+    for kind, sunits in (("no unit", ()), ("monomial unit", _p3_units(True)),
+                         ("non-monomial unit", _p3_units(False))):
+        for _ in range(150):
+            src_idx = tuple(sorted(rng.sample(range(4), rng.randint(1, 3))))
+            dst_idx = tuple(sorted(set(src_idx) | set(
+                rng.sample(range(4), rng.randint(0, 2)))))
+            src = _ctx(src_idx, home=rng.choice(src_idx), sunits=sunits)
+            dst = _ctx(dst_idx, home=rng.choice(dst_idx), sunits=sunits)
+            e = _rand_elem(rng, src)
+            got = transport(e, dst)
+            assert _same(got, _transport_reference(e, dst))
+            moved["home changed" if src.home != dst.home else "home kept"] += 1
+            if any(k[0] == "s" for k in e.den):
+                moved[kind] += 1
+            # and back onto the source, when that is a restriction
+            if dst_idx == src_idx:
+                assert _same(transport(got, src),
+                             _transport_reference(got, src))
+            else:
+                with pytest.raises(PreconditionViolated):
+                    transport(got, src)
+    assert min(moved.values()) > 25
+    # affine: one chart, so transport only moves an element onto a context
+    # with more section units
+    aff = SUnit(0, parse_poly("x1*x2 + 1", ("x1", "x2")), 2)
+    bare = Context("affine", 2, 0, (0,))
+    unit = Context("affine", 2, 0, (0,), (aff,))
+    for _ in range(50):
+        for src, dst in ((bare, unit), (unit, unit)):
+            e = _rand_elem(rng, src)
+            assert _same(transport(e, dst), _transport_reference(e, dst))
+
+
+def test_laurent_views_match_reference():
+    rng = random.Random(83)
+    laurent = 0
+    for sunits in (_p3_units(True), _p3_units(False)):
+        for _ in range(150):
+            idx = tuple(sorted(rng.sample(range(4), rng.randint(1, 3))))
+            ctx = _ctx(idx, home=rng.choice(idx), sunits=sunits)
+            e = _rand_elem(rng, ctx)
+            lau = to_laurent(e)
+            assert lau == _to_laurent_reference(e)
+            if lau is None:
+                continue
+            laurent += 1
+            # read back on every context of the cover with the same charts
+            for home in idx:
+                back = _ctx(idx, home=home, sunits=sunits)
+                assert _same(from_laurent(lau, back),
+                             _from_laurent_reference(lau, back))
+    assert laurent > 150
+    assert to_laurent(LocElem.one(Context("affine", 2, 0, (0,)))) is None
+
+
+def test_from_laurent_errors_match_reference():
+    ctx = _ctx((0, 2), dim=3)
+    pole = {(1, 0, -1, 0): 1, (0, 1, 0, -1): 2}  # 1/x3 outside charts 0, 2
+    for bad, exc in ((pole, PreconditionViolated),
+                     ({(1, 0, 0, 0): 1}, ValueError)):
+        for fn in (from_laurent, _from_laurent_reference):
+            with pytest.raises(exc):
+                fn(bad, ctx)
+
+
+def test_line_bundle_h_matches_reference():
+    for dim in (2, 3):
+        lbs = [LineBundleData(AmbientSpec("projective", dim), d)
+               for d in range(-3, 4)]
+        for idx in itertools.chain.from_iterable(
+                itertools.combinations(range(dim + 1), r)
+                for r in range(1, dim + 1)):
+            for home in idx:
+                ctx = _ctx(idx, home=home, dim=dim)
+                for lb in lbs:
+                    for i, j in itertools.product(idx, repeat=2):
+                        assert _same(lb.h(i, j, ctx),
+                                     _h_reference(lb.twist, i, j, ctx))
+    aff = Context("affine", 2, 0, (0,))
+    lb = LineBundleData(AmbientSpec("affine", 2), 0)
+    assert _same(lb.h(0, 0, aff), _h_reference(0, 0, 0, aff))
+
+
+def test_times_units_matches_reference():
+    rng = random.Random(89)
+    for ctx in (_unit_ctx(), _ctx((0, 1, 3), home=3, dim=3,
+                                  sunits=_p3_units(False))):
+        keys = ctx.unit_keys()
+        for _ in range(200):
+            e = _rand_elem(rng, ctx)
+            exps = {k: rng.randint(-2, 2)
+                    for k in rng.sample(keys, rng.randint(0, len(keys)))}
+            assert _same(e.times_units(exps), _times_units_reference(e, exps))
 
 
 # -- matrices ----------------------------------------------------------------------

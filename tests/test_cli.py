@@ -266,6 +266,65 @@ def test_verify_rejects_non_integer_value(tmp_path, capsys, edit):
     assert err.startswith("error[parse]: ")
 
 
+# Each edit gives a bundle document a section unit that `cover.section_unit`
+# cannot build (projective: a nonzero homogeneous form of the stated degree on
+# a chart of the cover; affine: a nonzero polynomial of that total degree).
+UNIT_EDITS = {
+    "degree 2": lambda u: u["0"].update(degree=2),
+    "degree 0": lambda u: u["0"].update(degree=0),
+    "degree -1": lambda u: u["0"].update(degree=-1),
+    "not homogeneous": lambda u: u["0"].update(form="x0^2 + x1"),
+    "zero form": lambda u: u["0"].update(form="0"),
+    "chart 7": lambda u: u.update({"7": {"form": "x0", "degree": 1}}),
+}
+
+# Affine A^3; the section 1 + x1 registers the unit x1 + 1 on chart 0.
+AFFINE_UNIT = {
+    "ambient": {"kind": "affine", "dim": 3},
+    "line_bundle": {"twist": 0},
+    "rank": 2,
+    "subscheme": {"mode": "charts", "pairs": {"0": ["x1", "x2"]}},
+    "sections": {"0": ["1 + x1"]},
+}
+
+AFFINE_UNIT_EDITS = {
+    "affine degree 2": lambda u: u["0"].update(degree=2),
+    "affine zero form": lambda u: u["0"].update(form="0"),
+    "affine chart 1": lambda u: u.update({"1": {"form": "x1", "degree": 1}}),
+}
+
+
+def _affine_unit_doc(tmp_path, capsys):
+    out = str(tmp_path / "affine.json")
+    assert run_cli(capsys, "build", write_doc(tmp_path, AFFINE_UNIT),
+                   "-o", out)[0] == 0
+    doc = json.loads(Path(out).read_text(encoding="utf-8"))
+    assert doc["units"] == {"0": {"degree": 1, "form": "x1 + 1"}}
+    return doc
+
+
+@pytest.mark.parametrize("edit",
+                         sorted(UNIT_EDITS) + sorted(AFFINE_UNIT_EDITS))
+def test_verify_rejects_unbuildable_section_unit(tmp_path, capsys, edit):
+    if edit in UNIT_EDITS:
+        doc = json.loads((CORPUS / "refs" / "two_points_unit.json").read_text(
+            encoding="utf-8"))
+        UNIT_EDITS[edit](doc["units"])
+    else:
+        doc = _affine_unit_doc(tmp_path, capsys)
+        AFFINE_UNIT_EDITS[edit](doc["units"])
+    code, out, err = run_cli(capsys, "verify",
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error[parse]: units: ")
+
+
+def test_verify_accepts_non_homogeneous_affine_unit(tmp_path, capsys):
+    doc = _affine_unit_doc(tmp_path, capsys)
+    code, _, _ = run_cli(capsys, "verify", write_doc(tmp_path, doc, "a.json"))
+    assert code == 0
+
+
 def test_verify_truncated_file(tmp_path, capsys):
     src = write_doc(tmp_path, POINT)
     out = tmp_path / "bundle.json"
