@@ -500,8 +500,9 @@ class Context:
             raise ValueError("context indices must be sorted")
         if self.home not in self.indices:
             raise ValueError("home chart must belong to the context")
-        # axes and unit polynomials, computed once; not a field, so it stays
-        # out of == and hash (the fields never change: frozen)
+        # axes, unit polynomials and the saturated bases of `ideals._sat_gb`,
+        # computed once; not a field, so it stays out of == and hash (the
+        # fields never change: frozen)
         axes = (tuple(range(1, self.dim + 1)) if self.kind == "affine" else
                 tuple(k for k in range(self.dim + 1) if k != self.home))
         object.__setattr__(self, "_memo", {"axes": axes})

@@ -18,11 +18,10 @@ import json
 import sys
 from itertools import combinations
 
-from .algebra import (LocElem, MatrixL, SUnit, format_poly, is_homogeneous,
-                      parse_poly)
+from .algebra import LocElem, MatrixL, SUnit, format_poly, is_homogeneous
 from .cech import CechCochain, cohomology_dim
 from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
-                    SubschemeData)
+                    SubschemeData, chart_key, chart_table, need, poly_field)
 from .errors import (FormMismatch, H1Obstruction, Inconclusive, Obstructed,
                      SerreError, ShapeViolation)
 from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
@@ -121,36 +120,16 @@ def bundle_doc(bundle):
 # -- document decoding ---------------------------------------------------------
 
 
-def _need(doc, key, kind, where):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ShapeViolation(f"{where}: missing key {key!r}")
-    val = doc[key]
-    # bool is a subclass of int, but a JSON true is no integer
-    if kind is not None and (not isinstance(val, kind)
-                             or isinstance(val, bool) and kind is not bool):
-        raise ShapeViolation(f"{where}: key {key!r} has the wrong type")
-    return val
-
-
-def _chart_key(key, where):
-    """A chart index written as an object key or a JSON integer."""
-    if isinstance(key, str):
-        try:
-            return int(key)
-        except ValueError:
-            pass
-    elif isinstance(key, int) and not isinstance(key, bool):
-        return key
-    raise ShapeViolation(f"{where}: bad chart key {key!r}")
-
-
 def _elem_load(ctx, doc, where):
-    num = _need(doc, "num", str, where)
-    den = _need(doc, "den", dict, where)
+    num = poly_field(need(doc, "num", str, where), ctx.var_names(), where)
+    den = need(doc, "den", dict, where)
+    # only the keys LocElem writes: `Context.unit_poly` reads "c01" as x1
+    unknown = set(den) - set(ctx.unit_keys())
+    if unknown:
+        raise ShapeViolation(f"{where}: unknown units {sorted(unknown)}")
     try:
-        parsed = ctx.parse(num)
-        return LocElem(ctx, parsed, {k: _need(den, k, int, where) for k in den})
-    except (ValueError, KeyError) as exc:
+        return LocElem(ctx, num, {k: need(den, k, int, where) for k in den})
+    except ValueError as exc:
         raise ShapeViolation(f"{where}: {exc}") from exc
 
 
@@ -177,10 +156,12 @@ def _cochain_load(cover, lb, degree, width, doc, where):
         raise ShapeViolation(f"{where}: expected a list of components")
     data = {}
     for entry in doc:
-        key = tuple(_chart_key(i, where)
-                    for i in _need(entry, "key", list, where))
+        key = tuple(chart_key(i, cover.charts, where)
+                    for i in need(entry, "key", list, where))
+        if key in data:
+            raise ShapeViolation(f"{where}: component {key} appears twice")
         ctx = cover.ctx(key)
-        data[key] = _vec_load(ctx, _need(entry, "values", list, where),
+        data[key] = _vec_load(ctx, need(entry, "values", list, where),
                               width, f"{where} {key}")
     return CechCochain(cover, lb, degree, width, data)
 
@@ -192,24 +173,21 @@ def load_bundle(doc):
     verify suite's job, so a hand-edited entry loads fine and then fails its
     named check.
     """
-    if _need(doc, "schema", str, "document") != _SCHEMA:
+    if need(doc, "schema", str, "") != _SCHEMA:
         raise ShapeViolation("document: unknown schema tag")
-    amb = _need(doc, "ambient", dict, "document")
-    ambient = AmbientSpec(_need(amb, "kind", str, "ambient"),
-                          _need(amb, "dim", int, "ambient"))
+    amb = need(doc, "ambient", dict, "")
+    ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
+                          need(amb, "dim", int, "ambient"))
     bare = Cover(ambient)
     units = []
-    for chart_key, u in sorted(_need(doc, "units", dict, "document").items()):
-        try:
-            form = parse_poly(_need(u, "form", str, "units"), bare.hom_names())
-        except ValueError as exc:
-            raise ShapeViolation(f"units: {exc}") from exc
-        chart = _chart_key(chart_key, "units")
-        degree = _need(u, "degree", int, "units")
-        # what `cover.section_unit` builds: on a chart of the cover, a nonzero
-        # form of the stated degree, homogeneous on projective space
-        if chart not in bare.charts:
-            raise ShapeViolation(f"units: chart {chart} outside the cover")
+    unit_docs = chart_table(need(doc, "units", dict, "").items(), bare.charts,
+                            "units")
+    for chart, u in sorted(unit_docs.items()):
+        form = poly_field(need(u, "form", str, "units"), bare.hom_names(),
+                          "units")
+        degree = need(u, "degree", int, "units")
+        # what `cover.section_unit` builds: a nonzero form of the stated
+        # degree, homogeneous on projective space
         projective = ambient.kind == "projective"
         if (form.is_zero() or form.total_degree() != degree
                 or projective and not is_homogeneous(form)):
@@ -218,39 +196,39 @@ def load_bundle(doc):
                 f"{'homogeneous ' if projective else ''}form of degree {degree}")
         units.append(SUnit(chart, form, degree))
     cover = Cover(ambient, units)
-    twist = _need(_need(doc, "line_bundle", dict, "document"),
-                  "twist", int, "line_bundle")
+    twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
+                 "line_bundle")
     lb = LineBundleData(ambient, twist)
-    r = _need(doc, "rank", int, "document")
+    r = need(doc, "rank", int, "")
     if r < 2:
         raise ShapeViolation("document: rank must be >= 2")
 
-    charts_doc = _need(doc, "charts", dict, "document")
-    keys = [_chart_key(k, "charts") for k in charts_doc]
-    if sorted(keys) != list(cover.charts):
+    charts_doc = chart_table(need(doc, "charts", dict, "").items(),
+                             cover.charts, "charts")
+    if len(charts_doc) != len(cover.charts):
         raise ShapeViolation("document: chart set does not match the cover")
     frames, pairs, meets, sections, t_map, tier_map = {}, {}, {}, {}, {}, {}
-    for i, ch in zip(keys, charts_doc.values()):
+    for i, ch in charts_doc.items():
         ctx = cover.chart_ctx(i)
         where = f"chart {i}"
-        t = _need(ch, "t", int, where)
+        t = need(ch, "t", int, where)
         if not 1 <= t <= r - 1:
             raise ShapeViolation(f"{where}: pivot position out of range")
-        sign = _need(ch, "sign", int, where)
+        sign = need(ch, "sign", int, where)
         if sign != (-1 if t % 2 else 1):
             raise ShapeViolation(f"{where}: sign does not match pivot parity")
-        f = _elem_load(ctx, _need(ch, "f", dict, where), where)
-        g = _elem_load(ctx, _need(ch, "g", dict, where), where)
-        s = _vec_load(ctx, _need(ch, "s", list, where), r - 1, where)
-        M = _mat_load(ctx, _need(ch, "M", list, where), (r, r - 1), where)
+        f = _elem_load(ctx, need(ch, "f", dict, where), where)
+        g = _elem_load(ctx, need(ch, "g", dict, where), where)
+        s = _vec_load(ctx, need(ch, "s", list, where), r - 1, where)
+        M = _mat_load(ctx, need(ch, "M", list, where), (r, r - 1), where)
         frames[i] = FrameData(chart=i, t=t, sign=sign, f=f, g=g, s=s, M=M)
         pairs[i] = (f, g)
-        meets[i] = _need(ch, "meets", bool, where)
+        meets[i] = need(ch, "meets", bool, where)
         sections[i] = s
         t_map[i] = t
-        tier_map[i] = _need(ch, "tier", int, where)
+        tier_map[i] = need(ch, "tier", int, where)
 
-    overlaps_doc = _need(doc, "overlaps", dict, "document")
+    overlaps_doc = need(doc, "overlaps", dict, "")
     sorted_pairs = tuple(combinations(cover.charts, 2))
     if sorted(overlaps_doc) != sorted(f"{i},{j}" for i, j in sorted_pairs):
         raise ShapeViolation("document: overlap set does not match the cover")
@@ -259,32 +237,32 @@ def load_bundle(doc):
         ov = overlaps_doc[f"{i},{j}"]
         ctx = cover.ctx((i, j))
         where = f"overlap ({i}, {j})"
-        br = _need(ov, "branch", str, where)
+        br = need(ov, "branch", str, where)
         if br not in ("unit", "split"):
             raise ShapeViolation(f"{where}: unknown branch {br!r}")
         branch[(i, j)] = br
-        empty[(i, j)] = _need(ov, "empty", bool, where)
-        Z_raw[(i, j)] = _mat_load(ctx, _need(ov, "raw", list, where),
+        empty[(i, j)] = need(ov, "empty", bool, where)
+        Z_raw[(i, j)] = _mat_load(ctx, need(ov, "raw", list, where),
                                   (r, r), where)
-        Z_cor[(i, j)] = _mat_load(ctx, _need(ov, "corrected", list, where),
+        Z_cor[(i, j)] = _mat_load(ctx, need(ov, "corrected", list, where),
                                   (r, r), where)
 
-    sub = SubschemeData(cover, _need(doc, "mode", str, "document"),
+    sub = SubschemeData(cover, need(doc, "mode", str, ""),
                         pairs, meets, {}, empty)
     secs = SectionData(sections, t_map, tier_map, r)
     raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw, branch)
     cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor, branch)
     obs = _cochain_load(cover, lb, 2, r - 1,
-                        _need(doc, "obstruction", list, "document"),
+                        need(doc, "obstruction", list, ""),
                         "obstruction")
     xi = _cochain_load(cover, lb, 1, r - 1,
-                       _need(doc, "correction", list, "document"),
+                       need(doc, "correction", list, ""),
                        "correction")
-    meta = dict(_need(doc, "meta", dict, "document"))
+    meta = dict(need(doc, "meta", dict, ""))
     for field in ("pivots", "tiers"):
         if isinstance(meta.get(field), dict):
-            meta[field] = {_chart_key(k, f"meta {field}"): v
-                           for k, v in meta[field].items()}
+            meta[field] = chart_table(meta[field].items(), cover.charts,
+                                      f"meta {field}")
     return BundleResult(ambient=ambient, cover=cover, lb=lb, rank=r, sub=sub,
                         secs=secs, frames=frames, transitions=cor, raw=raw,
                         obstruction=obs, xi=xi, meta=meta)

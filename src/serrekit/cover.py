@@ -9,6 +9,12 @@ fixes a section unit where the pivot is not already invertible (a cover's
 units are set when it is built, so loading ends on a new cover carrying
 them), builds the 2x2 overlap matrices A_ij, and validates the overlap
 compatibility of the sections.
+
+The field readers `need`, `chart_key`, `chart_table` and `poly_field` are
+the one place where the input and bundle documents are read: a field has
+exactly its JSON type (a JSON true is no integer), a chart key is a JSON
+integer or its canonical decimal string naming a chart of the cover, each
+chart appears at most once, and a polynomial is a JSON string.
 """
 
 from __future__ import annotations
@@ -22,6 +28,59 @@ from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
 from .ideals import (ideal_equal, in_ideal, invert, is_unit_ideal, lift_pair,
                      regular_pair, unit_certificate)
+
+
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false",
+               list: "a list", dict: "a table"}
+
+
+def need(doc, key, kind, where):
+    """The required field `key` of the table `doc`, of JSON type `kind`
+    (None: any type); `where` names the table ("" for the document)."""
+    label = f"{where} {key}" if where else key
+    if not isinstance(doc, dict):
+        raise ShapeViolation(f"{where or 'document'} must be a table")
+    if key not in doc:
+        raise ShapeViolation(f"{label} is missing")
+    val = doc[key]
+    # bool is a subclass of int, but a JSON true is no integer
+    if kind is not None and (not isinstance(val, kind)
+                             or isinstance(val, bool) and kind is not bool):
+        raise ShapeViolation(f"{label} must be {_KIND_NAMES[kind]}")
+    return val
+
+
+def chart_key(key, charts, where):
+    """A chart of the cover, written as a JSON integer or as its canonical
+    decimal string (an object key): "02", " 2" and "2.0" name no chart."""
+    names = {str(c): c for c in charts}
+    if isinstance(key, str) and key in names:
+        return names[key]
+    if isinstance(key, int) and not isinstance(key, bool) and key in charts:
+        return key
+    raise ShapeViolation(f"{where}: bad chart key {key!r}")
+
+
+def chart_table(items, charts, where):
+    """{chart: value} from (chart key, value) pairs; each chart at most
+    once."""
+    table = {}
+    for key, val in items:
+        chart = chart_key(key, charts, where)
+        if chart in table:
+            raise ShapeViolation(f"{where}: chart {chart} appears twice")
+        table[chart] = val
+    return table
+
+
+def poly_field(text, names, where):
+    """A polynomial over the variable names, written as a JSON string."""
+    if not isinstance(text, str):
+        raise ShapeViolation(f"{where} must be a string")
+    try:
+        return parse_poly(text, names)
+    except ValueError as exc:
+        raise ShapeViolation(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -102,7 +161,7 @@ class LineBundleData:
         if ambient.kind == "affine" and twist != 0:
             raise ShapeViolation("affine ambient admits only the trivial twist")
         self.ambient = ambient
-        self.twist = int(twist)
+        self.twist = twist
 
     def h(self, i, j, ctx):
         if self.ambient.kind == "affine" or i == j or self.twist == 0:
@@ -130,12 +189,10 @@ class SubschemeData:
         return transport(f, ctx), transport(g, ctx)
 
 
-def _parse_chart_poly(cover, chart, text, what):
+def _chart_poly(cover, chart, text, what):
     ctx = cover.chart_ctx(chart)
-    try:
-        return LocElem(ctx, ctx.parse(str(text)))
-    except ValueError as exc:
-        raise ShapeViolation(f"{what} on chart {chart}: {exc}") from exc
+    return LocElem(ctx, poly_field(text, ctx.var_names(),
+                                   f"{what} on chart {chart}"))
 
 
 def load_subscheme(cover, doc):
@@ -147,19 +204,13 @@ def load_subscheme(cover, doc):
     """
     if cover.ambient.dim < 2:
         raise NotCodimTwo("codimension-two subschemes need ambient dim >= 2")
-    if not isinstance(doc, dict) or "mode" not in doc:
-        raise ShapeViolation("subscheme document must carry a 'mode'")
-    mode = doc["mode"]
+    mode = need(doc, "mode", str, "subscheme")
     declared = {}
     if mode == "global_ci":
         if cover.ambient.kind != "projective":
             raise ShapeViolation("global_ci mode needs a projective ambient")
-        names = cover.hom_names()
-        try:
-            F = parse_poly(str(doc["F"]), names)
-            G = parse_poly(str(doc["G"]), names)
-        except (KeyError, ValueError) as exc:
-            raise ShapeViolation(f"global_ci forms: {exc}") from exc
+        F, G = (poly_field(need(doc, tag, str, "subscheme"), cover.hom_names(),
+                           f"subscheme {tag}") for tag in ("F", "G"))
         for form, tag in ((F, "F"), (G, "G")):
             if form.is_zero():
                 raise ShapeViolation(f"form {tag} must be nonzero")
@@ -170,20 +221,15 @@ def load_subscheme(cover, doc):
             declared[i] = (LocElem(ctx, dehomogenize(F, i)),
                            LocElem(ctx, dehomogenize(G, i)))
     elif mode == "charts":
-        raw = doc.get("pairs")
-        if not isinstance(raw, dict) or not raw:
+        raw = need(doc, "pairs", dict, "subscheme")
+        if not raw:
             raise ShapeViolation("charts mode needs a nonempty 'pairs' table")
-        for key, val in raw.items():
-            try:
-                chart = int(key)
-            except ValueError:
-                raise ShapeViolation(f"bad chart key {key!r}")
-            if chart not in cover.charts:
-                raise ShapeViolation(f"chart {chart} outside the cover")
-            if not (isinstance(val, (list, tuple)) and len(val) == 2):
+        for chart, val in chart_table(raw.items(), cover.charts,
+                                      "pairs").items():
+            if not (isinstance(val, list) and len(val) == 2):
                 raise ShapeViolation(f"chart {chart} pair must be [f, g]")
-            declared[chart] = (_parse_chart_poly(cover, chart, val[0], "f"),
-                               _parse_chart_poly(cover, chart, val[1], "g"))
+            declared[chart] = (_chart_poly(cover, chart, val[0], "f"),
+                               _chart_poly(cover, chart, val[1], "g"))
     else:
         raise ShapeViolation(f"unknown subscheme mode {mode!r}")
 
@@ -297,35 +343,36 @@ def load_sections(cover, lb, sub, doc, rank):
     Per chart meeting Y: the r-1 section components together with (f, g) must
     generate the unit ideal, and a pivot component must be invertible on the
     chart's shrunk open set (tiers above).  Off-Y charts always carry the
-    canonical tuple (1, 0, ..., 0).  Pivots are chosen on the unit-free
-    `cover`; the cover with the chosen section units then replaces sub.cover,
-    and the chart pairs and section tuples are moved onto it.  Then the
-    overlap matrices are built and the section compatibility
+    canonical tuple (1, 0, ..., 0).  `doc` is {chart: [values]}, a list of
+    {"chart", "values"} entries, or None.  Pivots are chosen on the
+    unit-free `cover`; when section units are chosen, the cover carrying them
+    replaces sub.cover and the chart pairs and section tuples are moved onto
+    it.  Then the overlap matrices are built and the section compatibility
     s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) is enforced on every
     ordered overlap.
     """
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")
-    doc = doc or {}
-    if not isinstance(doc, dict):
-        raise ShapeViolation("sections document must be a table")
+    if doc is None:
+        doc = {}
+    if isinstance(doc, list):
+        items = [(need(e, "chart", None, "sections entry"),
+                  need(e, "values", None, "sections entry")) for e in doc]
+    elif isinstance(doc, dict):
+        items = doc.items()
+    else:
+        raise ShapeViolation("sections must be a table or a list of entries")
     parsed = {}
-    for key, val in doc.items():
-        try:
-            chart = int(key)
-        except ValueError:
-            raise ShapeViolation(f"bad section chart key {key!r}")
-        if chart not in cover.charts:
-            raise ShapeViolation(f"section chart {chart} outside the cover")
+    for chart, val in chart_table(items, cover.charts, "sections").items():
         if not sub.meets_Y[chart]:
             raise ShapeViolation(
                 f"chart {chart} misses the subscheme; its section tuple is "
                 "canonical and must not be supplied")
-        if not (isinstance(val, (list, tuple)) and len(val) == rank - 1):
+        if not (isinstance(val, list) and len(val) == rank - 1):
             raise ShapeViolation(
                 f"chart {chart} needs exactly {rank - 1} section components")
         parsed[chart] = tuple(
-            _parse_chart_poly(cover, chart, s, f"section {m + 1}")
+            _chart_poly(cover, chart, s, f"section {m + 1}")
             for m, s in enumerate(val))
 
     sections = {}
@@ -362,13 +409,15 @@ def load_sections(cover, lb, sub, doc, rank):
 
     # The pivots above were chosen without section units; a chart context
     # exposes only its own chart's unit, so no chart's choice depends on the
-    # units of the others.
-    cover = Cover(cover.ambient, units)
-    for i in cover.charts:
-        ctx = cover.chart_ctx(i)
-        sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
-        sections[i] = tuple(transport(e, ctx) for e in sections[i])
-    sub.cover = cover
+    # units of the others.  Without units the cover stays, and with it the
+    # Groebner bases its contexts keep.
+    if units:
+        cover = Cover(cover.ambient, units)
+        for i in cover.charts:
+            ctx = cover.chart_ctx(i)
+            sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
+            sections[i] = tuple(transport(e, ctx) for e in sections[i])
+        sub.cover = cover
     secs = SectionData(sections, t_map, tier_map, rank)
     extend_off_Y(sub)
 

@@ -176,9 +176,6 @@ def _split_T(p):
     return {j: Poly(n, t) for j, t in out.items()}
 
 
-_SAT_CACHE = {}
-
-
 def _rabinowitsch(ctx):
     """(u, 1 - T*u): the product u of the context's units and its
     Rabinowitsch relation in k[x, T], T a new last variable."""
@@ -196,11 +193,13 @@ def _T_free(basis):
 
 
 def _sat_gb(ctx, nums):
-    """Cached Groebner data for the saturated ideal of `nums` in the context's
-    localized ring.  Returns (gb, u_poly_or_None); when u is present the gb
-    lives in k[x, T] with generators nums' + [1 - T*u], T last."""
-    cache_key = (ctx, nums)
-    hit = _SAT_CACHE.get(cache_key)
+    """Groebner data for the saturated ideal of `nums` in the context's
+    localized ring, kept in the context's memo, so it lives as long as the
+    cover that built the context.  Returns (gb, u_poly_or_None); when u is
+    present the gb lives in k[x, T] with generators nums' + [1 - T*u], T
+    last."""
+    cache_key = ("saturation", nums)
+    hit = ctx._memo.get(cache_key)
     if hit is not None:
         return hit
     if not ctx.unit_keys():
@@ -209,7 +208,7 @@ def _sat_gb(ctx, nums):
         u, rel = _rabinowitsch(ctx)
         gb = buchberger([_lift_poly(g) for g in nums] + [rel], ctx.nvars + 1)
         out = (gb, u)
-    _SAT_CACHE[cache_key] = out
+    ctx._memo[cache_key] = out
     return out
 
 
@@ -368,7 +367,8 @@ def regular_pair(f, g):
     """Is (f, g) a regular pair in the localized ring?
 
     Unit shortcut first; otherwise both must be nonzero and the saturated
-    colon ((f) : g) must equal the saturated (f).
+    colon ((f) : g) must equal the saturated (f): each colon generator must
+    lie in (f), which the basis `is_unit_ideal([f])` has just built decides.
     """
     ctx = _check_ctxs([f, g])
     if f.is_zero() and g.is_zero():
@@ -379,5 +379,4 @@ def regular_pair(f, g):
         return False
     sat = _saturation_gens(ctx, f.num)
     colon = _colon_principal(sat, g.num, ctx.nvars)
-    gb = buchberger(sat, ctx.nvars)
-    return all(gb.reduce(c)[1].is_zero() for c in colon)
+    return all(in_ideal(LocElem(ctx, c), [f]) for c in colon)

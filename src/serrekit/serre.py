@@ -26,7 +26,7 @@ from itertools import combinations
 from .algebra import LocElem, MatrixL, from_blocks, transport
 from .cech import CechCochain, coboundary_solve, cohomology_dim
 from .cover import (AmbientSpec, LineBundleData, load_sections,
-                    load_subscheme, standard_cover)
+                    load_subscheme, need, standard_cover)
 from .errors import (FormMismatch, GluingFailure, H1Obstruction, Obstructed,
                      PreconditionViolated, SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
@@ -71,11 +71,6 @@ def off_columns(D):
     rows, cols = D.shape
     return [(row, col) for row in range(rows) for col in range(cols - 2)
             if not D[row, col].is_zero()]
-
-
-def tprime_apply_inverse(u, frame):
-    """Solve T' w = u on the frame's own chart by the closed form."""
-    return tuple(frame.apply(u, frame.f.ctx, inverse=True))
 
 
 @dataclass
@@ -565,75 +560,41 @@ def compare_bundles(A, B, max_degree=8):
     return IsomorphismData(y=ymap, N=Nmap, xi=xi)
 
 
-def _sections_table(doc):
-    """Accept sections either as {chart: [values]} or [{chart, values}]."""
-    if doc is None:
-        return {}
-    if isinstance(doc, dict):
-        return doc
-    if isinstance(doc, list):
-        table = {}
-        for entry in doc:
-            if (not isinstance(entry, dict) or "chart" not in entry
-                    or "values" not in entry):
-                raise ShapeViolation(
-                    "each sections entry needs 'chart' and 'values'")
-            key = entry["chart"]
-            if key in table or str(key) in table:
-                raise ShapeViolation(f"duplicate sections entry for {key}")
-            table[key] = entry["values"]
-        return table
-    raise ShapeViolation("sections must be a table or a list of entries")
-
-
-def _int_field(value, what):
-    """An input field that must be a genuine integer: no bool, float or
-    numeric string is coerced."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ShapeViolation(f"{what} must be an integer")
-    return value
-
-
 def build_bundle(doc, lift_order=None, max_degree=None):
     """Run the whole pipeline on a parsed input document.
 
     Document fields: ambient {kind, dim}, line_bundle {twist}, rank,
-    subscheme {mode, ...}, sections, options {lift_order, max_degree}.
-    Returns a BundleResult carrying the raw and corrected transition sets,
-    the obstruction data, and the verification report.
+    subscheme {mode, ...}, sections, options {lift_order, max_degree}; the
+    arguments, when given, override the options.  Returns a BundleResult
+    carrying the raw and corrected transition sets, the obstruction data,
+    and the verification report.
     """
-    if not isinstance(doc, dict):
-        raise ShapeViolation("input document must be a table")
-    amb = doc.get("ambient")
-    if not isinstance(amb, dict) or "kind" not in amb or "dim" not in amb:
-        raise ShapeViolation("ambient needs 'kind' and 'dim'")
-    ambient = AmbientSpec(str(amb["kind"]),
-                          _int_field(amb["dim"], "ambient dim"))
-    lbdoc = doc.get("line_bundle")
-    if not isinstance(lbdoc, dict) or "twist" not in lbdoc:
-        raise ShapeViolation("line_bundle needs a 'twist'")
-    twist = _int_field(lbdoc["twist"], "line_bundle twist")
-    rank = _int_field(doc.get("rank"), "rank")
+    amb = need(doc, "ambient", dict, "")
+    ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
+                          need(amb, "dim", int, "ambient"))
+    twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
+                 "line_bundle")
+    rank = need(doc, "rank", int, "")
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")
-    options = doc.get("options") or {}
-    if not isinstance(options, dict):
-        raise ShapeViolation("options must be a table")
-    if lift_order is None:
-        lift_order = options.get("lift_order", "fg")
+    options = {"lift_order": "fg", "max_degree": 8}
+    if "options" in doc:
+        options.update(need(doc, "options", dict, ""))
+    if lift_order is not None:
+        options["lift_order"] = lift_order
+    if max_degree is not None:
+        options["max_degree"] = max_degree
+    lift_order = options["lift_order"]
     if lift_order not in ("fg", "gf"):
         raise ShapeViolation("lift_order must be 'fg' or 'gf'")
-    if max_degree is None:
-        max_degree = options.get("max_degree", 8)
-    max_degree = _int_field(max_degree, "max_degree")
+    max_degree = need(options, "max_degree", int, "")
     if max_degree < 0:
         raise ShapeViolation("max_degree must be non-negative")
 
     cover = standard_cover(ambient)
     lb = LineBundleData(ambient, twist)
-    sub = load_subscheme(cover, doc.get("subscheme"))
-    secs = load_sections(cover, lb, sub, _sections_table(doc.get("sections")),
-                         rank)
+    sub = load_subscheme(cover, need(doc, "subscheme", dict, ""))
+    secs = load_sections(cover, lb, sub, doc.get("sections"), rank)
     cover = sub.cover
 
     normalize_generators(sub, secs)

@@ -266,6 +266,80 @@ def test_verify_rejects_non_integer_value(tmp_path, capsys, edit):
     assert err.startswith("error[parse]: ")
 
 
+# A point of P^2 given in charts mode, on the one chart that meets it.
+CHARTS_POINT = {
+    "ambient": {"kind": "projective", "dim": 2},
+    "line_bundle": {"twist": 1},
+    "rank": 2,
+    "subscheme": {"mode": "charts", "pairs": {"0": ["x1", "x2"]}},
+    "sections": {"0": ["1"]},
+}
+
+
+def _rename(table, old, new):
+    return {new if key == old else key: val for key, val in table.items()}
+
+
+def _garbled_copy(entries):
+    """A copy of the first cochain component with a wrong value, put first."""
+    copy = json.loads(json.dumps(entries[0]))
+    copy["values"][0]["num"] = "x1 + 7"
+    entries.insert(0, copy)
+
+
+# Each edit writes a chart in a non-canonical spelling or gives a chart, a
+# cochain component or a unit twice; each was once read silently (exit 0).
+# Input documents run through `build`, bundle documents through `verify`;
+# the last entry is a fragment of the expected message.
+AMBIGUOUS_CHART_EDITS = {
+    "sections '02'": ("build", POINT, lambda d: d.update(
+        sections={"02": ["1"]}), "sections: bad chart key '02'"),
+    "sections ' 2'": ("build", POINT, lambda d: d.update(
+        sections={" 2": ["1"]}), "sections: bad chart key ' 2'"),
+    "sections '2' and '02'": ("build", POINT, lambda d: d.update(
+        sections={"2": ["0"], "02": ["1"]}), "sections: bad chart key '02'"),
+    "sections entry 2.7": ("build", POINT, lambda d: d.update(
+        sections=[{"chart": 2.7, "values": ["1"]}]),
+        "sections: bad chart key 2.7"),
+    "sections entries 2 and '2'": ("build", POINT, lambda d: d.update(
+        sections=[{"chart": 2, "values": ["0"]},
+                  {"chart": "2", "values": ["1"]}]),
+        "sections: chart 2 appears twice"),
+    "pairs '0' and '00'": ("build", CHARTS_POINT, lambda d: d[
+        "subscheme"]["pairs"].update({"00": ["x1", "x2"]}),
+        "pairs: bad chart key '00'"),
+    **{f"charts {key!r}": ("verify", "point_p2", lambda d, key=key: d.update(
+        charts=_rename(d["charts"], "0", key)),
+        f"charts: bad chart key {key!r}") for key in ("00", " 0", "٠")},
+    "obstruction twice": ("verify", "point_p2",
+                          lambda d: _garbled_copy(d["obstruction"]),
+                          "obstruction: component (0, 1, 2) appears twice"),
+    "correction twice": ("verify", "point_p2",
+                         lambda d: _garbled_copy(d["correction"]),
+                         "correction: component (0, 1) appears twice"),
+    "units '0' and '00'": ("verify", "two_points_unit", lambda d: d[
+        "units"].update({"00": d["units"]["0"]}), "units: bad chart key '00'"),
+    "den 'c01'": ("verify", "point_p2", lambda d: _obstruction_den(d).update(
+        c01=_obstruction_den(d).pop("c1")), "unknown units ['c01']"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(AMBIGUOUS_CHART_EDITS))
+def test_rejects_ambiguous_chart(tmp_path, capsys, edit):
+    command, source, change, message = AMBIGUOUS_CHART_EDITS[edit]
+    if isinstance(source, str):
+        doc = json.loads((CORPUS / "refs" / f"{source}.json").read_text(
+            encoding="utf-8"))
+    else:
+        doc = json.loads(json.dumps(source))
+    change(doc)
+    code, out, err = run_cli(capsys, command,
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error[parse]: ") and message in err
+    assert "Traceback" not in err
+
+
 # Each edit gives a bundle document a section unit that `cover.section_unit`
 # cannot build (projective: a nonzero homogeneous form of the stated degree on
 # a chart of the cover; affine: a nonzero polynomial of that total degree).

@@ -1,6 +1,7 @@
-"""Source hygiene: every module-level import of the package is used, every
-function the benchmark traces still exists, and the unchecked polynomial
-constructor stays inside the arithmetic kernel."""
+"""Source hygiene: every module-level import of the package is used, no
+module keeps state that its functions change, every function the benchmark
+traces still exists, and the unchecked polynomial constructor stays inside
+the arithmetic kernel."""
 
 import ast
 import importlib
@@ -32,6 +33,58 @@ def _unused_imports(path):
                          ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+_MUTATORS = {"setdefault", "update", "append", "extend", "insert", "add",
+             "discard", "remove", "pop", "popitem", "clear"}
+
+
+def _mutated_module_containers(path):
+    """Module-level dicts, lists and sets that a function of the module
+    changes: by a subscript store or `del`, or by a mutating method."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, _CONTAINERS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    offenders = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                target = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in names:
+                offenders.add(f"{target.id} (line {node.lineno})")
+    return sorted(offenders)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_state_mutated(path):
+    """State a function changes belongs to an object its callers create and
+    pass (a cover, a context, a build); a module-level cache is shared by
+    every build in the process and grows for its whole life."""
+    assert _mutated_module_containers(path) == []
 
 
 def _tracing():
