@@ -500,12 +500,13 @@ class Context:
             raise ValueError("context indices must be sorted")
         if self.home not in self.indices:
             raise ValueError("home chart must belong to the context")
-        # axes, unit polynomials and the saturated bases of `ideals._sat_gb`,
-        # computed once; not a field, so it stays out of == and hash (the
-        # fields never change: frozen)
+        # axes and the saturated bases of `ideals._sat_gb` in `_memo`, unit
+        # polynomials in `_units`, each computed once; not fields, so they
+        # stay out of == and hash (the fields never change: frozen)
         axes = (tuple(range(1, self.dim + 1)) if self.kind == "affine" else
                 tuple(k for k in range(self.dim + 1) if k != self.home))
         object.__setattr__(self, "_memo", {"axes": axes})
+        object.__setattr__(self, "_units", {})
 
     @property
     def nvars(self):
@@ -526,27 +527,20 @@ class Context:
         return tuple(keys)
 
     def unit_poly(self, key):
-        """The unit as a polynomial in this context's variables."""
-        u = self._memo.get(key)
+        """The unit as a polynomial in this context's variables; KeyError for
+        anything but one of `unit_keys()`."""
+        u = self._units.get(key)
         if u is None:
-            u = self._memo[key] = self._unit_poly(key)
+            u = self._units[key] = self._unit_poly(key)
         return u
 
     def _unit_poly(self, key):
-        if key.startswith("c"):
-            k = int(key[1:])
-            if k == self.home or k not in self.indices:
-                raise KeyError(key)
-            return Poly.variable(self.nvars, self.axes().index(k))
-        if key.startswith("s"):
-            c = int(key[1:])
-            for u in self.sunits:
-                if u.chart == c and c in self.indices:
-                    if self.kind == "affine":
-                        return u.form
-                    return dehomogenize(u.form, self.home)
+        if key not in self.unit_keys():
             raise KeyError(key)
-        raise KeyError(key)
+        if key[0] == "c":
+            return Poly.variable(self.nvars, self.axes().index(int(key[1:])))
+        form = self.sunit(int(key[1:])).form
+        return form if self.kind == "affine" else dehomogenize(form, self.home)
 
     def sunit(self, chart):
         for u in self.sunits:

@@ -123,7 +123,7 @@ def bundle_doc(bundle):
 def _elem_load(ctx, doc, where):
     num = poly_field(need(doc, "num", str, where), ctx.var_names(), where)
     den = need(doc, "den", dict, where)
-    # only the keys LocElem writes: `Context.unit_poly` reads "c01" as x1
+    # every unknown key named at once, as a parse error
     unknown = set(den) - set(ctx.unit_keys())
     if unknown:
         raise ShapeViolation(f"{where}: unknown units {sorted(unknown)}")
@@ -354,12 +354,24 @@ def _emit(payload, args, text_lines=None):
         sys.stdout.write(out)
 
 
+def _unique_keys(pairs):
+    """`object_pairs_hook` for `json.load`: plain `json.load` keeps the last
+    of two equal keys, which would hide the first from every reader."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ShapeViolation(f"document: key {key!r} appears twice in "
+                                 "one object")
+        out[key] = value
+    return out
+
+
 def _read_json(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ShapeViolation(f"cannot read input document: {exc}") from exc
 

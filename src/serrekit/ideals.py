@@ -14,6 +14,9 @@ returned identity is verified by exact re-multiplication before it escapes.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
+from operator import add, sub
 
 from .algebra import LocElem, Poly, divide_exact, grevlex_key
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
@@ -31,30 +34,28 @@ def elim_key(nelim):
     return key
 
 
-def _leading(p, key):
-    exps = max(p.terms, key=key)
-    return exps, p.terms[exps]
-
-
 # -- Buchberger with cofactors ---------------------------------------------------
 
 class GroebnerBasis:
     """Monic basis together with rows expressing each element over the input
-    generators: basis[i] == sum_j cofactors[i][j] * gens[j], exactly."""
+    generators: basis[i] == sum_j cofactors[i][j] * gens[j], exactly.
+    `leads[i]` is the leading exponent of basis[i] under `key`, recorded
+    once when `buchberger` pushed the element."""
 
-    __slots__ = ("arity", "gens", "basis", "cofactors", "key")
+    __slots__ = ("arity", "gens", "basis", "cofactors", "key", "leads")
 
-    def __init__(self, arity, gens, basis, cofactors, key):
+    def __init__(self, arity, gens, basis, cofactors, key, leads):
         self.arity = arity
         self.gens = tuple(gens)
         self.basis = tuple(basis)
         self.cofactors = tuple(tuple(r) for r in cofactors)
         self.key = key
+        self.leads = tuple(leads)
 
     def reduce(self, p):
         """Full division: returns (cofactors_over_gens, remainder) with
         p == sum(cof[j] * gens[j]) + remainder."""
-        rem, q = _divide(p, self.basis, self.key)
+        rem, q = _divide(p, self.basis, self.leads, self.key)
         m = len(self.gens)
         cof = [Poly.zero(self.arity) for _ in range(m)]
         for qi, row in zip(q, self.cofactors):
@@ -66,42 +67,73 @@ class GroebnerBasis:
         return cof, rem
 
 
-def _divide(p, basis, key):
-    """Divide p by the basis list; returns (remainder, per-basis quotients)."""
-    q = [Poly.zero(p.arity) for _ in basis]
-    rem = Poly.zero(p.arity)
-    r = p
-    while not r.is_zero():
-        re, rc = _leading(r, key)
-        hit = None
-        for i, b in enumerate(basis):
-            be, bc = _leading(b, key)
-            d = tuple(a - x for a, x in zip(re, be))
-            if all(a >= 0 for a in d):
-                hit = (i, d, rc / bc)
+def _divide(p, basis, leads, key):
+    """Divide p by the basis list; returns (remainder, per-basis quotients).
+
+    `leads[i]` is the leading exponent of basis[i] under `key`.  Each step
+    takes the leading term of what is left of p and divides it by the first
+    basis element whose leading term divides it, or moves it to the
+    remainder when none does.  The work happens on one mutable remainder
+    dict and one quotient dict per basis element; the order key of each
+    monomial is computed once per division.
+    """
+    keys = {e: key(e) for e in p.terms}
+    r = dict(p.terms)
+    rem = {}
+    q = [{} for _ in basis]
+    while r:
+        re = max(r, key=keys.__getitem__)
+        rc = r.pop(re)
+        for i, be in enumerate(leads):
+            d = tuple(map(sub, re, be))
+            if min(d) >= 0:
                 break
-        if hit is None:
-            t = Poly.monomial(p.arity, re, rc)
-            rem = rem + t
-            r = r - t
         else:
-            i, d, c = hit
-            t = Poly.monomial(p.arity, d, c)
-            q[i] = q[i] + t
-            r = r - t * basis[i]
-    return rem, q
+            rem[re] = rc
+            continue
+        b = basis[i].terms
+        c = rc / b[be]
+        q[i][d] = c
+        for e2, c2 in b.items():
+            if e2 == be:
+                continue  # cancels the popped leading term exactly
+            e = tuple(map(add, d, e2))
+            s = r.get(e)
+            if s is None:
+                if e not in keys:
+                    keys[e] = key(e)
+                r[e] = -(c * c2)
+            else:
+                s -= c * c2
+                if s:
+                    r[e] = s
+                else:
+                    del r[e]
+    n = p.arity
+    return Poly(n, rem), [Poly(n, t) for t in q]
 
 
 def buchberger(gens, arity, key=None):
     """Groebner basis with cofactor rows; normal pair selection and the
-    coprime leading-term criterion."""
+    coprime leading-term criterion.
+
+    Each basis element's leading exponent is taken once, when the element
+    is pushed, and every division reuses it.  The lcm of a pair is computed
+    once, when the pair is formed; a pair whose leading terms are coprime
+    (its s-polynomial reduces to zero) is dropped there.  The others wait in
+    a heap keyed by (key(lcm), insertion index): the smallest lcm comes
+    first, and pairs with equal lcms leave in the order they were formed.
+    """
     key = key or grevlex_key
     m = len(gens)
     basis = []       # monic polynomials
+    leads = []       # leading exponent of each basis element
     rows = []        # cofactor rows over gens
+    pairs = []       # heap of (key(lcm), insertion index, i, j, lcm)
+    formed = count()
 
     def reduce_tracked(p, prow):
-        rem, q = _divide(p, basis, key)
+        rem, q = _divide(p, basis, leads, key)
         row = list(prow)
         for qi, brow in zip(q, rows):
             if qi.is_zero():
@@ -112,51 +144,37 @@ def buchberger(gens, arity, key=None):
         return rem, row
 
     def push(p, row):
-        le, lc = _leading(p, key)
-        inv = Fraction(1) / lc
+        le = max(p.terms, key=key)
+        k = len(basis)
+        for i, a in enumerate(leads):
+            if any(map(min, a, le)):  # else coprime: never queued
+                lcm = tuple(map(max, a, le))
+                heappush(pairs, (key(lcm), next(formed), i, k, lcm))
+        inv = Fraction(1) / p.terms[le]
         basis.append(p.scale(inv))
+        leads.append(le)
         rows.append([r.scale(inv) for r in row])
 
-    pairs = []
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
         row = [Poly.zero(arity) for _ in range(m)]
         row[j] = Poly.const(arity, 1)
         rem, row = reduce_tracked(g, row)
-        if rem.is_zero():
-            continue
-        k = len(basis)
-        push(rem, row)
-        for i in range(k):
-            pairs.append((i, k))
-
-    def lcm_exps(i, j):
-        a, _ = _leading(basis[i], key)
-        b, _ = _leading(basis[j], key)
-        return tuple(max(x, y) for x, y in zip(a, b))
+        if not rem.is_zero():
+            push(rem, row)
 
     while pairs:
-        pairs.sort(key=lambda ij: key(lcm_exps(*ij)))
-        i, j = pairs.pop(0)
-        a, _ = _leading(basis[i], key)
-        b, _ = _leading(basis[j], key)
-        lcm = tuple(max(x, y) for x, y in zip(a, b))
-        if all(x + y == l for x, y, l in zip(a, b, lcm)):
-            continue  # coprime leading terms: s-poly reduces to zero
-        ta = Poly.monomial(arity, tuple(l - x for l, x in zip(lcm, a)), 1)
-        tb = Poly.monomial(arity, tuple(l - x for l, x in zip(lcm, b)), 1)
+        _, _, i, j, lcm = heappop(pairs)
+        ta = Poly.monomial(arity, tuple(map(sub, lcm, leads[i])), 1)
+        tb = Poly.monomial(arity, tuple(map(sub, lcm, leads[j])), 1)
         s = ta * basis[i] - tb * basis[j]
         srow = [ta * x - tb * y for x, y in zip(rows[i], rows[j])]
         rem, row = reduce_tracked(s, srow)
-        if rem.is_zero():
-            continue
-        k = len(basis)
-        push(rem, row)
-        for t in range(k):
-            pairs.append((t, k))
+        if not rem.is_zero():
+            push(rem, row)
 
-    return GroebnerBasis(arity, gens, basis, rows, key)
+    return GroebnerBasis(arity, gens, basis, rows, key, leads)
 
 
 # -- saturation (Rabinowitsch) ----------------------------------------------------

@@ -13,6 +13,7 @@ from serrekit.algebra import (
 )
 from serrekit.cover import AmbientSpec, LineBundleData
 from serrekit.errors import PreconditionViolated
+from serrekit.ideals import in_ideal
 
 
 def _ctx(indices, home=None, dim=3, sunits=()):
@@ -163,6 +164,25 @@ def test_unit_decomposition_section_unit_first():
     e = LocElem(ctx, su, {})
     c, exps = unit_decomposition(e)
     assert c == 1 and exps == {"s1": 1}
+
+
+def test_unit_poly_answers_only_unit_keys():
+    # The memo entries beside the units ("axes", a saturated basis) and a
+    # non-canonical spelling of a unit key are no units of the context.
+    s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
+    ctx = Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))
+    x1 = ctx.parse("x1")
+    assert in_ideal(LocElem(ctx, x1), [LocElem(ctx, x1)])  # fills the memo
+    assert ctx.unit_keys() == ("c1", "s1")
+    assert ctx.unit_poly("c1") == x1
+    assert ctx.unit_poly("s1") == dehomogenize(s_form, 0)
+    for key in ("axes", ("saturation", (x1,)), "c01", "s01", "c0", "c2",
+                "s0"):
+        with pytest.raises(KeyError):
+            ctx.unit_poly(key)
+    for key in ("axes", "c01"):
+        with pytest.raises(KeyError):
+            LocElem(ctx, Poly.const(2, 2), {key: 1})
 
 
 def test_division_by_unit():

@@ -340,6 +340,29 @@ def test_rejects_ambiguous_chart(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+# Raw texts with a key given twice in one object; `json.load` alone keeps the
+# last copy, so each was once read silently (exit 0).  The last entry is the
+# key named in the message.
+DUPLICATE_KEY_EDITS = {
+    "input sections": ("build", json.dumps(POINT), '"sections": {',
+                       '"sections": {"2": ["0"], ', "'2'"),
+    "bundle charts": ("verify", (CORPUS / "refs" / "point_p2.json").read_text(
+        encoding="utf-8"), '"charts": {', '"charts": {"0": {}, ', "'0'"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DUPLICATE_KEY_EDITS))
+def test_rejects_duplicate_key(tmp_path, capsys, edit):
+    command, text, old, new, key = DUPLICATE_KEY_EDITS[edit]
+    assert text.count(old) == 1
+    path = tmp_path / "edited.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error[parse]: ")
+    assert f"key {key} appears twice" in err and "Traceback" not in err
+
+
 # Each edit gives a bundle document a section unit that `cover.section_unit`
 # cannot build (projective: a nonzero homogeneous form of the stated degree on
 # a chart of the cover; affine: a nonzero polynomial of that total degree).
