@@ -118,13 +118,6 @@ class Poly:
     def is_constant(self):
         return not self.terms or set(self.terms) == {(0,) * self.arity}
 
-    def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms[(0,) * self.arity]
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -565,7 +558,8 @@ def _unit_sort(key):
 class LocElem:
     """num / prod(unit^e): a regular function on the context's open set.
 
-    `den` maps unit keys to positive exponents.  Construction normalizes:
+    `den` maps unit keys to int exponents (zeros are dropped; a negative
+    one, a bool, float or string raises ValueError).  Construction normalizes:
     a zero numerator clears the denominator; otherwise, in the fixed key
     order, each section unit is cancelled greedily, one exact division at a
     time, and each coordinate unit x_k at once, by the least power of x_k
@@ -581,11 +575,16 @@ class LocElem:
     def __init__(self, ctx, num, den=None, normalize=True):
         if num.arity != ctx.nvars:
             raise ValueError("numerator arity does not match context")
-        den = {k: int(e) for k, e in (den or {}).items() if int(e) != 0}
-        if any(e < 0 for e in den.values()):
-            raise ValueError("denominator exponents must be positive")
-        for key in den:
-            ctx.unit_poly(key)  # raises KeyError if unavailable
+        clean = {}
+        for key, e in (den or {}).items():
+            if type(e) is not int:  # no float, str or bool is coerced
+                raise ValueError(f"denominator exponent {e!r} is not an int")
+            if e < 0:
+                raise ValueError("denominator exponents must be positive")
+            if e:
+                ctx.unit_poly(key)  # raises KeyError if unavailable
+                clean[key] = e
+        den = clean
         if normalize:
             if num.is_zero():
                 den = {}
@@ -695,17 +694,6 @@ class LocElem:
         return LocElem(self.ctx, self.num.scale(c), dict(self.den),
                        normalize=False)
 
-    def __truediv__(self, other):
-        """Division by a unit expression only."""
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1) / Fraction(other))
-        dec = unit_decomposition(other)
-        if dec is None:
-            raise PreconditionViolated("division by a non-unit localized element")
-        c, exps = dec
-        return self.scale(Fraction(1) / c).times_units(
-            {k: -e for k, e in exps.items()})
-
     def __eq__(self, other):
         if not isinstance(other, LocElem):
             return NotImplemented
@@ -724,41 +712,6 @@ class LocElem:
                          for k, e in sorted(self.den.items(), key=lambda kv: _unit_sort(kv[0])))
             return f"({s})/({d})"
         return s
-
-
-def unit_decomposition(e):
-    """Write e as c * prod(units^a) with c a nonzero rational, or None.
-
-    Extraction is greedy in the fixed unit order, which decides monomial
-    cocktails of the standard units deterministically: section units one
-    exact division at a time, then each coordinate unit's full power at once.
-    """
-    if e.is_zero():
-        return None
-    x = e.num
-    extracted = {}
-    for key in sorted(e.ctx.unit_keys(), key=_unit_sort):
-        if key[0] == "c":
-            x, m = _cancel_variable(x, e.ctx.axes().index(int(key[1:])))
-            if m:
-                extracted[key] = m
-            continue
-        u = e.ctx.unit_poly(key)
-        while True:
-            q = divide_exact(x, u)
-            if q is None or q.is_zero():
-                break
-            extracted[key] = extracted.get(key, 0) + 1
-            x = q
-    if not x.is_constant():
-        return None
-    c = x.constant_value()
-    exps = {}
-    for key in set(extracted) | set(e.den):
-        a = extracted.get(key, 0) - e.den.get(key, 0)
-        if a:
-            exps[key] = a
-    return c, exps
 
 
 # -- transport ----------------------------------------------------------------
@@ -923,9 +876,6 @@ class MatrixL:
         return MatrixL(self.ctx, [[a - b for a, b in zip(r1, r2)]
                                   for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return MatrixL(self.ctx, [[-a for a in r] for r in self.rows])
-
     def __matmul__(self, other):
         if self.shape[1] != other.shape[0]:
             raise ValueError("matmul shape mismatch")
@@ -944,9 +894,6 @@ class MatrixL:
         if isinstance(s, (int, Fraction)):
             return MatrixL(self.ctx, [[a.scale(s) for a in r] for r in self.rows])
         return MatrixL(self.ctx, [[a * s for a in r] for r in self.rows])
-
-    def transpose(self):
-        return MatrixL(self.ctx, list(zip(*self.rows)))
 
     def delete_row(self, i):
         return MatrixL(self.ctx, [r for k, r in enumerate(self.rows) if k != i])

@@ -36,8 +36,10 @@ from .errors import (Inconclusive, NotACocycle, Obstructed, PreconditionViolated
 
 
 class CechCochain:
-    """Sparse cochain: only nonzero values are stored.  The data never
-    changes after construction, so a cochain keeps its differential."""
+    """A sparse value table: each sorted chart tuple with a nonzero value
+    maps to its width-tuple of localized elements, and `get` reads any
+    other tuple as zero.  The table never changes after construction, so
+    a cochain keeps its differential (see `differential`)."""
 
     def __init__(self, cover, lb, degree, width, data=None):
         if degree < 0:
@@ -58,10 +60,6 @@ class CechCochain:
             if any(not v.is_zero() for v in val):
                 self.data[key] = val
 
-    def keys(self):
-        """All sorted (degree+1)-tuples of the cover, not just stored ones."""
-        return itertools.combinations(self.cover.charts, self.degree + 1)
-
     def ctx(self, key):
         return self.cover.ctx(key)
 
@@ -75,38 +73,17 @@ class CechCochain:
     def is_zero(self):
         return not self.data
 
-    def map_values(self, fn):
-        return CechCochain(self.cover, self.lb, self.degree, self.width,
-                           {k: tuple(fn(k, v) for v in vals)
-                            for k, vals in self.data.items()})
-
-    def __add__(self, other):
-        self._chk(other)
-        out = {}
-        for key in set(self.data) | set(other.data):
-            out[key] = tuple(a + b for a, b in zip(self.get(key), other.get(key)))
-        return CechCochain(self.cover, self.lb, self.degree, self.width, out)
-
-    def __sub__(self, other):
-        return self + other.map_values(lambda k, v: -v)
-
-    def __neg__(self):
-        return self.map_values(lambda k, v: -v)
-
     def __eq__(self, other):
         if not isinstance(other, CechCochain):
             return NotImplemented
-        self._chk(other)
+        if (self.cover is not other.cover or self.degree != other.degree
+                or self.width != other.width):
+            raise ValueError("cochain shape mismatch")
         return all(a == b for key in set(self.data) | set(other.data)
                    for a, b in zip(self.get(key), other.get(key)))
 
     def __hash__(self):
         raise TypeError("CechCochain is unhashable")
-
-    def _chk(self, other):
-        if (self.cover is not other.cover or self.degree != other.degree
-                or self.width != other.width):
-            raise ValueError("cochain shape mismatch")
 
     def __repr__(self):
         body = ", ".join(f"{k}: {v!r}" for k, v in sorted(self.data.items()))
@@ -146,25 +123,30 @@ def is_cocycle(c):
 
 # -- exact solver -----------------------------------------------------------------
 
-def _sigma_laurent(cochain, key, w):
-    """Laurent dict of the honest O(-twist) section for component w on key,
-    or None when outside the monomial regime."""
-    v = cochain.get(key)[w]
-    lau = to_laurent(v)
-    if lau is None:
-        return None
-    d = cochain.lb.twist
-    last = key[-1]
-    out = {}
-    for alpha, coeff in lau.items():
-        shifted = list(alpha)
-        shifted[last] -= d
-        out[tuple(shifted)] = coeff
-    return out
-
-
 def _valid(alpha, key):
     return all(a >= 0 for k, a in enumerate(alpha) if k not in key)
+
+
+def _monomial_sigmas(c):
+    """Per component w, {key: Laurent dict of the honest O(-twist) section}
+    of every stored value, each value expanded once; None at the first value
+    outside the monomial regime (no expansion, or a pole outside its own
+    key's coordinates)."""
+    d = c.lb.twist
+    sigmas = [{} for _ in range(c.width)]
+    for key, vals in c.data.items():
+        for w, v in enumerate(vals):
+            lau = to_laurent(v)
+            if lau is None:
+                return None
+            sigma = sigmas[w][key] = {}
+            for alpha, coeff in lau.items():
+                if not _valid(alpha, key):
+                    return None
+                shifted = list(alpha)
+                shifted[key[-1]] -= d
+                sigma[tuple(shifted)] = coeff
+    return sigmas
 
 
 _RHS = -1  # row-dict key of the right-hand side; columns are >= 0
@@ -233,21 +215,19 @@ def _solve_exact(rows, ncols):
     return sol
 
 
-def _solve_monomial(c):
-    """Complete solver for the monomial regime.  Returns the degree-(p-1)
-    solution data, or raises Obstructed with a witness multidegree."""
+def _solve_monomial(c, sigmas_by_w):
+    """Complete solver for the monomial regime, on `_monomial_sigmas`.
+    Returns the degree-(p-1) solution data, or raises Obstructed with a
+    witness multidegree."""
     cover = c.cover
     p = c.degree
     keys = list(itertools.combinations(cover.charts, p + 1))
     unknowns_keys = list(itertools.combinations(cover.charts, p))
     out = {}
-    for w in range(c.width):
-        sigmas = {}
+    for w, sigmas in enumerate(sigmas_by_w):
         degrees = set()
-        for key in c.data:
-            lau = _sigma_laurent(c, key, w)
-            sigmas[key] = lau
-            degrees.update(lau.keys())
+        for lau in sigmas.values():
+            degrees.update(lau)
         solution_lau = {J: {} for J in unknowns_keys}
         for alpha in sorted(degrees):
             cols = [J for J in unknowns_keys if _valid(alpha, J)]
@@ -261,8 +241,7 @@ def _solve_monomial(c):
                         j = col_index[face]
                         sign = Fraction(-1 if m % 2 else 1)
                         coeffs[j] = coeffs.get(j, Fraction(0)) + sign
-                rhs = sigmas.get(key, {}).get(alpha, Fraction(0)) \
-                    if key in sigmas else Fraction(0)
+                rhs = sigmas.get(key, {}).get(alpha, Fraction(0))
                 rows.append((coeffs, rhs))
             sol = _solve_exact(rows, len(cols))
             if sol is None:
@@ -397,14 +376,9 @@ def coboundary_solve(c, max_degree=8):
     # expands to Laurent monomials whose poles stay inside its own key's
     # coordinates; registered section units can violate that, in which case
     # only the (never-conclusive) ansatz may run.
-    monomial = all(
-        to_laurent(v) is not None for vals in c.data.values() for v in vals)
-    if monomial:
-        monomial = all(_valid(alpha, key)
-                       for key in c.data for w in range(c.width)
-                       for alpha in _sigma_laurent(c, key, w))
-    if monomial:
-        data = _solve_monomial(c)
+    sigmas = _monomial_sigmas(c)
+    if sigmas is not None:
+        data = _solve_monomial(c, sigmas)
     else:
         data = _solve_ansatz(c, max_degree)
     xi = CechCochain(c.cover, c.lb, c.degree - 1, c.width, data)

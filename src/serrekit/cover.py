@@ -117,18 +117,18 @@ class Cover:
                     f"chart {unit.chart} already has a different registered "
                     "unit")
         self.sunits = tuple(by_chart[c] for c in sorted(by_chart))
-        self._ctxs = {}  # (indices, home) -> Context, filled by `ctx`
+        self._ctxs = {}  # sorted indices -> Context, filled by `ctx`
 
-    def ctx(self, indices, home=None):
-        """The context of an overlap, built once per (indices, home)."""
+    def ctx(self, indices):
+        """The context of an overlap, home its smallest chart, built once."""
         indices = tuple(sorted(set(indices)))
         if not indices or any(i not in self.charts for i in indices):
             raise ShapeViolation(f"bad chart indices {indices}")
-        home = min(indices) if home is None else home
-        ctx = self._ctxs.get((indices, home))
+        ctx = self._ctxs.get(indices)
         if ctx is None:
-            ctx = self._ctxs[indices, home] = Context(
-                self.ambient.kind, self.ambient.dim, home, indices, self.sunits)
+            ctx = self._ctxs[indices] = Context(
+                self.ambient.kind, self.ambient.dim, indices[0], indices,
+                self.sunits)
         return ctx
 
     def chart_ctx(self, i):
@@ -281,18 +281,13 @@ def extend_off_Y(sub):
     cover = sub.cover
     for i in cover.charts:
         for j in cover.charts:
-            if i >= j:
-                continue
-            ctx = cover.ctx((i, j))
-            fi, gi = sub.pair_on(i, ctx)
-            sub.empty_overlap[(i, j)] = is_unit_ideal([fi, gi])
-    for i in cover.charts:
-        for j in cover.charts:
             if i == j:
                 continue
             ctx = cover.ctx((i, j))
             fi, gi = sub.pair_on(i, ctx)
             fj, gj = sub.pair_on(j, ctx)
+            if i < j:  # (i, j) comes before (j, i)
+                sub.empty_overlap[(i, j)] = is_unit_ideal([fi, gi])
             if sub.empty_overlap[(min(i, j), max(i, j))]:
                 ui, vi = unit_certificate(fi, gi)
                 uj, vj = unit_certificate(fj, gj)

@@ -14,6 +14,10 @@ transforms, the selector shape of R, defect annihilation), determinants
 against the line-bundle cocycle on raw and corrected sets, the triple-defect
 column shape, closedness of the obstruction cochain, exactness of the solved
 correction, and the corrected cocycle identity with two-sided inverses.
+
+Check (a) of `verify_glue_identities` is read from the last two columns of
+check (c); it keeps its own report entry until the reference outputs are
+regenerated, since dropping it changes every printed report.
 """
 
 from dataclasses import dataclass, field
@@ -151,7 +155,8 @@ def verify_section_relation(frames):
 
 def verify_glue_identities(Z, lb, frames):
     """Raw-set identities on sorted overlaps and triples:
-      (a) (g_i, -f_i) S_ij = (-1)^{t_i+t_j} h_ij (g_j, -f_j);
+      (a) (g_i, -f_i) S_ij = (-1)^{t_i+t_j} h_ij (g_j, -f_j), read from the
+          last two columns of the two sides of (c);
       (b) R_ij = (f_i; g_i) times the pivot selector row (1 at t_i, with
           column t_j deleted);
       (c) (0..0, g_i, -f_i) Z_ij = (-1)^{t_i+t_j} h_ij (0..0, g_j, -f_j);
@@ -168,12 +173,13 @@ def verify_glue_identities(Z, lb, frames):
         fj, gj, _ = fr_j.on(ctx)
         sgn = fr_i.sign * fr_j.sign
         h = lb.h(i, j, ctx)
-        _, _, R, S = Z.blocks(i, j)
+        _, _, R, _ = Z.blocks(i, j)
 
-        lhs = MatrixL(ctx, [[gi, -fi]]) @ S
-        rhs = MatrixL(ctx, [[gj, -fj]]).scalar_mul(h.scale(sgn))
+        lhs = _mrow(ctx, r, fi, gi) @ Z.Z[(i, j)]
+        rhs = _mrow(ctx, r, fj, gj).scalar_mul(h.scale(sgn))
+        lhsS, rhsS = (MatrixL(ctx, [m.rows[0][-2:]]) for m in (lhs, rhs))
         entries.append(_entry("glue_row_transform_S", f"overlap ({i}, {j})",
-                              lhs == rhs, lhs - rhs))
+                              lhsS == rhsS, lhsS - rhsS))
 
         zero, one = LocElem.zero(ctx), LocElem.one(ctx)
         sel = [[one if m == fr_i.t - 1 else zero
@@ -182,10 +188,8 @@ def verify_glue_identities(Z, lb, frames):
         entries.append(_entry("glue_selector_R", f"overlap ({i}, {j})",
                               R == expected, R - expected))
 
-        lhsZ = _mrow(ctx, r, fi, gi) @ Z.Z[(i, j)]
-        rhsZ = _mrow(ctx, r, fj, gj).scalar_mul(h.scale(sgn))
         entries.append(_entry("glue_row_transform_Z", f"overlap ({i}, {j})",
-                              lhsZ == rhsZ, lhsZ - rhsZ))
+                              lhs == rhs, lhs - rhs))
 
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))

@@ -9,7 +9,7 @@ import pytest
 from serrekit.algebra import (
     Context, LocElem, MatrixL, Poly, SUnit, divide_exact, format_poly,
     from_blocks, from_laurent, grevlex_key, homogenize, dehomogenize,
-    parse_poly, to_laurent, transport, unit_decomposition,
+    parse_poly, to_laurent, transport,
 )
 from serrekit.cover import AmbientSpec, LineBundleData
 from serrekit.errors import PreconditionViolated
@@ -143,27 +143,25 @@ def test_locelem_arithmetic_matches_evaluation():
         assert _eval_loc(a - b, pt) == _eval_loc(a, pt) - _eval_loc(b, pt)
 
 
-def test_unit_decomposition_and_inverse():
-    ctx = _ctx((0, 1, 3), dim=3)
-    x1, x3 = ctx.parse("x1"), ctx.parse("x3")
-    e = LocElem(ctx, x1 * x1 * x3 * (-3), {})
-    c, exps = unit_decomposition(e)
-    assert c == -3 and exps == {"c1": 2, "c3": 1}
-    inv = LocElem.one(ctx) / e
-    assert (e * inv) == LocElem.one(ctx)
-    assert unit_decomposition(LocElem(ctx, x1 + x3, {})) is None
-    assert unit_decomposition(LocElem.zero(ctx)) is None
-
-
 def test_unit_decomposition_section_unit_first():
-    # A non-monomial registered unit must be extracted before its monomial
-    # factors are eaten by coordinate units.
+    # A non-monomial registered unit must be cancelled before its monomial
+    # factors are eaten by coordinate units: x1 first would leave
+    # (x1 + 1) / s1 instead of 1 / c1.
     s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))  # x1*(x1+x0)
     ctx = Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))
-    su = ctx.unit_poly("s1")
-    e = LocElem(ctx, su, {})
-    c, exps = unit_decomposition(e)
-    assert c == 1 and exps == {"s1": 1}
+    e = LocElem(ctx, ctx.unit_poly("s1"), {"c1": 1, "s1": 1})
+    assert e.num == Poly.const(2, 1) and e.den == {"c1": 1}
+
+
+def test_denominator_exponents_are_ints():
+    ctx = _ctx((0, 1, 3), dim=3)
+    num = ctx.parse("x1 + 1")
+    for bad in (1.5, "2", True):
+        with pytest.raises(ValueError, match="not an int"):
+            LocElem(ctx, num, {"c1": bad})
+    with pytest.raises(ValueError, match="must be positive"):
+        LocElem(ctx, num, {"c1": -1})
+    assert LocElem(ctx, num, {"c1": 0, "c3": 2}).den == {"c3": 2}
 
 
 def test_unit_poly_answers_only_unit_keys():
@@ -183,17 +181,6 @@ def test_unit_poly_answers_only_unit_keys():
     for key in ("axes", "c01"):
         with pytest.raises(KeyError):
             LocElem(ctx, Poly.const(2, 2), {key: 1})
-
-
-def test_division_by_unit():
-    ctx = _ctx((1, 2), home=2, dim=2)
-    x0, x1 = ctx.parse("x0"), ctx.parse("x1")
-    num = LocElem(ctx, x0 + x1, {})
-    u = LocElem(ctx, x1 * 2, {})
-    q = num / u
-    assert q * u == num
-    with pytest.raises(PreconditionViolated):
-        num / LocElem(ctx, x0 + x1, {})
 
 
 # -- reference implementations of the fast paths ------------------------------
@@ -240,29 +227,6 @@ def _normalize_reference(ctx, num, den):
         if den[key] == 0:
             del den[key]
     return num, den
-
-
-def _unit_decomposition_reference(e):
-    if e.is_zero():
-        return None
-    x = e.num
-    extracted = {}
-    for key in sorted(e.ctx.unit_keys(), key=_unit_order):
-        u = e.ctx.unit_poly(key)
-        while True:
-            q = _divide_exact_reference(x, u)
-            if q is None or q.is_zero():
-                break
-            extracted[key] = extracted.get(key, 0) + 1
-            x = q
-    if not x.is_constant():
-        return None
-    exps = {}
-    for key in set(extracted) | set(e.den):
-        a = extracted.get(key, 0) - e.den.get(key, 0)
-        if a:
-            exps[key] = a
-    return x.constant_value(), exps
 
 
 def _cross_equal(a, b):
@@ -327,27 +291,6 @@ def test_normalization_matches_reference():
         e = LocElem(cctx, num, den)
         assert (e.num, e.den) == _normalize_reference(cctx, num, den)
     assert cancelled > 100
-
-
-def test_unit_decomposition_matches_reference():
-    rng = random.Random(71)
-    ctx = _unit_ctx()
-    keys = ctx.unit_keys()
-    units = 0
-    for _ in range(400):
-        if rng.random() < 0.6:
-            num = Poly.const(2, Fraction(rng.choice([-3, -1, 2, 5]),
-                                         rng.randint(1, 4)))
-            for key in keys:
-                num = num * ctx.unit_poly(key) ** rng.randint(0, 2)
-        else:
-            num = _rand_unit_multiple(rng, ctx, keys)
-        den = {k: rng.randint(0, 2) for k in keys}
-        e = LocElem(ctx, num, den, normalize=rng.random() < 0.5)
-        got = unit_decomposition(e)
-        assert got == _unit_decomposition_reference(e)
-        units += got is not None
-    assert units > 150
 
 
 def test_locelem_equality_matches_cross_multiplication():
@@ -763,9 +706,9 @@ def test_matrix_det_random_multiplicative():
 def test_from_blocks():
     ctx = _ctx((0,), dim=2)
     i2 = MatrixL.identity(ctx, 2)
-    z = MatrixL.zeros(ctx, 2, 1)
     col = MatrixL(ctx, [[LocElem.one(ctx)], [LocElem.one(ctx)]])
-    m = from_blocks(ctx, [[i2, col], [z.transpose(), MatrixL.identity(ctx, 1)]])
+    m = from_blocks(ctx, [[i2, col],
+                          [MatrixL.zeros(ctx, 1, 2), MatrixL.identity(ctx, 1)]])
     assert m.shape == (3, 3)
     assert m[0, 2] == LocElem.one(ctx)
     assert m[2, 0].is_zero()

@@ -215,6 +215,32 @@ def test_dependency_locus_witness_names_generator(tmp_path, capsys, row, num,
     assert not entry["passed"] and entry["witness"] == witness
 
 
+def _matrix_witness(text):
+    assert text.startswith("MatrixL([") and text.endswith("])")
+    return text[len("MatrixL(["):-len("])")].split(", ")
+
+
+def test_glue_row_transform_S_is_the_tail_of_Z(tmp_path, capsys):
+    # rank 4: S_01 is raw[2:4][2:4], so the row transform of S is the last
+    # two columns of the row transform of Z.  Charts 0 and 1 miss the line,
+    # (f, g) = (1, 0) there, so the functional (0, 0, g, -f) reads row 3.
+    doc = json.loads((CORPUS / "refs" / "line_p3_r4.json").read_text(
+        encoding="utf-8"))
+    raw = doc["overlaps"]["0,1"]["raw"]
+    assert raw[3][2]["num"] == "0"
+    raw[3][2]["num"] = "x1"
+    code, out, _ = run_cli(capsys, "verify",
+                           write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1
+    on_01 = {e["check"]: e for e in json.loads(out)
+             if e["scope"] == "overlap (0, 1)"}
+    s, z = on_01["glue_row_transform_S"], on_01["glue_row_transform_Z"]
+    assert not s["passed"] and not z["passed"]
+    tail = _matrix_witness(s["witness"])
+    assert len(tail) == 2 and tail != ["0", "0"]
+    assert tail == _matrix_witness(z["witness"])[-2:]
+
+
 # Each edit puts the key "x" where a chart index belongs; an uncaught
 # ValueError would escape `main` and fail the test.
 NON_INTEGER_KEY_EDITS = {
