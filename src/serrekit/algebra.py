@@ -581,8 +581,8 @@ class LocElem:
                 raise ValueError(f"denominator exponent {e!r} is not an int")
             if e < 0:
                 raise ValueError("denominator exponents must be positive")
+            ctx.unit_poly(key)  # raises KeyError if unavailable, even for 0
             if e:
-                ctx.unit_poly(key)  # raises KeyError if unavailable
                 clean[key] = e
         den = clean
         if normalize:

@@ -7,8 +7,8 @@ subscheme misses are completed with the canonical pair (1, 0).  Sections are
 (r-1)-tuples per chart; loading selects each chart's pivot component t_i,
 fixes a section unit where the pivot is not already invertible (a cover's
 units are set when it is built, so loading ends on a new cover carrying
-them), builds the 2x2 overlap matrices A_ij, and validates the overlap
-compatibility of the sections.
+them), builds one 2x2 matrix A_ij per sorted overlap i < j, and validates
+the overlap compatibility of the sections there.
 
 The field readers `need`, `chart_key`, `chart_table` and `poly_field` are
 the one place where the input and bundle documents are read: a field has
@@ -20,6 +20,7 @@ chart appears at most once, and a polynomial is a JSON string.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .algebra import (Context, LocElem, MatrixL, SUnit, chart_monomial,
                       dehomogenize, homogenize, is_homogeneous, parse_poly,
@@ -181,7 +182,7 @@ class SubschemeData:
     mode: str
     pairs: dict            # chart -> (f, g) as LocElems in the chart context
     meets_Y: dict          # chart -> bool
-    A: dict = field(default_factory=dict)      # ordered (i, j) -> 2x2 MatrixL
+    A: dict = field(default_factory=dict)  # sorted (i, j), i < j -> 2x2 A_ij
     empty_overlap: dict = field(default_factory=dict)  # sorted (i, j) -> bool
 
     def pair_on(self, i, ctx):
@@ -260,47 +261,41 @@ def load_subscheme(cover, doc):
     sub = SubschemeData(cover, mode, pairs, meets)
     if mode == "charts":
         # overlap consistency of declared ideals
-        for i in cover.charts:
-            for j in cover.charts:
-                if i >= j:
-                    continue
-                ctx = cover.ctx((i, j))
-                fi, gi = sub.pair_on(i, ctx)
-                fj, gj = sub.pair_on(j, ctx)
-                if not ideal_equal([fi, gi], [fj, gj]):
-                    raise PreconditionViolated(
-                        f"chart pairs {i} and {j} generate different ideals "
-                        "on their overlap", stage="subscheme")
+        for i, j in combinations(cover.charts, 2):
+            ctx = cover.ctx((i, j))
+            fi, gi = sub.pair_on(i, ctx)
+            fj, gj = sub.pair_on(j, ctx)
+            if not ideal_equal([fi, gi], [fj, gj]):
+                raise PreconditionViolated(
+                    f"chart pairs {i} and {j} generate different ideals on "
+                    "their overlap", stage="subscheme")
     return sub
 
 
 def extend_off_Y(sub):
-    """Build the 2x2 matrices A_ij with (f_i; g_i) = A_ij (f_j; g_j), exactly,
-    for every ordered overlap, using lifts where the overlap meets Y and the
-    unit-certificate product form where it does not."""
+    """Build the 2x2 matrix A_ij with (f_i; g_i) = A_ij (f_j; g_j), exactly,
+    on every sorted overlap i < j, using lifts where the overlap meets Y and
+    the unit-certificate product form where it does not.  No A_ji is built:
+    no step reads one (see `load_sections`)."""
     cover = sub.cover
-    for i in cover.charts:
-        for j in cover.charts:
-            if i == j:
-                continue
-            ctx = cover.ctx((i, j))
-            fi, gi = sub.pair_on(i, ctx)
-            fj, gj = sub.pair_on(j, ctx)
-            if i < j:  # (i, j) comes before (j, i)
-                sub.empty_overlap[(i, j)] = is_unit_ideal([fi, gi])
-            if sub.empty_overlap[(min(i, j), max(i, j))]:
-                ui, vi = unit_certificate(fi, gi)
-                uj, vj = unit_certificate(fj, gj)
-                left = MatrixL(ctx, [[fi, -vi], [gi, ui]])
-                right = MatrixL(ctx, [[uj, vj], [-gj, fj]])
-                a = left @ right
-            else:
-                top = lift_pair(fi, fj, gj)
-                bot = lift_pair(gi, fj, gj)
-                a = MatrixL(ctx, [[top[0], top[1]], [bot[0], bot[1]]])
-            if a.matvec((fj, gj)) != (fi, gi):
-                raise AssertionError("gluing identity failed re-verification")
-            sub.A[(i, j)] = a
+    for i, j in combinations(cover.charts, 2):
+        ctx = cover.ctx((i, j))
+        fi, gi = sub.pair_on(i, ctx)
+        fj, gj = sub.pair_on(j, ctx)
+        sub.empty_overlap[(i, j)] = is_unit_ideal([fi, gi])
+        if sub.empty_overlap[(i, j)]:
+            ui, vi = unit_certificate(fi, gi)
+            uj, vj = unit_certificate(fj, gj)
+            left = MatrixL(ctx, [[fi, -vi], [gi, ui]])
+            right = MatrixL(ctx, [[uj, vj], [-gj, fj]])
+            a = left @ right
+        else:
+            top = lift_pair(fi, fj, gj)
+            bot = lift_pair(gi, fj, gj)
+            a = MatrixL(ctx, [[top[0], top[1]], [bot[0], bot[1]]])
+        if a.matvec((fj, gj)) != (fi, gi):
+            raise AssertionError("gluing identity failed re-verification")
+        sub.A[(i, j)] = a
     return sub
 
 
@@ -344,7 +339,15 @@ def load_sections(cover, lb, sub, doc, rank):
     replaces sub.cover and the chart pairs and section tuples are moved onto
     it.  Then the overlap matrices are built and the section compatibility
     s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) is enforced on every
-    ordered overlap.
+    sorted overlap i < j.
+
+    The reversed check, s_j = (det A_ji / h_ji) s_i mod (f_j, g_j), is
+    implied: (f_i, g_i) and (f_j, g_j) generate the same ideal I on the
+    overlap, and the rows of A_ij A_ji - 1 are syzygies of (f_i, g_i), a
+    regular pair there, so they lie in I and det A_ij det A_ji = 1 mod I.
+    With h_ij h_ji = 1 the two checks then hold or fail together, component
+    by component; as an ordered loop meets (i, j) before (j, i), the sorted
+    loop also reports the same first failure.
     """
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")
@@ -416,20 +419,17 @@ def load_sections(cover, lb, sub, doc, rank):
     secs = SectionData(sections, t_map, tier_map, rank)
     extend_off_Y(sub)
 
-    for i in cover.charts:
-        for j in cover.charts:
-            if i == j:
-                continue
-            ctx = cover.ctx((i, j))
-            fi, gi = sub.pair_on(i, ctx)
-            factor = sub.A[(i, j)].det() * lb.h(j, i, ctx)  # det A_ij / h_ij
-            for m in range(rank - 1):
-                si = transport(secs.sections[i][m], ctx)
-                sj = transport(secs.sections[j][m], ctx)
-                residue = si - factor * sj
-                if not residue.is_zero():
-                    if not in_ideal(residue, [fi, gi]):
-                        raise CompatibilityFailure(
-                            f"sections {m + 1} on overlap ({i}, {j}) are not "
-                            "compatible modulo (f, g)")
+    for i, j in combinations(cover.charts, 2):
+        ctx = cover.ctx((i, j))
+        fi, gi = sub.pair_on(i, ctx)
+        factor = sub.A[(i, j)].det() * lb.h(j, i, ctx)  # det A_ij / h_ij
+        for m in range(rank - 1):
+            si = transport(secs.sections[i][m], ctx)
+            sj = transport(secs.sections[j][m], ctx)
+            residue = si - factor * sj
+            if not residue.is_zero():
+                if not in_ideal(residue, [fi, gi]):
+                    raise CompatibilityFailure(
+                        f"sections {m + 1} on overlap ({i}, {j}) are not "
+                        "compatible modulo (f, g)")
     return secs

@@ -45,25 +45,34 @@ def _lift(p, f, g, order):
     return lift_pair(p, f, g)
 
 
-def _rank_one(x, t, fi, gi, fj, gj, r):
-    """The r x r rank-one coboundary update u (0, ..., 0, g_j, -f_j) with
-    u = (x without entry t; f_i x_t; g_i x_t): the shape of the triple
-    defect, of the correction and of the difference of two builds."""
-    ctx, xt = fi.ctx, x[t - 1]
+def _rank_one(val, fr_i, fr_j, ctx, r):
+    """(x, u (0, ..., 0, g_j, -f_j)) for the cochain value val on ctx, with
+    x = (-1)^{t_j} T'_i val and u = (x without entry t_i; f_i x_t; g_i x_t):
+    the r x r shape of the triple defect, of the correction and of the
+    difference of two builds."""
+    fi, gi, _ = fr_i.on(ctx)
+    fj, gj, _ = fr_j.on(ctx)
+    t = fr_i.t
+    x = [e.scale(fr_j.sign) for e in fr_i.apply(val, ctx)]
+    u = x[:t - 1] + x[t:] + [fi * x[t - 1], gi * x[t - 1]]
     zero = LocElem.zero(ctx)
-    u = x[:t - 1] + x[t:] + [fi * xt, gi * xt]
-    return MatrixL(ctx, [[zero] * (r - 2) + [e * gj, -(e * fj)] for e in u])
+    return x, MatrixL(ctx, [[zero] * (r - 2) + [e * gj, -(e * fj)] for e in u])
 
 
-def _rank_one_factor(D, t, fi, gi, fj, gj):
-    """The x with D == _rank_one(x, t, fi, gi, fj, gj, r): every row of D's
-    last two columns is Koszul-divided by (g_j, -f_j), then the two pivot
-    rows by (f_i, g_i); a row of two zeros gives 0 without a division.
-    Raises a SerreError when a division does not exist."""
+def _rank_one_value(D, fr_i, fr_j, ctx):
+    """The val with D == `_rank_one`(val, fr_i, fr_j, ctx, r)[1]: D's last
+    two columns are Koszul-divided row by row by (g_j, -f_j), the two pivot
+    rows by (f_i, g_i) (two zeros give 0), and x = (-1)^{t_j} T'_i val is
+    solved for val.  Raises a SerreError when a division does not exist."""
     def divide(a, b, f, g):
         return a if a.is_zero() and b.is_zero() else koszul_divide(a, b, f, g)
+    fi, gi, _ = fr_i.on(ctx)
+    fj, gj, _ = fr_j.on(ctx)
+    t = fr_i.t
     w = [divide(row[-2], -row[-1], fj, gj) for row in D.rows]
-    return w[:t - 1] + [divide(w[-1], w[-2], fi, gi)] + w[t - 1:-2]
+    x = w[:t - 1] + [divide(w[-1], w[-2], fi, gi)] + w[t - 1:-2]
+    return tuple(e.scale(fr_j.sign)
+                 for e in fr_i.apply(x, ctx, inverse=True))
 
 
 def off_columns(D):
@@ -83,8 +92,8 @@ class FrameData:
     from them when not given, and a loaded document supplies its own, which
     the verify suite then checks.  `on(ctx)` restricts (f, g, s) to an
     overlap once, and `M_on(ctx)` restricts M once; `apply` multiplies T' or
-    T'^{-1} into a vector there, which carries the vectors x of the rank-one
-    updates (`_rank_one`).
+    T'^{-1} into a vector there, which carries a cochain value to the vector
+    x of its rank-one update and back (`_rank_one`, `_rank_one_value`).
 
     By construction (D, D' delete the pivot row, column) D T' D' = I,
     T'' D' = 0, and, as s[t-1] == sign, D T' s = 0, T'' s = sign (f; g).
@@ -154,8 +163,8 @@ class FrameData:
 class TransitionSet:
     """Transition matrices on sorted overlaps.
 
-    Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2
-    (see `blocks`); rows/columns are ordered with the pivot rows moved last.
+    Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2;
+    rows/columns are ordered with the pivot rows moved last.
     Inverse and reversed transitions are derived, not stored in Z:
     det Z_ij = h_ij makes Z_ij^{-1} = adjugate(Z_ij) * h_ji.  A set keeps
     what it derives (reversed transitions from `get`, `det`, `defect`), so
@@ -202,16 +211,6 @@ class TransitionSet:
                                   @ self.get(j, k).transport_to(ctx))
         return self._derived[key]
 
-    def blocks(self, i, j):
-        """(P, Q, R, S), the blocks of Z_ij on a sorted overlap (i, j)."""
-        Z = self.Z[(i, j)]
-        k = self.rank - 2
-        top, bottom = Z.rows[:k], Z.rows[k:]
-        return (MatrixL(Z.ctx, [row[:k] for row in top]),
-                MatrixL(Z.ctx, [row[k:] for row in top]),
-                MatrixL(Z.ctx, [row[:k] for row in bottom]),
-                MatrixL(Z.ctx, [row[k:] for row in bottom]))
-
 
 @dataclass
 class IsomorphismData:
@@ -244,9 +243,9 @@ def normalize_generators(sub, secs):
     """Rescale each chart so the pivot section equals (-1)^t exactly.
 
     Per chart with pivot position t and pivot value p: f <- f / p,
-    g <- (-1)^t g, s <- (-1)^t s / p.  Every stored overlap matrix A is
-    conjugated by the corresponding diagonal units so A (f_j; g_j) = (f_i; g_i)
-    keeps holding exactly.  Mutates and returns (sub, secs).
+    g <- (-1)^t g, s <- (-1)^t s / p.  Each A_ij (sorted, i < j) is
+    conjugated by the corresponding diagonal units so A_ij (f_j; g_j) =
+    (f_i; g_i) keeps holding exactly.  Mutates and returns (sub, secs).
     """
     cover = sub.cover
     pivots, invs, signs = {}, {}, {}
@@ -411,10 +410,9 @@ def obstruction(Z, frames):
     """Extract the triple-overlap defect as an exact degree-2 cocycle.
 
     D = Z_ik - Z_ij Z_jk must vanish outside its last two columns and factor
-    as D = `_rank_one`(beta, t_i, f_i, g_i, f_k, g_k); beta pulled back
-    through T'_i^{-1} and signed by (-1)^{t_k} is the value on (i, j, k) of
-    the returned degree-2 cochain, with values in r-1 copies of the dual
-    line bundle."""
+    as the rank-one update of a value (`_rank_one_value`(D, frame_i,
+    frame_k)): the value on (i, j, k) of the returned degree-2 cochain, with
+    values in r-1 copies of the dual line bundle."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
     data = {}
     for i, j, k in combinations(cover.charts, 3):
@@ -424,39 +422,28 @@ def obstruction(Z, frames):
             raise ShapeViolation(
                 f"triple ({i}, {j}, {k}): defect has entries outside the "
                 "final two columns", stage="glue")
-        fr_i, fr_k = frames[i], frames[k]
-        fi, gi, _ = fr_i.on(ctx)
-        fk, gk, _ = fr_k.on(ctx)
         try:
-            beta = _rank_one_factor(D, fr_i.t, fi, gi, fk, gk)
+            data[(i, j, k)] = _rank_one_value(D, frames[i], frames[k], ctx)
         except SerreError as exc:
             raise ShapeViolation(
                 f"triple ({i}, {j}, {k}): defect block does not factor "
                 f"through the chart pairs ({exc})", stage="glue")
-        val = tuple(e.scale(fr_k.sign)
-                    for e in fr_i.apply(beta, ctx, inverse=True))
-        if any(not e.is_zero() for e in val):
-            data[(i, j, k)] = val
     return CechCochain(cover, lb, 2, r - 1, data)
 
 
 def correct(Z, obs, frames, max_degree=8):
     """Solve d xi = obs for the obstruction cochain obs and add the solution
-    to every transition: with x_ij = (-1)^{t_j} T'_i xi_ij, Z_ij gains the
-    rank-one update `_rank_one`(x_ij, t_i, f_i, g_i, f_j, g_j), so Q and S
-    change and P and R do not.  The corrected set satisfies Z_ik = Z_ij Z_jk
-    exactly on every triple, with det and M-transport preserved.  Returns
-    (corrected set, xi)."""
+    to every transition: Z_ij gains the rank-one update `_rank_one`(xi_ij,
+    frame_i, frame_j), so Q and S change and P and R do not.  The corrected
+    set satisfies Z_ik = Z_ij Z_jk exactly on every triple, with det and
+    M-transport preserved.  Returns (corrected set, xi)."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
     xi = coboundary_solve(obs, max_degree=max_degree)
     newZ = {}
     for i, j in Z.pairs:
-        ctx = cover.ctx((i, j))
-        fr_i, fr_j = frames[i], frames[j]
-        fi, gi, _ = fr_i.on(ctx)
-        fj, gj, _ = fr_j.on(ctx)
-        x = [e.scale(fr_j.sign) for e in fr_i.apply(xi.get((i, j)), ctx)]
-        newZ[(i, j)] = Z.Z[(i, j)] + _rank_one(x, fr_i.t, fi, gi, fj, gj, r)
+        _, U = _rank_one(xi.get((i, j)), frames[i], frames[j],
+                         cover.ctx((i, j)), r)
+        newZ[(i, j)] = Z.Z[(i, j)] + U
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
                               pairs=Z.pairs, Z=newZ, branch=dict(Z.branch))
     _check_glue(corrected, frames)
@@ -473,11 +460,11 @@ def compare_bundles(A, B, max_degree=8):
     """Decide whether two builds over identical local data are isomorphic.
 
     Each dZ = Z'_ij - Z_ij must vanish outside its last two columns and
-    factor like a triple defect, dZ = `_rank_one`(x_ij, t_i, f_i, g_i, f_j,
-    g_j); x pulled back through T'_i^{-1} is a degree-1 cocycle xi, delta(Y)
-    = xi is solved, and with y_i = (-1)^{t_i} T'_i Y_i the automorphisms
-    N_i = I + `_rank_one`(y_i, t_i, f_i, g_i, f_i, g_i) are returned after
-    checking det N_i = 1, N_i M_i = M_i and Z_ij N_j = N_i Z'_ij exactly."""
+    factor like a triple defect, dZ = `_rank_one`(xi_ij, frame_i, frame_j);
+    the values xi_ij (`_rank_one_value`) form a degree-1 cocycle xi,
+    delta(Y) = xi is solved, and with (y_i, U_i) = `_rank_one`(Y_i, frame_i,
+    frame_i) the automorphisms N_i = I + U_i are returned after checking
+    det N_i = 1, N_i M_i = M_i and Z_ij N_j = N_i Z'_ij exactly."""
     if A.ambient != B.ambient:
         raise FormMismatch("the two bundles live on different ambient spaces")
     if A.lb.twist != B.lb.twist:
@@ -510,21 +497,16 @@ def compare_bundles(A, B, max_degree=8):
             raise FormMismatch(
                 f"overlap ({i}, {j}): frame blocks differ; the transition "
                 "sets are not comparable")
-        fi, gi, _ = fr_i.on(ctx)
-        fj, gj, _ = fr_j.on(ctx)
         try:
-            x = _rank_one_factor(dZ, fr_i.t, fi, gi, fj, gj)
-            rank_one = dZ == _rank_one(x, fr_i.t, fi, gi, fj, gj, r)
+            val = _rank_one_value(dZ, fr_i, fr_j, ctx)
+            rank_one = dZ == _rank_one(val, fr_i, fr_j, ctx, r)[1]
         except SerreError:
             rank_one = False
         if not rank_one:
             raise FormMismatch(
                 f"overlap ({i}, {j}): block difference is not of coboundary "
                 "shape")
-        val = tuple(e.scale(fr_j.sign)
-                    for e in fr_i.apply(x, ctx, inverse=True))
-        if any(not e.is_zero() for e in val):
-            data[(i, j)] = val
+        data[(i, j)] = val
 
     xi = CechCochain(A.cover, A.lb, 1, r - 1, data)
     try:
@@ -539,9 +521,8 @@ def compare_bundles(A, B, max_degree=8):
     for i in A.cover.charts:
         fr = A.frames[i]
         ctx = fr.f.ctx
-        y = [e.scale(fr.sign) for e in fr.apply(Y.get((i,)), ctx)]
-        N = (MatrixL.identity(ctx, r)
-             + _rank_one(y, fr.t, fr.f, fr.g, fr.f, fr.g, r))
+        y, U = _rank_one(Y.get((i,)), fr, fr, ctx, r)
+        N = MatrixL.identity(ctx, r) + U
         if N.det() != LocElem.one(ctx):
             raise FormMismatch(f"chart {i}: automorphism determinant is not 1")
         if N @ fr.M != fr.M:

@@ -173,7 +173,7 @@ def verify_glue_identities(Z, lb, frames):
         fj, gj, _ = fr_j.on(ctx)
         sgn = fr_i.sign * fr_j.sign
         h = lb.h(i, j, ctx)
-        _, _, R, _ = Z.blocks(i, j)
+        R = MatrixL(ctx, [row[:r - 2] for row in Z.Z[(i, j)].rows[r - 2:]])
 
         lhs = _mrow(ctx, r, fi, gi) @ Z.Z[(i, j)]
         rhs = _mrow(ctx, r, fj, gj).scalar_mul(h.scale(sgn))

@@ -164,6 +164,18 @@ def test_denominator_exponents_are_ints():
     assert LocElem(ctx, num, {"c1": 0, "c3": 2}).den == {"c3": 2}
 
 
+def test_unknown_unit_key_rejected_with_any_exponent():
+    # A key the context has no unit for is an error even when its exponent
+    # is 0 and would be dropped; a known key with exponent 0 is still fine.
+    ctx = _ctx((0, 1, 3), dim=3)
+    num = ctx.parse("x1 + 1")
+    for den in ({"bogus": 0}, {"bogus": 1}, {"bogus": 0, "axes": 0},
+                {"c2": 0}, {"s1": 0}):
+        with pytest.raises(KeyError):
+            LocElem(ctx, num, den)
+    assert LocElem(ctx, num, {"c1": 0}) == LocElem(ctx, num)
+
+
 def test_unit_poly_answers_only_unit_keys():
     # The memo entries beside the units ("axes", a saturated basis) and a
     # non-canonical spelling of a unit key are no units of the context.

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
-from serrekit.algebra import LocElem
+from serrekit.algebra import LocElem, MatrixL, transport
 from serrekit.cover import (AmbientSpec, LineBundleData, extend_off_Y,
                             load_sections, load_subscheme, standard_cover)
 from serrekit.errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                              PreconditionViolated, ShapeViolation)
-from serrekit.ideals import is_unit_ideal
+from serrekit.ideals import in_ideal, is_unit_ideal, lift_pair, unit_certificate
 
 
 def _p3():
@@ -95,14 +97,13 @@ def test_extend_off_Y_gluing_identity():
     cover = _p3()
     sub = load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
     extend_off_Y(sub)
-    for i in cover.charts:
-        for j in cover.charts:
-            if i == j:
-                continue
-            ctx = cover.ctx((i, j))
-            fi, gi = sub.pair_on(i, ctx)
-            fj, gj = sub.pair_on(j, ctx)
-            assert sub.A[(i, j)].matvec((fj, gj)) == (fi, gi)
+    # one matrix per sorted overlap; no reversed A_ji is built
+    assert set(sub.A) == set(itertools.combinations(cover.charts, 2))
+    for i, j in itertools.combinations(cover.charts, 2):
+        ctx = cover.ctx((i, j))
+        fi, gi = sub.pair_on(i, ctx)
+        fj, gj = sub.pair_on(j, ctx)
+        assert sub.A[(i, j)].matvec((fj, gj)) == (fi, gi)
     # overlap emptiness: U_2 cap U_3 still meets the line x0 = x1 = 0
     assert sub.empty_overlap[(2, 3)] is False
     assert sub.empty_overlap[(0, 1)] is True
@@ -159,12 +160,96 @@ def test_load_sections_compatibility_failure():
     # residue at the point gives 1 - 2*det A(point) != 0 for det = +-1).
     cover = _p2()
     lb = LineBundleData(cover.ambient, 0)
-    doc = {"mode": "charts", "pairs": {
-        "0": ["x1 - 1", "x2 - 1"],
-        "1": ["x0 - 1", "x2 - 1"],
-        "2": ["x0 - 1", "x1 - 1"],
-    }}
-    sub = load_subscheme(cover, doc)
+    sub = load_subscheme(cover, _THREE_POINT_DOC)
+    with pytest.raises(CompatibilityFailure, match=r"overlap \(0, 1\)"):
+        load_sections(cover, lb, sub, _THREE_POINT_SECTIONS, rank=2)
+
+
+# -- the reversed compatibility check ----------------------------------------
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+_THREE_POINT_DOC = {"mode": "charts", "pairs": {
+    "0": ["x1 - 1", "x2 - 1"],
+    "1": ["x0 - 1", "x2 - 1"],
+    "2": ["x0 - 1", "x1 - 1"],
+}}
+_THREE_POINT_SECTIONS = {"0": ["1"], "1": ["2"], "2": ["1"]}
+
+
+def _reversed_A(sub, i, j):
+    """A_ji for a sorted overlap i < j, with (f_j; g_j) = A_ji (f_i; g_i),
+    built the way `extend_off_Y` builds A_ij: from unit certificates where
+    the overlap misses Y, by `lift_pair` where it meets it."""
+    ctx = sub.cover.ctx((i, j))
+    fi, gi = sub.pair_on(i, ctx)
+    fj, gj = sub.pair_on(j, ctx)
+    if sub.empty_overlap[(i, j)]:
+        ui, vi = unit_certificate(fi, gi)
+        uj, vj = unit_certificate(fj, gj)
+        a = (MatrixL(ctx, [[fj, -vj], [gj, uj]])
+             @ MatrixL(ctx, [[ui, vi], [-gi, fi]]))
+    else:
+        top, bot = lift_pair(fj, fi, gi), lift_pair(gj, fi, gi)
+        a = MatrixL(ctx, [list(top), list(bot)])
+    assert a.matvec((fi, gi)) == (fj, gj)
+    return a
+
+
+def _compatible(s, t, factor, f, g):
+    """s = factor * t modulo (f, g)."""
+    residue = s - factor * t
+    return residue.is_zero() or in_ideal(residue, [f, g])
+
+
+def _check_reversed_is_implied(sub, lb, sections, rank):
+    """Reference for the lemma in `load_sections`: run the section
+    compatibility check on both orders (i, j) and (j, i) of every overlap,
+    with A_ji from `_reversed_A`.  Asserts det A_ij det A_ji = 1 modulo
+    (f_i, g_i) and that the two orders agree, component by component.
+    Returns the sorted verdicts {(i, j, m): compatible}."""
+    verdicts = {}
+    for i, j in itertools.combinations(sub.cover.charts, 2):
+        ctx = sub.cover.ctx((i, j))
+        fi, gi = sub.pair_on(i, ctx)
+        fj, gj = sub.pair_on(j, ctx)
+        A_ij, A_ji = sub.A[(i, j)], _reversed_A(sub, i, j)
+        unit = A_ij.det() * A_ji.det() - LocElem.one(ctx)
+        assert unit.is_zero() or in_ideal(unit, [fi, gi]), (i, j)
+        forward = A_ij.det() * lb.h(j, i, ctx)     # det A_ij / h_ij
+        backward = A_ji.det() * lb.h(i, j, ctx)    # det A_ji / h_ji
+        for m in range(rank - 1):
+            si = transport(sections[i][m], ctx)
+            sj = transport(sections[j][m], ctx)
+            verdict = _compatible(si, sj, forward, fi, gi)
+            assert _compatible(sj, si, backward, fj, gj) == verdict, (i, j, m)
+            verdicts[(i, j, m)] = verdict
+    return verdicts
+
+
+@pytest.mark.parametrize("path", sorted(INPUTS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_reversed_compatibility_check_is_implied(path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    cover = standard_cover(AmbientSpec(doc["ambient"]["kind"],
+                                       doc["ambient"]["dim"]))
+    lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
+    sub = load_subscheme(cover, doc["subscheme"])
+    secs = load_sections(cover, lb, sub, doc.get("sections"), doc["rank"])
+    verdicts = _check_reversed_is_implied(sub, lb, secs.sections, secs.rank)
+    assert verdicts and all(verdicts.values())
+
+
+def test_reversed_compatibility_check_fails_with_the_sorted_one():
+    cover = _p2()
+    lb = LineBundleData(cover.ambient, 0)
+    sub = load_subscheme(cover, _THREE_POINT_DOC)
     with pytest.raises(CompatibilityFailure):
-        load_sections(cover, lb, sub, {"0": ["1"], "1": ["2"], "2": ["1"]},
-                      rank=2)
+        load_sections(cover, lb, sub, _THREE_POINT_SECTIONS, rank=2)
+    # constant sections need no section unit, so sub keeps this cover and
+    # the A_ij built before the failure
+    assert sub.cover is cover
+    sections = {int(c): (LocElem.const(cover.chart_ctx(int(c)), int(v[0])),)
+                for c, v in _THREE_POINT_SECTIONS.items()}
+    verdicts = _check_reversed_is_implied(sub, lb, sections, 2)
+    assert not verdicts[(0, 1, 0)]
