@@ -188,10 +188,14 @@ class Poly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Poly.const(self.arity, 1)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
+        out, base = None, self      # square and multiply
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def evaluate(self, point):
         if len(point) != self.arity:
@@ -500,6 +504,17 @@ class Context:
                 tuple(k for k in range(self.dim + 1) if k != self.home))
         object.__setattr__(self, "_memo", {"axes": axes})
         object.__setattr__(self, "_units", {})
+
+    def __eq__(self, other):
+        # the generated field compare, after an identity test: contexts come
+        # from `Cover.ctx`, so the two sides are nearly always one object
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.dim, self.home, self.indices, self.sunits)
+                == (other.kind, other.dim, other.home, other.indices,
+                    other.sunits))
 
     @property
     def nvars(self):

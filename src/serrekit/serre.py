@@ -169,6 +169,11 @@ class TransitionSet:
     det Z_ij = h_ij makes Z_ij^{-1} = adjugate(Z_ij) * h_ji.  A set keeps
     what it derives (reversed transitions from `get`, `det`, `defect`), so
     the build and the verify suite compute each once.
+
+    Invariant, checked at construction (ValueError): Z is keyed by exactly
+    `pairs`, each sorted i < j.  A stored reversed Z_ji would bypass
+    adj(Z_ij) h_ji, and `verify_cocycle` and `verify_det` read the reversed
+    identities off the sorted ones only because `get` derives them so.
     """
 
     rank: int
@@ -180,6 +185,12 @@ class TransitionSet:
     branch: dict           # (i, j) -> "unit" | "split"
     # (kind, *charts) -> value derived from Z; valid because Z never changes
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (sorted(self.Z) != sorted(self.pairs)
+                or any(i >= j for i, j in self.pairs)):
+            raise ValueError("transitions must be keyed by exactly the "
+                             "sorted pairs i < j")
 
     def get(self, i, j):
         """Transition for the ordered overlap (i, j)."""

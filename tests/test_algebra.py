@@ -57,6 +57,48 @@ def test_poly_basic_identities():
     assert parse_poly("3/2*x - x", names) == parse_poly("1/2*x", names)
 
 
+def test_poly_power_is_the_written_out_product():
+    x0 = parse_poly("x0", ("x0", "x1"))
+    one = Poly.const(2, 1)
+    product = one
+    for _ in range(13):
+        product = product * (x0 + one)
+    assert (x0 + one) ** 13 == product
+    assert (x0 + one) ** 1 == x0 + one
+    assert (x0 + one) ** 0 == one
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 64, 1000, 10 ** 9])
+def test_poly_power_squares_and_multiplies(monkeypatch, n):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    x0 = Poly.variable(2, 0)
+    assert x0 ** n == Poly.monomial(2, (n, 0))
+    assert len(calls) <= 2 * n.bit_length() - 2  # <= 2 log2 n
+
+
+def test_context_equality_and_hash_follow_the_fields():
+    a = Context("projective", 2, 0, (0, 1))
+    b = Context("projective", 2, 0, (0, 1))
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a == a and {a: 1}[b] == 1
+    for other in (Context("projective", 2, 1, (0, 1)),
+                  Context("projective", 3, 0, (0, 1)),
+                  Context("affine", 2, 0, (0, 1)),
+                  Context("projective", 2, 0, (0, 1, 2)),
+                  Context("projective", 2, 0, (0, 1),
+                          (SUnit(1, parse_poly("x1", ("x0", "x1", "x2")),
+                                 1),))):
+        assert a != other and not a == other
+    assert a != (("projective", 2, 0, (0, 1), ()))
+    assert (a == "projective") is False
+
+
 def test_poly_parse_format_roundtrip():
     rng = random.Random(11)
     names = ("x0", "x1", "x2")

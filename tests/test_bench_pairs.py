@@ -1,0 +1,67 @@
+"""The summary of `scripts/bench_pairs.py` on synthetic benchmark rows."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _row(side, seed, pass_s, ops, workload="linear", exit=0):
+    return {"revision": "r", "side": side, "workload": workload,
+            "seed": seed, "order": 0, "exit": exit, "correct": exit == 0,
+            "attempted": 10, "failed": 0,
+            "metrics": {"pass_s": {"value": pass_s, "unit": "s"},
+                        "ops_per_s": {"value": ops, "unit": "1/s"}}}
+
+
+BETTER = {"pass_s": "lower", "ops_per_s": "higher"}
+
+
+def test_summary_medians_quartiles_and_wins():
+    rows = []
+    for seed, (a, b) in enumerate([(1.0, 0.7), (1.2, 0.8), (1.1, 0.9),
+                                   (0.9, 1.0), (1.0, 1.0)], start=1):
+        rows += [_row("parent", seed, a, 1 / a), _row("change", seed, b, 1 / b)]
+    by_metric = {e["metric"]: e for e in bench_pairs.summarize(rows, BETTER)}
+    s = by_metric["pass_s"]
+    assert s["workload"] == "linear" and s["pairs"] == 5
+    assert s["parent"]["median"] == 1.0 and s["change"]["median"] == 0.9
+    assert s["parent"]["n"] == 5
+    assert s["parent"]["q1"] <= 1.0 <= s["parent"]["q3"]
+    assert (s["parent"]["q1"], s["parent"]["q3"]) == pytest.approx(
+        (0.95, 1.15))
+    # seeds 1-3 won by change, 4 by parent, 5 a tie
+    assert s["wins"] == {"parent": 1, "change": 3}
+    # higher is better for a rate: the same pairs, the same winners
+    assert by_metric["ops_per_s"]["wins"] == {"parent": 1, "change": 3}
+
+
+def test_summary_skips_failed_runs_and_unpaired_seeds():
+    rows = [_row("parent", 1, 1.0, 1.0), _row("change", 1, 0.5, 2.0),
+            _row("parent", 2, 1.0, 1.0), _row("change", 2, 0.1, 9.0, exit=1),
+            _row("parent", 3, 2.0, 0.5, workload="curved")]
+    summary = bench_pairs.summarize(rows, BETTER)
+    linear = [e for e in summary
+              if e["workload"] == "linear" and e["metric"] == "pass_s"][0]
+    assert linear["pairs"] == 1 and linear["wins"]["change"] == 1
+    assert linear["change"] == {"n": 1, "median": 0.5, "q1": 0.5, "q3": 0.5}
+    curved = [e for e in summary
+              if e["workload"] == "curved" and e["metric"] == "pass_s"][0]
+    assert curved["pairs"] == 0 and "change" not in curved
+    assert "change -" in bench_pairs.format_summary([curved])
+
+
+def test_unknown_metric_counts_lower_as_better():
+    rows = [_row("parent", 1, 1.0, 1.0), _row("change", 1, 2.0, 2.0)]
+    by_metric = {e["metric"]: e for e in bench_pairs.summarize(rows, {})}
+    assert by_metric["ops_per_s"]["wins"] == {"parent": 1, "change": 0}
+
+
+def test_directions_come_from_the_benchmark_declaration():
+    better = bench_pairs.better_directions()
+    assert better["pass_s"] == "lower" and better["ops_per_s"] == "higher"

@@ -265,6 +265,23 @@ def test_verify_rejects_non_integer_chart_key(tmp_path, capsys, where):
     assert "error[parse]" in err and "bad chart key 'x'" in err
 
 
+@pytest.mark.parametrize("command, folder, code, stage", [
+    ("verify", "refs", 1, "verify"),
+    ("build", "inputs", 2, "correct"),
+])
+def test_huge_twist_fails_cleanly(tmp_path, capsys, command, folder, code,
+                                  stage):
+    """A twist of 10^9 raises unit polynomials to that power; with
+    square-and-multiply powers the command ends with its error line."""
+    doc = json.loads((CORPUS / folder / "point_p2.json").read_text(
+        encoding="utf-8"))
+    doc["line_bundle"]["twist"] = 10 ** 9
+    got, _, err = run_cli(capsys, command,
+                          write_doc(tmp_path, doc, "twisted.json"))
+    assert got == code
+    assert err.startswith(f"error[{stage}]") and "Traceback" not in err
+
+
 def _obstruction_den(doc):
     return doc["obstruction"][0]["values"][0]["den"]
 
