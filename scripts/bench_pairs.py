@@ -1,9 +1,9 @@
 """Alternating parent/change pairs of the corpus benchmark.
 
     python3 scripts/bench_pairs.py --parent DIR --pairs N --seconds S \\
-        --seed-base B --out BENCH_<n>.json [--workload W ...]
+        --seed-base B --out BENCH_<n>.json
 
-For each seed B+1 ... B+N and each workload (all three by default), runs
+For each seed B+1 ... B+N and each of the three workloads, runs
 `perfbench/run.py --workload W --seed SEED --seconds S --trace 0` once in
 the parent checkout DIR and once in the checkout this script lives in.  The
 parent runs first on odd seeds and second on even ones, so a drift of the
@@ -14,8 +14,9 @@ OUT with the fields `revision`, `side`, `workload`, `seed`, `order`, `exit`,
 Then, over every row in OUT, it prints per workload and metric the median
 and quartiles of each side and how many pairs (same workload and seed) each
 side won.  Whether lower or higher is better is read from `BENCHMARK.json`
-(lower if a metric is not listed there).  `--pairs 0` only prints the
-summary of an existing OUT.
+(lower if a metric is not listed there); a side that ran a workload and
+seed twice counts its last row.  `--pairs 0` only prints the summary of an
+existing OUT.
 """
 
 import argparse
@@ -134,14 +135,13 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--workload", action="append", choices=WORKLOADS)
     args = p.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
     revisions = {side: revision(path) for side, path in checkouts.items()}
     for n in range(1, args.pairs + 1):
         seed = args.seed_base + n
         order = SIDES if seed % 2 else SIDES[::-1]
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             for pos, side in enumerate(order):
                 row = {"revision": revisions[side], "side": side,
                        "workload": workload, "seed": seed, "order": pos,

@@ -94,11 +94,11 @@ def verify_cocycle(Z):
     """Identity on the diagonal, two-sided inverses, and the ordered-triple
     compatibility Z_ik = Z_ij Z_jk.  Meant for a corrected set.
 
-    Only the sorted defects and the premises det Z_ij * h_ji == 1 (i < j)
-    are computed when they pass: both orders of an inverse follow from its
-    premise, and the five unsorted orders of a triple follow from its
+    The premises are computed first: det Z_ij * h_ji == 1 for each sorted
+    pair and the sorted triple defects.  Both orders of an inverse follow
+    from its premise, and the five unsorted orders of a triple from its
     sorted defect being zero plus the premises on its three pairs (module
-    docstring).  An entry whose premises fail is computed in full."""
+    docstring); an entry whose premises fail is computed in full."""
     entries = []
     cover = Z.cover
     r = Z.rank
