@@ -5,11 +5,17 @@ numerator over a monomial-in-designated-units denominator), chart contexts,
 transport of localized elements between contexts, and dense little matrices
 over localized elements.
 
-Everything is exact: coefficients are `fractions.Fraction`, all comparisons are
-symbolic identities (localized elements over equal denominators compare
-numerators, others cross-multiply), and no tolerance appears anywhere.
-Arithmetic trusts the terms it has just computed (`Poly._of`); input from
-parsers and documents goes through the checking `Poly(...)` constructor.
+Everything is exact: a stored coefficient is an `int`, or a
+`fractions.Fraction` whose denominator is greater than 1 (an integral value
+is always kept as an `int`, which `_canon` ensures), every coefficient
+division goes through `qdiv`, all comparisons are symbolic identities
+(localized elements over equal denominators compare numerators, others
+cross-multiply), and no tolerance appears anywhere.  `3 == Fraction(3)`,
+their hashes agree and both print as "3", so the two forms of one value are
+interchangeable everywhere but in speed.  Arithmetic trusts the terms it
+has just computed (`Poly._of`, `LocElem._of`); input from parsers and
+documents goes through the checking `Poly(...)` and `LocElem(...)`
+constructors.
 
 Conventions
 -----------
@@ -51,12 +57,32 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-class Poly:
-    """Sparse polynomial with Fraction coefficients and a fixed variable count.
+def _canon(c):
+    """An exact coefficient in stored form: an integral Fraction becomes its
+    int, anything else (an int, a Fraction with denominator > 1) is kept."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
 
-    Terms map exponent tuples (length == arity) to nonzero Fractions.  The
-    zero polynomial has an empty term dict.  Instances are treated as
-    immutable; all operations return new objects.  `Poly(arity, terms)`
+
+def qdiv(a, b):
+    """a / b for int or Fraction coefficients, in stored form: an int when
+    the quotient is integral, else a Fraction.  The only coefficient
+    division in the package: `int / int` would give a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canon(Fraction(a) / b)
+
+
+class Poly:
+    """Sparse polynomial with exact rational coefficients and a fixed
+    variable count.
+
+    Terms map exponent tuples (length == arity) to nonzero coefficients, each
+    an int or a Fraction with denominator > 1 (see the module docstring and
+    `qdiv`).  The zero polynomial has an empty term dict.  Instances are
+    treated as immutable; all operations return new objects.  `Poly(arity, terms)`
     checks and cleans its input; `Poly._of` does not (see there).
     """
 
@@ -69,7 +95,8 @@ class Poly:
             for exps, coeff in terms.items():
                 if len(exps) != arity:
                     raise ValueError(f"term arity {len(exps)} != {arity}")
-                coeff = Fraction(coeff)
+                if type(coeff) is not int:
+                    coeff = _canon(Fraction(coeff))
                 if coeff:
                     clean[tuple(exps)] = coeff
         self.terms = clean
@@ -80,7 +107,8 @@ class Poly:
         """Trusted constructor for terms this module has just computed.
 
         Contract: `terms` is a dict that nothing else references, every key
-        is a tuple of `arity` ints and every value a nonzero `Fraction`.
+        is a tuple of `arity` ints and every value a nonzero coefficient in
+        stored form: an int, or a Fraction with denominator > 1.
         Nothing is checked, so only code inside this module may call it;
         input from parsers and documents goes through `Poly(...)`.
         """
@@ -98,17 +126,17 @@ class Poly:
 
     @classmethod
     def const(cls, arity, value):
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, arity, index):
         exps = [0] * arity
         exps[index] = 1
-        return cls(arity, {tuple(exps): Fraction(1)})
+        return cls(arity, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, arity, exps, coeff=1):
-        return cls(arity, {tuple(exps): Fraction(coeff)})
+        return cls(arity, {tuple(exps): coeff})
 
     # -- predicates and views ---------------------------------------------
 
@@ -148,7 +176,7 @@ class Poly:
             s = terms.get(e)
             s = c if s is None else s + c
             if s:
-                terms[e] = s
+                terms[e] = s if type(s) is int else _canon(s)
             else:
                 del terms[e]
         return Poly._of(self.arity, terms)
@@ -173,15 +201,22 @@ class Poly:
                     terms[e] = s
                 else:
                     del terms[e]
+        for e, s in terms.items():
+            if type(s) is not int:
+                terms[e] = _canon(s)
         return Poly._of(self.arity, terms)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _canon(Fraction(c))
         if not c:
             return Poly.zero(self.arity)
-        return Poly._of(self.arity, {e: c * v for e, v in self.terms.items()})
+        if c == 1:
+            return Poly._of(self.arity, dict(self.terms))
+        return Poly._of(self.arity, {e: _canon(c * v)
+                                     for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -244,7 +279,7 @@ def divide_exact(p, q):
             d = tuple(map(sub, e, qe))
             if min(d) < 0:
                 return None
-            out[d] = c / qc
+            out[d] = qdiv(c, qc)
         return Poly._of(p.arity, out)
     qe, qc = q.leading()
     rem = dict(p.terms)
@@ -254,7 +289,7 @@ def divide_exact(p, q):
         d = tuple(map(sub, re, qe))
         if min(d) < 0:
             return None
-        t = rem[re] / qc
+        t = qdiv(rem[re], qc)
         quot[d] = t
         for e2, c2 in q.terms.items():
             e = tuple(map(add, d, e2))
@@ -452,7 +487,7 @@ def homogenize(p, home, dim):
             full[k] = e[pos]
         full[home] = deg - sum(e)
         terms[tuple(full)] = c
-    return Poly(dim + 1, terms), deg
+    return Poly._of(dim + 1, terms), deg
 
 
 def dehomogenize(form, home):
@@ -461,8 +496,9 @@ def dehomogenize(form, home):
     terms = {}
     for e, c in form.terms.items():
         chart = tuple(e[k] for k in range(n1) if k != home)
-        terms[chart] = terms.get(chart, Fraction(0)) + c
-    return Poly(n1 - 1, terms)
+        s = terms.get(chart)
+        terms[chart] = c if s is None else s + c
+    return Poly._of(n1 - 1, {e: _canon(c) for e, c in terms.items() if c})
 
 
 def is_homogeneous(form):
@@ -563,6 +599,36 @@ class Context:
         return format_poly(p, self.var_names())
 
 
+def _normalize(ctx, num, den):
+    """(num, den) in normal form (see `LocElem`); `den` is changed in place."""
+    if num.is_zero():
+        return num, {}
+    for key in sorted(den, key=_unit_sort):
+        if key[0] == "c":
+            num, m = _cancel_variable(
+                num, ctx.axes().index(int(key[1:])), den[key])
+            den[key] -= m
+        else:
+            u = ctx.unit_poly(key)
+            while den[key] > 0:
+                q = divide_exact(num, u)
+                if q is None:
+                    break
+                num = q
+                den[key] -= 1
+        if den[key] == 0:
+            del den[key]
+    return num, den
+
+
+def _is_one(p):
+    """Is the polynomial p the constant 1?"""
+    if len(p.terms) != 1:
+        return False
+    (e, c), = p.terms.items()
+    return c == 1 and not any(e)
+
+
 def _unit_sort(key):
     # Section units sort before coordinate units: extracting the (possibly
     # non-monomial) section forms first keeps greedy cancellation from eating
@@ -599,29 +665,27 @@ class LocElem:
             ctx.unit_poly(key)  # raises KeyError if unavailable, even for 0
             if e:
                 clean[key] = e
-        den = clean
         if normalize:
-            if num.is_zero():
-                den = {}
-            else:
-                for key in sorted(den, key=_unit_sort):
-                    if key[0] == "c":
-                        num, m = _cancel_variable(
-                            num, ctx.axes().index(int(key[1:])), den[key])
-                        den[key] -= m
-                    else:
-                        u = ctx.unit_poly(key)
-                        while den[key] > 0:
-                            q = divide_exact(num, u)
-                            if q is None:
-                                break
-                            num = q
-                            den[key] -= 1
-                    if den[key] == 0:
-                        del den[key]
+            num, clean = _normalize(ctx, num, clean)
         self.ctx = ctx
         self.num = num
-        self.den = den
+        self.den = clean
+
+    @classmethod
+    def _of(cls, ctx, num, den):
+        """Normalizing constructor for arithmetic results, with no checks.
+
+        Contract: `num` has the context's arity, and `den` is a dict that
+        nothing else references, keyed by unit keys of `ctx` with positive
+        int exponents: it was assembled from the `den`s of elements already
+        on `ctx` (or, for a same-home transport, on a context whose unit
+        keys `ctx` contains).  Only this module may call it; input from
+        parsers and documents goes through `LocElem(...)`.
+        """
+        e = cls.__new__(cls)
+        e.ctx = ctx
+        e.num, e.den = _normalize(ctx, num, den)
+        return e
 
     # -- constructors -----------------------------------------------------
 
@@ -682,8 +746,9 @@ class LocElem:
         for k, e in other.den.items():
             if e > common.get(k, 0):
                 common[k] = e
-        return LocElem(self.ctx, self.num_over(common) + other.num_over(common),
-                       common)
+        return LocElem._of(self.ctx,
+                           self.num_over(common) + other.num_over(common),
+                           common)
 
     def __sub__(self, other):
         return self + (-other)
@@ -698,12 +763,15 @@ class LocElem:
         den = dict(self.den)
         for k, e in other.den.items():
             den[k] = den.get(k, 0) + e
-        return LocElem(self.ctx, self.num * other.num, den)
+        a, b = self.num, other.num
+        num = a if _is_one(b) else b if _is_one(a) else a * b
+        return LocElem._of(self.ctx, num, den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        if type(c) is not int:
+            c = _canon(Fraction(c))
         if not c:
             return LocElem.zero(self.ctx)
         return LocElem(self.ctx, self.num.scale(c), dict(self.den),
@@ -768,7 +836,7 @@ def chart_monomial(alpha, ctx, num=None):
                     f"element has a pole along x{k} = 0, not invertible on "
                     f"charts {ctx.indices}")
             den[f"c{k}"] = -a
-    mono = Poly._of(ctx.nvars, {tuple(exps): Fraction(1)})
+    mono = Poly._of(ctx.nvars, {tuple(exps): 1})
     if num is None:
         return mono, den
     return (num * mono if any(exps) else num), den
@@ -791,7 +859,7 @@ def transport(e, dst):
         raise PreconditionViolated(
             f"transport target {dst.indices} does not refine {src.indices}")
     if src.home == dst.home:
-        return LocElem(dst, e.num, dict(e.den))
+        return LocElem._of(dst, e.num, dict(e.den))
     form, gamma, m = _homogeneous_view(e)
     gamma[dst.home] -= sum(gamma)
     num, den = chart_monomial(gamma, dst, dehomogenize(form, dst.home))
@@ -813,7 +881,7 @@ def to_laurent(e):
     if ctx.kind != "projective":
         return None
     form, gamma, m = _homogeneous_view(e)
-    scale = Fraction(1)
+    scale = 1
     for c, a in m.items():
         u = ctx.sunit(c)
         if len(u.form.terms) != 1:
@@ -821,13 +889,13 @@ def to_laurent(e):
         (ue, uc), = u.form.terms.items()
         for k in range(ctx.dim + 1):
             gamma[k] -= ue[k] * a
-        scale /= uc ** a
+        scale = qdiv(scale, uc ** a)
     out = {}
     for te, tc in form.terms.items():
         key = tuple(map(add, te, gamma))
-        v = out.get(key, Fraction(0)) + tc * scale
+        v = out.get(key, 0) + tc * scale
         if v:
-            out[key] = v
+            out[key] = _canon(v)
         else:
             del out[key]
     return out

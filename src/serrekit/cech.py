@@ -27,10 +27,10 @@ tried and failure is only ever *inconclusive*.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
-from .algebra import (LocElem, Poly, from_laurent, to_laurent, transport)
+from .algebra import (LocElem, Poly, from_laurent, qdiv, to_laurent,
+                      transport)
 from .errors import (Inconclusive, NotACocycle, Obstructed, PreconditionViolated,
                      ShapeViolation)
 
@@ -153,7 +153,7 @@ _RHS = -1  # row-dict key of the right-hand side; columns are >= 0
 
 
 def _solve_exact(rows, ncols):
-    """Sparse Gauss-Jordan elimination over Fraction.
+    """Sparse Gauss-Jordan elimination over the rationals.
 
     rows: (coeff-dict {col: value}, rhs) pairs over columns 0..ncols-1.  Each
     row is kept as a dict of its nonzero entries (rhs under the key _RHS),
@@ -186,7 +186,7 @@ def _solve_exact(rows, ncols):
         if piv is None:
             continue
         prow = live[piv]
-        inv = Fraction(1) / prow[col]
+        inv = qdiv(1, prow[col])
         for j in prow:
             prow[j] *= inv
         for i in list(cands):
@@ -209,9 +209,9 @@ def _solve_exact(rows, ncols):
     # side that survives there reads 0 = rhs
     if holders.get(_RHS, set()) - used:
         return None
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for col, i in pivots:
-        sol[col] = live[i].get(_RHS, Fraction(0))
+        sol[col] = live[i].get(_RHS, 0)
     return sol
 
 
@@ -239,9 +239,9 @@ def _solve_monomial(c, sigmas_by_w):
                     face = key[:m] + key[m + 1:]
                     if face in col_index:
                         j = col_index[face]
-                        sign = Fraction(-1 if m % 2 else 1)
-                        coeffs[j] = coeffs.get(j, Fraction(0)) + sign
-                rhs = sigmas.get(key, {}).get(alpha, Fraction(0))
+                        sign = -1 if m % 2 else 1
+                        coeffs[j] = coeffs.get(j, 0) + sign
+                rhs = sigmas.get(key, {}).get(alpha, 0)
                 rows.append((coeffs, rhs))
             sol = _solve_exact(rows, len(cols))
             if sol is None:
@@ -313,7 +313,7 @@ def _solve_ansatz(c, max_degree):
         contribs = {}
         for m in range(p + 1):
             face = key[:m] + key[m + 1:]
-            sign = Fraction(-1 if m % 2 else 1)
+            sign = -1 if m % 2 else 1
             for (J, exps), base in basis.items():
                 if J != face:
                     continue
@@ -341,7 +341,7 @@ def _solve_ansatz(c, max_degree):
                     a = q.terms.get(mono)
                     if a:
                         coeffs[col_index[col]] = a
-                rows.append((coeffs, rhs_poly.terms.get(mono, Fraction(0))))
+                rows.append((coeffs, rhs_poly.terms.get(mono, 0)))
 
     sol = _solve_exact(rows, len(columns))
     if sol is None:

@@ -13,12 +13,12 @@ returned identity is verified by exact re-multiplication before it escapes.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
 from operator import add, sub
 
-from .algebra import LocElem, Poly, divide_exact, grevlex_key
+from .algebra import LocElem, Poly, divide_exact, grevlex_key, qdiv
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
                      PreconditionViolated)
 
@@ -92,7 +92,7 @@ def _divide(p, basis, leads, key):
             rem[re] = rc
             continue
         b = basis[i].terms
-        c = rc / b[be]
+        c = qdiv(rc, b[be])
         q[i][d] = c
         for e2, c2 in b.items():
             if e2 == be:
@@ -150,7 +150,7 @@ def buchberger(gens, arity, key=None):
             if any(map(min, a, le)):  # else coprime: never queued
                 lcm = tuple(map(max, a, le))
                 heappush(pairs, (key(lcm), next(formed), i, k, lcm))
-        inv = Fraction(1) / p.terms[le]
+        inv = qdiv(1, p.terms[le])
         basis.append(p.scale(inv))
         leads.append(le)
         rows.append([r.scale(inv) for r in row])
@@ -210,14 +210,21 @@ def _T_free(basis):
             for b in basis if all(e[-1] == 0 for e in b.terms)]
 
 
-def _sat_gb(ctx, nums):
+def _sat_gb(ctx, nums, positional=True):
     """Groebner data for the saturated ideal of `nums` in the context's
     localized ring, kept in the context's memo, so it lives as long as the
     cover that built the context.  Returns (gb, u_poly_or_None); when u is
     present the gb lives in k[x, T] with generators nums' + [1 - T*u], T
-    last."""
-    cache_key = ("saturation", nums)
-    hit = ctx._memo.get(cache_key)
+    last.
+
+    A basis is kept under its generators in order and, for the first one
+    built, under their multiset.  `positional=False` takes a basis built for
+    any permutation of `nums`: it spans the same ideal under the same order,
+    so the remainder of a division by it is the same normal form; only its
+    cofactor rows follow the other generator order.
+    """
+    bag = ("saturation", frozenset(Counter(nums).items()))
+    hit = ctx._memo.get(("saturation", nums) if positional else bag)
     if hit is not None:
         return hit
     if not ctx.unit_keys():
@@ -226,7 +233,8 @@ def _sat_gb(ctx, nums):
         u, rel = _rabinowitsch(ctx)
         gb = buchberger([_lift_poly(g) for g in nums] + [rel], ctx.nvars + 1)
         out = (gb, u)
-    ctx._memo[cache_key] = out
+    ctx._memo[("saturation", nums)] = out
+    ctx._memo.setdefault(bag, out)
     return out
 
 
@@ -238,21 +246,15 @@ def _check_ctxs(elems):
     return ctx
 
 
-def _sat_reduce(p, gens):
-    """Reduce p by the saturated basis of gens: (ctx, u, cofactors, rem)."""
-    ctx = _check_ctxs([p] + list(gens))
-    gb, u = _sat_gb(ctx, tuple(g.num for g in gens))
-    cof, rem = gb.reduce(_lift_poly(p.num) if u is not None else p.num)
-    return ctx, u, cof, rem
-
-
 def member_with_lift(p, gens):
     """Exact localized membership with certificate.
 
     Returns LocElems a_m with p == sum(a_m * gens[m]) in the localized ring,
     or None if p is not a member.  Complete: saturation is built in.
     """
-    ctx, u, cof, rem = _sat_reduce(p, gens)
+    ctx = _check_ctxs([p] + list(gens))
+    gb, u = _sat_gb(ctx, tuple(g.num for g in gens))
+    cof, rem = gb.reduce(_lift_poly(p.num) if u is not None else p.num)
     if not rem.is_zero():
         return None
     ukeys = ctx.unit_keys()
@@ -286,7 +288,12 @@ def member_with_lift(p, gens):
 
 
 def in_ideal(p, gens):
-    return _sat_reduce(p, gens)[3].is_zero()
+    """Is p in the localized ideal of gens?  Only the remainder is needed,
+    so any generator order's basis serves (see `_sat_gb`)."""
+    ctx = _check_ctxs([p] + list(gens))
+    gb, u = _sat_gb(ctx, tuple(g.num for g in gens), positional=False)
+    num = _lift_poly(p.num) if u is not None else p.num
+    return _divide(num, gb.basis, gb.leads, gb.key)[0].is_zero()
 
 
 def is_unit_ideal(gens):

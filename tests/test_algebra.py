@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from serrekit.algebra import (
     Context, LocElem, MatrixL, Poly, SUnit, divide_exact, format_poly,
     from_blocks, from_laurent, grevlex_key, homogenize, dehomogenize,
-    parse_poly, to_laurent, transport,
+    parse_poly, qdiv, to_laurent, transport,
 )
+from serrekit.cli import load_bundle
 from serrekit.cover import AmbientSpec, LineBundleData
 from serrekit.errors import PreconditionViolated
 from serrekit.ideals import in_ideal
@@ -256,7 +259,7 @@ def _divide_exact_reference(p, q):
         d = tuple(a - b for a, b in zip(re, qe))
         if any(x < 0 for x in d):
             return None
-        t = Poly.monomial(p.arity, d, rc / qc)
+        t = Poly.monomial(p.arity, d, Fraction(rc) / qc)
         quot = quot + t
         rem = rem - t * q
     return quot
@@ -766,3 +769,196 @@ def test_from_blocks():
     assert m.shape == (3, 3)
     assert m[0, 2] == LocElem.one(ctx)
     assert m[2, 0].is_zero()
+
+
+# -- stored coefficients: an int when integral, every division by qdiv ----------
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+
+# every stored coefficient with numerator and denominator in a small range
+_STORED = sorted(set(range(-6, 7)) | {Fraction(n, d) for n in range(-6, 7)
+                                      for d in (2, 3, 4, 6)
+                                      if Fraction(n, d).denominator > 1})
+
+
+def _is_stored(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def _assert_stored(p):
+    """Every coefficient of the Poly p is nonzero and in stored form."""
+    bad = {e: c for e, c in p.terms.items() if not (c and _is_stored(c))}
+    assert bad == {}
+
+
+def test_qdiv_matches_fraction():
+    assert len(_STORED) > 30
+    for a in _STORED:
+        for b in _STORED:
+            if not b:
+                with pytest.raises(ZeroDivisionError):
+                    qdiv(a, b)
+                continue
+            q = qdiv(a, b)
+            assert q == Fraction(a) / Fraction(b)
+            assert _is_stored(q)
+
+
+def test_constructors_store_integral_values_as_int():
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2),
+                 (0, 0): Fraction(0)})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int
+    _assert_stored(parse_poly("6/3*x - 3/6*y + 2/2", ("x", "y")))
+    one = p.scale(1)
+    assert one == p and one.terms is not p.terms
+    # terms that meet when x0 is set to 1 add up to an integral value
+    meet = dehomogenize(Poly(3, {(1, 1, 0): Fraction(1, 2),
+                                 (0, 1, 0): Fraction(3, 2),
+                                 (2, 0, 0): Fraction(1, 3),
+                                 (0, 0, 0): Fraction(-1, 3)}), 0)
+    assert meet.terms == {(1, 0): 2} and type(meet.terms[(1, 0)]) is int
+
+
+def test_poly_operations_keep_coefficients_stored():
+    rng = random.Random(1303)
+    pool = [_rand_poly(rng, 3, deg=2, nterms=3) for _ in range(4)]
+    integral = 0  # results with an int coefficient from Fraction operands
+    for _ in range(400):
+        p, q = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(("+", "-", "*", "scale", "divide"))
+        if op == "+":
+            r = p + q
+        elif op == "-":
+            r = p - q
+        elif op == "*":
+            r = p * q
+        elif op == "scale":
+            r = p.scale(rng.choice(_STORED))
+        elif q.is_zero():
+            continue
+        else:
+            r = divide_exact(p * q, q)
+            assert r == p
+            _assert_stored(r)
+            r = divide_exact(p + q, q)
+            if r is None:
+                continue
+        _assert_stored(r)
+        if (any(type(c) is int for c in r.terms.values())
+                and any(type(c) is Fraction
+                        for c in list(p.terms.values())
+                        + list(q.terms.values()))):
+            integral += 1
+        if r.total_degree() > 4 or len(r.terms) > 8:
+            r = _rand_poly(rng, 3, deg=2, nterms=3)
+        pool[rng.randrange(len(pool))] = r
+    assert integral > 10
+
+
+def test_locelem_operations_keep_coefficients_stored():
+    rng = random.Random(1307)
+    laurent = 0
+    for sunits in ((), _p3_units(True), _p3_units(False)):
+        for _ in range(40):
+            idx = tuple(sorted(rng.sample(range(4), rng.randint(1, 3))))
+            ctx = _ctx(idx, home=rng.choice(idx), sunits=sunits)
+            x = _rand_elem(rng, ctx)
+            for _ in range(5):
+                y = _rand_elem(rng, ctx)
+                op = rng.choice(("+", "-", "*", "scale"))
+                if op == "+":
+                    x = x + y
+                elif op == "-":
+                    x = x - y
+                elif op == "*":
+                    x = x * y
+                else:
+                    x = x.scale(rng.choice(_STORED))
+                _assert_stored(x.num)
+                lau = to_laurent(x)
+                if lau is not None:
+                    laurent += 1
+                    assert all(c and _is_stored(c) for c in lau.values())
+                dst_idx = tuple(sorted(set(idx) | {rng.randrange(4)}))
+                moved = transport(x, _ctx(dst_idx, home=rng.choice(dst_idx),
+                                          sunits=sunits))
+                _assert_stored(moved.num)
+                if len(x.num.terms) > 12:
+                    x = _rand_elem(rng, ctx)
+    assert laurent > 200
+
+
+# -- arithmetic results skip the key checks of LocElem(...) ---------------------
+
+
+def _same_as_checked(got, ctx, num, den):
+    """got equals LocElem(ctx, num, den), built with every check, in num,
+    den and repr."""
+    want = LocElem(ctx, num, den)
+    assert got.ctx is want.ctx
+    assert (got.num, got.den, repr(got)) == (want.num, want.den, repr(want))
+
+
+@pytest.mark.parametrize("name, units", [("two_points_unit", True),
+                                         ("line_p6", False)])
+def test_arithmetic_matches_checked_construction(name, units):
+    bundle = load_bundle(json.loads((REFS / f"{name}.json").read_text(
+        encoding="utf-8")))
+    cover = bundle.cover
+    assert bool(cover.sunits) is units
+    moved = 0
+    for (i, j), Z in sorted(bundle.transitions.Z.items()):
+        ctx = cover.ctx((i, j))
+        entries = [x for row in Z.rows for x in row]
+        assert all(x.ctx is ctx for x in entries)
+        for a in entries:
+            for b in entries:
+                common = dict(a.den)
+                for k, e in b.den.items():
+                    common[k] = max(common.get(k, 0), e)
+                _same_as_checked(a + b, ctx,
+                                 a.num_over(common) + b.num_over(common),
+                                 common)
+                den = dict(a.den)
+                for k, e in b.den.items():
+                    den[k] = den.get(k, 0) + e
+                _same_as_checked(a * b, ctx, a.num * b.num, den)
+        # a same-home transport keeps numerator and denominator
+        for k in cover.charts:
+            if k > i and k != j:
+                dst = cover.ctx((i, j, k))
+                for a in entries:
+                    _same_as_checked(transport(a, dst), dst, a.num,
+                                     dict(a.den))
+                    moved += 1
+    assert moved > 0
+    if units:
+        assert any(key[0] == "s" for Z in bundle.transitions.Z.values()
+                   for row in Z.rows for x in row for key in x.den)
+
+
+def test_product_with_one_is_unchanged(monkeypatch):
+    rng = random.Random(1309)
+    products = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    for sunits in ((), _p3_units(False)):
+        ctx = _ctx((0, 1, 3), sunits=sunits)
+        ones = [LocElem.one(ctx), LocElem(ctx, Poly.const(3, 1), {"c1": 1})]
+        for _ in range(30):
+            e = _rand_elem(rng, ctx)  # normalized or as given
+            for one in ones:
+                den = dict(e.den)
+                for k, a in one.den.items():
+                    den[k] = den.get(k, 0) + a
+                with monkeypatch.context() as m:
+                    m.setattr(Poly, "__mul__", counted)
+                    left, right = e * one, one * e
+                _same_as_checked(left, ctx, e.num * one.num, dict(den))
+                _same_as_checked(right, ctx, one.num * e.num, dict(den))
+    assert products == []

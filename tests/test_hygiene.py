@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import of the package is used, no
 module keeps state that its functions change, every function the benchmark
-traces still exists, and the unchecked polynomial constructor stays inside
-the arithmetic kernel."""
+traces still exists, the unchecked constructors stay inside the arithmetic
+kernel, and every coefficient division goes through `algebra.qdiv`."""
 
 import ast
 import importlib
@@ -133,4 +133,25 @@ def test_trusted_constructor_stays_in_algebra():
                     or (isinstance(node, ast.Constant)
                         and node.value == "_of")):
                 offenders.append(f"{rel}:{node.lineno}")
+    assert offenders == []
+
+
+def _divisions_outside_qdiv(path):
+    """`/` and `/=` anywhere but in the body of a function named qdiv."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "qdiv":
+            inside.update(id(n) for n in ast.walk(node))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div) and id(node) not in inside]
+
+
+def test_coefficient_division_goes_through_qdiv():
+    """The package divides nothing but coefficients, and `int / int` is a
+    float: each division goes through `qdiv`, which returns an exact int or
+    Fraction.  So any `/` outside it is a bug."""
+    offenders = [o for path in sorted(SRC.glob("*.py"))
+                 for o in _divisions_outside_qdiv(path)]
     assert offenders == []

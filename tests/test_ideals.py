@@ -160,6 +160,40 @@ def test_ideal_equal():
 # -- Koszul division ------------------------------------------------------------------
 
 
+def test_ideal_equal_reuses_the_basis_of_a_permutation(monkeypatch):
+    built = []
+    real = ideals.buchberger
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
+    for ctx in (_ctx((0,)), _ctx((0, 1)),
+                Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))):
+        f, g = _loc(ctx, "x1^2 - x2"), _loc(ctx, "x1*x2 + x2")
+        h = _loc(ctx, "x2 - 1")
+        cases = [([f, g], [g, f, f]), ([f, g], [f + h * g, g]),
+                 ([f], [f, g]), ([f, h], [h, f - h * g]), ([g, h], [f])]
+        answers = []
+        for a, b in cases:
+            # answered on an equal context with an empty memo
+            fresh = Context(ctx.kind, ctx.dim, ctx.home, ctx.indices,
+                            ctx.sunits)
+
+            def move(gens):
+                return [LocElem(fresh, x.num, x.den) for x in gens]
+            answers.append(ideal_equal(move(a), move(b)))
+            assert ideal_equal(a, b) is answers[-1]
+        assert answers == [True, True, False, True, False]
+        before = len(built)
+        for (a, b), answer in zip(cases, answers):
+            assert ideal_equal(a[::-1], b[::-1]) is answer
+            assert ideal_equal(a[1:] + a[:1], b[::-1]) is answer
+        assert len(built) == before
+
+
 def test_koszul_divide_monomials():
     ctx = Context("affine", 3, 0, (0,))
     names = ctx.var_names()
@@ -264,7 +298,7 @@ def _divide_reference(p, basis, key):
             be, bc = _leading_reference(b, key)
             d = tuple(a - x for a, x in zip(re, be))
             if all(a >= 0 for a in d):
-                hit = (i, d, rc / bc)
+                hit = (i, d, Fraction(rc) / bc)
                 break
         if hit is None:
             t = Poly.monomial(p.arity, re, rc)
@@ -438,7 +472,7 @@ def _from_sympy(p, arity):
 
 
 def _monic(p, key=grevlex_key):
-    return p.scale(1 / p.terms[max(p.terms, key=key)])
+    return p.scale(Fraction(1) / p.terms[max(p.terms, key=key)])
 
 
 def _reduced_basis(basis, key):
@@ -456,13 +490,18 @@ def _reduced_basis(basis, key):
             for i, b in enumerate(keep)}
 
 
-def test_buchberger_matches_sympy():
-    sympy = pytest.importorskip("sympy")
+def _oracle_ideals():
+    """The (gens, arity) inputs checked against sympy's Groebner bases."""
     rng = random.Random(89)
     for _ in range(30):
         gens, arity = _random_ideal(rng, rng.choice(["plain", "rabinowitsch"]))
-        if all(g.is_zero() for g in gens):
-            continue
+        if not all(g.is_zero() for g in gens):
+            yield gens, arity
+
+
+def test_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for gens, arity in _oracle_ideals():
         syms = sympy.symbols(f"x0:{arity}")
         ref = sympy.groebner([_to_sympy(sympy, g, syms).as_expr()
                               for g in gens if not g.is_zero()],
@@ -470,6 +509,20 @@ def test_buchberger_matches_sympy():
         expected = {_monic(_from_sympy(p, arity)) for p in ref.polys}
         assert _reduced_basis(buchberger(gens, arity).basis,
                               grevlex_key) == expected
+
+
+def test_buchberger_keeps_coefficients_stored():
+    # every coefficient of basis and cofactor rows is an int, or a Fraction
+    # with denominator > 1
+    fractions = 0
+    for gens, arity in _oracle_ideals():
+        gb = buchberger(gens, arity)
+        for p in list(gb.basis) + [c for row in gb.cofactors for c in row]:
+            for c in p.terms.values():
+                assert c and (type(c) is int or (type(c) is Fraction
+                                                 and c.denominator > 1))
+                fractions += type(c) is Fraction
+    assert fractions > 0
 
 
 def _units_product(ctx):
