@@ -770,8 +770,6 @@ class LocElem:
     __rmul__ = __mul__
 
     def scale(self, c):
-        if type(c) is not int:
-            c = _canon(Fraction(c))
         if not c:
             return LocElem.zero(self.ctx)
         return LocElem(self.ctx, self.num.scale(c), dict(self.den),
