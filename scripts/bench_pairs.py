@@ -1,9 +1,10 @@
 """Alternating parent/change pairs of the corpus benchmark.
 
     python3 scripts/bench_pairs.py --parent DIR --pairs N --seconds S \\
-        --seed-base B --out BENCH_<n>.json
+        --seed-base B [--workloads linear,curved,ansatz] --out BENCH_<n>.json
 
-For each seed B+1 ... B+N and each of the three workloads, runs
+For each seed B+1 ... B+N and each workload of `--workloads` (all three by
+default, in that order), runs
 `perfbench/run.py --workload W --seed SEED --seconds S --trace 0` once in
 the parent checkout DIR and once in the checkout this script lives in.  The
 parent runs first on odd seeds and second on even ones, so a drift of the
@@ -39,6 +40,17 @@ def revision(checkout):
     head = git("rev-parse", "HEAD").stdout.strip() or "unknown"
     dirty = git("status", "--porcelain", "--untracked-files=no").stdout
     return head + ("+dirty" if dirty.strip() else "")
+
+
+def workload_list(text):
+    """The workloads named in a comma-separated `--workloads` value."""
+    names = tuple(w.strip() for w in text.split(","))
+    unknown = [w for w in names if w not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload(s) {', '.join(map(repr, unknown))}; "
+            f"choose from {','.join(WORKLOADS)}")
+    return names
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -134,6 +146,8 @@ def main(argv=None):
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30)
     p.add_argument("--seed-base", type=int, default=0)
+    p.add_argument("--workloads", type=workload_list, default=WORKLOADS,
+                   help="comma-separated subset of " + ",".join(WORKLOADS))
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
@@ -141,7 +155,7 @@ def main(argv=None):
     for n in range(1, args.pairs + 1):
         seed = args.seed_base + n
         order = SIDES if seed % 2 else SIDES[::-1]
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for pos, side in enumerate(order):
                 row = {"revision": revisions[side], "side": side,
                        "workload": workload, "seed": seed, "order": pos,

@@ -122,7 +122,7 @@ class Poly:
 
     @classmethod
     def zero(cls, arity):
-        return cls(arity, {})
+        return cls._of(arity, {})
 
     @classmethod
     def const(cls, arity, value):
@@ -672,8 +672,9 @@ class LocElem:
         self.den = clean
 
     @classmethod
-    def _of(cls, ctx, num, den):
-        """Normalizing constructor for arithmetic results, with no checks.
+    def _of(cls, ctx, num, den, normalize=True):
+        """Normalizing constructor for arithmetic results, with no checks;
+        `normalize=False` keeps (num, den) as given, as in `LocElem(...)`.
 
         Contract: `num` has the context's arity, and `den` is a dict that
         nothing else references, keyed by unit keys of `ctx` with positive
@@ -684,14 +685,14 @@ class LocElem:
         """
         e = cls.__new__(cls)
         e.ctx = ctx
-        e.num, e.den = _normalize(ctx, num, den)
+        e.num, e.den = _normalize(ctx, num, den) if normalize else (num, den)
         return e
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, Poly.zero(ctx.nvars))
+        return cls._of(ctx, Poly.zero(ctx.nvars), {})
 
     @classmethod
     def one(cls, ctx):
@@ -754,7 +755,8 @@ class LocElem:
         return self + (-other)
 
     def __neg__(self):
-        return LocElem(self.ctx, -self.num, dict(self.den), normalize=False)
+        return LocElem._of(self.ctx, -self.num, dict(self.den),
+                           normalize=False)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -772,8 +774,8 @@ class LocElem:
     def scale(self, c):
         if not c:
             return LocElem.zero(self.ctx)
-        return LocElem(self.ctx, self.num.scale(c), dict(self.den),
-                       normalize=False)
+        return LocElem._of(self.ctx, self.num.scale(c), dict(self.den),
+                           normalize=False)
 
     def __eq__(self, other):
         if not isinstance(other, LocElem):

@@ -18,20 +18,9 @@ from heapq import heappop, heappush
 from itertools import count
 from operator import add, sub
 
-from .algebra import LocElem, Poly, divide_exact, grevlex_key, qdiv
+from .algebra import LocElem, Poly, grevlex_key, qdiv
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
                      PreconditionViolated)
-
-
-# -- orders -------------------------------------------------------------------
-
-def elim_key(nelim):
-    """Block order eliminating the LAST `nelim` variables (graded per block)."""
-    def key(exps):
-        x, t = exps[:-nelim], exps[-nelim:]
-        return (sum(t), tuple(-a for a in reversed(t)),
-                sum(x), tuple(-a for a in reversed(x)))
-    return key
 
 
 # -- Buchberger with cofactors ---------------------------------------------------
@@ -204,12 +193,6 @@ def _rabinowitsch(ctx):
     return u, Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * _lift_poly(u)
 
 
-def _T_free(basis):
-    """The elements of a k[x, T] basis that do not involve T, in k[x]."""
-    return [Poly(b.arity - 1, {e[:-1]: c for e, c in b.terms.items()})
-            for b in basis if all(e[-1] == 0 for e in b.terms)]
-
-
 def _sat_gb(ctx, nums, positional=True):
     """Groebner data for the saturated ideal of `nums` in the context's
     localized ring, kept in the context's memo, so it lives as long as the
@@ -363,45 +346,30 @@ def koszul_divide(u, v, f, g):
 
 # -- regular pairs -----------------------------------------------------------------
 
-def _saturation_gens(ctx, p):
-    """Polynomial generators of ((p) : u^infinity) in k[x], via T-elimination."""
-    if not ctx.unit_keys():
-        return [p]
-    _, rel = _rabinowitsch(ctx)
-    return _T_free(buchberger([_lift_poly(p), rel], ctx.nvars + 1,
-                              key=elim_key(1)).basis)
-
-
-def _colon_principal(gens, q, arity):
-    """Generators of (gens) : (q) in k[x], q a nonzero polynomial."""
-    # Intersect (gens) with (q) using an auxiliary last variable, then divide.
-    t = Poly.variable(arity + 1, arity)
-    one = Poly.const(arity + 1, 1)
-    aux = [t * _lift_poly(g) for g in gens]
-    aux.append((one - t) * _lift_poly(q))
-    out = []
-    for inter in _T_free(buchberger(aux, arity + 1, key=elim_key(1)).basis):
-        quo = divide_exact(inter, q)
-        if quo is None:
-            raise AssertionError("intersection element not divisible by q")
-        out.append(quo)
-    return out
+def _dimension(gb):
+    """Krull dimension of k[vars]/(gb.basis), -1 for the unit ideal: the
+    size of the largest set of variables that contains the support of no
+    leading monomial (dim k[x]/J == dim k[x]/in(J) under a graded order)."""
+    supports = {sum(1 << i for i, a in enumerate(e) if a) for e in gb.leads}
+    return max((s.bit_count() for s in range(1 << gb.arity)
+                if all(m & ~s for m in supports)), default=-1)
 
 
 def regular_pair(f, g):
-    """Is (f, g) a regular pair in the localized ring?
+    """Is (f, g) a regular pair in the localized ring k[x]_u?  The unit
+    ideal counts as regular.
 
-    Unit shortcut first; otherwise both must be nonzero and the saturated
-    colon ((f) : g) must equal the saturated (f): each colon generator must
-    lie in (f), which the basis `is_unit_ideal([f])` has just built decides.
+    k[x]_u is an affine domain of dimension n and a UFD.  For nonzero
+    non-units every minimal prime of (f, g) has height 1 or 2 (Krull), and a
+    height-1 prime is principal, generated by a common non-unit factor, which
+    is exactly what makes g a zero-divisor modulo f.  So a proper (f, g) is
+    regular iff it has no height-1 minimal prime, iff dim k[x]_u/(f, g) is
+    n - 2.  (0, 0) has dimension n and (0, non-unit) n - 1: not regular.
+    The dimension is read from the leading monomials of the saturated basis,
+    which `is_unit_ideal([f, g])` has usually just built; in k[x, T] with the
+    Rabinowitsch relation, k[x, T]/J is k[x]_u/(f, g).
     """
     ctx = _check_ctxs([f, g])
-    if f.is_zero() and g.is_zero():
-        return False
-    if is_unit_ideal([f]) or is_unit_ideal([g]):
-        return True
-    if f.is_zero() or g.is_zero():
-        return False
-    sat = _saturation_gens(ctx, f.num)
-    colon = _colon_principal(sat, g.num, ctx.nvars)
-    return all(in_ideal(LocElem(ctx, c), [f]) for c in colon)
+    gb, _ = _sat_gb(ctx, (f.num, g.num), positional=False)
+    dim = _dimension(gb)
+    return dim < 0 or dim == ctx.nvars - 2

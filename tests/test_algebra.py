@@ -962,3 +962,37 @@ def test_product_with_one_is_unchanged(monkeypatch):
                 _same_as_checked(left, ctx, e.num * one.num, dict(den))
                 _same_as_checked(right, ctx, one.num * e.num, dict(den))
     assert products == []
+
+
+def test_zero_negation_and_scale_skip_the_checks(monkeypatch):
+    # no Poly(...) or LocElem(...) is built, and (num, den) come out as the
+    # checked LocElem(..., normalize=False) keeps them, on normalized and
+    # unnormalized elements alike
+    rng = random.Random(1401)
+    built = []
+
+    def counted(cls):
+        init = cls.__init__
+
+        def checked(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+        return checked
+
+    for sunits in ((), _p3_units(False)):
+        ctx = _ctx((0, 1, 3), sunits=sunits)
+        for _ in range(30):
+            e = _rand_elem(rng, ctx)
+            c = rng.choice([0, 1, -1, 3, Fraction(-2, 3)])
+            with monkeypatch.context() as m:
+                m.setattr(LocElem, "__init__", counted(LocElem))
+                m.setattr(Poly, "__init__", counted(Poly))
+                got = [LocElem.zero(ctx), -e, e.scale(c), e * c]
+            want = [LocElem(ctx, Poly.zero(3), {}),
+                    LocElem(ctx, -e.num, dict(e.den), normalize=False)]
+            want += 2 * [LocElem(ctx, e.num.scale(c), dict(e.den) if c else {},
+                                 normalize=False)]
+            for x, y in zip(got, want):
+                assert x.ctx is y.ctx
+                assert (x.num, x.den, repr(x)) == (y.num, y.den, repr(y))
+    assert built == []

@@ -1,6 +1,7 @@
 """The summary of `scripts/bench_pairs.py` on synthetic benchmark rows."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,38 @@ def test_unknown_metric_counts_lower_as_better():
 def test_directions_come_from_the_benchmark_declaration():
     better = bench_pairs.better_directions()
     assert better["pass_s"] == "lower" and better["ops_per_s"] == "higher"
+
+
+def test_workloads_option_runs_only_the_named_workloads(tmp_path, monkeypatch,
+                                                         capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed))
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"pass_s": {"value": 1.0, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "revision", lambda path: "r")
+    out = tmp_path / "pairs.jsonl"
+    assert bench_pairs.main(["--parent", str(tmp_path), "--pairs", "2",
+                             "--seconds", "1", "--seed-base", "10",
+                             "--workloads", "curved, ansatz",
+                             "--out", str(out)]) == 0
+    parent, change = os.path.abspath(tmp_path), bench_pairs.ROOT
+    # odd seeds run the parent first, even seeds the change
+    assert calls == [(parent, "curved", 11), (change, "curved", 11),
+                     (parent, "ansatz", 11), (change, "ansatz", 11),
+                     (change, "curved", 12), (parent, "curved", 12),
+                     (change, "ansatz", 12), (parent, "ansatz", 12)]
+    assert len(out.read_text().splitlines()) == 8
+    assert "wins parent 0 change 0 of 2" in capsys.readouterr().out
+
+
+def test_workloads_option_takes_subsets_and_rejects_unknown_names():
+    assert bench_pairs.workload_list("linear,curved,ansatz") == \
+        bench_pairs.WORKLOADS
+    assert bench_pairs.workload_list("linear") == ("linear",)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", ".", "--out", "x",
+                          "--workloads", "linear,quadric"])

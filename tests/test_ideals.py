@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from serrekit import ideals
-from serrekit.algebra import (Context, LocElem, Poly, SUnit, grevlex_key,
-                              parse_poly)
+from serrekit.algebra import (Context, LocElem, Poly, SUnit, divide_exact,
+                              grevlex_key, parse_poly)
 from serrekit.errors import (NotCoprime, NotInIdeal, NotRegularPair,
                              PreconditionViolated)
-from serrekit.ideals import (_lift_poly, buchberger, elim_key, ideal_equal,
+from serrekit.ideals import (_lift_poly, buchberger, ideal_equal,
                              in_ideal, invert, is_unit_ideal, koszul_divide,
                              lift_pair, member_with_lift, regular_pair,
                              unit_certificate)
@@ -88,6 +89,15 @@ def test_membership_via_reduction():
     member = gens[0] * parse_poly("y^3 - x", names) + gens[1] * parse_poly("x + 7", names)
     assert gb.reduce(member)[1].is_zero()
     assert not gb.reduce(parse_poly("x", names))[1].is_zero()
+
+
+def elim_key(nelim):
+    """Block order eliminating the LAST `nelim` variables (graded per block)."""
+    def key(exps):
+        x, t = exps[:-nelim], exps[-nelim:]
+        return (sum(t), tuple(-a for a in reversed(t)),
+                sum(x), tuple(-a for a in reversed(x)))
+    return key
 
 
 def test_elim_key_is_elimination_order():
@@ -274,6 +284,126 @@ def test_regular_pair_saturation_sensitive():
     assert not regular_pair(_loc(plain, "x1*x2"), _loc(plain, "x1^2 + x1*x2"))
 
 
+# `regular_pair` reads the dimension of (f, g) off the saturated basis.  The
+# colon-ideal test it replaced is kept here as a reference: (f, g) is regular
+# when the saturated ((f) : g) lies in (f), the colon computed by intersecting
+# with (g) in an elimination order.
+
+def _T_free_reference(basis):
+    """The elements of a k[x, T] basis that do not involve T, in k[x]."""
+    return [Poly(b.arity - 1, {e[:-1]: c for e, c in b.terms.items()})
+            for b in basis if all(e[-1] == 0 for e in b.terms)]
+
+
+def _saturation_gens_reference(ctx, p):
+    """Polynomial generators of ((p) : u^infinity) in k[x], via T-elimination."""
+    if not ctx.unit_keys():
+        return [p]
+    _, rel = ideals._rabinowitsch(ctx)
+    return _T_free_reference(buchberger([_lift_poly(p), rel], ctx.nvars + 1,
+                                        key=elim_key(1)).basis)
+
+
+def _colon_principal_reference(gens, q, arity):
+    """Generators of (gens) : (q) in k[x], q a nonzero polynomial."""
+    t = Poly.variable(arity + 1, arity)
+    one = Poly.const(arity + 1, 1)
+    aux = [t * _lift_poly(g) for g in gens]
+    aux.append((one - t) * _lift_poly(q))
+    out = []
+    for inter in _T_free_reference(buchberger(aux, arity + 1,
+                                              key=elim_key(1)).basis):
+        quo = divide_exact(inter, q)
+        assert quo is not None, "intersection element not divisible by q"
+        out.append(quo)
+    return out
+
+
+def _regular_pair_reference(f, g):
+    ctx = f.ctx
+    if f.is_zero() and g.is_zero():
+        return False
+    if is_unit_ideal([f]) or is_unit_ideal([g]):
+        return True
+    if f.is_zero() or g.is_zero():
+        return False
+    sat = _saturation_gens_reference(ctx, f.num)
+    colon = _colon_principal_reference(sat, g.num, ctx.nvars)
+    return all(in_ideal(LocElem(ctx, c), [f]) for c in colon)
+
+
+def _random_pair(rng, ctx):
+    """A pair on ctx: random elements (numerators of degree <= 2, random
+    unit denominators), common-factor multiples f*h, g*h, zeros or units."""
+    n, keys = ctx.nvars, ctx.unit_keys()
+
+    def elem(deg=2):
+        den = {k: rng.randint(0, 1) for k in keys}
+        return LocElem(ctx, _rand_poly(rng, n, deg=deg,
+                                       nterms=rng.randint(1, 3)), den)
+
+    def unit():
+        num = Poly.const(n, rng.choice([1, -2, Fraction(1, 3)]))
+        for k in keys:
+            num = num * ctx.unit_poly(k) ** rng.randint(0, 1)
+        return LocElem(ctx, num)
+
+    f, g = elem(), elem()
+    kind = rng.choice(["random", "random", "factor", "zero", "unit"])
+    if kind == "factor":
+        h = elem(deg=1)
+        f, g = f * h, g * h
+    elif kind == "zero":
+        f, g = rng.choice([(f, LocElem.zero(ctx)), (LocElem.zero(ctx), g),
+                           (LocElem.zero(ctx), LocElem.zero(ctx))])
+    elif kind == "unit":
+        f, g = rng.choice([(unit(), g), (f, unit()), (unit(), LocElem.zero(ctx))])
+    return f, g
+
+
+_S_P2 = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
+_S_P3 = parse_poly("x1*x2 + x0*x3", ("x0", "x1", "x2", "x3"))
+_PAIR_CONTEXTS = {
+    "chart": [_ctx((0,)), _ctx((1,), dim=3), _ctx((2,), dim=4)],
+    "overlap": [_ctx((0, 1)), _ctx((0, 2), dim=3), _ctx((1, 2, 3), dim=3),
+                _ctx((0, 4), dim=4)],
+    "sunit": [Context("projective", 2, 0, (0, 1), (SUnit(1, _S_P2, 2),)),
+              Context("projective", 3, 0, (0,), (SUnit(0, _S_P3, 2),)),
+              Context("projective", 3, 2, (1, 2), (SUnit(1, _S_P3, 2),))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_CONTEXTS))
+def test_regular_pair_matches_colon_reference(kind):
+    rng = random.Random(f"regular-pair-{kind}")
+    seen = Counter()
+    for _ in range(150):
+        f, g = _random_pair(rng, rng.choice(_PAIR_CONTEXTS[kind]))
+        answer = regular_pair(f, g)
+        assert answer is _regular_pair_reference(f, g), (f, g)
+        unit = not (f.is_zero() and g.is_zero()) and is_unit_ideal([f, g])
+        seen[answer, unit] += 1
+    # each outcome is drawn: unit ideal, proper regular, not regular
+    assert min(seen[True, True], seen[True, False], seen[False, False]) >= 10
+
+
+def test_regular_pair_matches_sympy_gcd():
+    # On a chart with no units, k[x] is a UFD whose units are the nonzero
+    # constants: (f, g) is regular iff gcd(f, g) is a nonzero constant.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(101)
+    answers = []
+    for _ in range(60):
+        ctx = rng.choice(_PAIR_CONTEXTS["chart"])
+        f, g = _random_pair(rng, ctx)
+        syms = sympy.symbols(f"x0:{ctx.nvars}")
+        gcd = sympy.gcd(_to_sympy(sympy, f.num, syms),
+                        _to_sympy(sympy, g.num, syms))
+        answers.append(regular_pair(f, g))
+        assert answers[-1] is (not gcd.is_zero and gcd.is_ground), (f, g)
+    assert 10 <= sum(answers) <= 50
+
+
 # -- reference implementations of the Groebner loop ---------------------------
 #
 # `buchberger` takes each leading exponent once, divides on mutable term dicts
@@ -396,7 +526,7 @@ def _reduce_reference(p, basis, rows, m, key):
 def _rabinowitsch_gens(rng, n):
     """Random generators in k[x] lifted to k[x, T], then 1 - T*u for u a
     random product of variables, perhaps times a binomial: the shape
-    `_sat_gb` and `_saturation_gens` hand to `buchberger`."""
+    `_sat_gb` and `_saturation_gens_reference` hand to `buchberger`."""
     u = Poly.const(n, 1)
     for i in rng.sample(range(n), rng.randint(1, n)):
         u = u * Poly.variable(n, i)
