@@ -146,21 +146,11 @@ class Poly:
     def is_constant(self):
         return not self.terms or set(self.terms) == {(0,) * self.arity}
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def total_degree(self):
         """Max term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def leading(self):
-        """(exponents, coefficient) of the grevlex-leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grevlex_key)
-        return exps, self.terms[exps]
 
     def sorted_terms(self):
         """Terms in descending grevlex order (canonical print order)."""
@@ -262,43 +252,52 @@ class Poly:
         return f"Poly({self.arity}, {format_poly(self)})"
 
 
-def divide_exact(p, q):
-    """Exact multivariate division: p / q as a Poly, or None if not exact.
+def divide(p, basis, leads, key):
+    """Divide p by the basis list, the package's one polynomial division;
+    returns (remainder, per-basis quotients).
 
-    Ordinary grevlex long division that insists on a zero remainder, run on
-    one mutable remainder dict.  Fast path for monomial divisors.
+    `leads[i]` is the leading exponent of basis[i] under `key`.  Each step
+    takes the leading term of what is left of p and divides it by the first
+    basis element whose leading term divides it, or moves it to the
+    remainder when none does.  The work happens on one mutable remainder
+    dict and one quotient dict per basis element; the order key of each
+    monomial is computed once per division.  A subtraction can leave an
+    integral Fraction in that dict, so `_canon` stores remainder terms.
     """
-    if q.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return Poly.zero(p.arity)
-    if q.is_monomial():
-        (qe, qc), = q.terms.items()
-        out = {}
-        for e, c in p.terms.items():
-            d = tuple(map(sub, e, qe))
-            if min(d) < 0:
-                return None
-            out[d] = qdiv(c, qc)
-        return Poly._of(p.arity, out)
-    qe, qc = q.leading()
-    rem = dict(p.terms)
-    quot = {}
-    while rem:
-        re = max(rem, key=grevlex_key)
-        d = tuple(map(sub, re, qe))
-        if min(d) < 0:
-            return None
-        t = qdiv(rem[re], qc)
-        quot[d] = t
-        for e2, c2 in q.terms.items():
+    keys = {e: key(e) for e in p.terms}
+    r = dict(p.terms)
+    rem = {}
+    q = [{} for _ in basis]
+    while r:
+        re = max(r, key=keys.__getitem__)
+        rc = r.pop(re)
+        for i, be in enumerate(leads):
+            d = tuple(map(sub, re, be))
+            if min(d) >= 0:
+                break
+        else:
+            rem[re] = _canon(rc)
+            continue
+        b = basis[i].terms
+        c = qdiv(rc, b[be])
+        q[i][d] = c
+        for e2, c2 in b.items():
+            if e2 == be:
+                continue  # cancels the popped leading term exactly
             e = tuple(map(add, d, e2))
-            s = rem.get(e, 0) - t * c2
-            if s:
-                rem[e] = s
+            s = r.get(e)
+            if s is None:
+                if e not in keys:
+                    keys[e] = key(e)
+                r[e] = -(c * c2)
             else:
-                del rem[e]
-    return Poly._of(p.arity, quot)
+                s -= c * c2
+                if s:
+                    r[e] = s
+                else:
+                    del r[e]
+    n = p.arity
+    return Poly._of(n, rem), [Poly._of(n, t) for t in q]
 
 
 def _cancel_variable(p, pos, cap=None):
@@ -610,9 +609,10 @@ def _normalize(ctx, num, den):
             den[key] -= m
         else:
             u = ctx.unit_poly(key)
+            lead = (max(u.terms, key=grevlex_key),)
             while den[key] > 0:
-                q = divide_exact(num, u)
-                if q is None:
+                rem, (q,) = divide(num, (u,), lead, grevlex_key)
+                if not rem.is_zero():
                     break
                 num = q
                 den[key] -= 1

@@ -28,25 +28,11 @@ from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
                     compare_bundles)
 from .verify import run_all
 
-# Stage tags on exceptions name pipeline phases; the CLI reports them as the
-# operation a caller would recognize.
-_STAGE_LABEL = {
-    "parse": "parse",
-    "subscheme": "load_subscheme",
-    "sections": "load_sections",
-    "glue": "build_Z",
-    "cech": "cech",
-    "correction": "correct",
-    "compare": "compare",
-    "general": "general",
-}
-
 _SCHEMA = "serre-bundle/1"
 
 
 def _fail(exc):
-    label = _STAGE_LABEL.get(getattr(exc, "stage", "general"), "general")
-    print(f"error[{label}]: {exc}", file=sys.stderr)
+    print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
 
 
 # -- document encoding --------------------------------------------------------
@@ -134,14 +120,14 @@ def _elem_load(ctx, doc, where):
 
 
 def _vec_load(ctx, doc, width, where):
-    if not isinstance(doc, list) or len(doc) != width:
+    if len(doc) != width:
         raise ShapeViolation(f"{where}: expected {width} entries")
     return tuple(_elem_load(ctx, d, where) for d in doc)
 
 
 def _mat_load(ctx, doc, shape, where):
     rows, cols = shape
-    if not isinstance(doc, list) or len(doc) != rows:
+    if len(doc) != rows:
         raise ShapeViolation(f"{where}: expected {rows} matrix rows")
     data = []
     for row in doc:
@@ -152,8 +138,6 @@ def _mat_load(ctx, doc, shape, where):
 
 
 def _cochain_load(cover, lb, degree, width, doc, where):
-    if not isinstance(doc, list):
-        raise ShapeViolation(f"{where}: expected a list of components")
     data = {}
     for entry in doc:
         key = tuple(chart_key(i, cover.charts, where)

@@ -27,7 +27,7 @@ from .algebra import (Context, LocElem, MatrixL, SUnit, chart_monomial,
                       transport)
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
-from .ideals import (ideal_equal, in_ideal, invert, is_unit_ideal, lift_pair,
+from .ideals import (ideal_equal, in_ideal, is_unit_ideal, lift_pair,
                      regular_pair, unit_certificate)
 
 
@@ -268,7 +268,7 @@ def load_subscheme(cover, doc):
             if not ideal_equal([fi, gi], [fj, gj]):
                 raise PreconditionViolated(
                     f"chart pairs {i} and {j} generate different ideals on "
-                    "their overlap", stage="subscheme")
+                    "their overlap", stage="load_subscheme")
     return sub
 
 
@@ -303,23 +303,18 @@ def extend_off_Y(sub):
 class SectionData:
     sections: dict    # chart -> tuple of r-1 LocElems in the chart context
     t: dict           # chart -> pivot index, 1-based
-    tier: dict        # chart -> which pivot rule fired (1..4)
+    tier: dict        # chart -> which pivot rule fired (0 off Y, 1 or 4)
     rank: int
 
 
 def _choose_pivot(f, g, sections):
-    """Pivot tiers: constant; monomial (register); already a unit; nonvanishing
-    on Y by Nullstellensatz (register).  Returns (t, tier, unit_to_register)."""
+    """Pivot tiers: 1, a nonzero constant (the only units of a unit-free
+    chart); 4, nonvanishing on Y by the Nullstellensatz (register it).
+    Returns (t, tier, unit_to_register)."""
     candidates = list(enumerate(sections, start=1))
     for t, s in candidates:
         if not s.den and s.num.is_constant() and not s.num.is_zero():
             return t, 1, None
-    for t, s in candidates:
-        if not s.den and s.num.is_monomial() and s.num.total_degree() >= 1:
-            return t, 2, s.num
-    for t, s in candidates:
-        if not s.is_zero() and invert(s) is not None:
-            return t, 3, None
     for t, s in candidates:
         if not s.is_zero() and is_unit_ideal([f, g, s]):
             return t, 4, s.num

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 
 class SerreError(Exception):
-    """Base class; `stage` tags where in the pipeline the failure occurred."""
+    """Base class; `stage` names the pipeline operation that failed, as the
+    CLI prints it: `error[<stage>]`."""
 
     stage = "general"
 
@@ -43,25 +44,25 @@ class NotRegularPair(SerreError):
 class NotCodimTwo(SerreError):
     """Chart pair does not cut out a codimension-two subscheme."""
 
-    stage = "subscheme"
+    stage = "load_subscheme"
 
 
 class GluingFailure(SerreError):
     """Transition data cannot be built/adjusted on some overlap."""
 
-    stage = "glue"
+    stage = "build_Z"
 
 
 class CompatibilityFailure(SerreError):
     """Section tuples violate the overlap compatibility identity."""
 
-    stage = "sections"
+    stage = "load_sections"
 
 
 class NotGenerating(SerreError):
     """Sections together with (f, g) fail to generate the unit ideal."""
 
-    stage = "sections"
+    stage = "load_sections"
 
 
 class NotACocycle(SerreError):
@@ -73,7 +74,7 @@ class NotACocycle(SerreError):
 class Obstructed(SerreError):
     """The coboundary equation is exactly unsolvable; carries a witness."""
 
-    stage = "correction"
+    stage = "correct"
 
     def __init__(self, message: str, *, component: int, multidegree: tuple[int, ...],
                  witness: dict | None = None):
@@ -86,7 +87,7 @@ class Obstructed(SerreError):
 class Inconclusive(SerreError):
     """Solver could not decide within its search bounds (never a proof)."""
 
-    stage = "correction"
+    stage = "correct"
 
 
 class FormMismatch(SerreError):

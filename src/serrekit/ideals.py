@@ -16,9 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
-from operator import add, sub
+from operator import sub
 
-from .algebra import LocElem, Poly, grevlex_key, qdiv
+from .algebra import LocElem, Poly, divide, grevlex_key, qdiv
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
                      PreconditionViolated)
 
@@ -44,62 +44,22 @@ class GroebnerBasis:
     def reduce(self, p):
         """Full division: returns (cofactors_over_gens, remainder) with
         p == sum(cof[j] * gens[j]) + remainder."""
-        rem, q = _divide(p, self.basis, self.leads, self.key)
-        m = len(self.gens)
-        cof = [Poly.zero(self.arity) for _ in range(m)]
-        for qi, row in zip(q, self.cofactors):
-            if qi.is_zero():
-                continue
-            for j in range(m):
-                if not row[j].is_zero():
-                    cof[j] = cof[j] + qi * row[j]
-        return cof, rem
+        rem, q = divide(p, self.basis, self.leads, self.key)
+        zeros = [Poly.zero(self.arity) for _ in self.gens]
+        return _fold(zeros, q, self.cofactors), rem
 
 
-def _divide(p, basis, leads, key):
-    """Divide p by the basis list; returns (remainder, per-basis quotients).
-
-    `leads[i]` is the leading exponent of basis[i] under `key`.  Each step
-    takes the leading term of what is left of p and divides it by the first
-    basis element whose leading term divides it, or moves it to the
-    remainder when none does.  The work happens on one mutable remainder
-    dict and one quotient dict per basis element; the order key of each
-    monomial is computed once per division.
-    """
-    keys = {e: key(e) for e in p.terms}
-    r = dict(p.terms)
-    rem = {}
-    q = [{} for _ in basis]
-    while r:
-        re = max(r, key=keys.__getitem__)
-        rc = r.pop(re)
-        for i, be in enumerate(leads):
-            d = tuple(map(sub, re, be))
-            if min(d) >= 0:
-                break
-        else:
-            rem[re] = rc
+def _fold(row, q, rows):
+    """The row row[j] + sum_i q[i] * rows[i][j]: quotients carried onto
+    cofactor rows."""
+    row = list(row)
+    for qi, qrow in zip(q, rows):
+        if qi.is_zero():
             continue
-        b = basis[i].terms
-        c = qdiv(rc, b[be])
-        q[i][d] = c
-        for e2, c2 in b.items():
-            if e2 == be:
-                continue  # cancels the popped leading term exactly
-            e = tuple(map(add, d, e2))
-            s = r.get(e)
-            if s is None:
-                if e not in keys:
-                    keys[e] = key(e)
-                r[e] = -(c * c2)
-            else:
-                s -= c * c2
-                if s:
-                    r[e] = s
-                else:
-                    del r[e]
-    n = p.arity
-    return Poly(n, rem), [Poly(n, t) for t in q]
+        for j, c in enumerate(qrow):
+            if not c.is_zero():
+                row[j] = row[j] + qi * c
+    return row
 
 
 def buchberger(gens, arity, key=None):
@@ -122,15 +82,8 @@ def buchberger(gens, arity, key=None):
     formed = count()
 
     def reduce_tracked(p, prow):
-        rem, q = _divide(p, basis, leads, key)
-        row = list(prow)
-        for qi, brow in zip(q, rows):
-            if qi.is_zero():
-                continue
-            for j in range(m):
-                if not brow[j].is_zero():
-                    row[j] = row[j] - qi * brow[j]
-        return rem, row
+        rem, q = divide(p, basis, leads, key)
+        return rem, _fold(prow, [-qi for qi in q], rows)
 
     def push(p, row):
         le = max(p.terms, key=key)
@@ -276,7 +229,7 @@ def in_ideal(p, gens):
     ctx = _check_ctxs([p] + list(gens))
     gb, u = _sat_gb(ctx, tuple(g.num for g in gens), positional=False)
     num = _lift_poly(p.num) if u is not None else p.num
-    return _divide(num, gb.basis, gb.leads, gb.key)[0].is_zero()
+    return divide(num, gb.basis, gb.leads, gb.key)[0].is_zero()
 
 
 def is_unit_ideal(gens):

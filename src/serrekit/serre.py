@@ -403,8 +403,8 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
 
 def _check_glue(Z, frames):
     """Z_ij M_j = M_i and det Z_ij = h_ij on every sorted overlap.  A raw set
-    fails at stage glue, a corrected one at stage correction."""
-    stage = "glue" if Z.status == "raw" else "correction"
+    fails at stage build_Z, a corrected one at stage correct."""
+    stage = "build_Z" if Z.status == "raw" else "correct"
     for i, j in Z.pairs:
         ctx = Z.cover.ctx((i, j))
         if Z.Z[(i, j)] @ frames[j].M_on(ctx) != frames[i].M_on(ctx):
@@ -432,13 +432,13 @@ def obstruction(Z, frames):
         if off_columns(D):
             raise ShapeViolation(
                 f"triple ({i}, {j}, {k}): defect has entries outside the "
-                "final two columns", stage="glue")
+                "final two columns", stage="build_Z")
         try:
             data[(i, j, k)] = _rank_one_value(D, frames[i], frames[k], ctx)
         except SerreError as exc:
             raise ShapeViolation(
                 f"triple ({i}, {j}, {k}): defect block does not factor "
-                f"through the chart pairs ({exc})", stage="glue")
+                f"through the chart pairs ({exc})", stage="build_Z")
     return CechCochain(cover, lb, 2, r - 1, data)
 
 
@@ -463,7 +463,7 @@ def correct(Z, obs, frames, max_degree=8):
         if corrected.defect(i, j, k) != zero:
             raise GluingFailure(
                 f"triple ({i}, {j}, {k}): corrected transitions are not a "
-                "cocycle", stage="correction")
+                "cocycle", stage="correct")
     return corrected, xi
 
 

@@ -3,13 +3,15 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 
 import pytest
 
 from serrekit.algebra import (
-    Context, LocElem, MatrixL, Poly, SUnit, divide_exact, format_poly,
+    Context, LocElem, MatrixL, Poly, SUnit, divide, format_poly,
     from_blocks, from_laurent, grevlex_key, homogenize, dehomogenize,
     parse_poly, qdiv, to_laurent, transport,
 )
@@ -124,24 +126,47 @@ def test_grevlex_order():
     assert grevlex_key((0, 2, 0)) > grevlex_key((1, 0, 1))
 
 
+def _leads(basis):
+    return tuple(max(b.terms, key=grevlex_key) for b in basis)
+
+
+def _quotient(p, q):
+    """p / q by `divide`, or None when the remainder is not zero."""
+    rem, (quot,) = divide(p, (q,), _leads((q,)), grevlex_key)
+    return quot if rem.is_zero() else None
+
+
 def test_divide_exact():
     names = ("x", "y")
     p = parse_poly("x^2 - y^2", names)
     q = parse_poly("x + y", names)
-    assert divide_exact(p, q) == parse_poly("x - y", names)
-    assert divide_exact(p, parse_poly("x", names)) is None
-    assert divide_exact(Poly.zero(2), q).is_zero()
+    assert _quotient(p, q) == parse_poly("x - y", names)
+    assert _quotient(p, parse_poly("x", names)) is None
+    assert _quotient(Poly.zero(2), q).is_zero()
+    x = parse_poly("x", names)
+    assert divide(p, (x,), _leads((x,)), grevlex_key) == (
+        parse_poly("-y^2", names), [x])
 
 
 def test_poly_division_property():
+    """p == sum q_i b_i + rem with no remainder term divisible by a leading
+    term; an exact multiple divides back to its cofactor."""
     rng = random.Random(5)
     for _ in range(150):
         a = _rand_poly(rng, 2)
         b = _rand_poly(rng, 2)
         if b.is_zero():
             continue
-        q = divide_exact(a * b, b)
-        assert q is not None and q == a
+        assert _quotient(a * b, b) == a
+        basis = [c for c in (b, _rand_poly(rng, 2)) if not c.is_zero()]
+        leads = _leads(basis)
+        rem, q = divide(a, basis, leads, grevlex_key)
+        total = rem
+        for qi, c in zip(q, basis):
+            total = total + qi * c
+        assert total == a
+        assert not any(min(map(sub, e, le)) >= 0
+                       for e in rem.terms for le in leads)
 
 
 def test_homogenize_dehomogenize():
@@ -248,14 +273,19 @@ def test_unit_poly_answers_only_unit_keys():
 # unit-by-unit cancellation, and equality by cross-multiplication.
 
 
+def _leading_reference(p):
+    exps = max(p.terms, key=grevlex_key)
+    return exps, p.terms[exps]
+
+
 def _divide_exact_reference(p, q):
     if p.is_zero():
         return Poly.zero(p.arity)
-    qe, qc = q.leading()
+    qe, qc = _leading_reference(q)
     rem = p
     quot = Poly.zero(p.arity)
     while not rem.is_zero():
-        re, rc = rem.leading()
+        re, rc = _leading_reference(rem)
         d = tuple(a - b for a, b in zip(re, qe))
         if any(x < 0 for x in d):
             return None
@@ -310,6 +340,7 @@ def _rand_unit_multiple(rng, ctx, keys):
 def test_divide_exact_matches_reference():
     rng = random.Random(61)
     exact = inexact = 0
+    monomial = Counter()  # monomial divisors, by exactness
     for _ in range(600):
         arity = rng.randint(1, 3)
         q = _rand_poly(rng, arity, deg=2, nterms=rng.randint(1, 3))
@@ -317,14 +348,39 @@ def test_divide_exact_matches_reference():
             continue
         a = _rand_poly(rng, arity, deg=3, nterms=rng.randint(0, 4))
         p = a * q if rng.random() < 0.5 else a
-        got = divide_exact(p, q)
+        got = _quotient(p, q)
         assert got == _divide_exact_reference(p, q)
+        if len(q.terms) == 1:
+            monomial[got is not None] += 1
         if got is None:
             inexact += 1
         else:
             exact += 1
             assert got * q == p
     assert exact > 200 and inexact > 100
+    assert monomial[True] > 50 and monomial[False] > 20
+
+
+def test_divide_keeps_coefficients_stored():
+    """Remainder and quotient coefficients are in stored form, also where a
+    subtraction of Fractions leaves an integral value in the remainder."""
+    rng = random.Random(1321)
+    integral = 0  # int remainder coefficients where p has none
+    for _ in range(300):
+        arity = rng.randint(2, 3)
+        basis = [b for b in (_rand_poly(rng, arity, deg=2,
+                                        nterms=rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3)))
+                 if not b.is_zero()]
+        p = _rand_poly(rng, arity, deg=4, nterms=rng.randint(1, 5))
+        if not basis:
+            continue
+        rem, q = divide(p, basis, _leads(basis), grevlex_key)
+        for r in [rem, *q]:
+            _assert_stored(r)
+        integral += sum(type(c) is int and type(p.terms.get(e)) is not int
+                        for e, c in rem.terms.items())
+    assert integral > 20
 
 
 def test_normalization_matches_reference():
@@ -838,10 +894,10 @@ def test_poly_operations_keep_coefficients_stored():
         elif q.is_zero():
             continue
         else:
-            r = divide_exact(p * q, q)
+            r = _quotient(p * q, q)
             assert r == p
             _assert_stored(r)
-            r = divide_exact(p + q, q)
+            r = _quotient(p + q, q)
             if r is None:
                 continue
         _assert_stored(r)

@@ -309,6 +309,51 @@ def test_verify_rejects_non_integer_value(tmp_path, capsys, edit):
     assert err.startswith("error[parse]: ")
 
 
+def _raw_01(doc):
+    return doc["overlaps"]["0,1"]["raw"]
+
+
+# Each edit of the two_points_p2_r3 reference breaks the bundle document's
+# schema in one place that `load_bundle` checks, named by the message.
+SCHEMA_EDITS = {
+    "schema tag": (lambda d: d.update(schema="serre-bundle/2"),
+                   "unknown schema tag"),
+    "rank 1": (lambda d: d.update(rank=1), "rank must be >= 2"),
+    "chart dropped": (lambda d: d["charts"].pop("2"),
+                      "chart set does not match"),
+    "t 0": (lambda d: d["charts"]["0"].update(t=0),
+            "pivot position out of range"),
+    "sign flipped": (lambda d: d["charts"]["0"].update(
+        sign=-d["charts"]["0"]["sign"]), "sign does not match"),
+    "branch x": (lambda d: d["overlaps"]["0,1"].update(branch="x"),
+                 "unknown branch 'x'"),
+    "overlap dropped": (lambda d: d["overlaps"].pop("1,2"),
+                        "overlap set does not match"),
+    "section vector short": (lambda d: d["charts"]["0"]["s"].pop(),
+                             "chart 0: expected 2 entries"),
+    "matrix row missing": (lambda d: _raw_01(d).pop(),
+                           "expected 3 matrix rows"),
+    "matrix column missing": (lambda d: _raw_01(d)[0].pop(),
+                              "expected 3 matrix columns"),
+    "negative exponent": (lambda d: _raw_01(d)[2][1]["den"].update(c1=-1),
+                          "exponents must be positive"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SCHEMA_EDITS))
+def test_verify_rejects_schema_edit(tmp_path, capsys, edit):
+    doc = json.loads((CORPUS / "refs" / "two_points_p2_r3.json").read_text(
+        encoding="utf-8"))
+    assert _raw_01(doc)[2][1]["den"] == {"c1": 1}
+    change, message = SCHEMA_EDITS[edit]
+    change(doc)
+    code, out, err = run_cli(capsys, "verify",
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error[parse]: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 # A point of P^2 given in charts mode, on the one chart that meets it.
 CHARTS_POINT = {
     "ambient": {"kind": "projective", "dim": 2},

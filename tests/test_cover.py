@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from serrekit.algebra import LocElem, MatrixL, transport
+from serrekit.algebra import LocElem, MatrixL, parse_poly, transport
 from serrekit.cover import (AmbientSpec, LineBundleData, extend_off_Y,
                             load_sections, load_subscheme, standard_cover)
 from serrekit.errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
@@ -139,6 +139,24 @@ def test_load_sections_tier4_registers_unit():
     assert "s2" in ctx2.unit_keys()
     # with the unit registered, the pivot is invertible on the shrunk chart
     assert is_unit_ideal([secs.sections[2][0]])
+
+
+def test_load_sections_monomial_pivot_must_be_nonvanishing_on_Y():
+    # Y = {x0 = x1 = 0} is the point [0:0:1]; the monomial x0 vanishes there,
+    # so registering it as a unit would shrink chart 2 off Y.  The pivot is
+    # the second component, nonvanishing on Y, and its form is registered.
+    cover = _p2()
+    lb = LineBundleData(cover.ambient, 1)
+    sub = load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
+    secs = load_sections(cover, lb, sub, {"2": ["x0", "1 + x1"]}, rank=3)
+    assert secs.t[2] == 2 and secs.tier[2] == 4
+    ctx2 = sub.cover.chart_ctx(2)
+    assert ctx2.unit_keys() == ("s2",)
+    assert ctx2.sunit(2).form == parse_poly("x1 + x2",
+                                            sub.cover.hom_names())
+    f, g = sub.pairs[2]
+    assert is_unit_ideal([f, g, secs.sections[2][1]])
+    assert not is_unit_ideal([f, g, secs.sections[2][0]])
 
 
 def test_load_sections_schema_errors():

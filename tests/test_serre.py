@@ -302,7 +302,7 @@ def test_build_Z_failure_is_tagged_glue():
     sub.A[(2, 3)] = sub.A[(2, 3)].scalar_mul(2)
     with pytest.raises(GluingFailure) as err:
         build_Z(build_frames(sub, secs), sub, secs, lb)
-    assert err.value.stage == "glue"
+    assert err.value.stage == "build_Z"
 
 
 def _raw_with_bumped_entry(bundle, pair, row, col):
@@ -321,7 +321,7 @@ def test_obstruction_rejects_defect_outside_last_columns():
     raw = _raw_with_bumped_entry(bundle, (0, 2), 0, 0)
     with pytest.raises(ShapeViolation) as err:
         obstruction(raw, bundle.frames)
-    assert err.value.stage == "glue"
+    assert err.value.stage == "build_Z"
     assert str(err.value) == ("triple (0, 1, 2): defect has entries outside "
                               "the final two columns")
 
@@ -331,7 +331,7 @@ def test_obstruction_rejects_defect_that_does_not_factor():
     raw = _raw_with_bumped_entry(bundle, (0, 2), 0, 1)
     with pytest.raises(ShapeViolation) as err:
         obstruction(raw, bundle.frames)
-    assert err.value.stage == "glue"
+    assert err.value.stage == "build_Z"
     assert str(err.value).startswith(
         "triple (0, 1, 2): defect block does not factor through the chart "
         "pairs (")
@@ -360,7 +360,7 @@ def test_obstructed_point_with_cubic_twist():
         build_bundle(point_doc(twist=3))
     assert err.value.multidegree == (-1, -1, -1)
     assert err.value.component == 1
-    assert err.value.stage == "correction"
+    assert err.value.stage == "correct"
 
 
 def test_build_bundle_rejects_bad_documents():
