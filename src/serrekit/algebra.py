@@ -312,6 +312,20 @@ def _cancel_variable(p, pos, cap=None):
                               for e, c in p.terms.items()}), m
 
 
+def lift_poly(p):
+    """p in k[x] read in k[x, T], T a new last variable."""
+    return Poly._of(p.arity + 1, {e + (0,): c for e, c in p.terms.items()})
+
+
+def split_last(p):
+    """{j: the coefficient of T^j in k[x]} for p in k[x, T], T its last
+    variable; only the j with a nonzero coefficient appear."""
+    out = {}
+    for e, c in p.terms.items():
+        out.setdefault(e[-1], {})[e[:-1]] = c
+    return {j: Poly._of(p.arity - 1, t) for j, t in out.items()}
+
+
 # -- printing and parsing ---------------------------------------------------
 
 def default_names(arity):
@@ -1053,18 +1067,3 @@ def _dot(row, vec, ctx):
         acc = acc + a * b
     return acc
 
-
-def from_blocks(ctx, blocks):
-    """Assemble [[A, B], [C, D]]-style block layouts into one MatrixL."""
-    rows = []
-    for block_row in blocks:
-        heights = {b.shape[0] for b in block_row}
-        if len(heights) != 1:
-            raise ValueError("block heights mismatch")
-        h = heights.pop()
-        for i in range(h):
-            row = []
-            for b in block_row:
-                row.extend(b.rows[i])
-            rows.append(row)
-    return MatrixL(ctx, rows)

@@ -22,8 +22,8 @@ from .algebra import LocElem, MatrixL, SUnit, format_poly, is_homogeneous
 from .cech import CechCochain, cohomology_dim
 from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
                     SubschemeData, chart_key, chart_table, need, poly_field)
-from .errors import (FormMismatch, H1Obstruction, Inconclusive, Obstructed,
-                     SerreError, ShapeViolation)
+from .errors import (FormMismatch, Inconclusive, Obstructed, SerreError,
+                     ShapeViolation)
 from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
                     compare_bundles)
 from .verify import run_all
@@ -162,6 +162,8 @@ def load_bundle(doc):
     amb = need(doc, "ambient", dict, "")
     ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
                           need(amb, "dim", int, "ambient"))
+    if ambient.dim < 2:
+        raise ShapeViolation("document: ambient dimension must be >= 2")
     bare = Cover(ambient)
     units = []
     unit_docs = chart_table(need(doc, "units", dict, "").items(), bare.charts,
@@ -453,11 +455,6 @@ def cmd_compare(args):
     except FormMismatch as exc:
         _fail(exc)
         return 2
-    except H1Obstruction as exc:
-        _fail(exc)
-        print(f"  component {exc.component}, multidegree {exc.multidegree}",
-              file=sys.stderr)
-        return 1
     except SerreError as exc:
         _fail(exc)
         return 1

@@ -95,13 +95,3 @@ class FormMismatch(SerreError):
 
     stage = "compare"
 
-
-class H1Obstruction(SerreError):
-    """Two bundles differ by a nonzero degree-1 class; not isomorphic as built."""
-
-    stage = "compare"
-
-    def __init__(self, message: str, *, component: int, multidegree: tuple[int, ...]):
-        super().__init__(message)
-        self.component = component
-        self.multidegree = multidegree

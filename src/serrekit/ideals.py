@@ -18,7 +18,8 @@ from heapq import heappop, heappush
 from itertools import count
 from operator import sub
 
-from .algebra import LocElem, Poly, divide, grevlex_key, qdiv
+from .algebra import (LocElem, Poly, divide, grevlex_key, lift_poly, qdiv,
+                      split_last)
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
                      PreconditionViolated)
 
@@ -121,21 +122,6 @@ def buchberger(gens, arity, key=None):
 
 # -- saturation (Rabinowitsch) ----------------------------------------------------
 
-def _lift_poly(p, extra=1):
-    return Poly(p.arity + extra,
-                {e + (0,) * extra: c for e, c in p.terms.items()})
-
-
-def _split_T(p):
-    """Split a k[x, T] polynomial by T-degree into k[x] pieces."""
-    n = p.arity - 1
-    out = {}
-    for e, c in p.terms.items():
-        j = e[-1]
-        out.setdefault(j, {})[e[:-1]] = c
-    return {j: Poly(n, t) for j, t in out.items()}
-
-
 def _rabinowitsch(ctx):
     """(u, 1 - T*u): the product u of the context's units and its
     Rabinowitsch relation in k[x, T], T a new last variable."""
@@ -143,7 +129,7 @@ def _rabinowitsch(ctx):
     u = Poly.const(n, 1)
     for k in ctx.unit_keys():
         u = u * ctx.unit_poly(k)
-    return u, Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * _lift_poly(u)
+    return u, Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * lift_poly(u)
 
 
 def _sat_gb(ctx, nums, positional=True):
@@ -167,7 +153,7 @@ def _sat_gb(ctx, nums, positional=True):
         out = (buchberger(list(nums), ctx.nvars), None)
     else:
         u, rel = _rabinowitsch(ctx)
-        gb = buchberger([_lift_poly(g) for g in nums] + [rel], ctx.nvars + 1)
+        gb = buchberger([lift_poly(g) for g in nums] + [rel], ctx.nvars + 1)
         out = (gb, u)
     ctx._memo[("saturation", nums)] = out
     ctx._memo.setdefault(bag, out)
@@ -190,7 +176,7 @@ def member_with_lift(p, gens):
     """
     ctx = _check_ctxs([p] + list(gens))
     gb, u = _sat_gb(ctx, tuple(g.num for g in gens))
-    cof, rem = gb.reduce(_lift_poly(p.num) if u is not None else p.num)
+    cof, rem = gb.reduce(lift_poly(p.num) if u is not None else p.num)
     if not rem.is_zero():
         return None
     ukeys = ctx.unit_keys()
@@ -200,7 +186,7 @@ def member_with_lift(p, gens):
         if u is None:
             a = LocElem(ctx, c)
         else:
-            pieces = _split_T(c)
+            pieces = split_last(c)
             if pieces:
                 top = max(pieces)
                 num = Poly.zero(ctx.nvars)
@@ -228,7 +214,7 @@ def in_ideal(p, gens):
     so any generator order's basis serves (see `_sat_gb`)."""
     ctx = _check_ctxs([p] + list(gens))
     gb, u = _sat_gb(ctx, tuple(g.num for g in gens), positional=False)
-    num = _lift_poly(p.num) if u is not None else p.num
+    num = lift_poly(p.num) if u is not None else p.num
     return divide(num, gb.basis, gb.leads, gb.key)[0].is_zero()
 
 

@@ -20,15 +20,14 @@ raises, it never warns.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
-from .algebra import LocElem, MatrixL, from_blocks, transport
+from .algebra import LocElem, MatrixL, transport
 from .cech import CechCochain, coboundary_solve, cohomology_dim
 from .cover import (AmbientSpec, LineBundleData, load_sections,
                     load_subscheme, need, standard_cover)
-from .errors import (FormMismatch, GluingFailure, H1Obstruction, Obstructed,
-                     PreconditionViolated, SerreError, ShapeViolation)
+from .errors import (FormMismatch, GluingFailure, PreconditionViolated,
+                     SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
 
 
@@ -84,19 +83,25 @@ def off_columns(D):
 
 @dataclass
 class FrameData:
-    """Per-chart frame: T' is (r-1)x(r-1) unipotent with pivot column built
-    from the normalized sections, T'' is the 2x(r-1) block whose pivot column
-    is (f; g), and M stacks T' without its pivot row over T''.
+    """Per-chart frame of r-1 sections: M (r x (r-1)) stacks T' without its
+    pivot row over T''.  T' is the (r-1) x (r-1) identity whose pivot column
+    t carries -sign s_a in each row a != t; T'' is 2 x (r-1), (f; g) in the
+    pivot column and zero elsewhere.  So M has one row per a != t (1 at a,
+    -sign s_a at t), then f e_t and g e_t, and M s = (0, ..., 0, sign f,
+    sign g) as s[t-1] == sign.
 
-    T' and T'' are derived from (t, sign, f, g, s).  M is stored: it is built
-    from them when not given, and a loaded document supplies its own, which
-    the verify suite then checks.  `on(ctx)` restricts (f, g, s) to an
-    overlap once, and `M_on(ctx)` restricts M once; `apply` multiplies T' or
-    T'^{-1} into a vector there, which carries a cochain value to the vector
-    x of its rank-one update and back (`_rank_one`, `_rank_one_value`).
+    Lemma: every column of M but the pivot column is a unit vector, e_1 ...
+    e_{r-2} in order (T' is the identity off its pivot column and T'' is
+    zero off it), so for any r x r matrix Z the off-pivot columns of Z M
+    are the first r-2 columns of Z; `build_Z` reads Z_ij's left block off
+    this.
 
-    By construction (D, D' delete the pivot row, column) D T' D' = I,
-    T'' D' = 0, and, as s[t-1] == sign, D T' s = 0, T'' s = sign (f; g).
+    M is stored: `__post_init__` builds it from (t, sign, f, g, s) when not
+    given, and a loaded document supplies its own, which the verify suite
+    then checks.  `on(ctx)` restricts (f, g, s) to an overlap once, and
+    `M_on(ctx)` restricts M once; `apply` multiplies T' or T'^{-1} into a
+    vector there, which carries a cochain value to the vector x of its
+    rank-one update and back (`_rank_one`, `_rank_one_value`).
     """
 
     chart: int
@@ -112,8 +117,14 @@ class FrameData:
 
     def __post_init__(self):
         if self.M is None:
-            top = self.Tp.delete_row(self.t - 1)
-            self.M = from_blocks(self.f.ctx, [[top], [self.Tpp]])
+            ctx, p = self.f.ctx, self.t - 1
+            one, zero = LocElem.one(ctx), LocElem.zero(ctx)
+            pivots = [(a, e.scale(-self.sign))
+                      for a, e in enumerate(self.s) if a != p]
+            pivots += [(None, self.f), (None, self.g)]
+            self.M = MatrixL(ctx, [[e if b == p else one if b == a else zero
+                                    for b in range(len(self.s))]
+                                   for a, e in pivots])
 
     def on(self, ctx):
         """(f, g, s) restricted to the overlap context ctx."""
@@ -136,27 +147,6 @@ class FrameData:
         sign = -self.sign if inverse else self.sign
         return [x if m == t - 1 else x - (s[m] * xs[t - 1]).scale(sign)
                 for m, x in enumerate(xs)]
-
-    @cached_property
-    def Tp(self):
-        """(r-1) x (r-1): identity with pivot column -sign * s off the pivot."""
-        ctx, t = self.f.ctx, self.t
-        n = len(self.s)
-        one, zero = LocElem.one(ctx), LocElem.zero(ctx)
-        rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
-        for m in range(n):
-            if m != t - 1:
-                rows[m][t - 1] = self.s[m].scale(-self.sign)
-        return MatrixL(ctx, rows)
-
-    @cached_property
-    def Tpp(self):
-        """2 x (r-1): (f; g) in the pivot column, zero elsewhere."""
-        zero = LocElem.zero(self.f.ctx)
-        rows = [[zero] * len(self.s) for _ in range(2)]
-        rows[0][self.t - 1] = self.f
-        rows[1][self.t - 1] = self.g
-        return MatrixL(self.f.ctx, rows)
 
 
 @dataclass
@@ -335,7 +325,7 @@ def adjust_glue(sub, secs, lb, lift_order="fg"):
 
 
 def build_frames(sub, secs):
-    """Construct the frame (T', T'', M) of every chart."""
+    """Construct the frame M of every chart."""
     frames = {}
     for i in sub.cover.charts:
         f, g = sub.pairs[i]
@@ -348,14 +338,20 @@ def build_frames(sub, secs):
 def build_Z(frames, sub, secs, lb, lift_order="fg"):
     """Assemble the raw transition matrix on every sorted overlap.
 
-    P and R come from the closed formulas (delete pivot row/column of the
-    chart-i frame); S is the retuned overlap matrix scaled by
-    (-1)^{t_j} s_{j t_i} when that pivot is invertible, and otherwise — only
-    legitimate when (f, g) is the unit ideal on the overlap — the split form
-    built from comaximality certificates of both chart pairs; Q lifts the
-    off-pivot entries of (-1)^{t_j} T'_i s_j over (f_j, g_j), which lie in
-    the ideal by the section compatibility.  Checks M_i = Z_ij M_j and
-    det Z_ij = h_ij exactly (`_check_glue`).
+    Z_ij must carry chart j's frame to chart i's: Z_ij M_j = M_i.  Every
+    column of M_j but its pivot column t_j is a unit vector, e_1 ... e_{r-2}
+    in order (see `FrameData`), so the off-pivot columns of Z_ij M_j are the
+    first r-2 columns of Z_ij, and these must be M_i with column t_j
+    deleted: that is Z_ij's left block (P over R).  `_rank_one` changes only
+    the last two columns, so the corrected set keeps it.
+
+    S is the retuned overlap matrix scaled by (-1)^{t_j} s_{j t_i} when that
+    pivot is invertible, and otherwise — only legitimate when (f, g) is the
+    unit ideal on the overlap — the split form built from comaximality
+    certificates of both chart pairs; Q lifts the off-pivot entries of
+    (-1)^{t_j} T'_i s_j over (f_j, g_j), which lie in the ideal by the
+    section compatibility.  Checks M_i = Z_ij M_j and det Z_ij = h_ij
+    exactly (`_check_glue`).
     """
     cover = sub.cover
     r = secs.rank
@@ -387,14 +383,11 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
                 f"pivot {t_i} and the overlap still meets the subscheme")
 
         tps = fr_i.apply(s_j, ctx)
-        Q = MatrixL(ctx, [list(_lift(e.scale(sgn_j), fj, gj, lift_order))
-                          for m, e in enumerate(tps) if m != t_i - 1])
-
-        Tp = fr_i.Tp.transport_to(ctx)
-        Tpp = fr_i.Tpp.transport_to(ctx)
-        P = Tp.delete_row(t_i - 1).delete_col(t_j - 1)
-        R = Tpp.delete_col(t_j - 1)
-        Zs[(i, j)] = from_blocks(ctx, [[P, Q], [R, S]])
+        Q = [_lift(e.scale(sgn_j), fj, gj, lift_order)
+             for m, e in enumerate(tps) if m != t_i - 1]
+        left = fr_i.M_on(ctx).delete_col(t_j - 1)
+        Zs[(i, j)] = MatrixL(ctx, [(*a, *b) for a, b
+                                   in zip(left.rows, [*Q, *S.rows])])
     raw = TransitionSet(rank=r, status="raw", cover=cover, lb=lb,
                         pairs=pairs, Z=Zs, branch=branch)
     _check_glue(raw, frames)
@@ -520,13 +513,12 @@ def compare_bundles(A, B, max_degree=8):
         data[(i, j)] = val
 
     xi = CechCochain(A.cover, A.lb, 1, r - 1, data)
-    try:
-        Y = coboundary_solve(xi, max_degree=max_degree)
-    except Obstructed as exc:
-        raise H1Obstruction(
-            "the difference class is a nonzero degree-1 cohomology class; "
-            "the bundles are not isomorphic over these frames",
-            component=exc.component, multidegree=exc.multidegree)
+    # No Obstructed can come out here.  Only the monomial solver raises it,
+    # and its per-multidegree systems are the graded pieces of the
+    # standard-cover Cech complex of O(-twist); H^1(P^n, O(m)) = 0 for
+    # n >= 2 (the paper's uniqueness hypothesis H^1(L*) = 0), and builds and
+    # loaded documents both have n >= 2.  The ansatz raises only Inconclusive.
+    Y = coboundary_solve(xi, max_degree=max_degree)
 
     ymap, Nmap = {}, {}
     for i in A.cover.charts:

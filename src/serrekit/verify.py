@@ -219,8 +219,8 @@ def verify_glue_identities(Z, lb, frames):
     """Raw-set identities on sorted overlaps and triples:
       (a) (g_i, -f_i) S_ij = (-1)^{t_i+t_j} h_ij (g_j, -f_j), read from the
           last two columns of the two sides of (c);
-      (b) R_ij = (f_i; g_i) times the pivot selector row (1 at t_i, with
-          column t_j deleted);
+      (b) R_ij is (f_i; g_i) in column t_i and zero elsewhere, with
+          column t_j deleted;
       (c) (0..0, g_i, -f_i) Z_ij = (-1)^{t_i+t_j} h_ij (0..0, g_j, -f_j);
       (d) the same row functional annihilates the triple defect; the
           witness is its value on Z_ij Z_jk - Z_ik.
@@ -243,10 +243,10 @@ def verify_glue_identities(Z, lb, frames):
         entries.append(_entry("glue_row_transform_S", f"overlap ({i}, {j})",
                               lhsS == rhsS, lhsS - rhsS))
 
-        zero, one = LocElem.zero(ctx), LocElem.one(ctx)
-        sel = [[one if m == fr_i.t - 1 else zero
-                for m in range(r - 1) if m != fr_j.t - 1]]
-        expected = MatrixL(ctx, [[fi], [gi]]) @ MatrixL(ctx, sel)
+        zero = LocElem.zero(ctx)
+        expected = MatrixL(ctx, [[e if m == fr_i.t - 1 else zero
+                                  for m in range(r - 1) if m != fr_j.t - 1]
+                                 for e in (fi, gi)])
         entries.append(_entry("glue_selector_R", f"overlap ({i}, {j})",
                               R == expected, R - expected))
 

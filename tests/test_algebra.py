@@ -12,8 +12,8 @@ import pytest
 
 from serrekit.algebra import (
     Context, LocElem, MatrixL, Poly, SUnit, divide, format_poly,
-    from_blocks, from_laurent, grevlex_key, homogenize, dehomogenize,
-    parse_poly, qdiv, to_laurent, transport,
+    from_laurent, grevlex_key, homogenize, dehomogenize, lift_poly,
+    parse_poly, qdiv, split_last, to_laurent, transport,
 )
 from serrekit.cli import load_bundle
 from serrekit.cover import AmbientSpec, LineBundleData
@@ -816,15 +816,25 @@ def test_matrix_det_random_multiplicative():
         assert (a @ b).det() == a.det() * b.det()
 
 
-def test_from_blocks():
-    ctx = _ctx((0,), dim=2)
-    i2 = MatrixL.identity(ctx, 2)
-    col = MatrixL(ctx, [[LocElem.one(ctx)], [LocElem.one(ctx)]])
-    m = from_blocks(ctx, [[i2, col],
-                          [MatrixL.zeros(ctx, 1, 2), MatrixL.identity(ctx, 1)]])
-    assert m.shape == (3, 3)
-    assert m[0, 2] == LocElem.one(ctx)
-    assert m[2, 0].is_zero()
+def test_lift_poly_and_split_last_match_checked_construction():
+    """The trusted T-variable builders give what `Poly(...)` builds from the
+    same terms, and splitting by T-degree inverts a sum of T^j-shifts."""
+    rng = random.Random(1601)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        p = _rand_poly(rng, n, deg=3, nterms=rng.randint(0, 4))
+        lifted = lift_poly(p)
+        want = Poly(n + 1, {e + (0,): c for e, c in p.terms.items()})
+        assert (lifted.arity, lifted.terms) == (want.arity, want.terms)
+        pieces = {j: _rand_poly(rng, n, deg=2, nterms=rng.randint(1, 3))
+                  for j in rng.sample(range(5), rng.randint(0, 3))}
+        t = Poly.variable(n + 1, n)
+        total = Poly.zero(n + 1)
+        for j, q in pieces.items():
+            total = total + lift_poly(q) * t ** j
+        split = split_last(total)
+        assert split == {j: q for j, q in pieces.items() if not q.is_zero()}
+        assert all(q.arity == n for q in split.values())
 
 
 # -- stored coefficients: an int when integral, every division by qdiv ----------

@@ -581,6 +581,20 @@ def test_compare_different_ambient_exit_one(tmp_path, capsys):
     assert code == 1 and "error[compare]" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_bundle_on_a_line_is_rejected(tmp_path, capsys, command):
+    """A bundle document needs ambient dimension >= 2, as a build does; past
+    that, H^1(P^n, O(m)) = 0 leaves compare no nonzero degree-1 class."""
+    ref = CORPUS / "refs" / "point_p2.json"
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    doc["ambient"]["dim"] = 1
+    edited = write_doc(tmp_path, doc, "line.json")
+    args = [edited] if command == "verify" else [edited, str(ref)]
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (1, "")
+    assert err == "error[parse]: document: ambient dimension must be >= 2\n"
+
+
 @pytest.mark.parametrize("col, num, message", [
     (0, "2", "frame blocks differ"),
     (2, "1", "not of coboundary shape"),

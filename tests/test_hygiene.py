@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import of the package is used, no
-module keeps state that its functions change, every function the benchmark
+"""Source hygiene: every module-level import, function and class of the
+package is used, no module keeps state that its functions change, every function the benchmark
 traces still exists, the unchecked constructors stay inside the arithmetic
 kernel, and every coefficient division goes through `algebra.qdiv`."""
 
@@ -33,6 +33,31 @@ def _unused_imports(path):
                          ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
+
+
+def _unused_definitions():
+    """Module-level functions and classes of the package that no file of
+    `src/` names, as an `ast.Name` or an `ast.Attribute`."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{path.name}:{node.name}" for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in used]
+
+
+def test_module_definitions_are_used():
+    """A helper that nothing in the package calls any more is deleted, not
+    kept for the tests."""
+    assert _unused_definitions() == []
 
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,

@@ -8,13 +8,12 @@ import pytest
 
 from serrekit import ideals
 from serrekit.algebra import (Context, LocElem, Poly, SUnit, divide,
-                              grevlex_key, parse_poly)
+                              grevlex_key, lift_poly, parse_poly)
 from serrekit.errors import (NotCoprime, NotInIdeal, NotRegularPair,
                              PreconditionViolated)
-from serrekit.ideals import (_lift_poly, buchberger, ideal_equal,
-                             in_ideal, invert, is_unit_ideal, koszul_divide,
-                             lift_pair, member_with_lift, regular_pair,
-                             unit_certificate)
+from serrekit.ideals import (buchberger, ideal_equal, in_ideal, invert,
+                             is_unit_ideal, koszul_divide, lift_pair,
+                             member_with_lift, regular_pair, unit_certificate)
 
 
 def _ctx(indices, home=None, dim=2, sunits=()):
@@ -300,7 +299,7 @@ def _saturation_gens_reference(ctx, p):
     if not ctx.unit_keys():
         return [p]
     _, rel = ideals._rabinowitsch(ctx)
-    return _T_free_reference(buchberger([_lift_poly(p), rel], ctx.nvars + 1,
+    return _T_free_reference(buchberger([lift_poly(p), rel], ctx.nvars + 1,
                                         key=elim_key(1)).basis)
 
 
@@ -308,8 +307,8 @@ def _colon_principal_reference(gens, q, arity):
     """Generators of (gens) : (q) in k[x], q a nonzero polynomial."""
     t = Poly.variable(arity + 1, arity)
     one = Poly.const(arity + 1, 1)
-    aux = [t * _lift_poly(g) for g in gens]
-    aux.append((one - t) * _lift_poly(q))
+    aux = [t * lift_poly(g) for g in gens]
+    aux.append((one - t) * lift_poly(q))
     out = []
     for inter in _T_free_reference(buchberger(aux, arity + 1,
                                               key=elim_key(1)).basis):
@@ -534,8 +533,8 @@ def _rabinowitsch_gens(rng, n):
     if rng.random() < 0.4:
         u = u * (Poly.variable(n, rng.randrange(n)) + Poly.const(n, 1))
     t = Poly.variable(n + 1, n)
-    rel = Poly.const(n + 1, 1) - t * _lift_poly(u)
-    gens = [_lift_poly(_rand_poly(rng, n, deg=3, nterms=rng.randint(1, 3)))
+    rel = Poly.const(n + 1, 1) - t * lift_poly(u)
+    gens = [lift_poly(_rand_poly(rng, n, deg=3, nterms=rng.randint(1, 3)))
             for _ in range(rng.randint(1, 3))]
     return gens + [rel]
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
                             compare_bundles, correct, normalize_generators,
                             obstruction)
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 def ci_line_doc(**options):
@@ -142,6 +146,29 @@ def test_normalize_keeps_overlap_matrices_exact():
 # -- frames ------------------------------------------------------------------
 
 
+def _tprime_reference(fr):
+    """T' of a frame from its definition: the (r-1) x (r-1) identity whose
+    pivot column carries -sign s_m in every row m != t."""
+    ctx, t = fr.f.ctx, fr.t
+    n = len(fr.s)
+    one, zero = LocElem.one(ctx), LocElem.zero(ctx)
+    rows = [[one if a == b else zero for b in range(n)] for a in range(n)]
+    for m in range(n):
+        if m != t - 1:
+            rows[m][t - 1] = fr.s[m].scale(-fr.sign)
+    return MatrixL(ctx, rows)
+
+
+def _tpp_reference(fr):
+    """T'' of a frame from its definition: 2 x (r-1), (f; g) in the pivot
+    column and zero elsewhere."""
+    zero = LocElem.zero(fr.f.ctx)
+    rows = [[zero] * len(fr.s) for _ in range(2)]
+    rows[0][fr.t - 1] = fr.f
+    rows[1][fr.t - 1] = fr.g
+    return MatrixL(fr.f.ctx, rows)
+
+
 def test_frame_identities_rank_three():
     cover, lb, sub, secs = _loaded(two_points_doc())
     normalize_generators(sub, secs)
@@ -150,13 +177,15 @@ def test_frame_identities_rank_three():
     for i in cover.charts:
         fr = frames[i]
         ctx = fr.f.ctx
-        top = fr.Tp.delete_row(fr.t - 1)
+        Tp, Tpp = _tprime_reference(fr), _tpp_reference(fr)
+        top = Tp.delete_row(fr.t - 1)
         assert top.delete_col(fr.t - 1) == MatrixL.identity(ctx, 1)
-        assert fr.Tpp.delete_col(fr.t - 1) == MatrixL.zeros(ctx, 2, 1)
+        assert Tpp.delete_col(fr.t - 1) == MatrixL.zeros(ctx, 2, 1)
         assert all(e.is_zero() for e in top.matvec(fr.s))
-        assert fr.Tpp.matvec(fr.s) == (fr.f.scale(fr.sign),
-                                       fr.g.scale(fr.sign))
+        assert Tpp.matvec(fr.s) == (fr.f.scale(fr.sign),
+                                    fr.g.scale(fr.sign))
         assert fr.M.shape == (3, 2)
+        assert fr.M == MatrixL(ctx, top.rows + Tpp.rows)
 
 
 def test_frame_rank_two_degenerates_to_pair_column():
@@ -179,7 +208,7 @@ def test_tprime_inverse_roundtrip_random():
         ctx = fr.f.ctx
         u = tuple(rand_loc(ctx, rng) for _ in range(2))
         w = fr.apply(u, ctx, inverse=True)
-        assert fr.Tp.matvec(w) == u
+        assert _tprime_reference(fr).matvec(w) == u
 
 
 def test_tprime_inverse_fixes_off_pivot_columns():
@@ -293,6 +322,25 @@ def test_frame_keeps_M_per_overlap():
             M = fr.M_on(ctx)
             assert M == fr.M.transport_to(ctx) and M.ctx == ctx
             assert fr.M_on(ctx) is M
+
+
+@pytest.mark.parametrize("name", ["two_points_p2_r3", "line_p3_r4"])
+def test_transition_left_block_is_the_frame_of_chart_i(name):
+    """Z_ij M_j = M_i and the off-pivot columns of M_j are e_1 ... e_{r-2},
+    so the first r-2 columns of Z_ij are M_i without column t_j, in the raw
+    set and, as the correction touches only the last two columns, in the
+    corrected one."""
+    bundle = build_bundle(json.loads((INPUTS / f"{name}.json").read_text(
+        encoding="utf-8")))
+    r = bundle.rank
+    assert r >= 3
+    for Z in (bundle.raw, bundle.transitions):
+        for i, j in Z.pairs:
+            ctx = bundle.cover.ctx((i, j))
+            left = MatrixL(ctx, [row[:r - 2] for row in Z.Z[(i, j)].rows])
+            want = bundle.frames[i].M_on(ctx).delete_col(
+                bundle.frames[j].t - 1)
+            assert left == want
 
 
 def test_build_Z_failure_is_tagged_glue():
