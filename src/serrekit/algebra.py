@@ -126,17 +126,24 @@ class Poly:
 
     @classmethod
     def const(cls, arity, value):
-        return cls(arity, {(0,) * arity: value})
+        return cls.monomial(arity, (0,) * arity, value)
 
     @classmethod
     def variable(cls, arity, index):
         exps = [0] * arity
         exps[index] = 1
-        return cls(arity, {tuple(exps): 1})
+        return cls._of(arity, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, arity, exps, coeff=1):
-        return cls(arity, {tuple(exps): coeff})
+        """coeff · x^exps, the zero polynomial when coeff is 0; checked and
+        stored as `Poly(arity, {exps: coeff})` would be."""
+        exps = tuple(exps)
+        if len(exps) != arity:
+            raise ValueError(f"term arity {len(exps)} != {arity}")
+        if type(coeff) is not int:
+            coeff = _canon(Fraction(coeff))
+        return cls._of(arity, {exps: coeff} if coeff else {})
 
     # -- predicates and views ---------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import add
 
 from .algebra import (LocElem, Poly, from_laurent, qdiv, to_laurent,
                       transport)
@@ -275,7 +276,29 @@ def _solve_monomial(c, sigmas_by_w):
 def _solve_ansatz(c, max_degree):
     """Bounded ansatz for the non-monomial regime: each unknown value is a
     generic numerator of bounded degree over a fixed unit-denominator.
-    Success yields an exact solution; failure is only Inconclusive."""
+    Success yields an exact solution; failure is only Inconclusive.
+
+    The system is assembled per face.  Transport is a ring map, so on a key
+    K the basis element x^e / U_J^b of its face J moves to
+    F_JK · x^e' / c_h^|e|, where h is J's home, F_JK is the moved 1 / U_J^b
+    (times h_{K[-2],K[-1]} on the last face, times the face sign) and
+    x^e' / c_h^|e| is e read on K's home chart; c_h is absent when J and K
+    share a home.  Over the common denominator D (the targets' denominators
+    and every F_JK.den + max_degree·c_h), each column of face J is the one
+    polynomial G_JK = F_JK.num_over(D - max_degree·c_h) shifted by the
+    monomial x^e' · c_h^(max_degree - |e|), so one transport and one
+    `num_over` per key and face give all its rows.
+
+    Lemma: for any common denominator D, the cleared identity
+    D·Σ_col x_col·image_col = D·target is equivalent to the localized one,
+    since k[x] is a domain and D is a unit.  So the system has the same
+    solution set as one that transports every basis element and clears each
+    component over its own common denominator.  The reduced row echelon
+    form of a consistent system, and with it the solution `_solve_exact`
+    returns (every free variable 0), depends only on the solution set and
+    the column order; an inconsistent system has no solution either way.
+    So both assemblies give the same xi, or both raise Inconclusive.
+    """
     cover, lb = c.cover, c.lb
     p = c.degree
     den_bound = max((e for vals in c.data.values() for v in vals
@@ -285,6 +308,7 @@ def _solve_ansatz(c, max_degree):
     # columns: (J, w, monomial exponent tuple)
     columns = []
     basis = {}  # (J, mono) -> LocElem on ctx(J) (the coefficient-1 element)
+    by_face = {}  # J -> its basis exponents, in column order
     for J in unknown_keys:
         ctx = cover.ctx(J)
         den = {k: den_bound for k in ctx.unit_keys()} if den_bound else {}
@@ -299,49 +323,66 @@ def _solve_ansatz(c, max_degree):
             base = LocElem(ctx, Poly.monomial(ctx.nvars, exps), dict(den),
                            normalize=False)
             basis[(J, exps)] = base
+            by_face.setdefault(J, []).append(exps)
             for w in range(c.width):
                 columns.append((J, w, exps))
     col_index = {col: i for i, col in enumerate(columns)}
 
     # Each target key contributes polynomial-coefficient equations after
-    # clearing a common denominator.
+    # clearing the common denominator D of the lemma.
     rows = []
     for key in itertools.combinations(cover.charts, p + 1):
         ctx = cover.ctx(key)
         target = c.get(key)
-        # contribution of column (J, w, mono) to component w on this key
-        contribs = {}
+        D = {}
+        for v in target:
+            for k, a in v.den.items():
+                D[k] = max(D.get(k, 0), a)
+        factors = []
         for m in range(p + 1):
-            face = key[:m] + key[m + 1:]
-            sign = -1 if m % 2 else 1
-            for (J, exps), base in basis.items():
-                if J != face:
-                    continue
-                moved = transport(base, ctx)
-                if m == p:
-                    moved = moved * lb.h(key[-2], key[-1], ctx)
-                moved = moved.scale(sign)
-                for w in range(c.width):
-                    contribs.setdefault(w, {})[(J, w, exps)] = moved
+            J = key[:m] + key[m + 1:]
+            src = cover.ctx(J)
+            F = transport(basis[(J, (0,) * src.nvars)], ctx)
+            if m == p:
+                F = F * lb.h(key[-2], key[-1], ctx)
+            F = F.scale(-1 if m % 2 else 1)
+            ch = f"c{src.home}" if src.home != ctx.home else None
+            need = dict(F.den)
+            if ch:
+                need[ch] = need.get(ch, 0) + max_degree
+            for k, a in need.items():
+                D[k] = max(D.get(k, 0), a)
+            factors.append((J, src, F, ch))
+        cols = []  # (its column per component, its shifted terms of G)
+        for J, src, F, ch in factors:
+            G = F.num_over({k: a - max_degree if k == ch else a
+                            for k, a in D.items()})
+            # the shift x^e' · c_h^(max_degree - |e|) on K's home chart:
+            # J's variable x_k is x_k / c_h there, and x_home is 1
+            pos = [ctx.axes().index(k) if k != ctx.home else None
+                   for k in src.axes()]
+            hpos = ctx.axes().index(src.home) if ch else None
+            for exps in by_face[J]:
+                shift = [0] * ctx.nvars
+                for i, a in zip(pos, exps):
+                    if i is not None:
+                        shift[i] += a
+                if ch:
+                    shift[hpos] += max_degree - sum(exps)
+                cols.append(([col_index[(J, w, exps)] for w in range(c.width)],
+                             [(tuple(map(add, t, shift)), a)
+                              for t, a in G.terms.items()]))
         for w in range(c.width):
-            terms = contribs.get(w, {})
-            everything = list(terms.values()) + [target[w]]
-            common = {}
-            for e in everything:
-                for k, a in e.den.items():
-                    common[k] = max(common.get(k, 0), a)
-            poly_cols = {col: e.num_over(common) for col, e in terms.items()}
-            rhs_poly = target[w].num_over(common)
-            monos = set(rhs_poly.terms)
-            for q in poly_cols.values():
-                monos.update(q.terms)
-            for mono in sorted(monos):
-                coeffs = {}
-                for col, q in poly_cols.items():
-                    a = q.terms.get(mono)
-                    if a:
-                        coeffs[col_index[col]] = a
-                rows.append((coeffs, rhs_poly.terms.get(mono, 0)))
+            eqs = {}  # monomial -> {column: coefficient}
+            for idx, terms in cols:
+                j = idx[w]
+                for mono, a in terms:
+                    eqs.setdefault(mono, {})[j] = a
+            rhs = target[w].num_over(D).terms
+            for mono in rhs:
+                eqs.setdefault(mono, {})
+            rows.extend((coeffs, rhs.get(mono, 0))
+                        for mono, coeffs in sorted(eqs.items()))
 
     sol = _solve_exact(rows, len(columns))
     if sol is None:

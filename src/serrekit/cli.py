@@ -326,9 +326,11 @@ def _text_iso(doc):
     return lines
 
 
-def _emit(payload, args, text_lines=None):
-    if args.format == "text" and text_lines is not None:
-        out = "\n".join(text_lines) + "\n"
+def _emit(payload, args, text):
+    """Write payload as JSON, or with `--format text` as the lines that
+    `text(payload)` renders; the lines are built only when printed."""
+    if args.format == "text":
+        out = "\n".join(text(payload)) + "\n"
     else:
         out = json.dumps(payload, sort_keys=True, indent=2,
                          ensure_ascii=False) + "\n"
@@ -381,22 +383,22 @@ def cmd_build(args):
                 "witness": exc.witness,
             }
         }
-        _emit(payload, args, [f"obstructed: {exc}",
-                              f"  component: {exc.component}",
-                              f"  multidegree: {exc.multidegree}"])
+        _emit(payload, args, lambda _: [f"obstructed: {exc}",
+                                        f"  component: {exc.component}",
+                                        f"  multidegree: {exc.multidegree}"])
         _fail(exc)
         return 2
     except Inconclusive as exc:
         payload = {"error": {"type": "Inconclusive", "stage": "correct",
                              "message": str(exc)}}
-        _emit(payload, args, [f"inconclusive: {exc}"])
+        _emit(payload, args, lambda _: [f"inconclusive: {exc}"])
         _fail(exc)
         return 3
     except SerreError as exc:
         _fail(exc)
         return 1
     doc_out = bundle_doc(bundle)
-    _emit(doc_out, args, _text_bundle(doc_out))
+    _emit(doc_out, args, _text_bundle)
     if not bundle.report.ok:
         first = bundle.report.failures()[0]
         print(f"error[verify]: check failed: {first.check} [{first.scope}]",
@@ -413,7 +415,7 @@ def cmd_verify(args):
         _fail(exc)
         return 1
     entries = report.to_doc()
-    _emit(entries, args, _text_report(entries))
+    _emit(entries, args, _text_report)
     if report.ok:
         return 0
     first = report.failures()[0]
@@ -459,7 +461,7 @@ def cmd_compare(args):
         _fail(exc)
         return 1
     payload = iso_doc(iso)
-    _emit(payload, args, _text_iso(payload))
+    _emit(payload, args, _text_iso)
     return 0
 
 

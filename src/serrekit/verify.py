@@ -1,9 +1,10 @@
 """Exact post-hoc verification of the construction contract.
 
 Every check evaluates a polynomial identity exactly and reports a pass flag
-plus, on failure, the offending difference in canonical form.  Checks never
-raise on mathematical failure — a failed identity becomes a report entry so
-the caller can decide; only malformed inputs raise.  `run_all` reads the
+plus, on failure, the offending difference in canonical form; a difference
+is computed only for an entry that fails.  Checks never raise on
+mathematical failure — a failed identity becomes a report entry so the
+caller can decide; only malformed inputs raise.  `run_all` reads the
 kept determinants and triple defects (`TransitionSet.det`, `.defect`),
 cochain differentials and frame restrictions (`FrameData.on`), so on a
 fresh build it reuses what the build computed.
@@ -79,9 +80,10 @@ class Report:
         return out
 
 
-def _entry(check, scope, ok, diff=None):
-    return ReportEntry(check, scope, bool(ok),
-                       "" if ok or diff is None else repr(diff))
+def _entry(check, scope, ok, diff):
+    """A report entry whose witness, on failure only, is the repr of
+    `diff()`, a zero-argument callable giving the offending difference."""
+    return ReportEntry(check, scope, bool(ok), "" if ok else repr(diff()))
 
 
 def _mrow(ctx, r, f, g):
@@ -103,10 +105,9 @@ def verify_cocycle(Z):
     cover = Z.cover
     r = Z.rank
     for i in cover.charts:
-        ctx = cover.chart_ctx(i)
-        diff = Z.get(i, i) - MatrixL.identity(ctx, r)
-        ok = diff == MatrixL.zeros(ctx, r, r)
-        entries.append(_entry("transition_identity", f"chart {i}", ok, diff))
+        Zii, I = Z.get(i, i), MatrixL.identity(cover.chart_ctx(i), r)
+        entries.append(_entry("transition_identity", f"chart {i}", Zii == I,
+                              lambda: Zii - I))
     inverse = {}
     for i, j in Z.pairs:
         ctx = cover.ctx((i, j))
@@ -116,16 +117,16 @@ def verify_cocycle(Z):
         if inverse[(min(i, j), max(i, j))]:
             entries.append(ReportEntry("transition_inverse", scope, True))
             continue
-        ctx = cover.ctx((i, j))
-        diff = Z.get(i, j) @ Z.get(j, i) - MatrixL.identity(ctx, r)
-        ok = diff == MatrixL.zeros(ctx, r, r)
-        entries.append(_entry("transition_inverse", scope, ok, diff))
+        prod = Z.get(i, j) @ Z.get(j, i)
+        I = MatrixL.identity(cover.ctx((i, j)), r)
+        entries.append(_entry("transition_inverse", scope, prod == I,
+                              lambda: prod - I))
 
     def cocycle(i, j, k):
         diff = Z.defect(i, j, k)
         ok = diff == MatrixL.zeros(diff.ctx, r, r)
         return _entry("transition_cocycle", f"triple ({i}, {j}, {k})", ok,
-                      diff)
+                      lambda: diff)
     sorted_entries = {t: cocycle(*t) for t in combinations(cover.charts, 3)}
     for i, j, k in permutations(cover.charts, 3):
         t = tuple(sorted((i, j, k)))
@@ -149,9 +150,9 @@ def verify_det(Z, lb):
     cover = Z.cover
 
     def det(i, j):
-        diff = Z.det(i, j) - lb.h(i, j, cover.ctx((i, j)))
+        d, h = Z.det(i, j), lb.h(i, j, cover.ctx((i, j)))
         return _entry(f"determinant_{Z.status}", f"overlap ({i}, {j})",
-                      diff.is_zero(), diff)
+                      d == h, lambda: d - h)
     sorted_entries = {p: det(*p) for p in Z.pairs}
     entries = []
     for i, j in permutations(cover.charts, 2):
@@ -241,17 +242,17 @@ def verify_glue_identities(Z, lb, frames):
         rhs = _mrow(ctx, r, fj, gj).scalar_mul(h.scale(sgn))
         lhsS, rhsS = (MatrixL(ctx, [m.rows[0][-2:]]) for m in (lhs, rhs))
         entries.append(_entry("glue_row_transform_S", f"overlap ({i}, {j})",
-                              lhsS == rhsS, lhsS - rhsS))
+                              lhsS == rhsS, lambda: lhsS - rhsS))
 
         zero = LocElem.zero(ctx)
         expected = MatrixL(ctx, [[e if m == fr_i.t - 1 else zero
                                   for m in range(r - 1) if m != fr_j.t - 1]
                                  for e in (fi, gi)])
         entries.append(_entry("glue_selector_R", f"overlap ({i}, {j})",
-                              R == expected, R - expected))
+                              R == expected, lambda: R - expected))
 
         entries.append(_entry("glue_row_transform_Z", f"overlap ({i}, {j})",
-                              lhs == rhs, lhs - rhs))
+                              lhs == rhs, lambda: lhs - rhs))
 
     for i, j, k in combinations(cover.charts, 3):
         ctx = cover.ctx((i, j, k))
@@ -260,7 +261,7 @@ def verify_glue_identities(Z, lb, frames):
         ok = prod == MatrixL.zeros(ctx, 1, r)
         entries.append(
             _entry("glue_row_kills_defect", f"triple ({i}, {j}, {k})", ok,
-                   prod))
+                   lambda: prod))
     return entries
 
 

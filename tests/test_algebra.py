@@ -62,6 +62,20 @@ def test_poly_basic_identities():
     assert parse_poly("3/2*x - x", names) == parse_poly("1/2*x", names)
 
 
+@pytest.mark.parametrize("value", [0, 1, -2, Fraction(3, 1), Fraction(1, 2)])
+def test_trusted_poly_constructors_match_the_checking_one(value):
+    def same(p, q):
+        assert p.terms == q.terms and repr(p) == repr(q)
+        assert [type(c) for c in p.terms.values()] == [
+            type(c) for c in q.terms.values()]
+    same(Poly.const(3, value), Poly(3, {(0, 0, 0): value}))
+    same(Poly.monomial(3, [2, 0, 1], value), Poly(3, {(2, 0, 1): value}))
+    same(Poly.monomial(3, (0, 1, 0)), Poly(3, {(0, 1, 0): 1}))
+    same(Poly.variable(3, 2), Poly(3, {(0, 0, 1): 1}))
+    with pytest.raises(ValueError):
+        Poly.monomial(3, (1, 0), value)
+
+
 def test_poly_power_is_the_written_out_product():
     x0 = parse_poly("x0", ("x0", "x1"))
     one = Poly.const(2, 1)

@@ -1,12 +1,17 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from serrekit import serre
 from serrekit.algebra import LocElem, Poly, transport
-from serrekit.cech import (CechCochain, _solve_exact, coboundary_solve,
-                           cohomology_dim, differential, is_cocycle)
+from serrekit.cech import (CechCochain, _solve_ansatz, _solve_exact,
+                           coboundary_solve, cohomology_dim, differential,
+                           is_cocycle)
+from serrekit.cli import load_bundle
 from serrekit.cover import (AmbientSpec, Cover, LineBundleData, section_unit,
                             standard_cover)
 from serrekit.errors import (Inconclusive, NotACocycle, Obstructed,
@@ -372,3 +377,170 @@ def test_sparse_solver_edge_cases():
     rows = [({0: Fraction(1), 2: Fraction(1)}, Fraction(1)),
             ({2: Fraction(1)}, Fraction(3))]
     assert _solve_exact(rows, 3) == [Fraction(-2), Fraction(0), Fraction(3)]
+
+
+# -- the per-face ansatz assembly against the per-monomial one ----------------
+
+def _solve_ansatz_reference(c, max_degree):
+    """The ansatz system assembled with one transport per basis monomial, as
+    `_solve_ansatz` built it before the per-face assembly."""
+    cover, lb = c.cover, c.lb
+    p = c.degree
+    den_bound = max((e for vals in c.data.values() for v in vals
+                     for e in v.den.values()), default=0) + abs(lb.twist)
+    unknown_keys = list(itertools.combinations(cover.charts, p))
+    columns = []
+    basis = {}
+    for J in unknown_keys:
+        ctx = cover.ctx(J)
+        den = {k: den_bound for k in ctx.unit_keys()} if den_bound else {}
+        monos = [e for deg in range(max_degree + 1)
+                 for e in itertools.combinations_with_replacement(
+                     range(ctx.nvars), deg)]
+        for e in monos:
+            exps = [0] * ctx.nvars
+            for i in e:
+                exps[i] += 1
+            exps = tuple(exps)
+            base = LocElem(ctx, Poly.monomial(ctx.nvars, exps), dict(den),
+                           normalize=False)
+            basis[(J, exps)] = base
+            for w in range(c.width):
+                columns.append((J, w, exps))
+    col_index = {col: i for i, col in enumerate(columns)}
+    rows = []
+    for key in itertools.combinations(cover.charts, p + 1):
+        ctx = cover.ctx(key)
+        target = c.get(key)
+        contribs = {}
+        for m in range(p + 1):
+            face = key[:m] + key[m + 1:]
+            sign = -1 if m % 2 else 1
+            for (J, exps), base in basis.items():
+                if J != face:
+                    continue
+                moved = transport(base, ctx)
+                if m == p:
+                    moved = moved * lb.h(key[-2], key[-1], ctx)
+                moved = moved.scale(sign)
+                for w in range(c.width):
+                    contribs.setdefault(w, {})[(J, w, exps)] = moved
+        for w in range(c.width):
+            terms = contribs.get(w, {})
+            everything = list(terms.values()) + [target[w]]
+            common = {}
+            for e in everything:
+                for k, a in e.den.items():
+                    common[k] = max(common.get(k, 0), a)
+            poly_cols = {col: e.num_over(common) for col, e in terms.items()}
+            rhs_poly = target[w].num_over(common)
+            monos = set(rhs_poly.terms)
+            for q in poly_cols.values():
+                monos.update(q.terms)
+            for mono in sorted(monos):
+                coeffs = {}
+                for col, q in poly_cols.items():
+                    a = q.terms.get(mono)
+                    if a:
+                        coeffs[col_index[col]] = a
+                rows.append((coeffs, rhs_poly.terms.get(mono, 0)))
+    sol = _solve_exact(rows, len(columns))
+    if sol is None:
+        raise Inconclusive("reference ansatz found no solution")
+    out = {}
+    for i, (J, w, exps) in enumerate(columns):
+        if not sol[i]:
+            continue
+        ctx = cover.ctx(J)
+        vals = out.setdefault(J, [LocElem.zero(ctx)] * c.width)
+        vals[w] = vals[w] + basis[(J, exps)].scale(sol[i])
+    return {J: tuple(v) for J, v in out.items()}
+
+
+def _ansatz_outcome(solve, c, max_degree):
+    """Every solution value by its repr, or "Inconclusive"."""
+    try:
+        data = solve(c, max_degree)
+    except Inconclusive:
+        return "Inconclusive"
+    return {J: [repr(v) for v in vals] for J, vals in data.items()}
+
+
+def _assert_same_ansatz(c, max_degree):
+    got = _ansatz_outcome(_solve_ansatz, c, max_degree)
+    assert got == _ansatz_outcome(_solve_ansatz_reference, c, max_degree)
+    return got
+
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+INPUTS = REFS.parent / "inputs"
+
+
+def _ref_bundle(name):
+    return load_bundle(json.loads((REFS / f"{name}.json").read_text("utf-8")))
+
+
+@pytest.mark.parametrize("ref, max_degree", [("two_points_unit.gf5", 5),
+                                             ("two_points_unit.gf6", 6)])
+def test_ansatz_assembly_matches_reference_on_obstructions(ref, max_degree):
+    assert _assert_same_ansatz(_ref_bundle(ref).obstruction,
+                               max_degree) != "Inconclusive"
+
+
+def test_ansatz_assembly_matches_reference_when_inconclusive(monkeypatch):
+    # the obstruction that the skew_unit build at --max-degree 4 fails on
+    seen = []
+
+    def capture(c, max_degree):
+        seen.append(c)
+        raise Inconclusive("captured")
+    monkeypatch.setattr(serre, "coboundary_solve", capture)
+    doc = json.loads((INPUTS / "skew_unit.json").read_text("utf-8"))
+    with pytest.raises(Inconclusive):
+        serre.build_bundle(doc, lift_order="gf", max_degree=4)
+    assert _assert_same_ansatz(seen[0], 4) == "Inconclusive"
+
+
+def test_ansatz_assembly_matches_reference_on_compare_xi():
+    iso = serre.compare_bundles(_ref_bundle("two_points_unit"),
+                                _ref_bundle("two_points_unit.gf5"))
+    assert _assert_same_ansatz(iso.xi, 8) != "Inconclusive"
+
+
+def _unit_elem(rng, ctx):
+    """A random element with a term of degree <= 1 over units of `ctx`,
+    section units likelier than coordinate units."""
+    exps = [0] * ctx.nvars
+    if rng.random() < 0.5:
+        exps[rng.randrange(ctx.nvars)] = 1
+    den = {key: 1 for key in ctx.unit_keys()
+           if rng.random() < (0.6 if key.startswith("s") else 0.2)}
+    return LocElem(ctx, Poly.monomial(ctx.nvars, exps, rng.randint(1, 3)),
+                   den)
+
+
+def test_ansatz_assembly_matches_reference_on_random_coboundaries():
+    rng = random.Random(1017)
+    outcomes = {True: 0, False: 0}  # inconclusive -> count
+    for trial in range(40):
+        n = 2 + trial % 2
+        ambient = P(n)
+        bare = standard_cover(ambient)
+        units = []
+        for chart in rng.sample(range(n + 1), rng.randint(1, 2)):
+            ctx = bare.chart_ctx(chart)
+            k = rng.randrange(ctx.nvars)
+            units.append(section_unit(ambient, chart, ctx.parse(
+                f"{rng.choice((1, 2, -3))} + {ctx.var_names()[k]}")))
+        cover = Cover(ambient, units)
+        lb = LineBundleData(ambient, rng.randint(0, 1))
+        degree = rng.randint(0, 1)
+        width = rng.randint(1, 2)
+        data = {key: tuple(_unit_elem(rng, cover.ctx(key))
+                           for _ in range(width))
+                for key in itertools.combinations(cover.charts, degree + 1)
+                if rng.random() < 0.6}
+        c = differential(CechCochain(cover, lb, degree, width, data))
+        got = _assert_same_ansatz(c, rng.randint(0, 3))
+        outcomes[got == "Inconclusive"] += 1
+    assert min(outcomes.values()) >= 10, outcomes

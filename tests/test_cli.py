@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from serrekit import serre
+from serrekit import cli, serre
 from serrekit.algebra import LocElem
 from serrekit.cech import CechCochain
 from serrekit.cli import main
@@ -239,6 +239,23 @@ def test_glue_row_transform_S_is_the_tail_of_Z(tmp_path, capsys):
     tail = _matrix_witness(s["witness"])
     assert len(tail) == 2 and tail != ["0", "0"]
     assert tail == _matrix_witness(z["witness"])[-2:]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "inputs/two_points_p2_r3.json"),
+    ("verify", "refs/two_points_p2_r3.json"),
+    ("compare", "refs/ci_line_p3.json", "refs/ci_line_p3.gf.json"),
+])
+def test_json_runs_render_no_text(capsys, monkeypatch, argv):
+    args = [argv[0], *(str(CORPUS / path) for path in argv[1:])]
+    expected = run_cli(capsys, *args)
+    assert expected[0] == 0
+
+    def refuse(doc):
+        raise AssertionError("text rendered for a JSON run")
+    for name in ("_text_bundle", "_text_report", "_text_iso"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run_cli(capsys, *args) == expected
 
 
 # Each edit puts the key "x" where a chart index belongs; an uncaught

@@ -211,3 +211,20 @@ def test_transition_set_rejects_unsorted_or_mismatched_keys(change):
     with pytest.raises(ValueError, match="sorted pairs"):
         TransitionSet(rank=Zset.rank, status=Zset.status, cover=Zset.cover,
                       lb=Zset.lb, pairs=pairs, Z=Z, branch=Zset.branch)
+
+
+def test_glue_identities_subtract_only_for_a_failing_entry(monkeypatch):
+    # `TransitionSet.defect` subtracts, so the kept defects are filled first
+    bundle = load_bundle(json.loads((REFS / "line_p6.json").read_text("utf-8")))
+    verify.verify_defect_shape(bundle.raw, bundle.frames)
+    calls = []
+    sub = MatrixL.__sub__
+
+    def counted(self, other):
+        calls.append(1)
+        return sub(self, other)
+    monkeypatch.setattr(MatrixL, "__sub__", counted)
+    entries = verify.verify_glue_identities(bundle.raw, bundle.lb,
+                                            bundle.frames)
+    assert entries and all(e.passed for e in entries)
+    assert not calls
