@@ -278,128 +278,114 @@ def _solve_ansatz(c, max_degree):
     generic numerator of bounded degree over a fixed unit-denominator.
     Success yields an exact solution; failure is only Inconclusive.
 
-    The system is assembled per face.  Transport is a ring map, so on a key
-    K the basis element x^e / U_J^b of its face J moves to
-    F_JK · x^e' / c_h^|e|, where h is J's home, F_JK is the moved 1 / U_J^b
-    (times h_{K[-2],K[-1]} on the last face, times the face sign) and
-    x^e' / c_h^|e| is e read on K's home chart; c_h is absent when J and K
-    share a home.  Over the common denominator D (the targets' denominators
-    and every F_JK.den + max_degree·c_h), each column of face J is the one
-    polynomial G_JK = F_JK.num_over(D - max_degree·c_h) shifted by the
-    monomial x^e' · c_h^(max_degree - |e|), so one transport and one
-    `num_over` per key and face give all its rows.
+    The unknowns are read homogeneously.  On face J with home h, the unknown
+    x^e / U_J^b (|e| <= d = max_degree on chart h) is hom / (x_h^d · U_J^b),
+    where hom = x^e · x_h^(d - |e|) is a degree-d monomial.  Transport is a
+    ring map, so on a key K every column of face J is F_JK · hom read on K's
+    home chart (hom with K's home coordinate dropped).  F_JK is the moved
+    ±1 / U_J^b (times h_{K[-2],K[-1]} on the last face), with d added to its
+    c_h exponent when h is not K's home.  Over the common denominator D (the
+    targets' denominators and every F_JK.den), each column is the one
+    polynomial F_JK.num_over(D) shifted by that monomial.
 
     Lemma: for any common denominator D, the cleared identity
     D·Σ_col x_col·image_col = D·target is equivalent to the localized one,
-    since k[x] is a domain and D is a unit.  So the system has the same
-    solution set as one that transports every basis element and clears each
-    component over its own common denominator.  The reduced row echelon
-    form of a consistent system, and with it the solution `_solve_exact`
-    returns (every free variable 0), depends only on the solution set and
-    the column order; an inconsistent system has no solution either way.
-    So both assemblies give the same xi, or both raise Inconclusive.
+    since k[x] is a domain and D is a unit, and a monomial shift of it only
+    renames its equations.  So the system has the same solution set as one
+    that transports every basis element and clears each component over its
+    own common denominator.  The solution `_solve_exact` returns (the
+    reduced row echelon form with every free variable 0) depends only on the
+    solution set and the column order, and an inconsistent system has none
+    either way; so both assemblies give the same xi, or both raise
+    Inconclusive.  Each solved value is built once, as Σ sol·x^e over U_J^b:
+    summing the terms one at a time re-expands every normalized partial sum
+    to U_J^b exactly, so it normalizes the same pair at the end.
     """
     cover, lb = c.cover, c.lb
-    p = c.degree
+    p, d, width = c.degree, max_degree, c.width
     den_bound = max((e for vals in c.data.values() for v in vals
                      for e in v.den.values()), default=0) + abs(lb.twist)
     unknown_keys = list(itertools.combinations(cover.charts, p))
 
-    # columns: (J, w, monomial exponent tuple)
-    columns = []
-    basis = {}  # (J, mono) -> LocElem on ctx(J) (the coefficient-1 element)
-    by_face = {}  # J -> its basis exponents, in column order
+    # columns: face J, then hom (by degree, then combinations_with_replacement
+    # of J's axes), then the component w
+    homs = {}  # home chart -> its faces' degree-d monomials, in column order
+    units = {}  # J -> U_J^b
     for J in unknown_keys:
         ctx = cover.ctx(J)
-        den = {k: den_bound for k in ctx.unit_keys()} if den_bound else {}
-        monos = [e for deg in range(max_degree + 1)
-                 for e in itertools.combinations_with_replacement(
-                     range(ctx.nvars), deg)]
-        for e in monos:
-            exps = [0] * ctx.nvars
-            for i in e:
-                exps[i] += 1
-            exps = tuple(exps)
-            base = LocElem(ctx, Poly.monomial(ctx.nvars, exps), dict(den),
-                           normalize=False)
-            basis[(J, exps)] = base
-            by_face.setdefault(J, []).append(exps)
-            for w in range(c.width):
-                columns.append((J, w, exps))
-    col_index = {col: i for i, col in enumerate(columns)}
+        h = ctx.home
+        units[J] = {k: den_bound for k in ctx.unit_keys()} if den_bound else {}
+        if h not in homs:
+            homs[h] = [tuple(e.count(k) + (k == h) * (d - deg)
+                             for k in range(ctx.dim + 1))
+                       for deg in range(d + 1)
+                       for e in itertools.combinations_with_replacement(
+                           ctx.axes(), deg)]
+    span = len(homs[h]) * width  # columns per face; every home has as many
+    first = {J: i * span for i, J in enumerate(unknown_keys)}
 
-    # Each target key contributes polynomial-coefficient equations after
-    # clearing the common denominator D of the lemma.
     rows = []
     for key in itertools.combinations(cover.charts, p + 1):
         ctx = cover.ctx(key)
+        k0 = ctx.home
         target = c.get(key)
-        D = {}
-        for v in target:
-            for k, a in v.den.items():
-                D[k] = max(D.get(k, 0), a)
         factors = []
         for m in range(p + 1):
             J = key[:m] + key[m + 1:]
             src = cover.ctx(J)
-            F = transport(basis[(J, (0,) * src.nvars)], ctx)
+            F = transport(LocElem(src, Poly.const(src.nvars, 1), units[J]),
+                          ctx)
             if m == p:
                 F = F * lb.h(key[-2], key[-1], ctx)
-            F = F.scale(-1 if m % 2 else 1)
-            ch = f"c{src.home}" if src.home != ctx.home else None
-            need = dict(F.den)
-            if ch:
-                need[ch] = need.get(ch, 0) + max_degree
-            for k, a in need.items():
+            den = dict(F.den)
+            if src.home != k0:
+                ch = f"c{src.home}"
+                den[ch] = den.get(ch, 0) + d
+            factors.append((J, src.home, LocElem(
+                ctx, F.num.scale(-1 if m % 2 else 1), den, normalize=False)))
+        D = {}
+        for v in (*target, *(F for _, _, F in factors)):
+            for k, a in v.den.items():
                 D[k] = max(D.get(k, 0), a)
-            factors.append((J, src, F, ch))
-        cols = []  # (its column per component, its shifted terms of G)
-        for J, src, F, ch in factors:
-            G = F.num_over({k: a - max_degree if k == ch else a
-                            for k, a in D.items()})
-            # the shift x^e' · c_h^(max_degree - |e|) on K's home chart:
-            # J's variable x_k is x_k / c_h there, and x_home is 1
-            pos = [ctx.axes().index(k) if k != ctx.home else None
-                   for k in src.axes()]
-            hpos = ctx.axes().index(src.home) if ch else None
-            for exps in by_face[J]:
-                shift = [0] * ctx.nvars
-                for i, a in zip(pos, exps):
-                    if i is not None:
-                        shift[i] += a
-                if ch:
-                    shift[hpos] += max_degree - sum(exps)
-                cols.append(([col_index[(J, w, exps)] for w in range(c.width)],
-                             [(tuple(map(add, t, shift)), a)
-                              for t, a in G.terms.items()]))
-        for w in range(c.width):
+        cols = []  # (its column for component 0, its terms)
+        for J, h, F in factors:
+            G = F.num_over(D).terms.items()
+            for i, hom in enumerate(homs[h]):
+                shift = hom[:k0] + hom[k0 + 1:]
+                cols.append((first[J] + i * width,
+                             [(tuple(map(add, t, shift)), a) for t, a in G]))
+        for w in range(width):
             eqs = {}  # monomial -> {column: coefficient}
-            for idx, terms in cols:
-                j = idx[w]
+            for j, terms in cols:
                 for mono, a in terms:
-                    eqs.setdefault(mono, {})[j] = a
+                    eqs.setdefault(mono, {})[j + w] = a
             rhs = target[w].num_over(D).terms
             for mono in rhs:
                 eqs.setdefault(mono, {})
             rows.extend((coeffs, rhs.get(mono, 0))
                         for mono, coeffs in sorted(eqs.items()))
 
-    sol = _solve_exact(rows, len(columns))
+    sol = _solve_exact(rows, span * len(unknown_keys))
     if sol is None:
         raise Inconclusive(
             f"bounded ansatz (numerator degree <= {max_degree}) found no "
             "solution; the coboundary equation was not decided")
     out = {}
-    for i, (J, w, exps) in enumerate(columns):
-        if not sol[i]:
-            continue
+    for J in unknown_keys:
         ctx = cover.ctx(J)
-        vals = out.setdefault(J, [LocElem.zero(ctx)] * c.width)
-        vals[w] = vals[w] + basis[(J, exps)].scale(sol[i])
-    return {J: tuple(v) for J, v in out.items()}
+        h = ctx.home
+        vals = tuple(LocElem(ctx, Poly(ctx.nvars, {
+            hom[:h] + hom[h + 1:]: sol[first[J] + i * width + w]
+            for i, hom in enumerate(homs[h])}), units[J]) for w in range(width))
+        if any(not v.is_zero() for v in vals):
+            out[J] = vals
+    return out
 
 
-def coboundary_solve(c, max_degree=8):
+MAX_DEGREE = 8  # the default numerator-degree bound of `_solve_ansatz`
+
+
+def coboundary_solve(c, max_degree=MAX_DEGREE):
     """Solve d(xi) = c exactly.
 
     The input must be a cocycle.  In the monomial-denominator regime the

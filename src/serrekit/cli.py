@@ -19,7 +19,7 @@ import sys
 from itertools import combinations
 
 from .algebra import LocElem, MatrixL, SUnit, format_poly, is_homogeneous
-from .cech import CechCochain, cohomology_dim
+from .cech import MAX_DEGREE, CechCochain, cohomology_dim
 from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
                     SubschemeData, chart_key, chart_table, need, poly_field)
 from .errors import (FormMismatch, Inconclusive, Obstructed, SerreError,
@@ -427,7 +427,7 @@ def cmd_verify(args):
 def cmd_cohomology(args):
     spec = args.ambient.strip()
     kind = spec[:1].upper()
-    if kind != "P" or not spec[1:].isdigit():
+    if kind != "P" or not (spec[1:].isascii() and spec[1:].isdigit()):
         print("error[parse]: ambient must be P<n> (projective space)",
               file=sys.stderr)
         return 1
@@ -481,7 +481,8 @@ def _parser():
     b.add_argument("--lift-order", choices=("fg", "gf"), default=None,
                    help="cofactor order fed to ideal lifts")
     b.add_argument("--max-degree", type=int, default=None,
-                   help="bound for the fallback coboundary search (default 8)")
+                   help="bound for the fallback coboundary search "
+                        f"(default {MAX_DEGREE})")
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="re-run all checks on a bundle document")
@@ -503,7 +504,7 @@ def _parser():
     m.add_argument("b", help="second bundle document")
     m.add_argument("-o", "--output", default=None)
     m.add_argument("--format", choices=("json", "text"), default="json")
-    m.add_argument("--max-degree", type=int, default=8)
+    m.add_argument("--max-degree", type=int, default=MAX_DEGREE)
     m.set_defaults(func=cmd_compare)
     return p
 

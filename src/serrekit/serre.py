@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import LocElem, MatrixL, transport
-from .cech import CechCochain, coboundary_solve, cohomology_dim
+from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
 from .cover import (AmbientSpec, LineBundleData, load_sections,
                     load_subscheme, need, standard_cover)
 from .errors import (FormMismatch, GluingFailure, PreconditionViolated,
@@ -435,7 +435,7 @@ def obstruction(Z, frames):
     return CechCochain(cover, lb, 2, r - 1, data)
 
 
-def correct(Z, obs, frames, max_degree=8):
+def correct(Z, obs, frames, max_degree=MAX_DEGREE):
     """Solve d xi = obs for the obstruction cochain obs and add the solution
     to every transition: Z_ij gains the rank-one update `_rank_one`(xi_ij,
     frame_i, frame_j), so Q and S change and P and R do not.  The corrected
@@ -460,7 +460,14 @@ def correct(Z, obs, frames, max_degree=8):
     return corrected, xi
 
 
-def compare_bundles(A, B, max_degree=8):
+def _check_max_degree(max_degree):
+    """The ansatz bound of a build or a compare, checked before any work."""
+    if max_degree < 0:
+        raise ShapeViolation("max_degree must be non-negative")
+    return max_degree
+
+
+def compare_bundles(A, B, max_degree=MAX_DEGREE):
     """Decide whether two builds over identical local data are isomorphic.
 
     Each dZ = Z'_ij - Z_ij must vanish outside its last two columns and
@@ -469,6 +476,7 @@ def compare_bundles(A, B, max_degree=8):
     delta(Y) = xi is solved, and with (y_i, U_i) = `_rank_one`(Y_i, frame_i,
     frame_i) the automorphisms N_i = I + U_i are returned after checking
     det N_i = 1, N_i M_i = M_i and Z_ij N_j = N_i Z'_ij exactly."""
+    _check_max_degree(max_degree)
     if A.ambient != B.ambient:
         raise FormMismatch("the two bundles live on different ambient spaces")
     if A.lb.twist != B.lb.twist:
@@ -561,7 +569,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     rank = need(doc, "rank", int, "")
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")
-    options = {"lift_order": "fg", "max_degree": 8}
+    options = {"lift_order": "fg", "max_degree": MAX_DEGREE}
     if "options" in doc:
         options.update(need(doc, "options", dict, ""))
     if lift_order is not None:
@@ -571,9 +579,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     lift_order = options["lift_order"]
     if lift_order not in ("fg", "gf"):
         raise ShapeViolation("lift_order must be 'fg' or 'gf'")
-    max_degree = need(options, "max_degree", int, "")
-    if max_degree < 0:
-        raise ShapeViolation("max_degree must be non-negative")
+    max_degree = _check_max_degree(need(options, "max_degree", int, ""))
 
     cover = standard_cover(ambient)
     lb = LineBundleData(ambient, twist)

@@ -519,19 +519,32 @@ def _unit_elem(rng, ctx):
                    den)
 
 
+def _section_unit_text(rng, ctx, shares):
+    """A chart polynomial for a section unit: c + x_k, or with `shares` one
+    that shares a factor with a coordinate, where greedy section-unit
+    cancellation could depend on the order of summation."""
+    x = ctx.var_names()
+    k, l = rng.randrange(ctx.nvars), rng.randrange(ctx.nvars)
+    c = rng.choice((1, 2, -3))
+    if not shares:
+        return f"{c} + {x[k]}"
+    return rng.choice((x[k], f"{x[k]}^2", f"{x[k]}*{x[l]}",
+                       f"{x[k]}*({c} + {x[l]})"))
+
+
 def test_ansatz_assembly_matches_reference_on_random_coboundaries():
     rng = random.Random(1017)
-    outcomes = {True: 0, False: 0}  # inconclusive -> count
-    for trial in range(40):
+    outcomes = {}  # (units share a coordinate factor, inconclusive) -> count
+    for trial in range(70):
+        shares = trial >= 40
         n = 2 + trial % 2
         ambient = P(n)
         bare = standard_cover(ambient)
         units = []
         for chart in rng.sample(range(n + 1), rng.randint(1, 2)):
             ctx = bare.chart_ctx(chart)
-            k = rng.randrange(ctx.nvars)
             units.append(section_unit(ambient, chart, ctx.parse(
-                f"{rng.choice((1, 2, -3))} + {ctx.var_names()[k]}")))
+                _section_unit_text(rng, ctx, shares))))
         cover = Cover(ambient, units)
         lb = LineBundleData(ambient, rng.randint(0, 1))
         degree = rng.randint(0, 1)
@@ -542,5 +555,6 @@ def test_ansatz_assembly_matches_reference_on_random_coboundaries():
                 if rng.random() < 0.6}
         c = differential(CechCochain(cover, lb, degree, width, data))
         got = _assert_same_ansatz(c, rng.randint(0, 3))
-        outcomes[got == "Inconclusive"] += 1
-    assert min(outcomes.values()) >= 10, outcomes
+        key = (shares, got == "Inconclusive")
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes

@@ -554,6 +554,56 @@ def test_cohomology_rejects_affine(capsys):
     assert code == 1 and "error[parse]" in err
 
 
+@pytest.mark.parametrize("spec", ["P\u00b2", "P\u0662"],
+                         ids=["superscript", "arabic-indic"])
+def test_cohomology_accepts_ascii_digits_only(capsys, spec):
+    code, out, err = run_cli(capsys, "cohomology", "--ambient", spec,
+                             "--twist", "0", "--degree", "0")
+    assert (code, out) == (1, "")
+    assert err == "error[parse]: ambient must be P<n> (projective space)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "refs/two_points_unit.json", "refs/two_points_unit.gf5.json"),
+    ("compare", "refs/line_p6.json", "refs/line_p6.gf.json"),
+    ("build", "inputs/point_p2.json"),
+], ids=["compare-ansatz", "compare-monomial", "build"])
+def test_negative_max_degree_is_rejected(capsys, argv):
+    """Rejected before any solving: the ansatz case used to crash in its
+    basis lookup, and the monomial case (which never reads the bound) used
+    to exit 0."""
+    code, out, err = run_cli(capsys, argv[0],
+                             *(str(CORPUS / path) for path in argv[1:]),
+                             "--max-degree", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error[parse]: max_degree must be non-negative\n"
+
+
+def test_compare_text_format(capsys):
+    refs = [str(CORPUS / "refs" / f"{name}.json")
+            for name in ("two_points_unit", "two_points_unit.gf5")]
+    code, out, _ = run_cli(capsys, "compare", *refs)
+    assert code == 0
+    N = json.loads(out)["N"]
+    code, text, _ = run_cli(capsys, "compare", *refs, "--format", "text")
+    assert code == 0
+    first, *rest = text.splitlines()
+    assert first == "isomorphism found"
+    blocks = {}
+    for line in rest:
+        if line.startswith("N_"):
+            assert line.endswith(":")
+            key = line[2:-1]
+            assert key not in blocks
+            blocks[key] = []
+        else:
+            blocks[key].append(line)
+    charts = json.loads(Path(refs[0]).read_text("utf-8"))["charts"]
+    assert sorted(blocks) == sorted(N) == sorted(charts)
+    for key, rows in blocks.items():
+        assert rows == cli._fmt_matrix(N[key], "  ")
+
+
 def test_compare_self_gives_identity(tmp_path, capsys):
     src = write_doc(tmp_path, POINT)
     out = str(tmp_path / "bundle.json")

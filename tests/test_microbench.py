@@ -14,7 +14,9 @@ _spec.loader.exec_module(microbench)
 def test_microbench_prints_one_line_per_case(capsys):
     microbench.main(["--repeat", "1"])
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["case"], r["max_degree"]) for r in rows] == [
-        ("two_points_unit.gf5", 5), ("two_points_unit.gf6", 6),
-        ("compare.two_points_unit~two_points_unit.gf5", 8), ("line_p6", 8)]
+    assert [(r["case"], r["max_degree"], r["outcome"]) for r in rows] == [
+        ("two_points_unit.gf5", 5, "solved"),
+        ("two_points_unit.gf6", 6, "solved"),
+        ("compare.two_points_unit~two_points_unit.gf5", 8, "solved"),
+        ("skew_unit.gf4", 4, "Inconclusive"), ("line_p6", 8, "solved")]
     assert all(r["repeat"] == 1 and r["best_s"] > 0 for r in rows)
