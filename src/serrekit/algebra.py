@@ -229,17 +229,6 @@ class Poly:
                 return out
             base = base * base
 
-    def evaluate(self, point):
-        if len(point) != self.arity:
-            raise ValueError("point arity mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                v *= Fraction(x) ** k
-            total += v
-        return total
-
     def _chk(self, other):
         if not isinstance(other, Poly) or other.arity != self.arity:
             raise TypeError("polynomial arity mismatch")
@@ -364,6 +353,9 @@ def format_poly(p, names=None):
     return " ".join(parts)
 
 
+_DIGITS = "0123456789"   # str.isdigit would also take other scripts' digits
+
+
 class _Tok:
     def __init__(self, text):
         self.toks = []
@@ -372,9 +364,9 @@ class _Tok:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.toks.append(("int", text[i:j]))
                 i = j

@@ -360,7 +360,9 @@ def _read_json(path):
             return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError covers malformed JSON, bad UTF-8 and integer literals past
+    # the interpreter's digit limit; RecursionError covers deep nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise ShapeViolation(f"cannot read input document: {exc}") from exc
 
 

@@ -367,6 +367,11 @@ def load_sections(cover, lb, sub, doc, rank):
         parsed[chart] = tuple(
             _chart_poly(cover, chart, s, f"section {m + 1}")
             for m, s in enumerate(val))
+    # before any tuple is built, as an off-Y tuple has rank - 1 entries
+    missing = [i for i in cover.charts if sub.meets_Y[i] and i not in parsed]
+    if missing:
+        raise ShapeViolation(f"chart {missing[0]} meets the subscheme but has "
+                             "no section data")
 
     sections = {}
     t_map = {}
@@ -380,9 +385,6 @@ def load_sections(cover, lb, sub, doc, rank):
             t_map[i] = 1
             tier_map[i] = 0
             continue
-        if i not in parsed:
-            raise ShapeViolation(f"chart {i} meets the subscheme but has no "
-                                 "section data")
         ss = parsed[i]
         f, g = sub.pairs[i]
         if not is_unit_ideal([f, g] + list(ss)):

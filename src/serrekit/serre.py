@@ -6,8 +6,8 @@ generate along Y, the pipeline produces r x r transition matrices Z_ij whose
 cokernel presentation realizes Y as the dependency locus of r-1 sections of
 the resulting bundle:
 
-    normalize_generators -> adjust_glue -> build_frames -> build_Z
-        -> obstruction -> correct
+    normalize_generators -> build_frames -> build_Z (adjust_glue on each
+        overlap) -> obstruction -> correct
 
 `build_Z` glues chart frames pairwise; the triple-overlap defect is exactly
 the image of a degree-2 Cech cocycle with values in r-1 copies of the dual
@@ -26,8 +26,8 @@ from .algebra import LocElem, MatrixL, transport
 from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
 from .cover import (AmbientSpec, LineBundleData, load_sections,
                     load_subscheme, need, standard_cover)
-from .errors import (FormMismatch, GluingFailure, PreconditionViolated,
-                     SerreError, ShapeViolation)
+from .errors import (FormMismatch, GluingFailure, NotInIdeal,
+                     PreconditionViolated, SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
 
 
@@ -288,40 +288,34 @@ def normalize_generators(sub, secs):
     return sub, secs
 
 
-def adjust_glue(sub, secs, lb, lift_order="fg"):
-    """Retune each sorted overlap matrix so det A_ij hits its exact target.
+def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
+    """The overlap matrix A_ij, retuned on its context so its determinant is
+    target.
 
-    Target: (-1)^{t_i} h_ij / s_{j t_i}, defined whenever the pivot component
-    of chart i evaluated in chart j's tuple is invertible on the overlap.
-    The defect is a member of (f_i, g_i); its cofactors (phi, psi) feed the
-    rank-one update A += [[psi g_j, -psi f_j], [-phi g_j, phi f_j]], which
-    fixes the determinant without disturbing A (f_j; g_j) = (f_i; g_i).
-    Overlaps whose pivot is not invertible are left to the split branch of
-    `build_Z` and skipped here.
+    The defect target - det A is a member of (f_i, g_i); its cofactors
+    (phi, psi) feed the rank-one update A += [[psi g_j, -psi f_j], [-phi g_j,
+    phi f_j]], which fixes the determinant without disturbing A (f_j; g_j) =
+    (f_i; g_i).  Both identities are re-checked exactly; a defect outside
+    (f_i, g_i), which only an A breaking that identity can have, fails the
+    same way.
     """
-    cover = sub.cover
-    for i, j in combinations(cover.charts, 2):
-        ctx = cover.ctx((i, j))
-        t_i = secs.t[i]
-        sgn_i = _sign(t_i)
-        sji = transport(secs.sections[j][t_i - 1], ctx)
-        inv_sji = invert(sji)
-        if inv_sji is None:
-            continue
-        A = sub.A[(i, j)].transport_to(ctx)
-        target = (lb.h(i, j, ctx) * inv_sji).scale(sgn_i)
-        delta = target - A.det()
-        if not delta.is_zero():
-            fi, gi = sub.pair_on(i, ctx)
-            fj, gj = sub.pair_on(j, ctx)
-            phi, psi = _lift(delta, fi, gi, lift_order)
-            A = A + MatrixL(ctx, [[psi * gj, -(psi * fj)],
-                                  [-(phi * gj), phi * fj]])
-            if A.det() != target or A.matvec((fj, gj)) != (fi, gi):
-                raise GluingFailure(
-                    f"overlap ({i}, {j}): determinant adjustment failed")
-            sub.A[(i, j)] = A
-    return sub
+    delta = target - A.det()
+    if delta.is_zero():
+        return A
+    ctx = A.ctx
+    fi, gi, _ = fr_i.on(ctx)
+    fj, gj, _ = fr_j.on(ctx)
+    try:
+        phi, psi = _lift(delta, fi, gi, lift_order)
+        A = A + MatrixL(ctx, [[psi * gj, -(psi * fj)],
+                              [-(phi * gj), phi * fj]])
+        ok = A.det() == target and A.matvec((fj, gj)) == (fi, gi)
+    except NotInIdeal:
+        ok = False
+    if not ok:
+        raise GluingFailure(f"overlap ({fr_i.chart}, {fr_j.chart}): "
+                            "determinant adjustment failed")
+    return A
 
 
 def build_frames(sub, secs):
@@ -345,12 +339,13 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
     deleted: that is Z_ij's left block (P over R).  `_rank_one` changes only
     the last two columns, so the corrected set keeps it.
 
-    S is the retuned overlap matrix scaled by (-1)^{t_j} s_{j t_i} when that
-    pivot is invertible, and otherwise — only legitimate when (f, g) is the
-    unit ideal on the overlap — the split form built from comaximality
-    certificates of both chart pairs; Q lifts the off-pivot entries of
-    (-1)^{t_j} T'_i s_j over (f_j, g_j), which lie in the ideal by the
-    section compatibility.  Checks M_i = Z_ij M_j and det Z_ij = h_ij
+    One `invert` of the pivot entry s_{j t_i} per overlap picks the branch.
+    When it is invertible, S is A_ij retuned (`adjust_glue`) to determinant
+    (-1)^{t_i} h_ij / s_{j t_i}, scaled by (-1)^{t_j} s_{j t_i}; otherwise —
+    only legitimate when (f, g) is the unit ideal on the overlap — S is the
+    split form built from comaximality certificates of both chart pairs.  Q
+    lifts the off-pivot entries of (-1)^{t_j} T'_i s_j over (f_j, g_j),
+    which lie in the ideal by the section compatibility.  Checks M_i = Z_ij M_j and det Z_ij = h_ij
     exactly (`_check_glue`).
     """
     cover = sub.cover
@@ -366,8 +361,11 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
         fj, gj, s_j = fr_j.on(ctx)
         sji = s_j[t_i - 1]
 
-        if invert(sji) is not None:
-            S = sub.A[(i, j)].transport_to(ctx).scalar_mul(sji.scale(sgn_j))
+        inv = invert(sji)
+        if inv is not None:
+            target = (lb.h(i, j, ctx) * inv).scale(sgn_i)
+            A = adjust_glue(sub.A[(i, j)], fr_i, fr_j, target, lift_order)
+            S = A.scalar_mul(sji.scale(sgn_j))
             branch[(i, j)] = "unit"
         elif sub.empty_overlap.get((i, j)):
             ui, vi = unit_certificate(fi, gi)
@@ -588,7 +586,6 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     cover = sub.cover
 
     normalize_generators(sub, secs)
-    adjust_glue(sub, secs, lb, lift_order=lift_order)
     frames = build_frames(sub, secs)
     raw = build_Z(frames, sub, secs, lb, lift_order=lift_order)
     obs = obstruction(raw, frames)

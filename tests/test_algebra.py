@@ -37,15 +37,27 @@ def _rand_poly(rng, arity, deg=2, nterms=3):
     return Poly(arity, terms)
 
 
+def _evaluate(p, point):
+    """Value of the polynomial p at a rational point of its arity."""
+    assert len(point) == p.arity
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
 def _eval_loc(e, hom_point):
     """Independent oracle: value of a localized element at a rational point
     of P^n with all homogeneous coordinates nonzero."""
     h = e.ctx.home
     chart = [Fraction(hom_point[k]) / Fraction(hom_point[h])
              for k in e.ctx.axes()]
-    den = e.den_poly().evaluate(chart)
+    den = _evaluate(e.den_poly(), chart)
     assert den != 0
-    return e.num.evaluate(chart) / den
+    return _evaluate(e.num, chart) / den
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -60,6 +72,19 @@ def test_poly_basic_identities():
     assert parse_poly("(x + y)^2", names) == x * x + 2 * x * y + y * y
     assert parse_poly("0", names).is_zero()
     assert parse_poly("3/2*x - x", names) == parse_poly("1/2*x", names)
+
+
+@pytest.mark.parametrize("text, char", [("x0^\u0662", "\u0662"),
+                                        ("\u0663*x1", "\u0663"),
+                                        ("x0^\u00b2", "\u00b2")],
+                         ids=["arabic-indic-power", "arabic-indic-factor",
+                              "superscript"])
+def test_parse_poly_reads_ascii_digits_only(text, char):
+    """A digit of another script is no integer literal, whatever int()
+    would make of it."""
+    with pytest.raises(ValueError) as err:
+        parse_poly(text, ("x0", "x1"))
+    assert str(err.value) == f"unexpected character {char!r} in polynomial"
 
 
 @pytest.mark.parametrize("value", [0, 1, -2, Fraction(3, 1), Fraction(1, 2)])

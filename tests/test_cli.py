@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -535,6 +536,40 @@ def test_verify_truncated_file(tmp_path, capsys):
     trunc.write_bytes(out.read_bytes()[:64])
     code, _, err = run_cli(capsys, "verify", str(trunc))
     assert code == 1 and "error[parse]" in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", "[" * 100000 + "]" * 100000),
+    ("build", '{"rank": ' + "9" * 5000 + "}"),
+], ids=["deep-nesting", "long-integer"])
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, command, text):
+    """JSON that the decoder cannot hold, nested past the recursion limit
+    or an integer past the digit limit, ends in one parse error."""
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[parse]: cannot read input document: ")
+    assert err.count("\n") == 1
+
+
+def test_missing_sections_are_reported_before_rank_sized_work(tmp_path,
+                                                             capsys):
+    """A Y chart without section data fails in the parse step, before the
+    off-Y charts get their rank - 1 canonical entries."""
+    doc = {key: val for key, val in POINT.items() if key != "sections"}
+    doc["rank"] = 2000001
+    path = write_doc(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "build", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ("error[parse]: chart 2 meets the subscheme but has no "
+                   "section data\n")
+    assert peak < 4 * 2**20
 
 
 def test_cohomology_dimensions(capsys):

@@ -14,6 +14,8 @@ from serrekit.cover import (AmbientSpec, LineBundleData, load_sections,
                             load_subscheme, standard_cover)
 from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
                              ShapeViolation)
+from serrekit import serre
+from serrekit.ideals import invert
 from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
                             compare_bundles, correct, normalize_generators,
@@ -224,35 +226,55 @@ def test_tprime_inverse_fixes_off_pivot_columns():
 # -- determinant adjustment --------------------------------------------------
 
 
-def test_adjust_glue_ci_line_defect_zero():
+def _ci_line_overlap():
+    """The normalized ci_line data, its frames and the overlap (2, 3) with
+    its determinant target (-1) * h / (-1), both pivot signs being -1."""
     cover, lb, sub, secs = _loaded(ci_line_doc())
     normalize_generators(sub, secs)
-    before = {pair: A for pair, A in sub.A.items()}
-    adjust_glue(sub, secs, lb)
+    frames = build_frames(sub, secs)
     ctx = cover.ctx((2, 3))
-    target = lb.h(2, 3, ctx)    # (-1) * h / (-1) with both signs -1
-    assert sub.A[(2, 3)].det() == target
-    assert sub.A[(2, 3)] == before[(2, 3)]
+    return sub, frames, ctx, lb.h(2, 3, ctx)
+
+
+def test_adjust_glue_ci_line_defect_zero():
+    sub, frames, ctx, target = _ci_line_overlap()
+    A = sub.A[(2, 3)]
+    retuned = adjust_glue(A, frames[2], frames[3], target)
+    assert retuned.det() == target
+    assert retuned == A
 
 
 def test_adjust_glue_restores_perturbed_determinant():
-    cover, lb, sub, secs = _loaded(ci_line_doc())
-    normalize_generators(sub, secs)
-    adjust_glue(sub, secs, lb)
-    ctx = cover.ctx((2, 3))
+    sub, frames, ctx, target = _ci_line_overlap()
+    A = adjust_glue(sub.A[(2, 3)], frames[2], frames[3], target)
     fi, gi = sub.pair_on(2, ctx)
     fj, gj = sub.pair_on(3, ctx)
     phi = LocElem(ctx, ctx.parse("x1"))
     psi = LocElem(ctx, ctx.parse("x3"))
     tweak = MatrixL(ctx, [[psi * gj, -(psi * fj)],
                           [-(phi * gj), phi * fj]])
-    sub.A[(2, 3)] = sub.A[(2, 3)] + tweak
-    target = lb.h(2, 3, ctx)
-    assert sub.A[(2, 3)].matvec((fj, gj)) == (fi, gi)
-    assert sub.A[(2, 3)].det() != target
-    adjust_glue(sub, secs, lb)
-    assert sub.A[(2, 3)].det() == target
-    assert sub.A[(2, 3)].matvec((fj, gj)) == (fi, gi)
+    A = A + tweak
+    assert A.matvec((fj, gj)) == (fi, gi)
+    assert A.det() != target
+    A = adjust_glue(A, frames[2], frames[3], target)
+    assert A.det() == target
+    assert A.matvec((fj, gj)) == (fi, gi)
+
+
+def test_build_inverts_each_overlap_pivot_once(monkeypatch):
+    """One `invert` per chart pivot in normalize_generators and one per
+    sorted overlap in build_Z, which both retunes and assembles there:
+    7 + 21 on P^6."""
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return invert(e)
+
+    monkeypatch.setattr(serre, "invert", counted)
+    build_bundle(json.loads((INPUTS / "line_p6.json").read_text(
+        encoding="utf-8")))
+    assert len(calls) == 28
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -346,7 +368,6 @@ def test_transition_left_block_is_the_frame_of_chart_i(name):
 def test_build_Z_failure_is_tagged_glue():
     cover, lb, sub, secs = _loaded(ci_line_doc())
     normalize_generators(sub, secs)
-    adjust_glue(sub, secs, lb)
     sub.A[(2, 3)] = sub.A[(2, 3)].scalar_mul(2)
     with pytest.raises(GluingFailure) as err:
         build_Z(build_frames(sub, secs), sub, secs, lb)
