@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from serrekit import serre
 from serrekit.algebra import LocElem, MatrixL, Poly, transport
 from serrekit.cech import cohomology_dim
 from serrekit.cover import (AmbientSpec, LineBundleData, load_sections,
                             load_subscheme, standard_cover)
 from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
                              ShapeViolation)
-from serrekit import serre
 from serrekit.ideals import invert
 from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
