@@ -604,9 +604,6 @@ class Context:
                 return u
         raise KeyError(f"s{chart}")
 
-    def parse(self, text):
-        return parse_poly(text, self.var_names())
-
     def format(self, p):
         return format_poly(p, self.var_names())
 
@@ -987,8 +984,6 @@ class MatrixL:
             _dot(self.rows[i], vec, self.ctx) for i in range(self.shape[0]))
 
     def scalar_mul(self, s):
-        if isinstance(s, (int, Fraction)):
-            return MatrixL(self.ctx, [[a.scale(s) for a in r] for r in self.rows])
         return MatrixL(self.ctx, [[a * s for a in r] for r in self.rows])
 
     def delete_row(self, i):

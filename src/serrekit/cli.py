@@ -21,7 +21,8 @@ from itertools import combinations
 from .algebra import LocElem, MatrixL, SUnit, format_poly, is_homogeneous
 from .cech import MAX_DEGREE, CechCochain, cohomology_dim
 from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
-                    SubschemeData, chart_key, chart_table, need, poly_field)
+                    SubschemeData, chart_key, chart_table, need, poly_field,
+                    read_ambient)
 from .errors import (FormMismatch, Inconclusive, Obstructed, SerreError,
                      ShapeViolation)
 from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
@@ -159,9 +160,7 @@ def load_bundle(doc):
     """
     if need(doc, "schema", str, "") != _SCHEMA:
         raise ShapeViolation("document: unknown schema tag")
-    amb = need(doc, "ambient", dict, "")
-    ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
-                          need(amb, "dim", int, "ambient"))
+    ambient = read_ambient(doc)
     if ambient.dim < 2:
         raise ShapeViolation("document: ambient dimension must be >= 2")
     bare = Cover(ambient)

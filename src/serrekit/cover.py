@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import (Context, LocElem, MatrixL, SUnit, chart_monomial,
+from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, chart_monomial,
                       dehomogenize, homogenize, is_homogeneous, parse_poly,
                       transport)
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
@@ -96,6 +96,25 @@ class AmbientSpec:
             raise ShapeViolation("ambient dimension must be >= 1")
 
 
+# A build works on every triple overlap, C(n + 1, 3) of them on P^n.  A
+# linear-subscheme build (x0 = x1 = 0, rank 2, twist 2) takes 0.8 s on P^12,
+# 3.1 s on P^16 and 22 s on P^20 (CPython 3.11, one Intel Xeon core), so a
+# larger dimension asks for minutes of work, and 3,000,000 for a chart tuple
+# of that length before the document is read further.
+MAX_DIM = 16
+
+
+def read_ambient(doc):
+    """The `ambient` table of an input or bundle document, its dimension at
+    most MAX_DIM, read before any cover is built."""
+    amb = need(doc, "ambient", dict, "")
+    ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
+                          need(amb, "dim", int, "ambient"))
+    if ambient.dim > MAX_DIM:
+        raise ShapeViolation(f"ambient dimension must be at most {MAX_DIM}")
+    return ambient
+
+
 class Cover:
     """The standard cover with its section units, fixed at construction.
 
@@ -139,10 +158,6 @@ class Cover:
         if self.ambient.kind == "affine":
             return tuple(f"x{i}" for i in range(1, self.ambient.dim + 1))
         return tuple(f"x{i}" for i in range(self.ambient.dim + 1))
-
-
-def standard_cover(ambient):
-    return Cover(ambient)
 
 
 def section_unit(ambient, chart, chart_poly):
@@ -272,11 +287,21 @@ def load_subscheme(cover, doc):
     return sub
 
 
-def extend_off_Y(sub):
+def extend_off_Y(sub, secs, lb):
     """Build the 2x2 matrix A_ij with (f_i; g_i) = A_ij (f_j; g_j), exactly,
     on every sorted overlap i < j, using lifts where the overlap meets Y and
-    the unit-certificate product form where it does not.  No A_ji is built:
-    no step reads one (see `load_sections`)."""
+    the unit-certificate product form where it does not, and enforce the
+    section compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i)
+    there, on the same restrictions.
+
+    No A_ji is built and the reversed check, s_j = (det A_ji / h_ji) s_i mod
+    (f_j, g_j), is not run: it is implied.  (f_i, g_i) and (f_j, g_j)
+    generate the same ideal I on the overlap, and the rows of A_ij A_ji - 1
+    are syzygies of (f_i, g_i), a regular pair there, so they lie in I and
+    det A_ij det A_ji = 1 mod I.  With h_ij h_ji = 1 the two checks then hold
+    or fail together, component by component; as an ordered loop meets (i,
+    j) before (j, i), the sorted loop also reports the same first failure.
+    """
     cover = sub.cover
     for i, j in combinations(cover.charts, 2):
         ctx = cover.ctx((i, j))
@@ -296,6 +321,13 @@ def extend_off_Y(sub):
         if a.matvec((fj, gj)) != (fi, gi):
             raise AssertionError("gluing identity failed re-verification")
         sub.A[(i, j)] = a
+        factor = a.det() * lb.h(j, i, ctx)  # det A_ij / h_ij
+        for m, (si, sj) in enumerate(zip(secs.sections[i], secs.sections[j])):
+            residue = transport(si, ctx) - factor * transport(sj, ctx)
+            if not residue.is_zero() and not in_ideal(residue, [fi, gi]):
+                raise CompatibilityFailure(
+                    f"sections {m + 1} on overlap ({i}, {j}) are not "
+                    "compatible modulo (f, g)")
     return sub
 
 
@@ -307,18 +339,34 @@ class SectionData:
     rank: int
 
 
-def _choose_pivot(f, g, sections):
-    """Pivot tiers: 1, a nonzero constant (the only units of a unit-free
-    chart); 4, nonvanishing on Y by the Nullstellensatz (register it).
-    Returns (t, tier, unit_to_register)."""
+def _pivot_candidates(f, g, sections):
+    """Pivot tiers, in the order they are tried: 1, a nonzero constant (the
+    only units of a unit-free chart), which ends the search; 4, nonvanishing
+    on Y by the Nullstellensatz (register it).  Yields (t, tier,
+    unit_to_register), lazily."""
     candidates = list(enumerate(sections, start=1))
     for t, s in candidates:
         if not s.den and s.num.is_constant() and not s.num.is_zero():
-            return t, 1, None
+            yield t, 1, None
+            return
     for t, s in candidates:
         if not s.is_zero() and is_unit_ideal([f, g, s]):
-            return t, 4, s.num
-    return None, None, None
+            yield t, 4, s.num
+
+
+def _covers_chart(cover, units, i):
+    """Whether the shrunk charts D(x_j s_j) cover the standard chart U_i of
+    P^n, for the unit forms s_j of `units` (s_j = 1 on a chart without one):
+    (s_i, x_j s_j for j != i), read on U_i of the unit-free `cover`,
+    generate the unit ideal."""
+    arity = cover.ambient.dim + 1
+    gens = []
+    for j in cover.charts:
+        form = Poly.variable(arity, j)
+        if j in units:
+            form = form * units[j].form
+        gens.append(LocElem(cover.chart_ctx(i), dehomogenize(form, i)))
+    return is_unit_ideal(gens)
 
 
 def load_sections(cover, lb, sub, doc, rank):
@@ -332,17 +380,8 @@ def load_sections(cover, lb, sub, doc, rank):
     {"chart", "values"} entries, or None.  Pivots are chosen on the
     unit-free `cover`; when section units are chosen, the cover carrying them
     replaces sub.cover and the chart pairs and section tuples are moved onto
-    it.  Then the overlap matrices are built and the section compatibility
-    s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) is enforced on every
-    sorted overlap i < j.
-
-    The reversed check, s_j = (det A_ji / h_ji) s_i mod (f_j, g_j), is
-    implied: (f_i, g_i) and (f_j, g_j) generate the same ideal I on the
-    overlap, and the rows of A_ij A_ji - 1 are syzygies of (f_i, g_i), a
-    regular pair there, so they lie in I and det A_ij det A_ji = 1 mod I.
-    With h_ij h_ji = 1 the two checks then hold or fail together, component
-    by component; as an ordered loop meets (i, j) before (j, i), the sorted
-    loop also reports the same first failure.
+    it.  `extend_off_Y` then builds the overlap matrices and checks the
+    sections' compatibility on them.
     """
     if rank < 2:
         raise ShapeViolation("rank must be at least 2")
@@ -376,7 +415,7 @@ def load_sections(cover, lb, sub, doc, rank):
     sections = {}
     t_map = {}
     tier_map = {}
-    units = []
+    units, tries = {}, {}
     for i in cover.charts:
         ctx = cover.chart_ctx(i)
         if not sub.meets_Y[i]:
@@ -391,42 +430,48 @@ def load_sections(cover, lb, sub, doc, rank):
             raise NotGenerating(
                 f"chart {i}: (f, g, s_1..s_{rank - 1}) do not generate the "
                 "unit ideal; the sections do not generate on Y")
-        t, tier, to_register = _choose_pivot(f, g, ss)
+        tries[i] = _pivot_candidates(f, g, ss)
+        t, tier, to_register = next(tries[i], (None, None, None))
         if t is None:
             raise NotGenerating(
                 f"chart {i}: no section component is invertible on the chart "
                 "or nonvanishing on Y; no pivot available")
         if to_register is not None:
-            units.append(section_unit(cover.ambient, i, to_register))
+            units[i] = section_unit(cover.ambient, i, to_register)
         sections[i] = ss
         t_map[i] = t
         tier_map[i] = tier
+
+    # A point of P^n in no shrunk chart lies in U_i exactly for the i with
+    # x_i != 0, and each such chart has a unit vanishing there.  For the
+    # largest such i, the check of chart i sees the point: the charts before
+    # it hold their final units by then, and x_j = 0 there for every later
+    # j.  So one pass in increasing chart order suffices.  An affine build
+    # has one chart and lives on its unit's open set by design.  The check
+    # runs on the unit-free contexts, which the unit cover below replaces.
+    if cover.ambient.kind == "projective":
+        for i in sorted(units):
+            while not _covers_chart(cover, units, i):
+                t, _, to_register = next(tries[i], (None, None, None))
+                if t is None:
+                    raise PreconditionViolated(
+                        f"chart {i}: every pivot candidate leaves a point of "
+                        "the chart outside all shrunk charts",
+                        stage="load_sections")
+                units[i] = section_unit(cover.ambient, i, to_register)
+                t_map[i] = t
 
     # The pivots above were chosen without section units; a chart context
     # exposes only its own chart's unit, so no chart's choice depends on the
     # units of the others.  Without units the cover stays, and with it the
     # Groebner bases its contexts keep.
     if units:
-        cover = Cover(cover.ambient, units)
+        cover = Cover(cover.ambient, units.values())
         for i in cover.charts:
             ctx = cover.chart_ctx(i)
             sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
             sections[i] = tuple(transport(e, ctx) for e in sections[i])
         sub.cover = cover
     secs = SectionData(sections, t_map, tier_map, rank)
-    extend_off_Y(sub)
-
-    for i, j in combinations(cover.charts, 2):
-        ctx = cover.ctx((i, j))
-        fi, gi = sub.pair_on(i, ctx)
-        factor = sub.A[(i, j)].det() * lb.h(j, i, ctx)  # det A_ij / h_ij
-        for m in range(rank - 1):
-            si = transport(secs.sections[i][m], ctx)
-            sj = transport(secs.sections[j][m], ctx)
-            residue = si - factor * sj
-            if not residue.is_zero():
-                if not in_ideal(residue, [fi, gi]):
-                    raise CompatibilityFailure(
-                        f"sections {m + 1} on overlap ({i}, {j}) are not "
-                        "compatible modulo (f, g)")
+    extend_off_Y(sub, secs, lb)
     return secs

@@ -6,8 +6,8 @@ generate along Y, the pipeline produces r x r transition matrices Z_ij whose
 cokernel presentation realizes Y as the dependency locus of r-1 sections of
 the resulting bundle:
 
-    normalize_generators -> build_frames -> build_Z (adjust_glue on each
-        overlap) -> obstruction -> correct
+    build_frames (normalize_generators on each chart) -> build_Z
+        (adjust_glue on each overlap) -> obstruction -> correct
 
 `build_Z` glues chart frames pairwise; the triple-overlap defect is exactly
 the image of a degree-2 Cech cocycle with values in r-1 copies of the dual
@@ -24,8 +24,8 @@ from itertools import combinations
 
 from .algebra import LocElem, MatrixL, transport
 from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
-from .cover import (AmbientSpec, LineBundleData, load_sections,
-                    load_subscheme, need, standard_cover)
+from .cover import (AmbientSpec, Cover, LineBundleData, load_sections,
+                    load_subscheme, need, read_ambient)
 from .errors import (FormMismatch, GluingFailure, NotInIdeal,
                      PreconditionViolated, SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
@@ -240,52 +240,23 @@ class BundleResult:
     report: object = None
 
 
-def normalize_generators(sub, secs):
-    """Rescale each chart so the pivot section equals (-1)^t exactly.
+def normalize_generators(chart, f, g, s, t):
+    """One chart's frame, rescaled so its pivot section is (-1)^t exactly.
 
-    Per chart with pivot position t and pivot value p: f <- f / p,
-    g <- (-1)^t g, s <- (-1)^t s / p.  Each A_ij (sorted, i < j) is
-    conjugated by the corresponding diagonal units so A_ij (f_j; g_j) =
-    (f_i; g_i) keeps holding exactly.  Mutates and returns (sub, secs).
+    With pivot value p = s[t-1]: f <- f / p, g <- (-1)^t g, s <- (-1)^t s /
+    p.  Returns (frame, 1 / p); mutates nothing.
     """
-    cover = sub.cover
-    pivots, invs, signs = {}, {}, {}
-    for i in cover.charts:
-        t = secs.t[i]
-        piv = secs.sections[i][t - 1]
-        inv = invert(piv)
-        if inv is None:
-            raise PreconditionViolated(
-                f"chart {i}: pivot section {t} is not invertible on the chart")
-        pivots[i], invs[i], signs[i] = piv, inv, _sign(t)
-
-    for i in cover.charts:
-        f, g = sub.pairs[i]
-        sgn = signs[i]
-        sub.pairs[i] = (f * invs[i], g.scale(sgn))
-        secs.sections[i] = tuple(
-            (x * invs[i]).scale(sgn) for x in secs.sections[i])
-        piv = secs.sections[i][secs.t[i] - 1]
-        if piv != LocElem.const(piv.ctx, sgn):
-            raise PreconditionViolated(
-                f"chart {i}: pivot did not normalize to {sgn}")
-
-    for (i, j), A in sub.A.items():
-        ctx = A.ctx
-        inv_i = transport(invs[i], ctx)
-        piv_j = transport(pivots[j], ctx)
-        si, sj = signs[i], signs[j]
-        newA = MatrixL(ctx, [
-            [A[0, 0] * piv_j * inv_i, (A[0, 1] * inv_i).scale(sj)],
-            [(A[1, 0] * piv_j).scale(si), A[1, 1].scale(si * sj)],
-        ])
-        fi, gi = sub.pair_on(i, ctx)
-        fj, gj = sub.pair_on(j, ctx)
-        if newA.matvec((fj, gj)) != (fi, gi):
-            raise PreconditionViolated(
-                f"overlap ({i}, {j}): normalization broke the gluing identity")
-        sub.A[(i, j)] = newA
-    return sub, secs
+    sgn = _sign(t)
+    inv = invert(s[t - 1])
+    if inv is None:
+        raise PreconditionViolated(
+            f"chart {chart}: pivot section {t} is not invertible on the chart")
+    s = tuple((x * inv).scale(sgn) for x in s)
+    if s[t - 1] != LocElem.const(inv.ctx, sgn):
+        raise PreconditionViolated(
+            f"chart {chart}: pivot did not normalize to {sgn}")
+    return FrameData(chart=chart, t=t, sign=sgn, f=f * inv, g=g.scale(sgn),
+                     s=s), inv
 
 
 def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
@@ -319,17 +290,39 @@ def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
 
 
 def build_frames(sub, secs):
-    """Construct the frame M of every chart."""
-    frames = {}
+    """The frame M of every chart (`normalize_generators` on its loaded pair
+    and sections) and the overlap matrices A_ij carried along.
+
+    Each A_ij (sorted, i < j) is conjugated by the charts' rescalings so
+    A_ij (f_j; g_j) = (f_i; g_i) keeps holding for the normalized pairs,
+    which is re-checked exactly on the frames' restrictions to the overlap
+    (`FrameData.on`, kept for `build_Z`).  Returns (frames, {(i, j):
+    A_ij}); `sub` and `secs` keep the loaded data.
+    """
+    frames, invs = {}, {}
     for i in sub.cover.charts:
-        f, g = sub.pairs[i]
-        t = secs.t[i]
-        frames[i] = FrameData(chart=i, t=t, sign=_sign(t), f=f, g=g,
-                              s=tuple(secs.sections[i]))
-    return frames
+        frames[i], invs[i] = normalize_generators(
+            i, *sub.pairs[i], secs.sections[i], secs.t[i])
+    As = {}
+    for (i, j), A in sub.A.items():
+        ctx = A.ctx
+        inv_i = transport(invs[i], ctx)
+        piv_j = transport(secs.sections[j][secs.t[j] - 1], ctx)
+        si, sj = frames[i].sign, frames[j].sign
+        A = MatrixL(ctx, [
+            [A[0, 0] * piv_j * inv_i, (A[0, 1] * inv_i).scale(sj)],
+            [(A[1, 0] * piv_j).scale(si), A[1, 1].scale(si * sj)],
+        ])
+        fi, gi, _ = frames[i].on(ctx)
+        fj, gj, _ = frames[j].on(ctx)
+        if A.matvec((fj, gj)) != (fi, gi):
+            raise PreconditionViolated(
+                f"overlap ({i}, {j}): normalization broke the gluing identity")
+        As[(i, j)] = A
+    return frames, As
 
 
-def build_Z(frames, sub, secs, lb, lift_order="fg"):
+def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
     """Assemble the raw transition matrix on every sorted overlap.
 
     Z_ij must carry chart j's frame to chart i's: Z_ij M_j = M_i.  Every
@@ -340,12 +333,13 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
     the last two columns, so the corrected set keeps it.
 
     One `invert` of the pivot entry s_{j t_i} per overlap picks the branch.
-    When it is invertible, S is A_ij retuned (`adjust_glue`) to determinant
-    (-1)^{t_i} h_ij / s_{j t_i}, scaled by (-1)^{t_j} s_{j t_i}; otherwise —
-    only legitimate when (f, g) is the unit ideal on the overlap — S is the
-    split form built from comaximality certificates of both chart pairs.  Q
-    lifts the off-pivot entries of (-1)^{t_j} T'_i s_j over (f_j, g_j),
-    which lie in the ideal by the section compatibility.  Checks M_i = Z_ij M_j and det Z_ij = h_ij
+    When it is invertible, S is the A_ij of `build_frames` (in As) retuned
+    (`adjust_glue`) to determinant (-1)^{t_i} h_ij / s_{j t_i}, scaled by
+    (-1)^{t_j} s_{j t_i}; otherwise — only legitimate when (f, g) is the
+    unit ideal on the overlap — S is the split form built from comaximality
+    certificates of both chart pairs.  Q lifts the off-pivot entries of
+    (-1)^{t_j} T'_i s_j over (f_j, g_j), which lie in the ideal by the
+    section compatibility.  Checks M_i = Z_ij M_j and det Z_ij = h_ij
     exactly (`_check_glue`).
     """
     cover = sub.cover
@@ -364,7 +358,7 @@ def build_Z(frames, sub, secs, lb, lift_order="fg"):
         inv = invert(sji)
         if inv is not None:
             target = (lb.h(i, j, ctx) * inv).scale(sgn_i)
-            A = adjust_glue(sub.A[(i, j)], fr_i, fr_j, target, lift_order)
+            A = adjust_glue(As[(i, j)], fr_i, fr_j, target, lift_order)
             S = A.scalar_mul(sji.scale(sgn_j))
             branch[(i, j)] = "unit"
         elif sub.empty_overlap.get((i, j)):
@@ -481,8 +475,6 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
         raise FormMismatch("the two bundles have different determinant twists")
     if A.rank != B.rank:
         raise FormMismatch("the two bundles have different ranks")
-    if A.cover.charts != B.cover.charts:
-        raise FormMismatch("the two bundles use different covers")
     r = A.rank
     for i in A.cover.charts:
         fa, fb = A.frames[i], B.frames[i]
@@ -495,8 +487,6 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
         if not same:
             raise FormMismatch(
                 f"chart {i}: different normalized local data")
-    if A.transitions.pairs != B.transitions.pairs:
-        raise FormMismatch("the two bundles cover different overlaps")
 
     data = {}
     for i, j in A.transitions.pairs:
@@ -542,7 +532,7 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
     for i, j in A.transitions.pairs:
         ctx = A.cover.ctx((i, j))
         lhs = A.transitions.Z[(i, j)] @ Nmap[j].transport_to(ctx)
-        rhs = Nmap[i].transport_to(ctx) @ B.transitions.Z[(i, j)].transport_to(ctx)
+        rhs = Nmap[i].transport_to(ctx) @ B.transitions.Z[(i, j)]
         if lhs != rhs:
             raise FormMismatch(
                 f"overlap ({i}, {j}): automorphisms fail to intertwine the "
@@ -559,9 +549,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     carrying the raw and corrected transition sets, the obstruction data,
     and the verification report.
     """
-    amb = need(doc, "ambient", dict, "")
-    ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
-                          need(amb, "dim", int, "ambient"))
+    ambient = read_ambient(doc)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
                  "line_bundle")
     rank = need(doc, "rank", int, "")
@@ -579,15 +567,14 @@ def build_bundle(doc, lift_order=None, max_degree=None):
         raise ShapeViolation("lift_order must be 'fg' or 'gf'")
     max_degree = _check_max_degree(need(options, "max_degree", int, ""))
 
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     lb = LineBundleData(ambient, twist)
     sub = load_subscheme(cover, need(doc, "subscheme", dict, ""))
     secs = load_sections(cover, lb, sub, doc.get("sections"), rank)
     cover = sub.cover
 
-    normalize_generators(sub, secs)
-    frames = build_frames(sub, secs)
-    raw = build_Z(frames, sub, secs, lb, lift_order=lift_order)
+    frames, As = build_frames(sub, secs)
+    raw = build_Z(frames, As, sub, secs, lb, lift_order=lift_order)
     obs = obstruction(raw, frames)
     corrected, xi = correct(raw, obs, frames, max_degree=max_degree)
 

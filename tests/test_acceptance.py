@@ -15,14 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from serrekit.algebra import LocElem, MatrixL, Poly
+from serrekit.algebra import LocElem, MatrixL, Poly, parse_poly
 from serrekit.cech import (CechCochain, coboundary_solve, cohomology_dim,
                            differential)
 from serrekit.cli import load_bundle, main
-from serrekit.cover import AmbientSpec, LineBundleData, standard_cover
+from serrekit.cover import AmbientSpec, Cover, LineBundleData
 from serrekit.errors import Obstructed
 from serrekit.ideals import koszul_divide, lift_pair
 from serrekit.serre import build_bundle, compare_bundles
+
+
+def _poly(ctx, text):
+    """A polynomial in the variables of the context ctx."""
+    return parse_poly(text, ctx.var_names())
 
 
 CI_LINE = {
@@ -129,7 +134,7 @@ def test_criterion_1(tmp_path, capsys):
 
     def chart_mat(i, rows):
         ctx = cover.chart_ctx(i)
-        return MatrixL(ctx, [[LocElem(ctx, ctx.parse(t)) for t in row]
+        return MatrixL(ctx, [[LocElem(ctx, _poly(ctx, t)) for t in row]
                              for row in rows])
 
     C = {0: chart_mat(0, [["1", "0"], ["x1", "-1"]]),
@@ -306,10 +311,10 @@ def test_criterion_6(tmp_path, capsys):
     # the inverse-cube class: only candidate multidegree for the plane's
     # twist -3 top cohomology
     ambient = AmbientSpec("projective", 2)
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     lb = LineBundleData(ambient, 3)
     ctx = cover.ctx((0, 1, 2))
-    v = LocElem(ctx, ctx.parse("x2^2"), {"c1": 1})
+    v = LocElem(ctx, _poly(ctx, "x2^2"), {"c1": 1})
     c = CechCochain(cover, lb, 2, 1, {(0, 1, 2): (v,)})
     with pytest.raises(Obstructed) as exc:
         coboundary_solve(c)
@@ -365,7 +370,7 @@ def test_criterion_7():
                                                      inverse=True)) == u
 
     ambient = AmbientSpec("projective", 2)
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     lb = LineBundleData(ambient, 2)
     for degree in (0, 1):
         for trial in range(100):
@@ -379,9 +384,9 @@ def test_criterion_7():
             assert dd.is_zero()
 
     ctx = cover.chart_ctx(2)
-    pairs = [(LocElem(ctx, ctx.parse("x0")), LocElem(ctx, ctx.parse("x1"))),
-             (LocElem(ctx, ctx.parse("x0^2 - x1")),
-              LocElem(ctx, ctx.parse("x0*x1 - 1")))]
+    pairs = [(LocElem(ctx, _poly(ctx, "x0")), LocElem(ctx, _poly(ctx, "x1"))),
+             (LocElem(ctx, _poly(ctx, "x0^2 - x1")),
+              LocElem(ctx, _poly(ctx, "x0*x1 - 1")))]
     done = 0
     for f, g in pairs:
         for _ in range(55):

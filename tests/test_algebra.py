@@ -21,6 +21,11 @@ from serrekit.errors import PreconditionViolated
 from serrekit.ideals import in_ideal
 
 
+def _poly(ctx, text):
+    """A polynomial in the variables of the context ctx."""
+    return parse_poly(text, ctx.var_names())
+
+
 def _ctx(indices, home=None, dim=3, sunits=()):
     indices = tuple(sorted(indices))
     return Context("projective", dim, min(indices) if home is None else home,
@@ -222,7 +227,7 @@ def test_homogenize_dehomogenize():
 
 def test_locelem_normalization_cancels_units():
     ctx = _ctx((0, 1), dim=2)
-    x1 = ctx.parse("x1")
+    x1 = _poly(ctx, "x1")
     e = LocElem(ctx, x1 * x1, {"c1": 1})
     assert e.den == {} and e.num == x1
     z = LocElem(ctx, Poly.zero(2), {"c1": 3})
@@ -231,7 +236,7 @@ def test_locelem_normalization_cancels_units():
 
 def test_locelem_equality_cross_multiplies():
     ctx = _ctx((0, 1, 2), dim=2)
-    x1, x2 = ctx.parse("x1"), ctx.parse("x2")
+    x1, x2 = _poly(ctx, "x1"), _poly(ctx, "x2")
     a = LocElem(ctx, x1 * x2, {"c1": 1})  # normalizes to x2
     b = LocElem(ctx, x2, {})
     assert a == b
@@ -264,7 +269,7 @@ def test_unit_decomposition_section_unit_first():
 
 def test_denominator_exponents_are_ints():
     ctx = _ctx((0, 1, 3), dim=3)
-    num = ctx.parse("x1 + 1")
+    num = _poly(ctx, "x1 + 1")
     for bad in (1.5, "2", True):
         with pytest.raises(ValueError, match="not an int"):
             LocElem(ctx, num, {"c1": bad})
@@ -277,7 +282,7 @@ def test_unknown_unit_key_rejected_with_any_exponent():
     # A key the context has no unit for is an error even when its exponent
     # is 0 and would be dropped; a known key with exponent 0 is still fine.
     ctx = _ctx((0, 1, 3), dim=3)
-    num = ctx.parse("x1 + 1")
+    num = _poly(ctx, "x1 + 1")
     for den in ({"bogus": 0}, {"bogus": 1}, {"bogus": 0, "axes": 0},
                 {"c2": 0}, {"s1": 0}):
         with pytest.raises(KeyError):
@@ -290,7 +295,7 @@ def test_unit_poly_answers_only_unit_keys():
     # non-canonical spelling of a unit key are no units of the context.
     s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
     ctx = Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))
-    x1 = ctx.parse("x1")
+    x1 = _poly(ctx, "x1")
     assert in_ideal(LocElem(ctx, x1), [LocElem(ctx, x1)])  # fills the memo
     assert ctx.unit_keys() == ("c1", "s1")
     assert ctx.unit_poly("c1") == x1
@@ -485,7 +490,7 @@ def test_transport_example_coordinate_flip():
     c01_home1 = Context("projective", 1, 1, (0, 1))
     e = LocElem(c01_home0, Poly.const(1, 1), {"c1": 1})  # (x1/x0)^-1
     t = transport(e, c01_home1)
-    assert t == LocElem(c01_home1, c01_home1.parse("x0"), {})
+    assert t == LocElem(c01_home1, _poly(c01_home1, "x0"), {})
 
 
 def test_transport_evaluation_oracle():
@@ -533,7 +538,7 @@ def test_transport_section_unit():
     su = SUnit(1, form, 2)
     a = Context("projective", 2, 0, (0, 1), (su,))
     b = Context("projective", 2, 1, (0, 1), (su,))
-    e = LocElem(a, a.parse("x1"), {"s1": 1})  # x1 / (S/x0^2) on chart 0
+    e = LocElem(a, _poly(a, "x1"), {"s1": 1})  # x1 / (S/x0^2) on chart 0
     t = transport(e, b)
     pt = (3, 4, 5)
     assert _eval_loc(e, pt) == _eval_loc(t, pt)
@@ -562,7 +567,7 @@ def test_laurent_requires_monomial_sunits():
     assert to_laurent(e) is None
     mono = SUnit(1, parse_poly("x1^2", ("x0", "x1", "x2")), 2)
     ctx2 = Context("projective", 2, 0, (0, 1), (mono,))
-    e2 = LocElem(ctx2, ctx2.parse("x2"), {"s1": 1})
+    e2 = LocElem(ctx2, _poly(ctx2, "x2"), {"s1": 1})
     # (x2/x0) / (x1^2/x0^2) = x0*x2/x1^2
     lau = to_laurent(e2)
     assert lau == {(1, -2, 1): Fraction(1)}
@@ -830,7 +835,7 @@ def test_times_units_matches_reference():
 
 
 def _mat(ctx, entries):
-    return MatrixL(ctx, [[LocElem(ctx, ctx.parse(s), {}) for s in row]
+    return MatrixL(ctx, [[LocElem(ctx, _poly(ctx, s), {}) for s in row]
                          for row in entries])
 
 
@@ -838,7 +843,7 @@ def test_matrix_det_and_adjugate():
     ctx = _ctx((0, 1), dim=2)
     m = _mat(ctx, [["x1", "x2"], ["1", "x1"]])
     d = m.det()
-    assert d == LocElem(ctx, ctx.parse("x1^2 - x2"), {})
+    assert d == LocElem(ctx, _poly(ctx, "x1^2 - x2"), {})
     prod = m @ m.adjugate()
     expect = MatrixL.identity(ctx, 2).scalar_mul(d)
     assert prod == expect

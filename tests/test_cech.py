@@ -7,15 +7,19 @@ from pathlib import Path
 import pytest
 
 from serrekit import serre
-from serrekit.algebra import LocElem, Poly, transport
+from serrekit.algebra import LocElem, Poly, parse_poly, transport
 from serrekit.cech import (CechCochain, _solve_ansatz, _solve_exact,
                            coboundary_solve, cohomology_dim, differential,
                            is_cocycle)
 from serrekit.cli import load_bundle
-from serrekit.cover import (AmbientSpec, Cover, LineBundleData, section_unit,
-                            standard_cover)
+from serrekit.cover import AmbientSpec, Cover, LineBundleData, section_unit
 from serrekit.errors import (Inconclusive, NotACocycle, Obstructed,
                              PreconditionViolated, ShapeViolation)
+
+
+def _poly(ctx, text):
+    """A polynomial in the variables of the context ctx."""
+    return parse_poly(text, ctx.var_names())
 
 
 def P(n):
@@ -24,7 +28,7 @@ def P(n):
 
 def elem(cover, key, text, den=None):
     ctx = cover.ctx(key)
-    return LocElem(ctx, ctx.parse(text), den or {})
+    return LocElem(ctx, _poly(ctx, text), den or {})
 
 
 def rank(rows, ncols):
@@ -107,7 +111,7 @@ def test_cohomology_dim_rejects_affine():
 
 
 def test_differential_degree_zero_untwisted():
-    cover = standard_cover(P(1))
+    cover = Cover(P(1))
     lb = LineBundleData(P(1), 0)
     y = CechCochain(cover, lb, 0, 1, {(0,): (elem(cover, (0,), "1"),)})
     dy = differential(y)
@@ -115,7 +119,7 @@ def test_differential_degree_zero_untwisted():
 
 
 def test_differential_degree_zero_twist_one():
-    cover = standard_cover(P(1))
+    cover = Cover(P(1))
     lb = LineBundleData(P(1), 1)
     y = CechCochain(cover, lb, 0, 1, {(0,): (elem(cover, (0,), "1"),)})
     dy = differential(y)
@@ -124,7 +128,7 @@ def test_differential_degree_zero_twist_one():
 
 
 def test_differential_degree_one_all_ones():
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 0)
     ones = {k: (elem(cover, k, "1"),)
             for k in itertools.combinations(cover.charts, 2)}
@@ -135,7 +139,7 @@ def test_differential_degree_one_all_ones():
 
 
 def test_differential_is_kept_on_the_cochain():
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 0)
     y = CechCochain(cover, lb, 0, 1, {(0,): (elem(cover, (0,), "x1"),)})
     dy = differential(y)
@@ -159,7 +163,7 @@ def _random_elem(rng, ctx):
 def test_differential_squares_to_zero():
     rng = random.Random(401)
     ambient = P(2)
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     for twist in (0, 1, -2):
         lb = LineBundleData(ambient, twist)
         data = {(i,): (_random_elem(rng, cover.ctx((i,))),
@@ -172,7 +176,7 @@ def test_differential_squares_to_zero():
 def test_coboundary_solve_roundtrip_degree_one():
     rng = random.Random(402)
     ambient = P(2)
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     for twist in (0, 2, -1):
         lb = LineBundleData(ambient, twist)
         data = {(i,): (_random_elem(rng, cover.ctx((i,))),)
@@ -186,7 +190,7 @@ def test_coboundary_solve_roundtrip_degree_one():
 def test_coboundary_solve_roundtrip_degree_two():
     rng = random.Random(403)
     ambient = P(3)
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     lb = LineBundleData(ambient, 1)
     data = {k: (_random_elem(rng, cover.ctx(k)),)
             for k in itertools.combinations(cover.charts, 2)}
@@ -198,7 +202,7 @@ def test_coboundary_solve_roundtrip_degree_two():
 
 
 def test_coboundary_solve_zero_quick_path():
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 0)
     c = CechCochain(cover, lb, 1, 2, {})
     xi = coboundary_solve(c)
@@ -206,7 +210,7 @@ def test_coboundary_solve_zero_quick_path():
 
 
 def test_coboundary_solve_rejects_degree_zero():
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 0)
     y = CechCochain(cover, lb, 0, 1, {(0,): (elem(cover, (0,), "1"),)})
     with pytest.raises(PreconditionViolated):
@@ -214,7 +218,7 @@ def test_coboundary_solve_rejects_degree_zero():
 
 
 def test_coboundary_solve_rejects_non_cocycle():
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 0)
     c = CechCochain(cover, lb, 1, 1, {(0, 1): (elem(cover, (0, 1), "1"),)})
     with pytest.raises(NotACocycle):
@@ -224,7 +228,7 @@ def test_coboundary_solve_rejects_non_cocycle():
 def test_obstructed_class_on_plane():
     # top-degree value whose section form is the generator of the only
     # nonvanishing cohomology of O(-3) on the plane
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 3)
     v = elem(cover, (0, 1, 2), "x2^2", {"c1": 1})
     c = CechCochain(cover, lb, 2, 1, {(0, 1, 2): (v,)})
@@ -238,7 +242,7 @@ def test_obstructed_class_on_plane():
 def test_obstruction_vanishes_when_positivity_allows():
     # same shape but a representable multidegree: x2^3/x1 has section degree
     # (-1, 0, 0) after untwisting, solvable by a 1-cochain
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 3)
     v = elem(cover, (0, 1, 2), "x2^3", {"c1": 1})
     c = CechCochain(cover, lb, 2, 1, {(0, 1, 2): (v,)})
@@ -248,8 +252,8 @@ def test_obstruction_vanishes_when_positivity_allows():
 
 def test_ansatz_solves_section_unit_denominator():
     ambient = P(2)
-    ctx0 = standard_cover(ambient).chart_ctx(0)
-    cover = Cover(ambient, [section_unit(ambient, 0, ctx0.parse("1 + x1"))])
+    ctx0 = Cover(ambient).chart_ctx(0)
+    cover = Cover(ambient, [section_unit(ambient, 0, _poly(ctx0, "1 + x1"))])
     lb = LineBundleData(ambient, 0)
     y0 = LocElem(cover.ctx((0,)), Poly.const(2, 1), {"s0": 1})
     y = CechCochain(cover, lb, 0, 1, {(0,): (y0,)})
@@ -260,18 +264,18 @@ def test_ansatz_solves_section_unit_denominator():
 
 def test_ansatz_failure_is_inconclusive():
     ambient = P(2)
-    ctx0 = standard_cover(ambient).chart_ctx(0)
-    cover = Cover(ambient, [section_unit(ambient, 0, ctx0.parse("1 + x1"))])
+    ctx0 = Cover(ambient).chart_ctx(0)
+    cover = Cover(ambient, [section_unit(ambient, 0, _poly(ctx0, "1 + x1"))])
     lb = LineBundleData(ambient, 3)
     ctx = cover.ctx((0, 1, 2))
-    v = LocElem(ctx, ctx.parse("x2^2"), {"c1": 1, "s0": 1})
+    v = LocElem(ctx, _poly(ctx, "x2^2"), {"c1": 1, "s0": 1})
     c = CechCochain(cover, lb, 2, 1, {(0, 1, 2): (v,)})
     with pytest.raises(Inconclusive):
         coboundary_solve(c, max_degree=1)
 
 
 def test_cochain_algebra_and_shape_checks():
-    cover = standard_cover(P(1))
+    cover = Cover(P(1))
     lb = LineBundleData(P(1), 0)
     with pytest.raises(ShapeViolation):
         CechCochain(cover, lb, 0, 1, {(1, 0): (elem(cover, (0, 1), "1"),)})
@@ -280,7 +284,7 @@ def test_cochain_algebra_and_shape_checks():
 
 
 def test_is_cocycle_detects_coboundaries():
-    cover = standard_cover(P(2))
+    cover = Cover(P(2))
     lb = LineBundleData(P(2), 2)
     y = CechCochain(cover, lb, 0, 1,
                     {(i,): (elem(cover, (i,), "1"),) for i in cover.charts})
@@ -539,11 +543,11 @@ def test_ansatz_assembly_matches_reference_on_random_coboundaries():
         shares = trial >= 40
         n = 2 + trial % 2
         ambient = P(n)
-        bare = standard_cover(ambient)
+        bare = Cover(ambient)
         units = []
         for chart in rng.sample(range(n + 1), rng.randint(1, 2)):
             ctx = bare.chart_ctx(chart)
-            units.append(section_unit(ambient, chart, ctx.parse(
+            units.append(section_unit(ambient, chart, _poly(ctx, 
                 _section_unit_text(rng, ctx, shares))))
         cover = Cover(ambient, units)
         lb = LineBundleData(ambient, rng.randint(0, 1))

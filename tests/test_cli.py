@@ -572,6 +572,62 @@ def test_missing_sections_are_reported_before_rank_sized_work(tmp_path,
     assert peak < 4 * 2**20
 
 
+# Y = [1:1:1] in P^2.  Chart 0's only section, x1/2 + x2/2, is nonvanishing
+# on Y and becomes a section unit, but it vanishes at [1:0:0], which lies in
+# the standard chart 0 alone: the shrunk charts would miss that point.
+P2_MINUS_A_POINT = {
+    "ambient": {"kind": "projective", "dim": 2},
+    "line_bundle": {"twist": 2},
+    "rank": 2,
+    "subscheme": {"mode": "global_ci", "F": "x1 - x0", "G": "x2 - x0"},
+    "sections": {"0": ["1/2*x1 + 1/2*x2"], "1": ["1"], "2": ["1"]},
+}
+
+
+def test_build_rejects_units_that_leave_a_point_uncovered(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "build",
+                             write_doc(tmp_path, P2_MINUS_A_POINT))
+    assert (code, out) == (1, "")
+    assert err == ("error[load_sections]: chart 0: every pivot candidate "
+                   "leaves a point of the chart outside all shrunk charts\n")
+
+
+def test_build_tries_the_next_unit_that_keeps_the_cover(tmp_path, capsys):
+    """With a second candidate x1/2 + 1/2 on chart 0, nonzero at [1:0:0],
+    the pivot moves to it and the build verifies."""
+    doc = dict(P2_MINUS_A_POINT, rank=3, sections={
+        "0": ["1/2*x1 + 1/2*x2", "1/2*x1 + 1/2"], "1": ["1", "1"],
+        "2": ["1", "1"]})
+    out = str(tmp_path / "bundle.json")
+    assert run_cli(capsys, "build", write_doc(tmp_path, doc), "-o", out)[0] == 0
+    bundle = json.loads(Path(out).read_text(encoding="utf-8"))
+    assert bundle["units"] == {"0": {"degree": 1, "form": "1/2*x0 + 1/2*x1"}}
+    assert bundle["charts"]["0"]["t"] == 2
+    assert run_cli(capsys, "verify", out)[0] == 0
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_huge_dimension_fails_before_the_cover(tmp_path, capsys, command):
+    """A dimension above `cover.MAX_DIM` fails as the ambient is read, before
+    a chart tuple of that length is built."""
+    if command == "build":
+        doc = dict(POINT, subscheme={"mode": "charts", "pairs": {}})
+    else:
+        doc = json.loads((CORPUS / "refs" / "point_p2.json").read_text(
+            encoding="utf-8"))
+    doc["ambient"] = {"kind": "projective", "dim": 3000000}
+    path = write_doc(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error[parse]: ambient dimension must be at most 16\n"
+    assert peak < 4 * 2**20
+
+
 def test_cohomology_dimensions(capsys):
     for spec, twist, degree, want in [("P2", -3, 2, "1"),
                                       ("P3", -2, 2, "0"),

@@ -7,24 +7,29 @@ from pathlib import Path
 import pytest
 
 from serrekit.algebra import LocElem, MatrixL, parse_poly, transport
-from serrekit.cover import (AmbientSpec, LineBundleData, extend_off_Y,
-                            load_sections, load_subscheme, standard_cover)
+from serrekit.cover import (AmbientSpec, Cover, LineBundleData, SectionData,
+                            extend_off_Y, load_sections, load_subscheme)
 from serrekit.errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                              PreconditionViolated, ShapeViolation)
 from serrekit.ideals import in_ideal, is_unit_ideal, lift_pair, unit_certificate
 
 
+def _poly(ctx, text):
+    """A polynomial in the variables of the context ctx."""
+    return parse_poly(text, ctx.var_names())
+
+
 def _p3():
-    return standard_cover(AmbientSpec("projective", 3))
+    return Cover(AmbientSpec("projective", 3))
 
 
 def _p2():
-    return standard_cover(AmbientSpec("projective", 2))
+    return Cover(AmbientSpec("projective", 2))
 
 
 def test_standard_cover_charts():
     assert _p3().charts == (0, 1, 2, 3)
-    assert standard_cover(AmbientSpec("affine", 2)).charts == (0,)
+    assert Cover(AmbientSpec("affine", 2)).charts == (0,)
     with pytest.raises(ShapeViolation):
         AmbientSpec("weird", 2)
 
@@ -34,7 +39,7 @@ def test_cover_builds_each_context_once():
     ctx = cover.ctx((2, 0))
     assert cover.ctx([0, 2]) is ctx
     assert cover.chart_ctx(1) is cover.ctx((1,))
-    assert standard_cover(cover.ambient).ctx((0, 2)) is not ctx
+    assert Cover(cover.ambient).ctx((0, 2)) is not ctx
 
 
 def test_line_bundle_cocycle():
@@ -61,8 +66,8 @@ def test_load_subscheme_global_ci_line_in_p3():
     assert sub.meets_Y == {0: False, 1: False, 2: True, 3: True}
     f2, g2 = sub.pairs[2]
     ctx2 = cover.chart_ctx(2)
-    assert f2 == LocElem(ctx2, ctx2.parse("x0"))
-    assert g2 == LocElem(ctx2, ctx2.parse("x1"))
+    assert f2 == LocElem(ctx2, _poly(ctx2, "x0"))
+    assert g2 == LocElem(ctx2, _poly(ctx2, "x1"))
     # off-Y charts carry the canonical pair
     f0, g0 = sub.pairs[0]
     assert f0 == LocElem.one(cover.chart_ctx(0)) and g0.is_zero()
@@ -75,7 +80,7 @@ def test_load_subscheme_rejects_non_regular():
 
 
 def test_load_subscheme_rejects_dim1():
-    cover = standard_cover(AmbientSpec("projective", 1))
+    cover = Cover(AmbientSpec("projective", 1))
     with pytest.raises(NotCodimTwo):
         load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
 
@@ -95,8 +100,14 @@ def test_load_subscheme_charts_mode_consistency():
 
 def test_extend_off_Y_gluing_identity():
     cover = _p3()
+    lb = LineBundleData(cover.ambient, 2)
     sub = load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
-    extend_off_Y(sub)
+    # what `load_sections` gives for {"2": ["1"], "3": ["1"]}
+    secs = SectionData({i: (LocElem.one(cover.chart_ctx(i)),)
+                        for i in cover.charts},
+                       dict.fromkeys(cover.charts, 1),
+                       {0: 0, 1: 0, 2: 1, 3: 1}, 2)
+    assert extend_off_Y(sub, secs, lb) is sub
     # one matrix per sorted overlap; no reversed A_ji is built
     assert set(sub.A) == set(itertools.combinations(cover.charts, 2))
     for i, j in itertools.combinations(cover.charts, 2):
@@ -220,14 +231,17 @@ def _compatible(s, t, factor, f, g):
     return residue.is_zero() or in_ideal(residue, [f, g])
 
 
-def _check_reversed_is_implied(sub, lb, sections, rank):
-    """Reference for the lemma in `load_sections`: run the section
-    compatibility check on both orders (i, j) and (j, i) of every overlap,
-    with A_ji from `_reversed_A`.  Asserts det A_ij det A_ji = 1 modulo
-    (f_i, g_i) and that the two orders agree, component by component.
-    Returns the sorted verdicts {(i, j, m): compatible}."""
+def _check_reversed_is_implied(sub, lb, sections, rank, pairs=None):
+    """Reference for the lemma in `extend_off_Y`: run the section
+    compatibility check on both orders (i, j) and (j, i) of every sorted
+    overlap in `pairs` (default: all), with A_ji from `_reversed_A`.
+    Asserts det A_ij det A_ji = 1 modulo (f_i, g_i) and that the two orders
+    agree, component by component.  Returns the sorted verdicts {(i, j, m):
+    compatible}."""
     verdicts = {}
-    for i, j in itertools.combinations(sub.cover.charts, 2):
+    if pairs is None:
+        pairs = itertools.combinations(sub.cover.charts, 2)
+    for i, j in pairs:
         ctx = sub.cover.ctx((i, j))
         fi, gi = sub.pair_on(i, ctx)
         fj, gj = sub.pair_on(j, ctx)
@@ -249,7 +263,7 @@ def _check_reversed_is_implied(sub, lb, sections, rank):
                          ids=lambda p: p.stem)
 def test_reversed_compatibility_check_is_implied(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
-    cover = standard_cover(AmbientSpec(doc["ambient"]["kind"],
+    cover = Cover(AmbientSpec(doc["ambient"]["kind"],
                                        doc["ambient"]["dim"]))
     lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
@@ -265,9 +279,10 @@ def test_reversed_compatibility_check_fails_with_the_sorted_one():
     with pytest.raises(CompatibilityFailure):
         load_sections(cover, lb, sub, _THREE_POINT_SECTIONS, rank=2)
     # constant sections need no section unit, so sub keeps this cover and
-    # the A_ij built before the failure
+    # the A_ij built up to the failing overlap (0, 1)
     assert sub.cover is cover
+    assert set(sub.A) == {(0, 1)}
     sections = {int(c): (LocElem.const(cover.chart_ctx(int(c)), int(v[0])),)
                 for c, v in _THREE_POINT_SECTIONS.items()}
-    verdicts = _check_reversed_is_implied(sub, lb, sections, 2)
+    verdicts = _check_reversed_is_implied(sub, lb, sections, 2, [(0, 1)])
     assert not verdicts[(0, 1, 0)]

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import, function and class of the
-package is used, no module keeps state that its functions change, every function the benchmark
-traces still exists, the unchecked constructors stay inside the arithmetic
-kernel, and every coefficient division goes through `algebra.qdiv`."""
+package and every non-dunder method of its classes is used, no module keeps
+state that its functions change, every function the benchmark traces still
+exists, the unchecked constructors stay inside the arithmetic kernel, and
+every coefficient division goes through `algebra.qdiv`."""
 
 import ast
 import importlib
@@ -35,9 +36,13 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _unused_definitions():
-    """Module-level functions and classes of the package that no file of
-    `src/` names, as an `ast.Name` or an `ast.Attribute`."""
+    """Module-level functions and classes of the package, and the non-dunder
+    methods of its classes, that no file of `src/` names, as an `ast.Name` or
+    an `ast.Attribute`."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     used = set()
@@ -47,16 +52,21 @@ def _unused_definitions():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return [f"{path.name}:{node.name}" for path, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and node.name not in used]
+    defs = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, _DEFS):
+                defs.append((f"{path.name}:{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{path.name}:{node.name}.{meth.name}", meth.name)
+                         for meth in node.body if isinstance(meth, _DEFS)
+                         and not meth.name.startswith("__")]
+    return [label for label, name in defs if name not in used]
 
 
 def test_module_definitions_are_used():
-    """A helper that nothing in the package calls any more is deleted, not
-    kept for the tests."""
+    """A helper or method that nothing in the package calls any more is
+    deleted, not kept for the tests."""
     assert _unused_definitions() == []
 
 

@@ -16,6 +16,11 @@ from serrekit.ideals import (buchberger, ideal_equal, in_ideal, invert,
                              member_with_lift, regular_pair, unit_certificate)
 
 
+def _poly(ctx, text):
+    """A polynomial in the variables of the context ctx."""
+    return parse_poly(text, ctx.var_names())
+
+
 def _ctx(indices, home=None, dim=2, sunits=()):
     indices = tuple(sorted(indices))
     return Context("projective", dim, min(indices) if home is None else home,
@@ -23,7 +28,7 @@ def _ctx(indices, home=None, dim=2, sunits=()):
 
 
 def _loc(ctx, text, den=None):
-    return LocElem(ctx, ctx.parse(text), den or {})
+    return LocElem(ctx, _poly(ctx, text), den or {})
 
 
 def _rand_poly(rng, arity, deg=2, nterms=3):
@@ -122,9 +127,9 @@ def test_saturated_membership():
 
 def test_member_with_lift_handles_denominators():
     ctx = _ctx((0, 1, 2))
-    f = LocElem(ctx, ctx.parse("x1 + x2"), {"c1": 1})
-    g = LocElem(ctx, ctx.parse("x2^2"), {"c2": 1})
-    p = f * _loc(ctx, "x1 - 3") + g * LocElem(ctx, ctx.parse("1"), {"c1": 2})
+    f = LocElem(ctx, _poly(ctx, "x1 + x2"), {"c1": 1})
+    g = LocElem(ctx, _poly(ctx, "x2^2"), {"c2": 1})
+    p = f * _loc(ctx, "x1 - 3") + g * LocElem(ctx, _poly(ctx, "1"), {"c1": 2})
     lift = member_with_lift(p, [f, g])
     assert lift is not None
     assert lift[0] * f + lift[1] * g == p
@@ -135,7 +140,7 @@ def test_invert():
     assert invert(_loc(ctx, "x1")) == LocElem(ctx, Poly.const(2, 1), {"c1": 1})
     assert invert(_loc(ctx, "x1 + 1")) is None
     assert invert(LocElem.zero(ctx)) is None
-    e = LocElem(ctx, ctx.parse("3*x1^2"), {"c1": 1})  # = 3*x1, a unit
+    e = LocElem(ctx, _poly(ctx, "3*x1^2"), {"c1": 1})  # = 3*x1, a unit
     assert e * invert(e) == LocElem.one(ctx)
 
 

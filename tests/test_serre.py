@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from serrekit import serre
-from serrekit.algebra import LocElem, MatrixL, Poly, transport
+from serrekit.algebra import LocElem, MatrixL, Poly, parse_poly
 from serrekit.cech import cohomology_dim
-from serrekit.cover import (AmbientSpec, LineBundleData, load_sections,
-                            load_subscheme, standard_cover)
+from serrekit.cover import (AmbientSpec, Cover, LineBundleData,
+                            SubschemeData, load_sections, load_subscheme)
 from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
                              ShapeViolation)
 from serrekit.ideals import invert
@@ -20,6 +20,12 @@ from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
                             compare_bundles, correct, normalize_generators,
                             obstruction)
+
+
+def _poly(ctx, text):
+    """A polynomial in the variables of the context ctx."""
+    return parse_poly(text, ctx.var_names())
+
 
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
@@ -84,7 +90,7 @@ def two_points_doc():
 
 def _loaded(doc):
     ambient = AmbientSpec(doc["ambient"]["kind"], doc["ambient"]["dim"])
-    cover = standard_cover(ambient)
+    cover = Cover(ambient)
     lb = LineBundleData(ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
     secs = load_sections(cover, lb, sub, doc["sections"], doc["rank"])
@@ -110,15 +116,19 @@ def rand_loc(ctx, rng, deg=3):
 
 
 def test_normalize_constant_section():
-    """Pivot 1 at position 1: f is kept, g flips sign, s becomes -1."""
+    """Pivot 1 at position 1: f is kept, g flips sign, s becomes -1; the
+    loaded pair and sections are left as they were."""
     cover, lb, sub, secs = _loaded(point_doc())
     ctx2 = sub.pairs[2][0].ctx
     f_before, g_before = sub.pairs[2]
-    normalize_generators(sub, secs)
-    f, g = sub.pairs[2]
-    assert f == f_before
-    assert g == -g_before
-    assert secs.sections[2] == (LocElem.const(ctx2, -1),)
+    fr, inv = normalize_generators(2, f_before, g_before, secs.sections[2],
+                                   secs.t[2])
+    assert fr.f == f_before
+    assert fr.g == -g_before
+    assert fr.s == (LocElem.const(ctx2, -1),)
+    assert inv == LocElem.one(ctx2)
+    assert sub.pairs[2] == (f_before, g_before)
+    assert secs.sections[2] == (LocElem.one(ctx2),)
 
 
 def test_normalize_twice_restores_pair():
@@ -127,22 +137,33 @@ def test_normalize_twice_restores_pair():
     doc["sections"] = {"2": ["-1"]}
     cover, lb, sub, secs = _loaded(doc)
     f0, g0 = sub.pairs[2]
-    normalize_generators(sub, secs)
-    assert sub.pairs[2][0] == -f0 and sub.pairs[2][1] == -g0
-    assert secs.sections[2][0] == LocElem.const(f0.ctx, -1)
-    normalize_generators(sub, secs)
-    assert sub.pairs[2][0] == f0 and sub.pairs[2][1] == g0
-    assert secs.sections[2][0] == LocElem.const(f0.ctx, -1)
+    fr, _ = normalize_generators(2, f0, g0, secs.sections[2], secs.t[2])
+    assert fr.f == -f0 and fr.g == -g0
+    assert fr.s[0] == LocElem.const(f0.ctx, -1)
+    fr, _ = normalize_generators(2, fr.f, fr.g, fr.s, fr.t)
+    assert fr.f == f0 and fr.g == g0
+    assert fr.s[0] == LocElem.const(f0.ctx, -1)
 
 
 def test_normalize_keeps_overlap_matrices_exact():
     cover, lb, sub, secs = _loaded(skew_lines_doc())
-    normalize_generators(sub, secs)
-    for (i, j), A in sub.A.items():
+    frames, As = build_frames(sub, secs)
+    assert set(As) == set(sub.A)
+    for (i, j), A in As.items():
         ctx = A.ctx
-        fi, gi = sub.pair_on(i, ctx)
-        fj, gj = sub.pair_on(j, ctx)
+        fi, gi, _ = frames[i].on(ctx)
+        fj, gj, _ = frames[j].on(ctx)
         assert A.matvec((fj, gj)) == (fi, gi)
+
+
+def test_build_keeps_the_loaded_data():
+    """The frames are the one normalized copy: after a build the subscheme
+    and section data hold what was loaded."""
+    bundle = build_bundle(point_doc())
+    ctx2 = bundle.cover.chart_ctx(2)
+    assert bundle.secs.sections[2] == (LocElem.one(ctx2),)
+    assert bundle.frames[2].s == (LocElem.const(ctx2, -1),)
+    assert bundle.sub.pairs[2][1] == -bundle.frames[2].g
 
 
 # -- frames ------------------------------------------------------------------
@@ -173,8 +194,7 @@ def _tpp_reference(fr):
 
 def test_frame_identities_rank_three():
     cover, lb, sub, secs = _loaded(two_points_doc())
-    normalize_generators(sub, secs)
-    frames = build_frames(sub, secs)
+    frames, _ = build_frames(sub, secs)
     assert {frames[i].t for i in cover.charts} == {1, 2}
     for i in cover.charts:
         fr = frames[i]
@@ -192,8 +212,7 @@ def test_frame_identities_rank_three():
 
 def test_frame_rank_two_degenerates_to_pair_column():
     cover, lb, sub, secs = _loaded(point_doc())
-    normalize_generators(sub, secs)
-    frames = build_frames(sub, secs)
+    frames, _ = build_frames(sub, secs)
     fr = frames[2]
     assert fr.M.shape == (2, 1)
     assert fr.M[0, 0] == fr.f and fr.M[1, 0] == fr.g
@@ -202,8 +221,7 @@ def test_frame_rank_two_degenerates_to_pair_column():
 def test_tprime_inverse_roundtrip_random():
     """The closed-form inverse composed with the frame is the identity."""
     cover, lb, sub, secs = _loaded(two_points_doc())
-    normalize_generators(sub, secs)
-    frames = build_frames(sub, secs)
+    frames, _ = build_frames(sub, secs)
     rng = random.Random(501)
     for trial in range(120):
         fr = frames[cover.charts[trial % len(cover.charts)]]
@@ -215,8 +233,7 @@ def test_tprime_inverse_roundtrip_random():
 
 def test_tprime_inverse_fixes_off_pivot_columns():
     cover, lb, sub, secs = _loaded(two_points_doc())
-    normalize_generators(sub, secs)
-    frames = build_frames(sub, secs)
+    frames, _ = build_frames(sub, secs)
     fr = frames[1]          # pivot at position 2
     ctx = fr.f.ctx
     e1 = (LocElem.one(ctx), LocElem.zero(ctx))
@@ -227,30 +244,30 @@ def test_tprime_inverse_fixes_off_pivot_columns():
 
 
 def _ci_line_overlap():
-    """The normalized ci_line data, its frames and the overlap (2, 3) with
-    its determinant target (-1) * h / (-1), both pivot signs being -1."""
+    """The normalized ci_line overlap matrices, its frames and the overlap
+    (2, 3) with its determinant target (-1) * h / (-1), both pivot signs
+    being -1."""
     cover, lb, sub, secs = _loaded(ci_line_doc())
-    normalize_generators(sub, secs)
-    frames = build_frames(sub, secs)
+    frames, As = build_frames(sub, secs)
     ctx = cover.ctx((2, 3))
-    return sub, frames, ctx, lb.h(2, 3, ctx)
+    return As, frames, ctx, lb.h(2, 3, ctx)
 
 
 def test_adjust_glue_ci_line_defect_zero():
-    sub, frames, ctx, target = _ci_line_overlap()
-    A = sub.A[(2, 3)]
+    As, frames, ctx, target = _ci_line_overlap()
+    A = As[(2, 3)]
     retuned = adjust_glue(A, frames[2], frames[3], target)
     assert retuned.det() == target
     assert retuned == A
 
 
 def test_adjust_glue_restores_perturbed_determinant():
-    sub, frames, ctx, target = _ci_line_overlap()
-    A = adjust_glue(sub.A[(2, 3)], frames[2], frames[3], target)
-    fi, gi = sub.pair_on(2, ctx)
-    fj, gj = sub.pair_on(3, ctx)
-    phi = LocElem(ctx, ctx.parse("x1"))
-    psi = LocElem(ctx, ctx.parse("x3"))
+    As, frames, ctx, target = _ci_line_overlap()
+    A = adjust_glue(As[(2, 3)], frames[2], frames[3], target)
+    fi, gi, _ = frames[2].on(ctx)
+    fj, gj, _ = frames[3].on(ctx)
+    phi = LocElem(ctx, _poly(ctx, "x1"))
+    psi = LocElem(ctx, _poly(ctx, "x3"))
     tweak = MatrixL(ctx, [[psi * gj, -(psi * fj)],
                           [-(phi * gj), phi * fj]])
     A = A + tweak
@@ -277,6 +294,22 @@ def test_build_inverts_each_overlap_pivot_once(monkeypatch):
     assert len(calls) == 28
 
 
+def test_build_restricts_each_chart_pair_to_each_overlap_once(monkeypatch):
+    """`extend_off_Y` restricts both chart pairs to every sorted overlap and
+    no later stage asks `SubschemeData` again: 2 * 21 calls on P^6."""
+    calls = []
+    pair_on = SubschemeData.pair_on
+
+    def counted(self, i, ctx):
+        calls.append((i, ctx))
+        return pair_on(self, i, ctx)
+
+    monkeypatch.setattr(SubschemeData, "pair_on", counted)
+    build_bundle(json.loads((INPUTS / "line_p6.json").read_text(
+        encoding="utf-8")))
+    assert len(calls) == 42
+
+
 # -- full pipeline -----------------------------------------------------------
 
 
@@ -285,7 +318,7 @@ def test_ci_line_build():
     assert bundle.report.ok
     assert bundle.transitions.status == "corrected"
     ctx = bundle.cover.ctx((2, 3))
-    a3 = LocElem(ctx, ctx.parse("x3"))
+    a3 = LocElem(ctx, _poly(ctx, "x3"))
     Z = bundle.raw.Z[(2, 3)]
     assert Z[0, 0] == a3 and Z[1, 1] == a3
     assert Z[0, 1].is_zero() and Z[1, 0].is_zero()
@@ -367,10 +400,10 @@ def test_transition_left_block_is_the_frame_of_chart_i(name):
 
 def test_build_Z_failure_is_tagged_glue():
     cover, lb, sub, secs = _loaded(ci_line_doc())
-    normalize_generators(sub, secs)
-    sub.A[(2, 3)] = sub.A[(2, 3)].scalar_mul(2)
+    frames, As = build_frames(sub, secs)
+    As[(2, 3)] = As[(2, 3)].scalar_mul(LocElem.const(As[(2, 3)].ctx, 2))
     with pytest.raises(GluingFailure) as err:
-        build_Z(build_frames(sub, secs), sub, secs, lb)
+        build_Z(frames, As, sub, secs, lb)
     assert err.value.stage == "build_Z"
 
 
