@@ -1,10 +1,10 @@
-"""Best-of-N timings of `cech.coboundary_solve` on the corpus's systems.
+"""Best-of-N and median timings of the layers under the corpus's builds.
 
     python3 scripts/microbench.py [--repeat N]
 
-Each case times `coboundary_solve` on one cochain of a corpus reference
+Each case times one layer on data from a corpus reference
 (`perfbench/corpus.py`), against the `src/` of the checkout this script
-lives in:
+lives in.  `cech.coboundary_solve` on one cochain:
 
 - `two_points_unit.gf5` and `two_points_unit.gf6`: the obstruction cochain
   at `--max-degree` 5 and 6 (the bounded ansatz on P^2);
@@ -16,16 +16,27 @@ lives in:
 - `line_p6`: the obstruction cochain (the monomial solver).
 
 The target's own differential is computed once before timing, so every
-repetition does the same work.  Prints one JSON line per case with the case
-name, its max degree, the number of repetitions, the best time in seconds
-and the outcome (`solved` or `Inconclusive`).
+repetition does the same work.  Matrix algebra on transitions:
+
+- `line_p3_r4.det`: `MatrixL.det` of every raw 4 x 4 transition Z_ij;
+- `line_p6.defect`: `TransitionSet.defect` of every sorted triple of the
+  raw transitions, on a new `TransitionSet` per repetition, so that its
+  memo of derived values starts empty.
+
+Prints one JSON line per case with the case name, its max degree (null
+for the matrix cases), the number of repetitions, the best and the median
+time in seconds and the outcome (`solved` or `Inconclusive` for a solve,
+`computed` for a matrix case).  Best-of-N alone does not resolve a 20%
+change on a shared host; compare medians from alternating runs.
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
+from itertools import combinations
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -61,47 +72,78 @@ def _uncorrected(name, **options):
     return seen[0]
 
 
-def cases():
-    """(case name, target cochain, max degree) for every case."""
-    xi = serre.compare_bundles(_ref("two_points_unit"),
-                               _ref("two_points_unit.gf5")).xi
-    return [
-        ("two_points_unit.gf5", _ref("two_points_unit.gf5").obstruction, 5),
-        ("two_points_unit.gf6", _ref("two_points_unit.gf6").obstruction, 6),
-        ("compare.two_points_unit~two_points_unit.gf5", xi, 8),
-        ("skew_unit.gf4",
-         _uncorrected("skew_unit", lift_order="gf", max_degree=4), 4),
-        ("line_p6", _ref("line_p6").obstruction, 8),
-    ]
-
-
-def best_of(c, max_degree, repeat):
-    """(best time, outcome) of `repeat` solves of c."""
+def _solve(c, max_degree):
+    """One `coboundary_solve` of c, as a repetition returning its outcome."""
     is_cocycle(c)  # keeps the target's differential out of the timings
-    times = []
-    for _ in range(repeat):
-        outcome = "solved"
-        start = time.perf_counter()
+
+    def run():
         try:
             coboundary_solve(c, max_degree=max_degree)
         except Inconclusive:
-            outcome = "Inconclusive"
+            return "Inconclusive"
+        return "solved"
+    return run
+
+
+def _dets(Z):
+    def run():
+        for M in Z.Z.values():
+            M.det()
+        return "computed"
+    return run
+
+
+def _defects(Z):
+    def run():
+        fresh = serre.TransitionSet(Z.rank, Z.status, Z.cover, Z.lb, Z.pairs,
+                                    Z.Z, Z.branch)
+        for i, j, k in combinations(Z.cover.charts, 3):
+            fresh.defect(i, j, k)
+        return "computed"
+    return run
+
+
+def cases():
+    """(case name, max degree or None, one repetition) for every case."""
+    xi = serre.compare_bundles(_ref("two_points_unit"),
+                               _ref("two_points_unit.gf5")).xi
+    return [
+        ("two_points_unit.gf5", 5,
+         _solve(_ref("two_points_unit.gf5").obstruction, 5)),
+        ("two_points_unit.gf6", 6,
+         _solve(_ref("two_points_unit.gf6").obstruction, 6)),
+        ("compare.two_points_unit~two_points_unit.gf5", 8, _solve(xi, 8)),
+        ("skew_unit.gf4", 4, _solve(
+            _uncorrected("skew_unit", lift_order="gf", max_degree=4), 4)),
+        ("line_p6", 8, _solve(_ref("line_p6").obstruction, 8)),
+        ("line_p3_r4.det", None, _dets(_ref("line_p3_r4").raw)),
+        ("line_p6.defect", None, _defects(_ref("line_p6").raw)),
+    ]
+
+
+def timed(run, repeat):
+    """(best time, median time, outcome) of `repeat` calls of run."""
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        outcome = run()
         times.append(time.perf_counter() - start)
-    return min(times), outcome
+    return min(times), statistics.median(times), outcome
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeat", type=int, default=5,
-                   help="timed runs per case; the best is printed")
+                   help="timed runs per case; the best and the median are "
+                        "printed")
     args = p.parse_args(argv)
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
-    for name, c, max_degree in cases():
-        best, outcome = best_of(c, max_degree, args.repeat)
+    for name, max_degree, run in cases():
+        best, median, outcome = timed(run, args.repeat)
         print(json.dumps({"case": name, "max_degree": max_degree,
                           "repeat": args.repeat, "best_s": round(best, 6),
-                          "outcome": outcome}),
+                          "median_s": round(median, 6), "outcome": outcome}),
               flush=True)
 
 

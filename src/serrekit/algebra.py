@@ -397,13 +397,19 @@ class _Tok:
 # deeper input would exhaust the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Largest exponent, and largest degree of a power `base ^ n`, that
+# `parse_poly` expands; checked before expanding, since a short input such
+# as "(x0+x1+x2)^100" would otherwise build thousands of terms.
+MAX_POWER = 32
+
 
 def parse_poly(text, names):
     """Parse '+ - * ^ ( )' polynomial syntax over the given variable names.
 
     Integer and a/b rational literals are allowed; '/' is only permitted
     between integer literals.  Implicit multiplication is not supported.
-    Parentheses and unary minus signs nest at most MAX_NESTING deep.
+    Parentheses and unary minus signs nest at most MAX_NESTING deep, and a
+    power `base ^ n` needs n and deg(base)·n at most MAX_POWER.
     """
     arity = len(names)
     index = {n: i for i, n in enumerate(names)}
@@ -441,7 +447,12 @@ def parse_poly(text, names):
             kind, val = tk.next()
             if kind != "int":
                 raise ValueError("exponent must be an integer literal")
-            return base ** int(val)
+            n = int(val)
+            if max(n, base.total_degree() * n) > MAX_POWER:
+                raise ValueError(
+                    f"power {n} of a degree-{base.total_degree()} polynomial "
+                    f"exceeds the bound {MAX_POWER} on exponent and degree")
+            return base ** n
         return base
 
     def parse_base(depth):
@@ -658,7 +669,8 @@ class LocElem:
     canonical among coordinate-unit denominators and greedy-deterministic
     with section units; `normalize=False` keeps (num, den) as given.  `==`
     compares numerators when the `den` dicts are equal (sound for any form:
-    units are not zero-divisors) and cross-multiplies otherwise.
+    units are not zero-divisors), answers "both zero" when either numerator
+    is zero, and cross-multiplies otherwise.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -793,6 +805,9 @@ class LocElem:
         self._chk(other)
         if self.den == other.den:
             return self.num == other.num
+        if not self.num.terms or not other.num.terms:
+            # units are not zero-divisors: only zero equals zero
+            return not self.num.terms and not other.num.terms
         return (self.num * other.den_poly()) == (other.num * self.den_poly())
 
     def __hash__(self):
@@ -974,14 +989,16 @@ class MatrixL:
             raise ValueError("matmul shape mismatch")
         self._chk_ctx(other)
         cols = list(zip(*other.rows))
-        return MatrixL(self.ctx, [[_dot(r, col, self.ctx) for col in cols]
+        return MatrixL(self.ctx, [[dot(r, col, self.ctx) for col in cols]
                                   for r in self.rows])
 
     def matvec(self, vec):
         if len(vec) != self.shape[1]:
             raise ValueError("matvec shape mismatch")
+        if any(x.ctx != self.ctx for x in vec):
+            raise ValueError("context mismatch; transport first")
         return tuple(
-            _dot(self.rows[i], vec, self.ctx) for i in range(self.shape[0]))
+            dot(self.rows[i], vec, self.ctx) for i in range(self.shape[0]))
 
     def scalar_mul(self, s):
         return MatrixL(self.ctx, [[a * s for a in r] for r in self.rows])
@@ -1001,15 +1018,16 @@ class MatrixL:
             return LocElem.one(self.ctx)
         if n == 1:
             return self.rows[0][0]
-        acc = LocElem.zero(self.ctx)
+        # expansion along row 0; a zero entry's cofactor is never computed
         rest = self.delete_row(0)
-        for j in range(n):
-            if self.rows[0][j].is_zero():
+        cofactors = []
+        for j, a in enumerate(self.rows[0]):
+            if a.is_zero():
+                cofactors.append(a)
                 continue
             minor = rest.delete_col(j).det()
-            term = self.rows[0][j] * minor
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+            cofactors.append(-minor if j % 2 else minor)
+        return dot(self.rows[0], cofactors, self.ctx)
 
     def adjugate(self):
         n, m = self.shape
@@ -1055,9 +1073,48 @@ class MatrixL:
         return f"MatrixL({body})"
 
 
-def _dot(row, vec, ctx):
-    acc = LocElem.zero(ctx)
+def dot(row, vec, ctx):
+    """sum_k row[k]·vec[k] on ctx, normalized once; every entry must live
+    on ctx (the callers check or construct that).
+
+    Each nonzero product is kept as its unnormalized (num, den); the
+    numerators are summed over the common denominator that takes every unit
+    key's largest exponent, and `LocElem._of` normalizes that sum once.
+
+    Lemma (why this equals the stepwise sum `acc + a·b` byte for byte when
+    the context's unit polynomials are pairwise coprime, as the corpus's
+    coordinate units and non-monomial section units such as x0 + x1 are):
+    for a unit u with exponent d in a polynomial-over-units representation
+    num / D of a value, let v(num) be the largest m with u^m | num.  Since
+    every other unit is coprime to u in the UFD k[x], any two
+    representations num / D and num' / D' of one value give
+    v(num) − d = v(num') − d'.  `_normalize` cancels min(d, v(num)) copies
+    of u (one exact division at a time for a section unit, at once for a
+    coordinate unit), and cancelling the other units does not change v, so
+    the exponent it leaves, max(0, d − v(num)), and hence the numerator
+    depend only on the value, not on the starting denominator.  With shared
+    factors (a monomial section unit next to a coordinate unit) the greedy
+    form depends on the path, and the two sums are equal only as values.
+    """
+    prods = []
+    common = {}
     for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
+        x, y = a.num, b.num
+        if not x.terms or not y.terms:
+            continue
+        den = dict(a.den)
+        for k, e in b.den.items():
+            den[k] = den.get(k, 0) + e
+        for k, e in den.items():
+            if e > common.get(k, 0):
+                common[k] = e
+        prods.append((x if _is_one(y) else y if _is_one(x) else x * y, den))
+    total = Poly.zero(ctx.nvars)
+    for num, den in prods:
+        for k, e in common.items():
+            a = e - den.get(k, 0)
+            if a:
+                num = num * ctx.unit_poly(k) ** a
+        total = total + num
+    return LocElem._of(ctx, total, common)
 

@@ -30,7 +30,7 @@ import itertools
 from math import comb
 from operator import add
 
-from .algebra import (LocElem, Poly, from_laurent, qdiv, to_laurent,
+from .algebra import (LocElem, Poly, dot, from_laurent, qdiv, to_laurent,
                       transport)
 from .errors import (Inconclusive, NotACocycle, Obstructed, PreconditionViolated,
                      ShapeViolation)
@@ -101,19 +101,16 @@ def differential(c):
     out = {}
     for key in itertools.combinations(cover.charts, p + 2):
         ctx = cover.ctx(key)
-        acc = [LocElem.zero(ctx) for _ in range(c.width)]
-        for m in range(p + 2):
-            face = key[:m] + key[m + 1:]
-            vals = c.get(face)
-            sign = -1 if m % 2 else 1
-            if m == p + 1:
-                twist = lb.h(key[-2], key[-1], ctx)
-                moved = [transport(v, ctx) * twist for v in vals]
-            else:
-                moved = [transport(v, ctx) for v in vals]
-            for w in range(c.width):
-                acc[w] = acc[w] + moved[w].scale(sign)
-        out[key] = tuple(acc)
+        # face m (key without its m-th index) has coefficient (-1)^m, times
+        # the twist h on the last face; each value is one `dot`
+        one = LocElem.one(ctx)
+        coeffs = [one if m % 2 == 0 else -one for m in range(p + 1)]
+        twist = lb.h(key[-2], key[-1], ctx)
+        coeffs.append(-twist if (p + 1) % 2 else twist)
+        moved = [[transport(v, ctx) for v in c.get(key[:m] + key[m + 1:])]
+                 for m in range(p + 2)]
+        out[key] = tuple(dot([vals[w] for vals in moved], coeffs, ctx)
+                         for w in range(c.width))
     c._differential = CechCochain(cover, lb, p + 1, c.width, out)
     return c._differential
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import random
@@ -11,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from serrekit.algebra import (
-    Context, LocElem, MatrixL, Poly, SUnit, divide, format_poly,
-    from_laurent, grevlex_key, homogenize, dehomogenize, lift_poly,
-    parse_poly, qdiv, split_last, to_laurent, transport,
+    MAX_POWER, Context, LocElem, MatrixL, Poly, SUnit, divide, dot,
+    format_poly, from_laurent, grevlex_key, homogenize, dehomogenize,
+    lift_poly, parse_poly, qdiv, split_last, to_laurent, transport,
 )
 from serrekit.cli import load_bundle
 from serrekit.cover import AmbientSpec, LineBundleData
@@ -104,6 +105,32 @@ def test_trusted_poly_constructors_match_the_checking_one(value):
     same(Poly.variable(3, 2), Poly(3, {(0, 0, 1): 1}))
     with pytest.raises(ValueError):
         Poly.monomial(3, (1, 0), value)
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("x0^32", True), ("(x0 + x1)^16", True), ("(x0*x1 + 1)^16", True),
+    ("2^32", True), ("x0^33", False), ("2^33", False), ("0^40", False),
+    ("(x0*x2 - x1)^17", False), ("(x0*x1 + 1)^17", False),
+    ("(x0+x1+x2)^100", False)])
+def test_parse_poly_bounds_powers_before_expanding(monkeypatch, text, ok):
+    """A power past MAX_POWER in its exponent or its degree is rejected
+    before `Poly.__pow__` runs."""
+    assert MAX_POWER == 32
+    calls = []
+    power = Poly.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    names = ("x0", "x1", "x2")
+    if ok:
+        assert parse_poly(text, names).total_degree() <= MAX_POWER
+        assert len(calls) == 1
+    else:
+        with pytest.raises(ValueError, match="exceeds the bound 32"):
+            parse_poly(text, names)
+        assert calls == []
 
 
 def test_poly_power_is_the_written_out_product():
@@ -478,6 +505,28 @@ def test_locelem_equality_matches_cross_multiplication():
         assert (a == b) == _cross_equal(a, b)
         assert (b == a) == _cross_equal(a, b)
     assert same_den > 150 and equal > 150
+
+
+def test_locelem_equality_with_zero_needs_no_denominator_product(
+        monkeypatch):
+    """Units are not zero-divisors, so an element equals zero exactly when
+    its numerator is zero, whatever the two denominators."""
+    rng = random.Random(2103)
+    ctx = _unit_ctx()
+    pairs = []
+    for _ in range(100):
+        den = {k: rng.randint(1, 2) for k in rng.sample(ctx.unit_keys(), 2)}
+        zero = LocElem(ctx, Poly.zero(ctx.nvars), dict(den), normalize=False)
+        e = _rand_entry(rng, ctx)
+        want = _cross_equal(zero, e)
+        pairs.append((zero, e, want))
+    assert {want for _, _, want in pairs} == {True, False}
+
+    def forbidden(self):
+        raise AssertionError("den_poly called")
+    monkeypatch.setattr(LocElem, "den_poly", forbidden)
+    for zero, e, want in pairs:
+        assert (zero == e) is want and (e == zero) is want
 
 
 # -- transport -------------------------------------------------------------------
@@ -858,6 +907,119 @@ def test_matrix_det_random_multiplicative():
         b = MatrixL(ctx, [[LocElem(ctx, _rand_poly(rng, 2, deg=1, nterms=2), {})
                            for _ in range(3)] for _ in range(3)])
         assert (a @ b).det() == a.det() * b.det()
+
+
+def _dot_reference(row, vec, ctx):
+    """The stepwise sum: one normalized product and one normalized sum per
+    term."""
+    acc = LocElem.zero(ctx)
+    for a, b in zip(row, vec):
+        acc = acc + a * b
+    return acc
+
+
+def _det_reference(m):
+    """Cofactor expansion along row 0, summed one term at a time."""
+    n = m.shape[0]
+    if n == 0:
+        return LocElem.one(m.ctx)
+    if n == 1:
+        return m.rows[0][0]
+    acc = LocElem.zero(m.ctx)
+    rest = m.delete_row(0)
+    for j in range(n):
+        if m.rows[0][j].is_zero():
+            continue
+        term = m.rows[0][j] * _det_reference(rest.delete_col(j))
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def _rand_entry(rng, ctx):
+    """A random element, zero one time in five."""
+    if rng.random() < 0.2:
+        return LocElem.zero(ctx)
+    return _rand_elem(rng, ctx)
+
+
+def test_dot_and_det_match_stepwise_reference():
+    """Summing over one common denominator gives the stepwise value on every
+    context, and the same (num, den) where the unit polynomials are
+    pairwise coprime (the lemma in `dot`'s docstring); a monomial section
+    unit shares factors with the coordinate units, so there only the values
+    must agree."""
+    rng = random.Random(2101)
+    reshaped = Counter()  # kind -> results whose (num, den) differ
+    for kind, sunits in (("no unit", ()), ("monomial unit", _p3_units(True)),
+                         ("non-monomial unit", _p3_units(False))):
+        for _ in range(120):
+            idx = tuple(sorted(rng.sample(range(4), rng.randint(1, 4))))
+            ctx = _ctx(idx, home=rng.choice(idx), sunits=sunits)
+            n = rng.randint(1, 4)
+            row = [_rand_entry(rng, ctx) for _ in range(n)]
+            vec = [_rand_entry(rng, ctx) for _ in range(n)]
+            got, want = [dot(row, vec, ctx)], [_dot_reference(row, vec, ctx)]
+            if n <= 3:
+                m = MatrixL(ctx, [[_rand_entry(rng, ctx) for _ in range(n)]
+                                  for _ in range(n)])
+                got.append(m.det())
+                want.append(_det_reference(m))
+            for x, y in zip(got, want):
+                assert x == y
+                if kind == "monomial unit":
+                    reshaped[kind] += not _same(x, y)
+                else:
+                    assert _same(x, y)
+    # the shared-factor case really takes another path to the same value
+    assert reshaped["monomial unit"] > 0
+
+
+def test_matvec_rejects_a_vector_on_another_context():
+    ctx, other = _ctx((0, 1)), _ctx((0, 2))
+    m = MatrixL.identity(ctx, 2)
+    with pytest.raises(ValueError, match="context mismatch"):
+        m.matvec((LocElem.one(ctx), LocElem.one(other)))
+
+
+def test_unit_polynomials_of_corpus_contexts_are_pairwise_coprime(
+        monkeypatch):
+    """The premise of `dot`'s lemma on every context that a build of a
+    `perfbench/inputs` document creates, by sympy's gcd; so summing once
+    keeps the corpus outputs byte-identical."""
+    sympy = pytest.importorskip("sympy")
+    from serrekit import cli
+    seen = []
+    post_init = Context.__post_init__
+
+    def record(self):
+        post_init(self)
+        seen.append(self)
+    monkeypatch.setattr(Context, "__post_init__", record)
+    spec = importlib.util.spec_from_file_location(
+        "corpus", REFS.parent / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    inputs = set()
+    for name, flags, code in corpus.REFERENCES.values():
+        inputs.add(name)
+        assert cli.main(["build", str(REFS.parent / "inputs" / f"{name}.json"),
+                         *flags]) == code
+    assert len(inputs) == 16
+    pairs = 0
+    for ctx in set(seen):
+        syms = sympy.symbols(f"x0:{ctx.nvars}")
+        units = [_to_sympy(sympy, ctx.unit_poly(k), syms)
+                 for k in ctx.unit_keys()]
+        for u, v in itertools.combinations(units, 2):
+            pairs += 1
+            assert sympy.gcd(u, v).is_ground, (ctx, u, v)
+    assert pairs > 100
+
+
+def _to_sympy(sympy, p, syms):
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator)
+         for e, c in p.terms.items()}, *syms, domain="QQ")
 
 
 def test_lift_poly_and_split_last_match_checked_construction():

@@ -173,6 +173,64 @@ def test_differential_squares_to_zero():
         assert differential(differential(y)).is_zero()
 
 
+def _differential_reference(c):
+    """The differential summed one face at a time: each moved face value
+    (times the twist on the last face) normalized, scaled by its sign and
+    added to a normalized accumulator."""
+    cover, lb, p = c.cover, c.lb, c.degree
+    out = {}
+    for key in itertools.combinations(cover.charts, p + 2):
+        ctx = cover.ctx(key)
+        acc = [LocElem.zero(ctx) for _ in range(c.width)]
+        for m in range(p + 2):
+            vals = c.get(key[:m] + key[m + 1:])
+            moved = [transport(v, ctx) for v in vals]
+            if m == p + 1:
+                twist = lb.h(key[-2], key[-1], ctx)
+                moved = [v * twist for v in moved]
+            for w in range(c.width):
+                acc[w] = acc[w] + moved[w].scale(-1 if m % 2 else 1)
+        out[key] = tuple(acc)
+    return out
+
+
+def test_differential_matches_one_face_at_a_time_reference():
+    """Values agree on every cover; (num, den) agree where the unit
+    polynomials are pairwise coprime: no section unit, or the non-monomial
+    x0 + x1 and x1 + x2 that `two_points_unit` registers on P^2 (here on
+    P^3).  Monomial section units share factors with coordinate units, so
+    there only the values must agree."""
+    rng = random.Random(2102)
+    ambient = P(3)
+    bare = Cover(ambient)
+    kinds = {"no unit": (), "monomial unit": ((1, "x2"), (3, "3*x0^2")),
+             "non-monomial unit": ((0, "1 + x1"), (2, "x1 + 1"))}
+    nonzero = {kind: 0 for kind in kinds}
+    for kind, units in kinds.items():
+        cover = Cover(ambient, [
+            section_unit(ambient, chart, _poly(bare.chart_ctx(chart), text))
+            for chart, text in units])
+        for _ in range(12):
+            lb = LineBundleData(ambient, rng.randint(-1, 2))
+            degree = rng.randint(0, 2)
+            width = rng.randint(1, 2)
+            data = {key: tuple(_unit_elem(rng, cover.ctx(key))
+                               for _ in range(width))
+                    for key in itertools.combinations(cover.charts,
+                                                      degree + 1)
+                    if rng.random() < 0.6}
+            c = CechCochain(cover, lb, degree, width, data)
+            want = _differential_reference(c)
+            got = differential(c)
+            for key, vals in want.items():
+                for x, y in zip(got.get(key), vals):
+                    assert x == y
+                    if kind != "monomial unit":
+                        assert (x.num, x.den) == (y.num, y.den)
+                    nonzero[kind] += not y.is_zero()
+    assert min(nonzero.values()) > 40, nonzero
+
+
 def test_coboundary_solve_roundtrip_degree_one():
     rng = random.Random(402)
     ambient = P(2)

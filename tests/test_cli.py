@@ -123,6 +123,14 @@ def test_build_rejects_deeply_nested_polynomial(tmp_path, capsys, form):
     assert "error[parse]" in err and "more than 100 deep" in err
 
 
+def test_build_rejects_power_past_the_bound(tmp_path, capsys):
+    doc = dict(POINT, subscheme={"mode": "global_ci",
+                                 "F": "(x0+x1+x2)^100", "G": "x1"})
+    code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
+    assert code == 1 and out == ""
+    assert "error[parse]" in err and "exceeds the bound 32" in err
+
+
 def test_build_zero_sections_tagged_load_sections(tmp_path, capsys):
     doc = dict(POINT, sections={"2": ["0"]})
     code, _, err = run_cli(capsys, "build", write_doc(tmp_path, doc))

@@ -18,5 +18,8 @@ def test_microbench_prints_one_line_per_case(capsys):
         ("two_points_unit.gf5", 5, "solved"),
         ("two_points_unit.gf6", 6, "solved"),
         ("compare.two_points_unit~two_points_unit.gf5", 8, "solved"),
-        ("skew_unit.gf4", 4, "Inconclusive"), ("line_p6", 8, "solved")]
-    assert all(r["repeat"] == 1 and r["best_s"] > 0 for r in rows)
+        ("skew_unit.gf4", 4, "Inconclusive"), ("line_p6", 8, "solved"),
+        ("line_p3_r4.det", None, "computed"),
+        ("line_p6.defect", None, "computed")]
+    assert all(r["repeat"] == 1 and r["best_s"] == r["median_s"] > 0
+               for r in rows)
