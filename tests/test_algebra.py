@@ -16,7 +16,7 @@ from serrekit.algebra import (
     format_poly, from_laurent, grevlex_key, homogenize, dehomogenize,
     lift_poly, parse_poly, qdiv, split_last, to_laurent, transport,
 )
-from serrekit.cli import load_bundle
+from serrekit.cli import load_bundle, main
 from serrekit.cover import AmbientSpec, LineBundleData
 from serrekit.errors import PreconditionViolated
 from serrekit.ideals import in_ideal
@@ -987,7 +987,6 @@ def test_unit_polynomials_of_corpus_contexts_are_pairwise_coprime(
     `perfbench/inputs` document creates, by sympy's gcd; so summing once
     keeps the corpus outputs byte-identical."""
     sympy = pytest.importorskip("sympy")
-    from serrekit import cli
     seen = []
     post_init = Context.__post_init__
 
@@ -1002,8 +1001,8 @@ def test_unit_polynomials_of_corpus_contexts_are_pairwise_coprime(
     inputs = set()
     for name, flags, code in corpus.REFERENCES.values():
         inputs.add(name)
-        assert cli.main(["build", str(REFS.parent / "inputs" / f"{name}.json"),
-                         *flags]) == code
+        assert main(["build", str(REFS.parent / "inputs" / f"{name}.json"),
+                     *flags]) == code
     assert len(inputs) == 16
     pairs = 0
     for ctx in set(seen):
