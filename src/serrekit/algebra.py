@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add, sub
 
 from .errors import PreconditionViolated
@@ -402,6 +403,12 @@ MAX_NESTING = 100
 # as "(x0+x1+x2)^100" would otherwise build thousands of terms.
 MAX_POWER = 32
 
+# Most term products `parse_poly` forms in one multiplication, and most
+# monomials a power may have: a base in v variables raised to degree D has at
+# most C(v + D, v) of them, so "(x0+...+x11)^8" is refused before it builds
+# 75,582 terms.
+MAX_TERMS = 2_000
+
 
 def parse_poly(text, names):
     """Parse '+ - * ^ ( )' polynomial syntax over the given variable names.
@@ -409,7 +416,10 @@ def parse_poly(text, names):
     Integer and a/b rational literals are allowed; '/' is only permitted
     between integer literals.  Implicit multiplication is not supported.
     Parentheses and unary minus signs nest at most MAX_NESTING deep, and a
-    power `base ^ n` needs n and deg(base)·n at most MAX_POWER.
+    power `base ^ n` needs n and deg(base)·n at most MAX_POWER.  A product
+    a·b needs len(a.terms)·len(b.terms) at most MAX_TERMS, and so does the
+    monomial count C(v + deg(base)·n, v) of a power whose base uses v
+    variables; each bound is checked before expanding.
     """
     arity = len(names)
     index = {n: i for i, n in enumerate(names)}
@@ -437,7 +447,12 @@ def parse_poly(text, names):
         node = parse_factor(depth)
         while tk.peek()[0] == "*":
             tk.next()
-            node = node * parse_factor(depth)
+            factor = parse_factor(depth)
+            if len(node.terms) * len(factor.terms) > MAX_TERMS:
+                raise ValueError(
+                    f"product of {len(node.terms)} and {len(factor.terms)} "
+                    f"terms exceeds the bound {MAX_TERMS} on terms")
+            node = node * factor
         return node
 
     def parse_factor(depth):
@@ -452,6 +467,11 @@ def parse_poly(text, names):
                 raise ValueError(
                     f"power {n} of a degree-{base.total_degree()} polynomial "
                     f"exceeds the bound {MAX_POWER} on exponent and degree")
+            v = sum(1 for k in range(arity) if any(e[k] for e in base.terms))
+            if comb(v + max(base.total_degree(), 0) * n, v) > MAX_TERMS:
+                raise ValueError(
+                    f"power {n} of a polynomial in {v} variables may have "
+                    f"more than {MAX_TERMS} terms")
             return base ** n
         return base
 

@@ -8,7 +8,9 @@ automorphisms.
 
 Output is deterministic: JSON with sorted keys (default) or a plain-text
 rendering (`--format text`).  Exit codes: 0 success, 1 precondition/schema or
-verification failure, 2 exact obstruction, 3 inconclusive search.
+verification failure, 2 exact obstruction, 3 inconclusive search.  The
+commands only compute and emit; `main` alone turns a `SerreError` into its
+`error[<stage>]` line and its exit code.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
 from .verify import run_all
 
 _SCHEMA = "serre-bundle/1"
-
-
-def _fail(exc):
-    print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
 
 
 # -- document encoding --------------------------------------------------------
@@ -368,101 +366,60 @@ def _read_json(path):
 # -- commands ------------------------------------------------------------------
 
 
+def _check_report(report):
+    """Raise for the first failed entry of a verification report."""
+    if not report.ok:
+        first = report.failures()[0]
+        raise SerreError(f"check failed: {first.check} [{first.scope}]",
+                         stage="verify")
+
+
 def cmd_build(args):
     try:
-        doc = _read_json(args.input)
-        bundle = build_bundle(doc, lift_order=args.lift_order,
+        bundle = build_bundle(_read_json(args.input),
+                              lift_order=args.lift_order,
                               max_degree=args.max_degree)
     except Obstructed as exc:
-        payload = {
-            "error": {
-                "type": "Obstructed",
-                "stage": "correct",
-                "message": str(exc),
-                "component": exc.component,
-                "multidegree": list(exc.multidegree),
-                "witness": exc.witness,
-            }
-        }
-        _emit(payload, args, lambda _: [f"obstructed: {exc}",
-                                        f"  component: {exc.component}",
-                                        f"  multidegree: {exc.multidegree}"])
-        _fail(exc)
-        return 2
+        _emit({"error": {"type": "Obstructed", "stage": "correct",
+                         "message": str(exc), "component": exc.component,
+                         "multidegree": list(exc.multidegree),
+                         "witness": exc.witness}},
+              args, lambda _: [f"obstructed: {exc}",
+                               f"  component: {exc.component}",
+                               f"  multidegree: {exc.multidegree}"])
+        raise
     except Inconclusive as exc:
-        payload = {"error": {"type": "Inconclusive", "stage": "correct",
-                             "message": str(exc)}}
-        _emit(payload, args, lambda _: [f"inconclusive: {exc}"])
-        _fail(exc)
-        return 3
-    except SerreError as exc:
-        _fail(exc)
-        return 1
-    doc_out = bundle_doc(bundle)
-    _emit(doc_out, args, _text_bundle)
-    if not bundle.report.ok:
-        first = bundle.report.failures()[0]
-        print(f"error[verify]: check failed: {first.check} [{first.scope}]",
-              file=sys.stderr)
-        return 1
+        _emit({"error": {"type": "Inconclusive", "stage": "correct",
+                         "message": str(exc)}},
+              args, lambda _: [f"inconclusive: {exc}"])
+        raise
+    _emit(bundle_doc(bundle), args, _text_bundle)
+    _check_report(bundle.report)
     return 0
 
 
 def cmd_verify(args):
-    try:
-        bundle = load_bundle(_read_json(args.input))
-        report = run_all(bundle)
-    except SerreError as exc:
-        _fail(exc)
-        return 1
-    entries = report.to_doc()
-    _emit(entries, args, _text_report)
-    if report.ok:
-        return 0
-    first = report.failures()[0]
-    print(f"error[verify]: check failed: {first.check} [{first.scope}]",
-          file=sys.stderr)
-    return 1
+    report = run_all(load_bundle(_read_json(args.input)))
+    _emit(report.to_doc(), args, _text_report)
+    _check_report(report)
+    return 0
 
 
 def cmd_cohomology(args):
     spec = args.ambient.strip()
-    kind = spec[:1].upper()
-    if kind != "P" or not (spec[1:].isascii() and spec[1:].isdigit()):
-        print("error[parse]: ambient must be P<n> (projective space)",
-              file=sys.stderr)
-        return 1
-    try:
-        ambient = AmbientSpec("projective", int(spec[1:]))
-        dim = cohomology_dim(ambient, args.twist, args.degree)
-    except SerreError as exc:
-        _fail(exc)
-        return 1
-    sys.stdout.write(f"{dim}\n")
+    if spec[:1].upper() != "P" or not (spec[1:].isascii()
+                                       and spec[1:].isdigit()):
+        raise ShapeViolation("ambient must be P<n> (projective space)")
+    ambient = AmbientSpec("projective", int(spec[1:]))
+    sys.stdout.write(f"{cohomology_dim(ambient, args.twist, args.degree)}\n")
     return 0
 
 
 def cmd_compare(args):
-    try:
-        a = load_bundle(_read_json(args.a))
-        b = load_bundle(_read_json(args.b))
-    except SerreError as exc:
-        _fail(exc)
-        return 1
-    if a.ambient != b.ambient:
-        print("error[compare]: documents live on different ambient spaces",
-              file=sys.stderr)
-        return 1
-    try:
-        iso = compare_bundles(a, b, max_degree=args.max_degree)
-    except FormMismatch as exc:
-        _fail(exc)
-        return 2
-    except SerreError as exc:
-        _fail(exc)
-        return 1
-    payload = iso_doc(iso)
-    _emit(payload, args, _text_iso)
+    a = load_bundle(_read_json(args.a))
+    b = load_bundle(_read_json(args.b))
+    iso = compare_bundles(a, b, max_degree=args.max_degree)
+    _emit(iso_doc(iso), args, _text_iso)
     return 0
 
 
@@ -484,20 +441,20 @@ def _parser():
     b.add_argument("--max-degree", type=int, default=None,
                    help="bound for the fallback coboundary search "
                         f"(default {MAX_DEGREE})")
-    b.set_defaults(func=cmd_build)
+    b.set_defaults(func=cmd_build, codes={Obstructed: 2, Inconclusive: 3})
 
     v = sub.add_parser("verify", help="re-run all checks on a bundle document")
     v.add_argument("input", help="bundle JSON document path, or - for stdin")
     v.add_argument("-o", "--output", default=None)
     v.add_argument("--format", choices=("json", "text"), default="json")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, codes={})
 
     c = sub.add_parser("cohomology",
                        help="print dim H^q(P^n, O(m)) exactly")
     c.add_argument("--ambient", required=True, metavar="Pn")
     c.add_argument("--twist", required=True, type=int, metavar="m")
     c.add_argument("--degree", required=True, type=int, metavar="q")
-    c.set_defaults(func=cmd_cohomology)
+    c.set_defaults(func=cmd_cohomology, codes={})
 
     m = sub.add_parser("compare", help="decide isomorphism of two bundle "
                                        "documents over the same input data")
@@ -506,13 +463,19 @@ def _parser():
     m.add_argument("-o", "--output", default=None)
     m.add_argument("--format", choices=("json", "text"), default="json")
     m.add_argument("--max-degree", type=int, default=MAX_DEGREE)
-    m.set_defaults(func=cmd_compare)
+    m.set_defaults(func=cmd_compare, codes={FormMismatch: 2})
     return p
 
 
 def main(argv=None):
+    """Run one command; the one place a `SerreError` becomes its
+    `error[<stage>]` line and the command's exit code for its class."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SerreError as exc:
+        print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
+        return args.codes.get(type(exc), 1)
 
 
 if __name__ == "__main__":

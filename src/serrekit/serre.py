@@ -22,7 +22,7 @@ raises, it never warns.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import LocElem, MatrixL, transport
+from .algebra import LocElem, MatrixL, dot, transport
 from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
 from .cover import (AmbientSpec, Cover, LineBundleData, load_sections,
                     load_subscheme, need, read_ambient)
@@ -203,13 +203,21 @@ class TransitionSet:
         return self._derived[key]
 
     def defect(self, i, j, k):
-        """Z_ik - Z_ij Z_jk on the overlap of the ordered triple (i, j, k)."""
+        """Z_ik - Z_ij Z_jk on the overlap of the ordered triple (i, j, k).
+
+        Each entry is one `dot`, normalized once: the Z_ij row against the
+        negated Z_jk column, plus Z_ik's entry times 1."""
         key = ("defect", i, j, k)
         if key not in self._derived:
             ctx = self.cover.ctx((i, j, k))
-            self._derived[key] = (self.get(i, k).transport_to(ctx)
-                                  - self.get(i, j).transport_to(ctx)
-                                  @ self.get(j, k).transport_to(ctx))
+            Zik, Zij, Zjk = (self.get(a, b).transport_to(ctx)
+                             for a, b in ((i, k), (i, j), (j, k)))
+            one = LocElem.one(ctx)
+            cols = [tuple(-x for x in col) + (one,) for col in zip(*Zjk.rows)]
+            self._derived[key] = MatrixL(ctx, [
+                [dot(row + (Zik[a, b],), col, ctx)
+                 for b, col in enumerate(cols)]
+                for a, row in enumerate(Zij.rows)])
         return self._derived[key]
 
 
@@ -468,9 +476,10 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
     delta(Y) = xi is solved, and with (y_i, U_i) = `_rank_one`(Y_i, frame_i,
     frame_i) the automorphisms N_i = I + U_i are returned after checking
     det N_i = 1, N_i M_i = M_i and Z_ij N_j = N_i Z'_ij exactly."""
-    _check_max_degree(max_degree)
     if A.ambient != B.ambient:
-        raise FormMismatch("the two bundles live on different ambient spaces")
+        raise SerreError("documents live on different ambient spaces",
+                         stage="compare")
+    _check_max_degree(max_degree)
     if A.lb.twist != B.lb.twist:
         raise FormMismatch("the two bundles have different determinant twists")
     if A.rank != B.rank:

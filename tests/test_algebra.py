@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from serrekit.algebra import (
-    MAX_POWER, Context, LocElem, MatrixL, Poly, SUnit, divide, dot,
+    MAX_POWER, MAX_TERMS, Context, LocElem, MatrixL, Poly, SUnit, divide, dot,
     format_poly, from_laurent, grevlex_key, homogenize, dehomogenize,
     lift_poly, parse_poly, qdiv, split_last, to_laurent, transport,
 )
@@ -131,6 +131,40 @@ def test_parse_poly_bounds_powers_before_expanding(monkeypatch, text, ok):
         with pytest.raises(ValueError, match="exceeds the bound 32"):
             parse_poly(text, names)
         assert calls == []
+
+
+def _sum_of(count):
+    return "(" + "+".join(f"x{k}" for k in range(count)) + ")"
+
+
+@pytest.mark.parametrize("text, ok", [
+    (_sum_of(12) + "^8", False),
+    (_sum_of(17) + "^32", False),
+    ("*".join([_sum_of(4) + "^8"] * 4), False),
+    (_sum_of(4) + "^8*" + _sum_of(4) + "^2", True),
+    ("(x0*x1 + 1)^16", True),
+], ids=["12-variables", "17-variables", "four-factors", "165x10-product",
+        "561-monomials"])
+def test_parse_poly_bounds_terms_before_expanding(monkeypatch, text, ok):
+    """A power whose monomial count C(v + deg·n, v), or a product whose
+    term pairs, exceed MAX_TERMS is rejected before `Poly.__mul__` is
+    called past the bound; the sizes below it still parse."""
+    assert MAX_TERMS == 2000
+    pairs = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Poly):
+            pairs.append(len(self.terms) * len(other.terms))
+        return mul(self, other)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    names = tuple(f"x{k}" for k in range(17))
+    if ok:
+        parse_poly(text, names)
+    else:
+        with pytest.raises(ValueError, match=f"{MAX_TERMS}"):
+            parse_poly(text, names)
+        assert max(pairs, default=0) <= MAX_TERMS
 
 
 def test_poly_power_is_the_written_out_product():

@@ -1,15 +1,18 @@
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from serrekit import cli, serre
+from serrekit import cli, errors, serre
 from serrekit.algebra import LocElem
 from serrekit.cech import CechCochain
 from serrekit.cli import main
+from serrekit.errors import FormMismatch, Inconclusive, Obstructed, SerreError
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench"
 SKEW_LINES = str(CORPUS / "inputs" / "skew_lines_p3.json")
@@ -779,6 +782,169 @@ def test_compare_edited_corrected_entry_exit_two(tmp_path, capsys, col, num,
                            write_doc(tmp_path, doc, "edited.json"))
     assert code == 2
     assert "error[compare]" in err and message in err
+
+
+def test_compare_inconclusive_search_exits_one(capsys):
+    """H^1(L*) = 0 leaves compare no obstruction class, so a bounded search
+    that stops short is a plain failure there (exit 1), not build's 3."""
+    refs = [str(CORPUS / "refs" / f"{name}.json")
+            for name in ("two_points_unit", "two_points_unit.gf5")]
+    code, out, err = run_cli(capsys, "compare", *refs, "--max-degree", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error[correct]: bounded ansatz (numerator degree <= 2) "
+                   "found no solution; the coboundary equation was not "
+                   "decided\n")
+
+
+# Every command's exit code for the error classes it maps away from 1.
+EXIT_CODES = {"build": {Obstructed: 2, Inconclusive: 3},
+              "compare": {FormMismatch: 2}, "verify": {}, "cohomology": {}}
+# command -> (the `cli` name it calls that is made to raise, its arguments)
+RAISERS = {
+    "build": ("build_bundle", [str(CORPUS / "inputs" / "point_p2.json")]),
+    "verify": ("run_all", [str(CORPUS / "refs" / "point_p2.json")]),
+    "compare": ("compare_bundles", [str(CORPUS / "refs" / "point_p2.json")] * 2),
+    "cohomology": ("cohomology_dim", ["--ambient", "P2", "--twist", "0",
+                                      "--degree", "0"]),
+}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, SerreError)]
+
+
+@pytest.mark.parametrize("command", sorted(EXIT_CODES))
+def test_exit_code_table(capsys, monkeypatch, command):
+    """`main` prints each `SerreError` as its `error[<stage>]` line and
+    returns the command's code for its class, else 1; anything else (an
+    internal AssertionError) is not caught."""
+    target, argv = RAISERS[command]
+    assert len(ERROR_CLASSES) == 14      # SerreError and its 13 subclasses
+    for cls in ERROR_CLASSES:
+        exc = (cls("boom", component=0, multidegree=(0,)) if cls is Obstructed
+               else cls("boom"))
+
+        def raise_(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, target, raise_)
+        code, _, err = run_cli(capsys, command, *argv)
+        assert code == EXIT_CODES[command].get(cls, 1), cls
+        assert err == f"error[{exc.stage}]: boom\n"
+
+    def internal(*args, **kwargs):
+        raise AssertionError("internal")
+    monkeypatch.setattr(cli, target, internal)
+    with pytest.raises(AssertionError, match="internal"):
+        main([command, *argv])
+
+
+STAGES = {"general", "parse", "load_subscheme", "load_sections", "build_Z",
+          "cech", "correct", "compare", "verify"}
+# values a fuzzed document field is replaced with, and polynomial texts
+FUZZ_VALUES = [None, True, 0, -1, 2, 10**30, 1.5, "", "x0", "1/0", [], {},
+               ["x0"], {"num": "1", "den": {}}, {"0": ["1"]}]
+FUZZ_KEYS = ["01", " 1", "-1", "99", "x", "1.0", "0", "\u0661", "num"]
+FUZZ_POLYS = ["(x0+x1)^40", "*".join(["(x0+x1+x2+x3)^8"] * 4), "x0/x1",
+              "x9", "x0^", "((x0)", "1/0", "0", "x0 x1", "\u00b2"]
+FUZZ_CHARS = "x0123456789+-*^()/ _.\u00e9\u00b2"
+
+
+def _paths(node, prefix=()):
+    """Every path of keys and indices into a JSON value, the root first;
+    a bundle's "verification" report is skipped, as `load_bundle` is."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        if prefix or key != "verification":
+            yield from _paths(child, prefix + (key,))
+
+
+def _dumps(node, dup):
+    """JSON text of node, with the last key of the object `dup` written
+    twice."""
+    if isinstance(node, dict):
+        items = [f"{json.dumps(k)}: {_dumps(v, dup)}" for k, v in node.items()]
+        if node is dup and items:
+            items.append(items[-1])
+        return "{" + ", ".join(items) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dumps(v, dup) for v in node) + "]"
+    return json.dumps(node)
+
+
+def _mutated(data, st, doc):
+    """doc's JSON text after one mutation drawn from `data`: a field of
+    another type, a dropped or duplicated key, a renamed (chart) key or an
+    edited polynomial string."""
+    paths = list(_paths(doc))
+    path = data.draw(st.sampled_from(paths[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    op = data.draw(st.sampled_from(["retype", "drop", "duplicate", "rekey",
+                                    "poly"]))
+    dup = None
+    if op == "retype":
+        parent[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    elif op == "drop":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, dict):
+        dup = parent
+        parent[key] = parent.pop(key)       # its key is now the last one
+    elif op == "rekey" and isinstance(parent, dict):
+        new = data.draw(st.sampled_from(FUZZ_KEYS))
+        parent[new] = parent.pop(key)
+    elif op == "poly" and isinstance(value, str):
+        if data.draw(st.booleans()):
+            parent[key] = data.draw(st.sampled_from(FUZZ_POLYS))
+        else:
+            at = data.draw(st.integers(0, len(value)))
+            cut = data.draw(st.integers(0, 2))
+            ch = data.draw(st.sampled_from(FUZZ_CHARS))
+            parent[key] = value[:at] + ch + value[at + cut:]
+    return _dumps(doc, dup)
+
+
+def test_fuzzed_documents_exit_through_main(tmp_path):
+    """Mutated corpus documents run through `main`: the exit code is one of
+    0-3, a nonzero exit ends with a known `error[<stage>]` line, and no
+    exception escapes."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, seed, settings
+    from hypothesis import strategies as st
+
+    texts = {path: path.read_text(encoding="utf-8")
+             for folder in ("inputs", "refs")
+             for path in sorted((CORPUS / folder).glob("*.json"))}
+    mutated = str(tmp_path / "mutated.json")
+
+    @seed(22)
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(st.data())
+    def run(data):
+        source = data.draw(st.sampled_from(sorted(texts)))
+        with open(mutated, "w", encoding="utf-8") as fh:
+            fh.write(_mutated(data, st, json.loads(texts[source])))
+        if source.parent.name == "inputs":
+            argv = ["build", mutated]
+        else:
+            argv = data.draw(st.sampled_from([
+                ["verify", mutated], ["compare", mutated, str(source)],
+                ["compare", str(source), mutated]]))
+        argv += data.draw(st.sampled_from([[], ["--format", "text"]]))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith("error[")
+            assert last[6:last.index("]")] in STAGES
+        else:
+            assert err.getvalue() == ""
+
+    run()
 
 
 def test_module_entry_point_and_stdin(tmp_path):

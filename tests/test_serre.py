@@ -14,7 +14,7 @@ from serrekit.cech import cohomology_dim
 from serrekit.cover import (AmbientSpec, Cover, LineBundleData,
                             SubschemeData, load_sections, load_subscheme)
 from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
-                             ShapeViolation)
+                             SerreError, ShapeViolation)
 from serrekit.ideals import invert
 from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
@@ -369,6 +369,33 @@ def test_transition_set_keeps_dets_and_defects():
         assert raw.det(i, j) == bundle.lb.h(i, j, cover.ctx((i, j)))
 
 
+REFS = INPUTS.parent / "refs"
+
+
+def test_defect_is_normalized_once_like_the_two_step_formula():
+    """`TransitionSet.defect` forms each entry as one `dot`; on every raw
+    and corrected sorted triple of the committed references it gives the
+    same (num, den) as Z_ik - Z_ij Z_jk computed in two steps."""
+    from serrekit.cli import load_bundle
+    triples = 0
+    for ref in sorted(REFS.glob("*.json")):
+        doc = json.loads(ref.read_text(encoding="utf-8"))
+        if "schema" not in doc:
+            continue            # an error payload of an exit-2/3 build
+        bundle = load_bundle(doc)
+        for Z in (bundle.raw, bundle.transitions):
+            for i, j, k in combinations(bundle.cover.charts, 3):
+                ctx = bundle.cover.ctx((i, j, k))
+                Zij, Zjk, Zik = (Z.Z[p].transport_to(ctx)
+                                 for p in ((i, j), (j, k), (i, k)))
+                two_step = Zik - Zij @ Zjk
+                D = Z.defect(i, j, k)
+                assert [[(e.num, e.den) for e in row] for row in D.rows] == [
+                    [(e.num, e.den) for e in row] for row in two_step.rows]
+                triples += 1
+    assert triples == 290      # 145 sorted triples, raw and corrected
+
+
 def test_frame_keeps_M_per_overlap():
     bundle = build_bundle(skew_lines_doc())
     for i, j in combinations(bundle.cover.charts, 2):
@@ -519,10 +546,15 @@ def test_compare_lift_orders_skew_lines():
 
 
 def test_compare_rejects_different_shapes():
+    """Different ambients are checked first, before the ansatz bound, as a
+    plain `SerreError` tagged `compare`; different local data is a
+    `FormMismatch`."""
     a = build_bundle(ci_line_doc())
     b = build_bundle(point_doc())
-    with pytest.raises(FormMismatch):
-        compare_bundles(a, b)
+    with pytest.raises(SerreError) as info:
+        compare_bundles(a, b, max_degree=-1)
+    assert type(info.value) is SerreError and info.value.stage == "compare"
+    assert str(info.value) == "documents live on different ambient spaces"
     c = build_bundle(two_points_doc())
     with pytest.raises(FormMismatch):
         compare_bundles(b, c)
