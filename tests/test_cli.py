@@ -881,20 +881,23 @@ def _mutated(data, st, doc):
     for key in path[:-1]:
         parent = parent[key]
     key, value = path[-1], parent[path[-1]]
-    op = data.draw(st.sampled_from(["retype", "drop", "duplicate", "rekey",
-                                    "poly"]))
+    ops = ["retype", "drop"]
+    if isinstance(parent, dict):
+        ops += ["duplicate", "rekey"]
+    if isinstance(value, str):
+        ops.append("poly")
+    op = data.draw(st.sampled_from(ops))
     dup = None
     if op == "retype":
         parent[key] = data.draw(st.sampled_from(FUZZ_VALUES))
     elif op == "drop":
         del parent[key]
-    elif op == "duplicate" and isinstance(parent, dict):
+    elif op == "duplicate":
         dup = parent
         parent[key] = parent.pop(key)       # its key is now the last one
-    elif op == "rekey" and isinstance(parent, dict):
-        new = data.draw(st.sampled_from(FUZZ_KEYS))
-        parent[new] = parent.pop(key)
-    elif op == "poly" and isinstance(value, str):
+    elif op == "rekey":
+        parent[data.draw(st.sampled_from(FUZZ_KEYS))] = parent.pop(key)
+    else:
         if data.draw(st.booleans()):
             parent[key] = data.draw(st.sampled_from(FUZZ_POLYS))
         else:
