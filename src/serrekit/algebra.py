@@ -357,31 +357,28 @@ def format_poly(p, names=None):
 _DIGITS = "0123456789"   # str.isdigit would also take other scripts' digits
 
 
-class _Tok:
-    def __init__(self, text):
-        self.toks = []
-        i = 0
+class _Parser:
+    """Recursive-descent polynomial reader, whose methods make no cycle."""
+
+    def __init__(self, text, names):
+        self.names, self.arity, self.work = names, len(names), 0
+        self.index = {n: i for i, n in enumerate(names)}
+        self.toks, i = [], 0
         while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in _DIGITS:
-                j = i
+            ch, j = text[i], i + 1
+            if ch in _DIGITS:
                 while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.toks.append(("int", text[i:j]))
-                i = j
             elif ch.isalpha() or ch == "_":
-                j = i
                 while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                     j += 1
                 self.toks.append(("name", text[i:j]))
-                i = j
             elif ch in "+-*^()/":
                 self.toks.append((ch, ch))
-                i += 1
-            else:
+            elif not ch.isspace():
                 raise ValueError(f"unexpected character {ch!r} in polynomial")
+            i = j
         self.pos = 0
 
     def peek(self):
@@ -391,6 +388,87 @@ class _Tok:
         tok = self.peek()
         self.pos += 1
         return tok
+
+    def charge(self, work):
+        self.work += work
+        if self.work > MAX_WORK:
+            raise ValueError(f"total expansion exceeds the bound {MAX_WORK}")
+
+    def expr(self, depth):
+        kind = self.peek()[0]
+        if kind in ("+", "-"):
+            self.next()
+        node = self.term(depth).scale(-1 if kind == "-" else 1)
+        while (kind := self.peek()[0]) in ("+", "-"):
+            self.next()
+            term = self.term(depth)
+            node = node + term if kind == "+" else node - term
+        return node
+
+    def term(self, depth):
+        node = self.factor(depth)
+        while self.peek()[0] == "*":
+            self.next()
+            factor = self.factor(depth)
+            if len(node.terms) * len(factor.terms) > MAX_TERMS:
+                raise ValueError(
+                    f"product of {len(node.terms)} and {len(factor.terms)} "
+                    f"terms exceeds the bound {MAX_TERMS} on terms")
+            self.charge(len(node.terms) * len(factor.terms))
+            node = node * factor
+        return node
+
+    def factor(self, depth):
+        base = self.base(depth)
+        if self.peek()[0] != "^":
+            return base
+        self.next()
+        kind, val = self.next()
+        if kind != "int":
+            raise ValueError("exponent must be an integer literal")
+        n = int(val)
+        if max(n, base.total_degree() * n) > MAX_POWER:
+            raise ValueError(
+                f"power {n} of a degree-{base.total_degree()} polynomial "
+                f"exceeds the bound {MAX_POWER} on exponent and degree")
+        v = sum(1 for k in range(self.arity) if any(e[k] for e in base.terms))
+        monomials = comb(v + max(base.total_degree(), 0) * n, v)
+        if monomials > MAX_TERMS:
+            raise ValueError(
+                f"power {n} of a polynomial in {v} variables may have "
+                f"more than {MAX_TERMS} terms")
+        self.charge(monomials)
+        return base ** n
+
+    def base(self, depth):
+        kind, val = self.next()
+        if kind in ("(", "-") and depth == MAX_NESTING:
+            raise ValueError("polynomial nests parentheses or signs more "
+                             f"than {MAX_NESTING} deep")
+        if kind == "(":
+            node = self.expr(depth + 1)
+            if self.next()[0] != ")":
+                raise ValueError("unbalanced parenthesis")
+            return node
+        if kind == "-":
+            return -self.base(depth + 1)
+        if kind == "int":
+            num = int(val)
+            if self.peek()[0] == "/":
+                self.next()
+                kind2, val2 = self.next()
+                if kind2 != "int":
+                    raise ValueError("'/' only between integer literals")
+                den = int(val2)
+                if den == 0:
+                    raise ValueError(f"division by zero in {num}/{val2}")
+                return Poly.const(self.arity, Fraction(num, den))
+            return Poly.const(self.arity, num)
+        if kind == "name":
+            if val not in self.index:
+                raise ValueError(f"unknown variable {val!r} (have {self.names})")
+            return Poly.variable(self.arity, self.index[val])
+        raise ValueError("malformed polynomial expression")
 
 
 # Deepest nesting of parentheses and unary minus signs `parse_poly` accepts;
@@ -409,6 +487,10 @@ MAX_POWER = 32
 # 75,582 terms.
 MAX_TERMS = 2_000
 
+# Most term products and power monomials one `parse_poly` call forms in all,
+# so that twenty copies of "(1+x0+x1+x2)^20" are not each expanded.
+MAX_WORK = 4 * MAX_TERMS
+
 
 def parse_poly(text, names):
     """Parse '+ - * ^ ( )' polynomial syntax over the given variable names.
@@ -419,94 +501,11 @@ def parse_poly(text, names):
     power `base ^ n` needs n and deg(base)·n at most MAX_POWER.  A product
     a·b needs len(a.terms)·len(b.terms) at most MAX_TERMS, and so does the
     monomial count C(v + deg(base)·n, v) of a power whose base uses v
-    variables; each bound is checked before expanding.
+    variables; they sum to at most MAX_WORK, and every bound is checked first.
     """
-    arity = len(names)
-    index = {n: i for i, n in enumerate(names)}
-    tk = _Tok(str(text))
-
-    def parse_expr(depth):
-        sign = 1
-        kind, _ = tk.peek()
-        if kind in ("+", "-"):
-            tk.next()
-            sign = -1 if kind == "-" else 1
-        node = parse_term(depth).scale(sign)
-        while True:
-            kind, _ = tk.peek()
-            if kind == "+":
-                tk.next()
-                node = node + parse_term(depth)
-            elif kind == "-":
-                tk.next()
-                node = node - parse_term(depth)
-            else:
-                return node
-
-    def parse_term(depth):
-        node = parse_factor(depth)
-        while tk.peek()[0] == "*":
-            tk.next()
-            factor = parse_factor(depth)
-            if len(node.terms) * len(factor.terms) > MAX_TERMS:
-                raise ValueError(
-                    f"product of {len(node.terms)} and {len(factor.terms)} "
-                    f"terms exceeds the bound {MAX_TERMS} on terms")
-            node = node * factor
-        return node
-
-    def parse_factor(depth):
-        base = parse_base(depth)
-        if tk.peek()[0] == "^":
-            tk.next()
-            kind, val = tk.next()
-            if kind != "int":
-                raise ValueError("exponent must be an integer literal")
-            n = int(val)
-            if max(n, base.total_degree() * n) > MAX_POWER:
-                raise ValueError(
-                    f"power {n} of a degree-{base.total_degree()} polynomial "
-                    f"exceeds the bound {MAX_POWER} on exponent and degree")
-            v = sum(1 for k in range(arity) if any(e[k] for e in base.terms))
-            if comb(v + max(base.total_degree(), 0) * n, v) > MAX_TERMS:
-                raise ValueError(
-                    f"power {n} of a polynomial in {v} variables may have "
-                    f"more than {MAX_TERMS} terms")
-            return base ** n
-        return base
-
-    def parse_base(depth):
-        kind, val = tk.next()
-        if kind in ("(", "-") and depth == MAX_NESTING:
-            raise ValueError("polynomial nests parentheses or signs more "
-                             f"than {MAX_NESTING} deep")
-        if kind == "(":
-            node = parse_expr(depth + 1)
-            if tk.next()[0] != ")":
-                raise ValueError("unbalanced parenthesis")
-            return node
-        if kind == "-":
-            return -parse_base(depth + 1)
-        if kind == "int":
-            num = int(val)
-            if tk.peek()[0] == "/":
-                tk.next()
-                kind2, val2 = tk.next()
-                if kind2 != "int":
-                    raise ValueError("'/' only between integer literals")
-                den = int(val2)
-                if den == 0:
-                    raise ValueError(f"division by zero in {num}/{val2}")
-                return Poly.const(arity, Fraction(num, den))
-            return Poly.const(arity, num)
-        if kind == "name":
-            if val not in index:
-                raise ValueError(f"unknown variable {val!r} (have {names})")
-            return Poly.variable(arity, index[val])
-        raise ValueError("malformed polynomial expression")
-
-    out = parse_expr(0)
-    if tk.peek()[0] is not None:
+    parser = _Parser(str(text), names)
+    out = parser.expr(0)
+    if parser.peek()[0] is not None:
         raise ValueError(f"trailing input in polynomial: {text!r}")
     return out
 

@@ -1,24 +1,33 @@
 """Command-line front end.
 
-Four subcommands: `build` runs the whole pipeline on an input document and
-writes a bundle document; `verify` re-runs every check on a previously written
-bundle document; `cohomology` prints an exact line-bundle cohomology dimension;
+usage: serrekit build <input> [-o <path>] [--format json|text]
+                [--lift-order fg|gf] [--max-degree <n>]
+       serrekit verify <input> [-o <path>] [--format json|text]
+       serrekit cohomology --ambient P<n> --twist <m> --degree <q>
+       serrekit compare <a> <b> [-o <path>] [--format json|text]
+                [--max-degree <n>]
+
+`build` runs the whole pipeline on an input document and writes a bundle
+document; `verify` re-runs every check on a previously written bundle
+document; `cohomology` prints an exact line-bundle cohomology dimension;
 `compare` decides whether two bundle documents are isomorphic via chart
-automorphisms.
+automorphisms.  Input `-` is stdin, and `-o` (`--output`) defaults to stdout.
+Flags are written in full, as `--flag value` or `--flag=value`.  `--help`
+(`-h`) prints this text.
 
 Output is deterministic: JSON with sorted keys (default) or a plain-text
 rendering (`--format text`).  Exit codes: 0 success, 1 precondition/schema or
-verification failure, 2 exact obstruction, 3 inconclusive search.  The
-commands only compute and emit; `main` alone turns a `SerreError` into its
-`error[<stage>]` line and its exit code.
+verification failure or a malformed command line (`error[parse]`), 2 exact
+obstruction, 3 inconclusive search.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 from .algebra import LocElem, MatrixL, SUnit, format_poly, is_homogeneous
 from .cech import MAX_DEGREE, CechCochain, cohomology_dim
@@ -331,10 +340,12 @@ def _emit(payload, args, text):
     else:
         out = json.dumps(payload, sort_keys=True, indent=2,
                          ensure_ascii=False) + "\n"
-    dest = getattr(args, "output", None)
-    if dest and dest != "-":
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(out)
+    if args.output and args.output != "-":
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ShapeViolation(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(out)
 
@@ -423,59 +434,79 @@ def cmd_compare(args):
     return 0
 
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="serrekit",
-        description="Exact construction of rank-r bundles from "
-                    "codimension-two data over the standard cover.")
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (function, positional names, options, exit code by error class,
+# else 1).  Options map a long flag to (default, kind), kind being `str`, `int`
+# (ASCII digits, optional minus) or its values; a default `...` is required.
+_OUTPUT = {"--output": (None, str), "--format": ("json", ("json", "text"))}
+_COMMANDS = {
+    "build": (cmd_build, ("input",),
+              {**_OUTPUT, "--lift-order": (None, ("fg", "gf")),
+               "--max-degree": (None, int)},
+              {Obstructed: 2, Inconclusive: 3}),
+    "verify": (cmd_verify, ("input",), _OUTPUT, {}),
+    "cohomology": (cmd_cohomology, (), {"--ambient": (..., str),
+                   "--twist": (..., int), "--degree": (..., int)}, {}),
+    "compare": (cmd_compare, ("a", "b"),
+                {**_OUTPUT, "--max-degree": (MAX_DEGREE, int)},
+                {FormMismatch: 2}),
+}
 
-    b = sub.add_parser("build", help="run the full pipeline on an input "
-                                     "document and write the bundle document")
-    b.add_argument("input", help="input JSON document path, or - for stdin")
-    b.add_argument("-o", "--output", default=None, help="output path "
-                   "(default stdout)")
-    b.add_argument("--format", choices=("json", "text"), default="json")
-    b.add_argument("--lift-order", choices=("fg", "gf"), default=None,
-                   help="cofactor order fed to ideal lifts")
-    b.add_argument("--max-degree", type=int, default=None,
-                   help="bound for the fallback coboundary search "
-                        f"(default {MAX_DEGREE})")
-    b.set_defaults(func=cmd_build, codes={Obstructed: 2, Inconclusive: 3})
 
-    v = sub.add_parser("verify", help="re-run all checks on a bundle document")
-    v.add_argument("input", help="bundle JSON document path, or - for stdin")
-    v.add_argument("-o", "--output", default=None)
-    v.add_argument("--format", choices=("json", "text"), default="json")
-    v.set_defaults(func=cmd_verify, codes={})
-
-    c = sub.add_parser("cohomology",
-                       help="print dim H^q(P^n, O(m)) exactly")
-    c.add_argument("--ambient", required=True, metavar="Pn")
-    c.add_argument("--twist", required=True, type=int, metavar="m")
-    c.add_argument("--degree", required=True, type=int, metavar="q")
-    c.set_defaults(func=cmd_cohomology, codes={})
-
-    m = sub.add_parser("compare", help="decide isomorphism of two bundle "
-                                       "documents over the same input data")
-    m.add_argument("a", help="first bundle document")
-    m.add_argument("b", help="second bundle document")
-    m.add_argument("-o", "--output", default=None)
-    m.add_argument("--format", choices=("json", "text"), default="json")
-    m.add_argument("--max-degree", type=int, default=MAX_DEGREE)
-    m.set_defaults(func=cmd_compare, codes={FormMismatch: 2})
-    return p
+def _parse(argv):
+    """The function, arguments and exit codes of one command line, or a
+    ShapeViolation.  A flag's value follows `=` or is the next token."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ShapeViolation("expected a command: " + ", ".join(_COMMANDS))
+    command, *rest = argv
+    func, names, options, codes = _COMMANDS[command]
+    values = {flag: default for flag, (default, _) in options.items()}
+    positional, tokens = [], iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        flag = "--output" if name == "-o" else name
+        if not token.startswith("-") or token == "-":
+            positional.append(token)
+            continue
+        if flag not in options:
+            raise ShapeViolation(f"{command}: unknown option {name!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ShapeViolation(f"{command}: {name} needs a value")
+        kind = options[flag][1]
+        if (value not in kind if isinstance(kind, tuple) else kind is int and
+                not (value.isascii() and value.removeprefix("-").isdigit())):
+            raise ShapeViolation(f"{command}: {name} cannot be {value!r}")
+        try:
+            values[flag] = int(value) if kind is int else value
+        except ValueError as exc:       # past the interpreter's digit limit
+            raise ShapeViolation(f"{command}: {name}: {exc}") from exc
+    if len(positional) != len(names):
+        raise ShapeViolation(f"{command}: expected {len(names)} argument(s) "
+                             f"({' '.join(names)}), got {len(positional)}")
+    if ... in values.values():
+        raise ShapeViolation(f"{command}: missing " + ", ".join(
+            flag for flag, value in values.items() if value is ...))
+    return func, SimpleNamespace(**dict(zip(names, positional)), **{
+        flag[2:].replace("-", "_"): v for flag, v in values.items()}), codes
 
 
 def main(argv=None):
-    """Run one command; the one place a `SerreError` becomes its
-    `error[<stage>]` line and the command's exit code for its class."""
-    args = _parser().parse_args(argv)
+    """Run one command with the cyclic garbage collector off; the one place
+    a `SerreError` becomes its `error[<stage>]` line and exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
+    codes, enabled = {}, gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        func, args, codes = _parse(argv)
+        return func(args)
     except SerreError as exc:
         print(f"error[{exc.stage}]: {exc}", file=sys.stderr)
-        return args.codes.get(type(exc), 1)
+        return codes.get(type(exc), 1)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":
