@@ -462,11 +462,11 @@ def _parse(argv):
     values = {flag: default for flag, (default, _) in options.items()}
     positional, tokens = [], iter(rest)
     for token in tokens:
-        name, eq, value = token.partition("=")
-        flag = "--output" if name == "-o" else name
         if not token.startswith("-") or token == "-":
             positional.append(token)
             continue
+        name, eq, value = token.partition("=")
+        flag = "--output" if name == "-o" else name
         if flag not in options:
             raise ShapeViolation(f"{command}: unknown option {name!r}")
         if not eq and (value := next(tokens, None)) is None:
@@ -490,9 +490,9 @@ def _parse(argv):
 
 
 def main(argv=None):
-    """Run one command with the cyclic garbage collector off; the one place
-    a `SerreError` becomes its `error[<stage>]` line and exit code."""
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command with the cyclic collector off (a command leaves few
+    cycles); the one place a `SerreError` becomes its error line and code."""
+    argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:
         sys.stdout.write(__doc__)
         return 0

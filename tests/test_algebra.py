@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import importlib.util
 import itertools
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from serrekit.algebra import (
-    MAX_POWER, MAX_TERMS, Context, LocElem, MatrixL, Poly, SUnit, divide, dot,
+    MAX_POWER, MAX_TERMS, MAX_WORK, Context, LocElem, MatrixL, Poly, SUnit, divide, dot,
     format_poly, from_laurent, grevlex_key, homogenize, dehomogenize,
     lift_poly, parse_poly, qdiv, split_last, to_laurent, transport,
 )
@@ -165,6 +166,40 @@ def test_parse_poly_bounds_terms_before_expanding(monkeypatch, text, ok):
         with pytest.raises(ValueError, match=f"{MAX_TERMS}"):
             parse_poly(text, names)
         assert max(pairs, default=0) <= MAX_TERMS
+
+
+@pytest.mark.parametrize("copies", [4, 5])
+def test_parse_poly_bounds_total_expansion(monkeypatch, copies):
+    """Each copy of (1+x0+x1+x2)^20 counts its C(23, 3) = 1771 monomials
+    against MAX_WORK for the whole text: four copies parse, and five are
+    refused before the fifth power is expanded."""
+    assert MAX_WORK == 4 * MAX_TERMS == 8000
+    powers = []
+    power = Poly.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return power(self, n)
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    text = "+".join(["(1+x0+x1+x2)^20"] * copies)
+    if copies == 4:
+        assert len(parse_poly(text, ("x0", "x1", "x2")).terms) == 1771
+    else:
+        with pytest.raises(ValueError, match="exceeds the bound 8000"):
+            parse_poly(text, ("x0", "x1", "x2"))
+    assert len(powers) == 4
+
+
+def test_parse_poly_leaves_no_reference_cycle():
+    """With the cyclic collector off, as `cli.main` runs it, a parse must
+    leave nothing that only the collector could free."""
+    gc.collect()
+    gc.disable()
+    try:
+        parse_poly("-(x0 + 1/2*x1)^3*x2 - (x1 - 2)", ("x0", "x1", "x2"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_poly_power_is_the_written_out_product():

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import subprocess
@@ -961,3 +962,165 @@ def test_module_entry_point_and_stdin(tmp_path):
         input=json.dumps(POINT), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 2
+    proc = subprocess.run([sys.executable, "-m", "serrekit.cli", "build"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error[parse]: ")
+
+
+# -- the command line ----------------------------------------------------------
+
+POINT_INPUT = str(CORPUS / "inputs" / "point_p2.json")
+POINT_REF = str(CORPUS / "refs" / "point_p2.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", POINT_INPUT, "--max-degree", "abc"),
+    ("build", POINT_INPUT, "--max-degree", "+5"),
+    ("build", POINT_INPUT, "--max-degree", "٥"),
+    ("build", POINT_INPUT, "--max-degree="),
+    ("build", POINT_INPUT, "--lift-order", "ff"),
+    ("verify", POINT_REF, "--format", "yaml"),
+    ("build",),
+    ("build", "a.json", "b.json"),
+    ("compare", "a.json"),
+    ("cohomology", "x"),
+    ("build", POINT_INPUT, "--bogus", "1"),
+    ("build", POINT_INPUT, "--max", "5"),
+    ("build", POINT_INPUT, "--format"),
+    ("build", POINT_INPUT, "-o"),
+    ("verify", POINT_REF, "--max-degree", "3"),
+    ("cohomology", "--ambient", "P3", "--twist", "-2"),
+    ("cohomology", "--ambient", "P3", "--twist", "-2", "--degree", "2",
+     "--format", "text"),
+    ("frobnicate",),
+    (),
+    ("--format", "json", "build", POINT_INPUT),
+], ids=["integer-letters", "integer-plus", "integer-arabic-indic",
+        "integer-empty", "choice", "format-choice", "missing-positional",
+        "extra-positional", "missing-second-positional",
+        "positional-for-none", "unknown-flag", "abbreviated-flag",
+        "no-value", "no-output-value", "flag-of-another-command",
+        "missing-required", "unknown-flag-for-cohomology",
+        "unknown-command", "empty", "flag-before-command"])
+def test_malformed_command_line_is_a_parse_error(capsys, argv):
+    """Each is one `error[parse]` line and exit 1 (argparse exited 2, the
+    code of an exact obstruction, or took "+5", "٥" and "--max" as valid)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[parse]: ") and err.count("\n") == 1
+
+
+def test_integer_flag_past_the_digit_limit_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "--ambient", "P2",
+                             "--degree", "0", "--twist", "1" * 5000)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[parse]: cohomology: --twist: ")
+
+
+def test_accepted_command_line_forms(tmp_path, capsys):
+    for argv in (("--ambient", "P3", "--twist", "-2", "--degree", "2"),
+                 ("--degree=2", "--twist=-2", "--ambient=P3")):
+        assert run_cli(capsys, "cohomology", *argv) == (0, "0\n", "")
+    plain = run_cli(capsys, "build", POINT_INPUT)
+    assert plain[0] == 0
+    for argv in (("-o", "-"), ("--format", "json", "--output=-")):
+        assert run_cli(capsys, "build", *argv, POINT_INPUT) == plain
+    code, out, _ = run_cli(capsys, "build", "--max-degree=5", POINT_INPUT,
+                           "--lift-order", "gf")
+    meta = json.loads(out)["meta"]
+    assert (code, meta["max_degree"], meta["lift_order"]) == (0, 5, "gf")
+    dest = tmp_path / "bundle.json"
+    assert run_cli(capsys, "build", POINT_INPUT, "-o", str(dest)) == (0, "",
+                                                                      "")
+    assert dest.read_text(encoding="utf-8") == plain[1]
+    code, out, _ = run_cli(capsys, "verify", "--format=text", str(dest))
+    assert code == 0 and out.startswith("verification: ")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("build", "--help"),
+                                  ("compare", "x.json", "-h", "--bogus")])
+def test_help_prints_the_synopsis(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == cli.__doc__
+    for command, (_, names, options, _) in cli._COMMANDS.items():
+        assert f"serrekit {command} " in out
+        assert all(flag in out for flag in options)
+
+
+def test_unwritable_output_is_a_parse_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", POINT_REF, "-o", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error[parse]: cannot write output: ")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_the_collector(capsys, monkeypatch, enabled):
+    """`main` runs the command with the collector off and leaves it as it
+    found it: after success, after an error line, and after an internal
+    error that escapes."""
+    seen = []
+
+    def dim(*args):
+        seen.append(gc.isenabled())
+        if args[1] < 0:
+            raise AssertionError("internal")
+        return 1
+    monkeypatch.setattr(cli, "cohomology_dim", dim)
+    cohomology = ["cohomology", "--ambient", "P2", "--degree", "0", "--twist"]
+    try:
+        for argv, code in ((cohomology + ["0"], 0), (["build"], 1),
+                           (["--help"], 0),
+                           (cohomology[:2] + ["A2"] + cohomology[3:] + ["0"],
+                            1)):
+            gc.enable() if enabled else gc.disable()
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(AssertionError, match="internal"):
+            main(cohomology + ["-1"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+
+
+ARGV_TOKENS = ["build", "verify", "cohomology", "compare", "-", "-o",
+               "--output", "--format", "json", "text", "yaml", "--lift-order",
+               "fg", "gf", "--max-degree", "--ambient", "P2", "A2", "--twist",
+               "--degree", "0", "-2", "7", "abc", "٢", "--max-degree=3",
+               "--format=text", "--twist=1", "--bogus", "-x", "", "=", "--",
+               "out.json", ".", "missing.json", POINT_INPUT, POINT_REF]
+
+
+def test_fuzzed_command_lines_exit_through_main(tmp_path, monkeypatch):
+    """Token lists drawn from the command-line vocabulary run through
+    `main`: the exit code is one of 0-3, a nonzero exit ends with an
+    `error[<stage>]` line, no exception escapes, and the collector is
+    left on."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, seed, settings
+    from hypothesis import strategies as st
+
+    monkeypatch.chdir(tmp_path)
+
+    @seed(24)
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=list(HealthCheck))
+    @given(st.sampled_from([None, *cli._COMMANDS]),
+           st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+    def run(command, argv):
+        argv = [command, *argv] if command else argv
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(POINT)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert gc.isenabled()
+        if code:
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith("error[")
+            assert last[6:last.index("]")] in STAGES
+
+    run()
