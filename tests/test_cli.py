@@ -1031,8 +1031,7 @@ def test_accepted_command_line_forms(tmp_path, capsys):
     meta = json.loads(out)["meta"]
     assert (code, meta["max_degree"], meta["lift_order"]) == (0, 5, "gf")
     dest = tmp_path / "bundle.json"
-    assert run_cli(capsys, "build", POINT_INPUT, "-o", str(dest)) == (0, "",
-                                                                      "")
+    assert run_cli(capsys, "build", POINT_INPUT, "-o", str(dest))[:2] == (0, "")
     assert dest.read_text(encoding="utf-8") == plain[1]
     code, out, _ = run_cli(capsys, "verify", "--format=text", str(dest))
     assert code == 0 and out.startswith("verification: ")
@@ -1044,7 +1043,7 @@ def test_help_prints_the_synopsis(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == cli.__doc__
-    for command, (_, names, options, _) in cli._COMMANDS.items():
+    for command, (_, _, options, _) in cli._COMMANDS.items():
         assert f"serrekit {command} " in out
         assert all(flag in out for flag in options)
 
@@ -1068,18 +1067,17 @@ def test_main_restores_the_collector(capsys, monkeypatch, enabled):
             raise AssertionError("internal")
         return 1
     monkeypatch.setattr(cli, "cohomology_dim", dim)
-    cohomology = ["cohomology", "--ambient", "P2", "--degree", "0", "--twist"]
+    cohomology = ["cohomology", "--degree", "0", "--twist"]
     try:
-        for argv, code in ((cohomology + ["0"], 0), (["build"], 1),
-                           (["--help"], 0),
-                           (cohomology[:2] + ["A2"] + cohomology[3:] + ["0"],
-                            1)):
+        for argv, code in ((cohomology + ["0", "--ambient", "P2"], 0),
+                           (cohomology + ["0", "--ambient", "A2"], 1),
+                           (["build"], 1), (["--help"], 0)):
             gc.enable() if enabled else gc.disable()
             assert run_cli(capsys, *argv)[0] == code
             assert gc.isenabled() is enabled
         gc.enable() if enabled else gc.disable()
         with pytest.raises(AssertionError, match="internal"):
-            main(cohomology + ["-1"])
+            main(cohomology + ["-1", "--ambient", "P2"])
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
