@@ -43,7 +43,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from operator import add, sub
@@ -550,42 +550,35 @@ def is_homogeneous(form):
 
 # -- contexts ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SUnit:
-    """A registered section unit: the chart it belongs to, its homogeneous
-    representative (projective: a form in n+1 variables; affine: the chart
-    polynomial itself) and that form's degree."""
-    chart: int
-    form: Poly
-    degree: int
+# A registered section unit: the chart it belongs to, its homogeneous
+# representative (projective: a form in n+1 variables; affine: the chart
+# polynomial itself) and that form's degree.
+SUnit = namedtuple("SUnit", "chart form degree")
 
 
-@dataclass(frozen=True)
 class Context:
-    kind: str                   # "projective" | "affine"
-    dim: int
-    home: int
-    indices: tuple              # sorted chart indices of the overlap
-    sunits: tuple = ()          # SUnit, sorted by chart
-
-    def __post_init__(self):
-        if self.kind not in ("projective", "affine"):
-            raise ValueError(f"unknown ambient kind {self.kind!r}")
-        if tuple(sorted(self.indices)) != self.indices:
+    def __init__(self, kind, dim, home, indices, sunits=()):
+        if kind not in ("projective", "affine"):
+            raise ValueError(f"unknown ambient kind {kind!r}")
+        if tuple(sorted(indices)) != indices:
             raise ValueError("context indices must be sorted")
-        if self.home not in self.indices:
+        if home not in indices:
             raise ValueError("home chart must belong to the context")
+        self.kind = kind            # "projective" | "affine"
+        self.dim = dim
+        self.home = home
+        self.indices = indices      # sorted chart indices of the overlap
+        self.sunits = sunits        # SUnit, sorted by chart
         # axes and the saturated bases of `ideals._sat_gb` in `_memo`, unit
-        # polynomials in `_units`, each computed once; not fields, so they
-        # stay out of == and hash (the fields never change: frozen)
-        axes = (tuple(range(1, self.dim + 1)) if self.kind == "affine" else
-                tuple(k for k in range(self.dim + 1) if k != self.home))
-        object.__setattr__(self, "_memo", {"axes": axes})
-        object.__setattr__(self, "_units", {})
+        # polynomials in `_units`, each computed once; they stay out of ==
+        # and hash (nothing changes the five fields above)
+        self._memo = {"axes": tuple(range(1, dim + 1)) if kind == "affine"
+                      else tuple(k for k in range(dim + 1) if k != home)}
+        self._units = {}
 
     def __eq__(self, other):
-        # the generated field compare, after an identity test: contexts come
-        # from `Cover.ctx`, so the two sides are nearly always one object
+        # field-wise, after an identity test: contexts come from `Cover.ctx`,
+        # so the two sides are nearly always one object
         if self is other:
             return True
         if other.__class__ is not self.__class__:
@@ -593,6 +586,10 @@ class Context:
         return ((self.kind, self.dim, self.home, self.indices, self.sunits)
                 == (other.kind, other.dim, other.home, other.indices,
                     other.sunits))
+
+    def __hash__(self):
+        return hash((self.kind, self.dim, self.home, self.indices,
+                     self.sunits))
 
     @property
     def nvars(self):

@@ -239,8 +239,7 @@ def load_bundle(doc):
         Z_cor[(i, j)] = _mat_load(ctx, need(ov, "corrected", list, where),
                                   (r, r), where)
 
-    sub = SubschemeData(cover, need(doc, "mode", str, ""),
-                        pairs, meets, {}, empty)
+    sub = SubschemeData(cover, need(doc, "mode", str, ""), pairs, meets, empty)
     secs = SectionData(sections, t_map, tier_map, r)
     raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw, branch)
     cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor, branch)
@@ -421,8 +420,12 @@ def cmd_cohomology(args):
     if spec[:1].upper() != "P" or not (spec[1:].isascii()
                                        and spec[1:].isdigit()):
         raise ShapeViolation("ambient must be P<n> (projective space)")
-    ambient = AmbientSpec("projective", int(spec[1:]))
-    sys.stdout.write(f"{cohomology_dim(ambient, args.twist, args.degree)}\n")
+    try:    # int() and str() raise past the interpreter's digit limit
+        ambient = AmbientSpec("projective", int(spec[1:]))
+        text = str(cohomology_dim(ambient, args.twist, args.degree))
+    except ValueError as exc:
+        raise ShapeViolation(f"cohomology: {exc}") from exc
+    sys.stdout.write(text + "\n")
     return 0
 
 

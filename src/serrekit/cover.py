@@ -19,7 +19,7 @@ chart appears at most once, and a polynomial is a JSON string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 
 from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, chart_monomial,
@@ -84,18 +84,6 @@ def poly_field(text, names, where):
         raise ShapeViolation(f"{where}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class AmbientSpec:
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in ("projective", "affine"):
-            raise ShapeViolation(f"unknown ambient kind {self.kind!r}")
-        if self.dim < 1:
-            raise ShapeViolation("ambient dimension must be >= 1")
-
-
 # A build works on every triple overlap, C(n + 1, 3) of them on P^n.  A
 # linear-subscheme build (x0 = x1 = 0, rank 2, twist 2) takes 0.8 s on P^12,
 # 3.1 s on P^16 and 22 s on P^20 (CPython 3.11, one Intel Xeon core), so a
@@ -104,15 +92,27 @@ class AmbientSpec:
 MAX_DIM = 16
 
 
+class AmbientSpec(namedtuple("AmbientSpec", "kind dim")):
+    """An ambient space, its dimension between 1 and MAX_DIM."""
+    __slots__ = ()
+
+    def __new__(cls, kind, dim):
+        if kind not in ("projective", "affine"):
+            raise ShapeViolation(f"unknown ambient kind {kind!r}")
+        if dim < 1:
+            raise ShapeViolation("ambient dimension must be >= 1")
+        if dim > MAX_DIM:
+            raise ShapeViolation(
+                f"ambient dimension must be at most {MAX_DIM}")
+        return super().__new__(cls, kind, dim)
+
+
 def read_ambient(doc):
-    """The `ambient` table of an input or bundle document, its dimension at
-    most MAX_DIM, read before any cover is built."""
+    """The `ambient` table of an input or bundle document, read before any
+    cover is built."""
     amb = need(doc, "ambient", dict, "")
-    ambient = AmbientSpec(need(amb, "kind", str, "ambient"),
-                          need(amb, "dim", int, "ambient"))
-    if ambient.dim > MAX_DIM:
-        raise ShapeViolation(f"ambient dimension must be at most {MAX_DIM}")
-    return ambient
+    return AmbientSpec(need(amb, "kind", str, "ambient"),
+                       need(amb, "dim", int, "ambient"))
 
 
 class Cover:
@@ -191,14 +191,14 @@ class LineBundleData:
         return LocElem(ctx, *chart_monomial(delta, ctx))
 
 
-@dataclass
 class SubschemeData:
-    cover: Cover
-    mode: str
-    pairs: dict            # chart -> (f, g) as LocElems in the chart context
-    meets_Y: dict          # chart -> bool
-    A: dict = field(default_factory=dict)  # sorted (i, j), i < j -> 2x2 A_ij
-    empty_overlap: dict = field(default_factory=dict)  # sorted (i, j) -> bool
+    def __init__(self, cover, mode, pairs, meets_Y, empty_overlap=None):
+        self.cover = cover
+        self.mode = mode
+        self.pairs = pairs  # chart -> (f, g) as LocElems in the chart context
+        self.meets_Y = meets_Y  # chart -> bool
+        self.A = {}             # sorted (i, j), i < j -> 2x2 A_ij
+        self.empty_overlap = empty_overlap or {}  # sorted (i, j) -> bool
 
     def pair_on(self, i, ctx):
         f, g = self.pairs[i]
@@ -331,12 +331,11 @@ def extend_off_Y(sub, secs, lb):
     return sub
 
 
-@dataclass
-class SectionData:
-    sections: dict    # chart -> tuple of r-1 LocElems in the chart context
-    t: dict           # chart -> pivot index, 1-based
-    tier: dict        # chart -> which pivot rule fired (0 off Y, 1 or 4)
-    rank: int
+SectionData = namedtuple("SectionData", [
+    "sections",  # chart -> tuple of r-1 LocElems in the chart context
+    "t",         # chart -> pivot index, 1-based
+    "tier",      # chart -> which pivot rule fired (0 off Y, 1 or 4)
+    "rank"])
 
 
 def _pivot_candidates(f, g, sections):

@@ -19,13 +19,13 @@ All identities asserted here hold exactly (no tolerances); a failed assertion
 raises, it never warns.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 
 from .algebra import LocElem, MatrixL, dot, transport
 from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
-from .cover import (AmbientSpec, Cover, LineBundleData, load_sections,
-                    load_subscheme, need, read_ambient)
+from .cover import (Cover, LineBundleData, load_sections, load_subscheme,
+                    need, read_ambient)
 from .errors import (FormMismatch, GluingFailure, NotInIdeal,
                      PreconditionViolated, SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
@@ -81,7 +81,6 @@ def off_columns(D):
             if not D[row, col].is_zero()]
 
 
-@dataclass
 class FrameData:
     """Per-chart frame of r-1 sections: M (r x (r-1)) stacks T' without its
     pivot row over T''.  T' is the (r-1) x (r-1) identity whose pivot column
@@ -96,7 +95,7 @@ class FrameData:
     are the first r-2 columns of Z; `build_Z` reads Z_ij's left block off
     this.
 
-    M is stored: `__post_init__` builds it from (t, sign, f, g, s) when not
+    M is stored: `__init__` builds it from (t, sign, f, g, s) when not
     given, and a loaded document supplies its own, which the verify suite
     then checks.  `on(ctx)` restricts (f, g, s) to an overlap once, and
     `M_on(ctx)` restricts M once; `apply` multiplies T' or T'^{-1} into a
@@ -104,27 +103,24 @@ class FrameData:
     rank-one update and back (`_rank_one`, `_rank_one_value`).
     """
 
-    chart: int
-    t: int          # pivot position, 1-based
-    sign: int       # (-1) ** t
-    f: LocElem
-    g: LocElem
-    s: tuple        # normalized sections; s[t-1] == sign exactly
-    M: MatrixL = None   # r x (r-1)
-    # ctx -> (f, g, s) and (ctx, "M") -> M, transported there; valid because
-    # a frame never changes
-    _on: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.M is None:
-            ctx, p = self.f.ctx, self.t - 1
+    def __init__(self, chart, t, sign, f, g, s, M=None):
+        self.chart = chart
+        self.t = t          # pivot position, 1-based
+        self.sign = sign    # (-1) ** t
+        self.f = f
+        self.g = g
+        self.s = s          # normalized sections; s[t-1] == sign exactly
+        if M is None:
+            ctx, p = f.ctx, t - 1
             one, zero = LocElem.one(ctx), LocElem.zero(ctx)
-            pivots = [(a, e.scale(-self.sign))
-                      for a, e in enumerate(self.s) if a != p]
-            pivots += [(None, self.f), (None, self.g)]
-            self.M = MatrixL(ctx, [[e if b == p else one if b == a else zero
-                                    for b in range(len(self.s))]
-                                   for a, e in pivots])
+            pivots = [(a, e.scale(-sign)) for a, e in enumerate(s) if a != p]
+            pivots += [(None, f), (None, g)]
+            M = MatrixL(ctx, [[e if b == p else one if b == a else zero
+                               for b in range(len(s))] for a, e in pivots])
+        self.M = M          # r x (r-1)
+        # ctx -> (f, g, s) and (ctx, "M") -> M, transported there; valid
+        # because a frame never changes
+        self._on = {}
 
     def on(self, ctx):
         """(f, g, s) restricted to the overlap context ctx."""
@@ -149,7 +145,6 @@ class FrameData:
                 for m, x in enumerate(xs)]
 
 
-@dataclass
 class TransitionSet:
     """Transition matrices on sorted overlaps.
 
@@ -166,21 +161,20 @@ class TransitionSet:
     identities off the sorted ones only because `get` derives them so.
     """
 
-    rank: int
-    status: str            # "raw" | "corrected"
-    cover: object
-    lb: object
-    pairs: tuple           # sorted (i, j), i < j
-    Z: dict                # (i, j) -> r x r MatrixL on cover.ctx((i, j))
-    branch: dict           # (i, j) -> "unit" | "split"
-    # (kind, *charts) -> value derived from Z; valid because Z never changes
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if (sorted(self.Z) != sorted(self.pairs)
-                or any(i >= j for i, j in self.pairs)):
+    def __init__(self, rank, status, cover, lb, pairs, Z, branch):
+        if sorted(Z) != sorted(pairs) or any(i >= j for i, j in pairs):
             raise ValueError("transitions must be keyed by exactly the "
                              "sorted pairs i < j")
+        self.rank = rank
+        self.status = status    # "raw" | "corrected"
+        self.cover = cover
+        self.lb = lb
+        self.pairs = pairs      # sorted (i, j), i < j
+        self.Z = Z              # (i, j) -> r x r MatrixL on cover.ctx((i, j))
+        self.branch = branch    # (i, j) -> "unit" | "split"
+        # (kind, *charts) -> value derived from Z; valid because Z never
+        # changes
+        self._derived = {}
 
     def get(self, i, j):
         """Transition for the ordered overlap (i, j)."""
@@ -221,31 +215,20 @@ class TransitionSet:
         return self._derived[key]
 
 
-@dataclass
-class IsomorphismData:
-    """Chart automorphisms N_i intertwining two transition sets:
-    Z_ij N_j = N_i Z'_ij with det N_i = 1 and N_i M_i = M_i exactly."""
+# Chart automorphisms N_i intertwining two transition sets:
+# Z_ij N_j = N_i Z'_ij with det N_i = 1 and N_i M_i = M_i exactly.
+IsomorphismData = namedtuple("IsomorphismData", [
+    "y",    # chart -> (r-1)-tuple
+    "N",    # chart -> r x r MatrixL
+    "xi"])  # degree-1 cochain recovered from the block deltas
 
-    y: dict               # chart -> (r-1)-tuple
-    N: dict               # chart -> r x r MatrixL
-    xi: CechCochain       # degree-1 cochain recovered from the block deltas
-
-
-@dataclass
-class BundleResult:
-    ambient: AmbientSpec
-    cover: object
-    lb: LineBundleData
-    rank: int
-    sub: object
-    secs: object
-    frames: dict
-    transitions: TransitionSet      # corrected
-    raw: TransitionSet
-    obstruction: CechCochain        # triple-overlap defect, degree 2
-    xi: CechCochain                 # solved correction 1-cochain
-    meta: dict
-    report: object = None
+BundleResult = namedtuple("BundleResult", [
+    "ambient", "cover", "lb", "rank", "sub", "secs", "frames",
+    "transitions",  # corrected
+    "raw",
+    "obstruction",  # triple-overlap defect, degree 2
+    "xi",           # solved correction 1-cochain
+    "meta", "report"], defaults=(None,))
 
 
 def normalize_generators(chart, f, g, s, t):
@@ -607,5 +590,4 @@ def build_bundle(doc, lift_order=None, max_degree=None):
                           transitions=corrected, raw=raw, obstruction=obs,
                           xi=xi, meta=meta)
     from .verify import run_all
-    result.report = run_all(result)
-    return result
+    return result._replace(report=run_all(result))

@@ -1057,12 +1057,12 @@ def test_unit_polynomials_of_corpus_contexts_are_pairwise_coprime(
     keeps the corpus outputs byte-identical."""
     sympy = pytest.importorskip("sympy")
     seen = []
-    post_init = Context.__post_init__
+    init = Context.__init__
 
-    def record(self):
-        post_init(self)
+    def record(self, *args):
+        init(self, *args)
         seen.append(self)
-    monkeypatch.setattr(Context, "__post_init__", record)
+    monkeypatch.setattr(Context, "__init__", record)
     spec = importlib.util.spec_from_file_location(
         "corpus", REFS.parent / "corpus.py")
     corpus = importlib.util.module_from_spec(spec)

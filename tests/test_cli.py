@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1016,6 +1017,24 @@ def test_integer_flag_past_the_digit_limit_is_a_parse_error(capsys):
                              "--degree", "0", "--twist", "1" * 5000)
     assert (code, out) == (1, "")
     assert err.startswith("error[parse]: cohomology: --twist: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--ambient", "P10000", "--twist", "10000"),
+    ("--ambient", "P1000000", "--twist", "1000000"),
+    ("--ambient", "P16", "--twist", "1" + "0" * 299),
+    ("--ambient", "P" + "9" * 5000, "--twist", "0"),
+], ids=["dim-10000", "dim-1000000", "answer-past-digit-limit",
+        "dim-past-digit-limit"])
+def test_cohomology_bounds_the_dimension_and_the_answer(capsys, argv):
+    """A dimension past `cover.MAX_DIM` and an answer too long to print in
+    decimal each give one `error[parse]` line at once; they used to end in
+    a traceback, one of them after 40 s of work."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cohomology", *argv, "--degree", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error[parse]: ") and err.count("\n") == 1
 
 
 def test_accepted_command_line_forms(tmp_path, capsys):

@@ -7,6 +7,9 @@ every coefficient division goes through `algebra.qdiv`."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +152,22 @@ def test_traced_names_resolve():
         if not found:
             missing.append(full)
     assert missing == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """Every command runs in a fresh interpreter, so each one pays for what
+    `serrekit.cli` imports; `dataclasses` alone pulls in `inspect`, `ast`,
+    `dis` and `tokenize`."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def loaded(prelude):
+        code = prelude + "import sys; print(*sys.modules)"
+        return set(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout.split())
+    added = loaded("import serrekit.cli; ") - loaded("")
+    assert "serrekit.cli" in added
+    assert {"dataclasses", "inspect"} & added == set()
 
 
 def test_trusted_constructor_stays_in_algebra():

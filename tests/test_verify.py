@@ -5,7 +5,6 @@ and triple, as references, and require the same full report — order, scope,
 pass flag and witness — on every reference document and on tampered copies
 where a premise of the lemma fails."""
 
-import dataclasses
 import json
 from itertools import permutations
 from pathlib import Path
@@ -107,7 +106,7 @@ def _bump_raw_entry(bundle):
         rows[0][0] = rows[0][0] + LocElem.one(rows[0][0].ctx)
     raw = _with_Z(bundle.raw, {(0, 1): _edit_rows(bundle.raw.Z[(0, 1)],
                                                    bump)})
-    return dataclasses.replace(bundle, raw=raw)
+    return bundle._replace(raw=raw)
 
 
 def _conjugate_corrected(bundle):
@@ -121,7 +120,7 @@ def _conjugate_corrected(bundle):
     Cinv = _edit_rows(MatrixL.identity(ctx, r),
                       lambda rows: rows[0].__setitem__(1, -one))
     cor = _with_Z(bundle.transitions, {(0, 1): C @ Z @ Cinv})
-    return dataclasses.replace(bundle, transitions=cor)
+    return bundle._replace(transitions=cor)
 
 
 def _double_corrected_row(bundle):
@@ -130,7 +129,7 @@ def _double_corrected_row(bundle):
         rows[0] = [e.scale(2) for e in rows[0]]
     cor = _with_Z(bundle.transitions,
                   {(0, 1): _edit_rows(bundle.transitions.Z[(0, 1)], double)})
-    return dataclasses.replace(bundle, transitions=cor)
+    return bundle._replace(transitions=cor)
 
 
 def _negate_through_chart_1(bundle):
@@ -147,7 +146,7 @@ def _negate_through_chart_1(bundle):
     cor = _with_Z(bundle.transitions,
                   {(0, 1): _edit_rows(Z[(0, 1)], negate_col),
                    (1, 2): _edit_rows(Z[(1, 2)], negate_row)})
-    return dataclasses.replace(bundle, transitions=cor)
+    return bundle._replace(transitions=cor)
 
 
 TAMPERS = [
