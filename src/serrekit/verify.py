@@ -26,9 +26,9 @@ Z_ji = adj(Z_ij) h_ji (`TransitionSet.get`).  `verify_cocycle` and
 sorted triple defects, which a build has already kept — and emit an entry
 that follows from passing premises as passed without computing it:
 
-- Identity.  `get(i, i)` is the identity by definition and a document
-  stores no Z_ii, so `transition_identity` passes on every chart and no
-  matrix is built for it.
+- Identity.  No premise is needed: `get(i, i)` is the identity by
+  definition and a document stores no Z_ii, so `transition_identity`
+  passes on every chart and no matrix is built for it.
 - Inverses.  For i < j, Z_ij Z_ji - I = Z_ji Z_ij - I = (det Z_ij h_ji - 1) I,
   since Z adj(Z) = adj(Z) Z = det(Z) I.  Both orders of `transition_inverse`
   pass iff det Z_ij * h_ji == 1 on cover.ctx((i, j)).
