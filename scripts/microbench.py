@@ -23,10 +23,20 @@ repetition does the same work.  Matrix algebra on transitions:
   raw transitions, on a new `TransitionSet` per repetition, so that its
   memo of derived values starts empty.
 
+Whole checks on a reference, each repetition on its own load of the
+document, made before its timer starts, so that no repetition reads the
+saturated bases, frame restrictions or products that an earlier one kept:
+
+- `ci33_dense_p3.run_all`: `verify.run_all`, the full verify suite;
+- `two_points_unit.gf5.obstruction`: `serre.obstruction` of the raw
+  transitions, whose factoring of each triple defect divides through
+  `ideals.koszul_divide`.
+
 Prints one JSON line per case with the case name, its max degree (null
-for the matrix cases), the number of repetitions, the best and the median
-time in seconds and the outcome (`solved` or `Inconclusive` for a solve,
-`computed` for a matrix case).  Best-of-N alone does not resolve a 20%
+for the matrix and check cases), the number of repetitions, the best and
+the median time in seconds and the outcome (`solved` or `Inconclusive` for
+a solve, `computed` for a matrix case or the obstruction, `passed` or
+`failed` for the verify suite).  Best-of-N alone does not resolve a 20%
 change on a shared host; compare medians from alternating runs.
 """
 
@@ -45,6 +55,7 @@ from serrekit import serre  # noqa: E402
 from serrekit.cech import coboundary_solve, is_cocycle  # noqa: E402
 from serrekit.cli import _read_json, load_bundle  # noqa: E402
 from serrekit.errors import Inconclusive  # noqa: E402
+from serrekit.verify import run_all  # noqa: E402
 
 
 def _ref(name):
@@ -72,8 +83,11 @@ def _uncorrected(name, **options):
     return seen[0]
 
 
+# A case's `prepare()` runs before each repetition's timer starts and
+# returns the repetition: a zero-argument callable giving the outcome.
+
 def _solve(c, max_degree):
-    """One `coboundary_solve` of c, as a repetition returning its outcome."""
+    """One `coboundary_solve` of c per repetition."""
     is_cocycle(c)  # keeps the target's differential out of the timings
 
     def run():
@@ -82,7 +96,7 @@ def _solve(c, max_degree):
         except Inconclusive:
             return "Inconclusive"
         return "solved"
-    return run
+    return lambda: run
 
 
 def _dets(Z):
@@ -90,7 +104,7 @@ def _dets(Z):
         for M in Z.Z.values():
             M.det()
         return "computed"
-    return run
+    return lambda: run
 
 
 def _defects(Z):
@@ -100,11 +114,28 @@ def _defects(Z):
         for i, j, k in combinations(Z.cover.charts, 3):
             fresh.defect(i, j, k)
         return "computed"
-    return run
+    return lambda: run
+
+
+def _on_fresh_load(name, work):
+    """work(bundle) per repetition, on a new load of the reference."""
+    def prepare():
+        bundle = _ref(name)
+        return lambda: work(bundle)
+    return prepare
+
+
+def _run_all(bundle):
+    return "passed" if run_all(bundle).ok else "failed"
+
+
+def _obstruction(bundle):
+    serre.obstruction(bundle.raw, bundle.frames)
+    return "computed"
 
 
 def cases():
-    """(case name, max degree or None, one repetition) for every case."""
+    """(case name, max degree or None, prepare) for every case."""
     xi = serre.compare_bundles(_ref("two_points_unit"),
                                _ref("two_points_unit.gf5")).xi
     return [
@@ -118,13 +149,19 @@ def cases():
         ("line_p6", 8, _solve(_ref("line_p6").obstruction, 8)),
         ("line_p3_r4.det", None, _dets(_ref("line_p3_r4").raw)),
         ("line_p6.defect", None, _defects(_ref("line_p6").raw)),
+        ("ci33_dense_p3.run_all", None,
+         _on_fresh_load("ci33_dense_p3", _run_all)),
+        ("two_points_unit.gf5.obstruction", None,
+         _on_fresh_load("two_points_unit.gf5", _obstruction)),
     ]
 
 
-def timed(run, repeat):
-    """(best time, median time, outcome) of `repeat` calls of run."""
+def timed(prepare, repeat):
+    """(best time, median time, outcome) of `repeat` repetitions, each
+    prepared by an untimed `prepare()`."""
     times = []
     for _ in range(repeat):
+        run = prepare()
         start = time.perf_counter()
         outcome = run()
         times.append(time.perf_counter() - start)
@@ -139,8 +176,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
-    for name, max_degree, run in cases():
-        best, median, outcome = timed(run, args.repeat)
+    for name, max_degree, prepare in cases():
+        best, median, outcome = timed(prepare, args.repeat)
         print(json.dumps({"case": name, "max_degree": max_degree,
                           "repeat": args.repeat, "best_s": round(best, 6),
                           "median_s": round(median, 6), "outcome": outcome}),

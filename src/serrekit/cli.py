@@ -415,16 +415,30 @@ def cmd_verify(args):
     return 0
 
 
+def _too_long(what):
+    """The parse error for a decimal integer past the interpreter's digit
+    limit, the one ValueError that `int` and `str` raise on the checked
+    digit strings and integers here; the interpreter's own text differs
+    between versions."""
+    return ShapeViolation(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits")
+
+
 def cmd_cohomology(args):
     spec = args.ambient.strip()
     if spec[:1].upper() != "P" or not (spec[1:].isascii()
                                        and spec[1:].isdigit()):
         raise ShapeViolation("ambient must be P<n> (projective space)")
-    try:    # int() and str() raise past the interpreter's digit limit
-        ambient = AmbientSpec("projective", int(spec[1:]))
-        text = str(cohomology_dim(ambient, args.twist, args.degree))
+    try:
+        dim = int(spec[1:])
     except ValueError as exc:
-        raise ShapeViolation(f"cohomology: {exc}") from exc
+        raise _too_long("cohomology: --ambient") from exc
+    answer = cohomology_dim(AmbientSpec("projective", dim), args.twist,
+                            args.degree)
+    try:
+        text = str(answer)
+    except ValueError as exc:
+        raise _too_long("cohomology: the answer") from exc
     sys.stdout.write(text + "\n")
     return 0
 
@@ -480,8 +494,8 @@ def _parse(argv):
             raise ShapeViolation(f"{command}: {name} cannot be {value!r}")
         try:
             values[flag] = int(value) if kind is int else value
-        except ValueError as exc:       # past the interpreter's digit limit
-            raise ShapeViolation(f"{command}: {name}: {exc}") from exc
+        except ValueError as exc:
+            raise _too_long(f"{command}: {name}") from exc
     if len(positional) != len(names):
         raise ShapeViolation(f"{command}: expected {len(names)} argument(s) "
                              f"({' '.join(names)}), got {len(positional)}")

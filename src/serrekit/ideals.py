@@ -2,13 +2,22 @@
 localized chart rings.
 
 The ring of functions on a context's open set is k[x]_u with u the product of
-the designated units.  All membership questions are decided through the
-Rabinowitsch device: a fresh last variable T with the relation 1 - T*u.  A
-T-free polynomial lies in (gens, 1 - T*u) exactly when it lies in the
-saturation (gens) : u^infinity, i.e. in the localized ideal; and because the
-Buchberger run tracks cofactors, specializing T -> 1/u turns the certificate
-into exact localized cofactors.  Division never loses information: every
-returned identity is verified by exact re-multiplication before it escapes.
+the designated units.  A membership question whose answer needs a basis is
+decided through the Rabinowitsch device: a fresh last variable T with the
+relation 1 - T*u.  A T-free polynomial lies in (gens, 1 - T*u) exactly when
+it lies in the saturation (gens) : u^infinity, i.e. in the localized ideal;
+and because the Buchberger run tracks cofactors, specializing T -> 1/u turns
+the certificate into exact localized cofactors.
+
+A question with a unique answer needs no basis.  Exact-division lemma:
+since k[x] is a UFD, a polynomial p is a unit of k[x]_u iff every prime
+factor of p divides u, iff p divides u^N with N = deg p (no prime occurs in
+p more than deg p times).  Likewise a/p lies in k[x]_u iff p divides
+a*u^N with N = deg p.  So `invert` and `koszul_divide` each make one exact
+division by a single polynomial, whose remainder is zero iff it divides,
+and `is_unit_ideal` answers True at once when a generator's numerator is a
+nonzero constant.  Division never loses information: every returned
+identity is verified by exact re-multiplication before it escapes.
 """
 
 from __future__ import annotations
@@ -122,13 +131,19 @@ def buchberger(gens, arity, key=None):
 
 # -- saturation (Rabinowitsch) ----------------------------------------------------
 
+def _unit_product(ctx):
+    """The product u of the context's unit polynomials, in key order."""
+    u = Poly.const(ctx.nvars, 1)
+    for k in ctx.unit_keys():
+        u = u * ctx.unit_poly(k)
+    return u
+
+
 def _rabinowitsch(ctx):
     """(u, 1 - T*u): the product u of the context's units and its
     Rabinowitsch relation in k[x, T], T a new last variable."""
     n = ctx.nvars
-    u = Poly.const(n, 1)
-    for k in ctx.unit_keys():
-        u = u * ctx.unit_poly(k)
+    u = _unit_product(ctx)
     return u, Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * lift_poly(u)
 
 
@@ -172,9 +187,12 @@ def member_with_lift(p, gens):
     """Exact localized membership with certificate.
 
     Returns LocElems a_m with p == sum(a_m * gens[m]) in the localized ring,
-    or None if p is not a member.  Complete: saturation is built in.
+    or None if p is not a member.  Complete: saturation is built in.  Zero
+    lifts to zeros with no basis.
     """
     ctx = _check_ctxs([p] + list(gens))
+    if p.is_zero():
+        return [LocElem.zero(ctx) for _ in gens]
     gb, u = _sat_gb(ctx, tuple(g.num for g in gens))
     cof, rem = gb.reduce(lift_poly(p.num) if u is not None else p.num)
     if not rem.is_zero():
@@ -219,16 +237,42 @@ def in_ideal(p, gens):
 
 
 def is_unit_ideal(gens):
+    """Do gens generate the unit ideal?  A generator whose numerator is a
+    nonzero constant is a unit and decides it with no basis."""
     ctx = _check_ctxs(list(gens))
+    if any(g.num.is_constant() and not g.is_zero() for g in gens):
+        return True
     return in_ideal(LocElem.one(ctx), gens)
+
+
+def _quotient(a, b):
+    """a / b in the localized ring, or None when it is not regular there; b
+    is nonzero.  One exact division (module docstring): with N = deg b.num
+    and u the unit product, b.num divides a.num * u^N iff the quotient
+    exists, and then a / b = (q / u^N) * (b.den / a.den)."""
+    ctx = b.ctx
+    n = b.num.total_degree()
+    lead = max(b.num.terms, key=grevlex_key)
+    rem, (q,) = divide(a.num * _unit_product(ctx) ** n, (b.num,), (lead,),
+                       grevlex_key)
+    if not rem.is_zero():
+        return None
+    shift = dict(b.den)
+    for k, e in a.den.items():
+        shift[k] = shift.get(k, 0) - e
+    return LocElem(ctx, q, {k: n for k in ctx.unit_keys()} if n else {}
+                   ).times_units(shift)
 
 
 def invert(e):
     """Exact inverse in the localized ring, or None if e is not invertible."""
     if e.is_zero():
         return None
-    lift = member_with_lift(LocElem.one(e.ctx), [e])
-    return None if lift is None else lift[0]
+    one = LocElem.one(e.ctx)
+    inv = _quotient(one, e)
+    if inv is not None and inv * e != one:
+        raise AssertionError("inverse failed re-verification")
+    return inv
 
 
 def ideal_equal(gens_a, gens_b):
@@ -260,7 +304,8 @@ def lift_pair(p, f, g):
 
 def koszul_divide(u, v, f, g):
     """Given u*f == v*g with (f, g) a regular pair, return w with
-    u == w*g and v == w*f (the Koszul syzygy witness)."""
+    u == w*g and v == w*f (the Koszul syzygy witness).  w is unique, so it
+    is one exact division (`_quotient`), re-checked against both sides."""
     ctx = _check_ctxs([u, v, f, g])
     if u * f != v * g:
         raise PreconditionViolated("koszul_divide: u*f != v*g")
@@ -269,15 +314,13 @@ def koszul_divide(u, v, f, g):
             return LocElem.zero(ctx)
         raise NotRegularPair("(0, 0) admits no Koszul witness")
     if not g.is_zero():
-        lift = member_with_lift(u, [g])
-        if lift is None:
+        w = _quotient(u, g)
+        if w is None:
             raise NotRegularPair("u is not divisible by g in the localized ring")
-        w = lift[0]
     else:
-        lift = member_with_lift(v, [f])
-        if lift is None:
+        w = _quotient(v, f)
+        if w is None:
             raise NotRegularPair("v is not divisible by f in the localized ring")
-        w = lift[0]
     if w * g != u or w * f != v:
         raise NotRegularPair("Koszul witness failed exact verification")
     return w

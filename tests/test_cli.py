@@ -1013,28 +1013,37 @@ def test_malformed_command_line_is_a_parse_error(capsys, argv):
 
 
 def test_integer_flag_past_the_digit_limit_is_a_parse_error(capsys):
-    code, out, err = run_cli(capsys, "cohomology", "--ambient", "P2",
-                             "--degree", "0", "--twist", "1" * 5000)
-    assert (code, out) == (1, "")
-    assert err.startswith("error[parse]: cohomology: --twist: ")
+    """One fixed line naming the flag and the limit, not the interpreter's
+    own text, which differs between Python versions."""
+    for argv, line in [
+            (("cohomology", "--ambient", "P2", "--degree", "0", "--twist",
+              "1" * 5000), "cohomology: --twist has more than 4300 digits"),
+            (("build", "--max-degree", "9" * 5000, POINT_INPUT),
+             "build: --max-degree has more than 4300 digits"),
+            (("build", "--max-degree=-" + "9" * 5000, POINT_INPUT),
+             "build: --max-degree has more than 4300 digits")]:
+        assert run_cli(capsys, *argv) == (1, "", f"error[parse]: {line}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("--ambient", "P10000", "--twist", "10000"),
-    ("--ambient", "P1000000", "--twist", "1000000"),
-    ("--ambient", "P16", "--twist", "1" + "0" * 299),
-    ("--ambient", "P" + "9" * 5000, "--twist", "0"),
+@pytest.mark.parametrize("argv, line", [
+    (("--ambient", "P10000", "--twist", "10000"),
+     "ambient dimension must be at most 16"),
+    (("--ambient", "P1000000", "--twist", "1000000"),
+     "ambient dimension must be at most 16"),
+    (("--ambient", "P16", "--twist", "1" + "0" * 299),
+     "cohomology: the answer has more than 4300 digits"),
+    (("--ambient", "P" + "9" * 5000, "--twist", "0"),
+     "cohomology: --ambient has more than 4300 digits"),
 ], ids=["dim-10000", "dim-1000000", "answer-past-digit-limit",
         "dim-past-digit-limit"])
-def test_cohomology_bounds_the_dimension_and_the_answer(capsys, argv):
+def test_cohomology_bounds_the_dimension_and_the_answer(capsys, argv, line):
     """A dimension past `cover.MAX_DIM` and an answer too long to print in
     decimal each give one `error[parse]` line at once; they used to end in
     a traceback, one of them after 40 s of work."""
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "cohomology", *argv, "--degree", "0")
+    result = run_cli(capsys, "cohomology", *argv, "--degree", "0")
     assert time.perf_counter() - start < 1
-    assert (code, out) == (1, "")
-    assert err.startswith("error[parse]: ") and err.count("\n") == 1
+    assert result == (1, "", f"error[parse]: {line}\n")
 
 
 def test_accepted_command_line_forms(tmp_path, capsys):

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import importlib.util
+import io
 import random
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from serrekit import ideals
+from serrekit import ideals, serre
 from serrekit.algebra import (Context, LocElem, Poly, SUnit, divide,
                               grevlex_key, lift_poly, parse_poly)
+from serrekit.cli import main
 from serrekit.errors import (NotCoprime, NotInIdeal, NotRegularPair,
                              PreconditionViolated)
 from serrekit.ideals import (buchberger, ideal_equal, in_ideal, invert,
@@ -701,3 +706,217 @@ def test_member_with_lift_matches_sympy():
             for a, g in zip(lift, gens):
                 acc = acc + a * g
             assert acc == p
+
+
+# -- unique answers by exact division --------------------------------------------------
+#
+# `invert` and `koszul_divide` answer by one exact division (the lemma in the
+# `ideals` module docstring).  The saturated-basis paths they replaced are
+# kept here as references; each answer is unique and `LocElem`'s normal form
+# is canonical on contexts with pairwise coprime units, so the two paths must
+# give the same (num, den), not only equal values.
+
+
+def reference_invert(e):
+    """The inverse as a lift of 1 over the saturated basis of (e)."""
+    if e.is_zero():
+        return None
+    lift = member_with_lift(LocElem.one(e.ctx), [e])
+    return None if lift is None else lift[0]
+
+
+def reference_koszul_divide(u, v, f, g):
+    """The Koszul witness as a lift of u over (g), or of v over (f) when g
+    is zero, each over a saturated basis."""
+    ctx = u.ctx
+    if u * f != v * g:
+        raise PreconditionViolated("koszul_divide: u*f != v*g")
+    if g.is_zero() and f.is_zero():
+        if u.is_zero() and v.is_zero():
+            return LocElem.zero(ctx)
+        raise NotRegularPair("(0, 0) admits no Koszul witness")
+    lift = member_with_lift(u, [g]) if not g.is_zero() else member_with_lift(
+        v, [f])
+    if lift is None:
+        raise NotRegularPair("not divisible in the localized ring")
+    w = lift[0]
+    if w * g != u or w * f != v:
+        raise NotRegularPair("Koszul witness failed exact verification")
+    return w
+
+
+def _form(e):
+    """What a document prints of e, or None."""
+    return None if e is None else (repr(e), e.num.terms, e.den)
+
+
+def _outcome(fn, *args):
+    """fn(*args) as its printed form, or the class of the SerreError it
+    raised."""
+    try:
+        return _form(fn(*args))
+    except (NotRegularPair, PreconditionViolated) as exc:
+        return type(exc)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _corpus():
+    spec = importlib.util.spec_from_file_location("corpus",
+                                                  PERFBENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+def _argv(corpus, op):
+    def ref(name):
+        return str(PERFBENCH / "refs" / f"{name}.json")
+    if op["op"] == "build":
+        inp = corpus.REFERENCES[op["ref"]][0]
+        return ["build", str(PERFBENCH / "inputs" / f"{inp}.json"),
+                *op["args"]]
+    if op["op"] == "verify":
+        return ["verify", ref(op["ref"])]
+    return ["compare", *map(ref, op["ref"]), *op["args"]]
+
+
+@pytest.fixture(scope="module")
+def corpus_calls():
+    """Every context that one pass over the three benchmark workloads
+    creates, and the arguments of every `invert` and `koszul_divide` call
+    of that pass."""
+    corpus = _corpus()
+    contexts, calls = [], {"invert": [], "koszul_divide": []}
+    init = Context.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        contexts.append(self)
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Context, "__init__", record)
+        m.setattr(serre, "invert", recorded("invert", serre.invert))
+        m.setattr(serre, "koszul_divide",
+                  recorded("koszul_divide", serre.koszul_divide))
+        for ops in corpus.WORKLOADS.values():
+            for op in ops:
+                with redirect_stdout(io.StringIO()), \
+                        redirect_stderr(io.StringIO()):
+                    assert main(_argv(corpus, op)) == op["exit"]
+    return list(set(contexts)), calls
+
+
+def test_invert_and_koszul_divide_match_the_references_on_the_corpus(
+        corpus_calls):
+    _, calls = corpus_calls
+    assert len(calls["invert"]) >= 150 and len(calls["koszul_divide"]) >= 50
+    for (e,) in calls["invert"]:
+        assert _form(invert(e)) == _form(reference_invert(e)), e
+    for args in calls["koszul_divide"]:
+        assert (_outcome(koszul_divide, *args)
+                == _outcome(reference_koszul_divide, *args)), args
+
+
+# x1*(1 + x1) on chart 0 of P^2: a reducible section unit, so an element such
+# as x1 is a unit although no whole unit polynomial divides it
+_REDUCIBLE = Context("projective", 2, 0, (0,), (SUnit(
+    0, parse_poly("x1*x0 + x1^2", ("x0", "x1", "x2")), 2),))
+
+
+def _unit_part(rng, ctx):
+    """A product of random powers of the unit polynomials and, when a
+    section unit factors, of its factors x_k, times a nonzero constant."""
+    n = ctx.nvars
+    num = Poly.const(n, rng.choice([1, -2, Fraction(3, 2)]))
+    for k in ctx.unit_keys():
+        num = num * ctx.unit_poly(k) ** rng.randint(0, 2)
+    if ctx is _REDUCIBLE:
+        num = num * Poly.variable(n, 0) ** rng.randint(0, 2)
+    return num
+
+
+def _exact_division_cases(rng, ctx):
+    """(e, (u, v, f, g)): a random element e, a unit or a unit times a
+    random factor, and a Koszul quadruple that divides or does not."""
+    n, keys = ctx.nvars, ctx.unit_keys()
+
+    def elem(num):
+        return LocElem(ctx, num, {k: rng.randint(0, 2) for k in keys})
+    kind = rng.choice(["unit", "unit", "times", "random"])
+    num = _rand_poly(rng, n, nterms=rng.randint(1, 3))
+    if kind == "unit":
+        num = _unit_part(rng, ctx)
+    elif kind == "times":
+        num = _unit_part(rng, ctx) * num
+    e = elem(num)
+    w = elem(_rand_poly(rng, n) * _unit_part(rng, ctx))
+    f = elem(_rand_poly(rng, n, deg=1) * _unit_part(rng, ctx))
+    g = elem(_rand_poly(rng, n, deg=1) * _unit_part(rng, ctx))
+    if rng.random() < 0.7:
+        quad = (w * g, w * f, f, g)
+    else:   # f == g: u / g exists only when g's non-unit part divides u
+        quad = (w, w, g, g)
+    return e, quad
+
+
+def test_exact_division_matches_the_references_on_random_elements(
+        corpus_calls):
+    contexts, _ = corpus_calls
+    contexts = sorted(contexts, key=repr) + [_REDUCIBLE]
+    assert any(ctx.sunits for ctx in contexts)
+    rng = random.Random(18)
+    seen = Counter()
+    for ctx in contexts:
+        for _ in range(3 if ctx is not _REDUCIBLE else 40):
+            e, quad = _exact_division_cases(rng, ctx)
+            inv = invert(e)
+            assert _form(inv) == _form(reference_invert(e)), e
+            if inv is not None:
+                assert inv * e == LocElem.one(ctx)
+            w = _outcome(koszul_divide, *quad)
+            assert w == _outcome(reference_koszul_divide, *quad), quad
+            seen[inv is None, w is NotRegularPair] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 4
+
+
+def test_reducible_section_unit_inverts_its_factors():
+    """x1 alone is a unit where x1*(1 + x1) is: exact division finds it,
+    though no whole unit polynomial divides x1."""
+    ctx = _REDUCIBLE
+    for text in ("x1", "1 + x1", "2*x1^3 + 2*x1^2"):
+        e = _loc(ctx, text)
+        inv = invert(e)
+        assert inv is not None and inv * e == LocElem.one(ctx)
+        assert _form(inv) == _form(reference_invert(e))
+    assert invert(_loc(ctx, "x2")) is None
+    assert invert(_loc(ctx, "x1*x2")) is None
+
+
+def test_zero_lifts_and_constant_generators_build_no_basis(monkeypatch):
+    built = []
+    real = ideals.buchberger
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    for ctx in (_ctx((0,)), _ctx((0, 1)), _REDUCIBLE):
+        f, g = _loc(ctx, "x1^2 - x2"), _loc(ctx, "x1*x2 + x2")
+        zero = LocElem.zero(ctx)
+        lift = member_with_lift(zero, [f, g])
+        assert [(a.num, a.den) for a in lift] == [(zero.num, {})] * 2
+        three = LocElem(ctx, Poly.const(ctx.nvars, 3), {ctx.unit_keys()[0]: 1}
+                        if ctx.unit_keys() else {})
+        assert is_unit_ideal([f, three, g])
+        assert invert(_loc(ctx, "x1 + 2*x2^2")) is None
+    assert not built
+    ctx = _ctx((0,))
+    assert not is_unit_ideal([_loc(ctx, "x1^2 - x2"), _loc(ctx, "x1*x2")])
+    assert built

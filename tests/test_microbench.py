@@ -20,6 +20,8 @@ def test_microbench_prints_one_line_per_case(capsys):
         ("compare.two_points_unit~two_points_unit.gf5", 8, "solved"),
         ("skew_unit.gf4", 4, "Inconclusive"), ("line_p6", 8, "solved"),
         ("line_p3_r4.det", None, "computed"),
-        ("line_p6.defect", None, "computed")]
+        ("line_p6.defect", None, "computed"),
+        ("ci33_dense_p3.run_all", None, "passed"),
+        ("two_points_unit.gf5.obstruction", None, "computed")]
     assert all(r["repeat"] == 1 and r["best_s"] == r["median_s"] > 0
                for r in rows)

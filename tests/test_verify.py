@@ -1,9 +1,11 @@
 """`verify_cocycle` and `verify_det` read the reversed and unsorted
-identities off the sorted ones (the lemma in the `verify` module docstring).
-These tests keep the direct versions, which multiply out every ordered pair
-and triple, as references, and require the same full report — order, scope,
-pass flag and witness — on every reference document and on tampered copies
-where a premise of the lemma fails."""
+identities off the sorted ones, and the frame checks read their entries off
+the rebuilt frame (the lemmas in the `verify` module docstring).  These
+tests keep the direct versions, which multiply out every ordered pair and
+triple and decide every minor ideal with Groebner bases, as references, and
+require the same full report — order, scope, pass flag and witness — on
+every reference document and on tampered copies where a premise of a lemma
+fails."""
 
 import json
 from itertools import permutations
@@ -11,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from serrekit import verify
-from serrekit.algebra import LocElem, MatrixL
+from serrekit import ideals, verify
+from serrekit.algebra import LocElem, MatrixL, Poly
 from serrekit.cli import bundle_doc, load_bundle
-from serrekit.serre import TransitionSet
+from serrekit.ideals import ideal_equal, is_unit_ideal
+from serrekit.serre import FrameData, TransitionSet
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 BUNDLE_REFS = sorted(p.stem for p in REFS.glob("*.json")
@@ -63,13 +66,52 @@ def reference_verify_det(Z, lb):
     return entries
 
 
+def reference_verify_dependency_locus(frames, sub):
+    """Every maximal minor of every M_i, and the two ideals compared by
+    saturated Groebner bases."""
+    entries = []
+    for i in sorted(frames):
+        fr = frames[i]
+        minors = [fr.M.delete_row(row).det() for row in range(fr.M.shape[0])]
+        if sub.meets_Y[i]:
+            ok = ideal_equal(minors, [fr.f, fr.g])
+            witness = ("" if ok else
+                       verify._minor_ideal_gap(minors, fr.f, fr.g))
+        else:
+            ok = is_unit_ideal(minors)
+            witness = "" if ok else "minors do not generate the unit ideal"
+        entries.append(verify.ReportEntry("dependency_locus", f"chart {i}",
+                                          ok, witness))
+    return entries
+
+
+def reference_verify_section_relation(frames):
+    """M_i s_i multiplied out on every chart."""
+    entries = []
+    for i in sorted(frames):
+        fr = frames[i]
+        v = fr.M.matvec(fr.s)
+        ok = (all(e.is_zero() for e in v[:-2])
+              and v[-2] == fr.f.scale(fr.sign)
+              and v[-1] == fr.g.scale(fr.sign))
+        entries.append(verify.ReportEntry("section_relation", f"chart {i}",
+                                          ok, "" if ok else repr(list(v))))
+    return entries
+
+
+REFERENCES = {"verify_cocycle": reference_verify_cocycle,
+              "verify_det": reference_verify_det,
+              "verify_dependency_locus": reference_verify_dependency_locus,
+              "verify_section_relation": reference_verify_section_relation}
+
+
 def _reports(doc, monkeypatch):
     """run_all's report, and the one built with the references, each on its
     own load of `doc` so that neither reads what the other derived."""
     fast = verify.run_all(load_bundle(doc)).to_doc()
     with monkeypatch.context() as m:
-        m.setattr(verify, "verify_cocycle", reference_verify_cocycle)
-        m.setattr(verify, "verify_det", reference_verify_det)
+        for name, reference in REFERENCES.items():
+            m.setattr(verify, name, reference)
         slow = verify.run_all(load_bundle(doc)).to_doc()
     return fast, slow
 
@@ -149,7 +191,53 @@ def _negate_through_chart_1(bundle):
     return bundle._replace(transitions=cor)
 
 
+def _with_frame(bundle, chart, **changes):
+    """The bundle with one chart's frame rebuilt from changed fields; M is
+    rebuilt from (t, sign, f, g, s) unless given."""
+    fr = bundle.frames[chart]
+    fields = {"chart": chart, "t": fr.t, "sign": fr.sign, "f": fr.f,
+              "g": fr.g, "s": fr.s, "M": fr.M, **changes}
+    return bundle._replace(frames={**bundle.frames,
+                                   chart: FrameData(**fields)})
+
+
+def _bump_M(bundle, chart=0):
+    """1 added to the g entry of M_0 (last row, pivot column): its minor
+    ideal becomes (f, g + 1)."""
+    fr = bundle.frames[chart]
+
+    def bump(rows):
+        rows[-1][fr.t - 1] = rows[-1][fr.t - 1] + LocElem.one(fr.f.ctx)
+    return _with_frame(bundle, chart, M=_edit_rows(fr.M, bump))
+
+
+def _double_pivot_section(bundle, chart=0):
+    """s_t doubled on chart 0; M, which does not read s_t, is kept."""
+    fr = bundle.frames[chart]
+    s = list(fr.s)
+    s[fr.t - 1] = s[fr.t - 1].scale(2)
+    return _with_frame(bundle, chart, s=tuple(s))
+
+
+def _nonconstant_off_Y_pair(bundle, chart=0):
+    """Chart 0, which misses Y, gets the pair (1 + x, x) with x its first
+    variable: still the unit ideal, but neither entry is constant, so the
+    dependency-locus entry is computed in full.  M is rebuilt."""
+    fr = bundle.frames[chart]
+    ctx = fr.f.ctx
+    x = LocElem(ctx, Poly.variable(ctx.nvars, 0))
+    return _with_frame(bundle, chart, f=LocElem.one(ctx) + x, g=x, M=None)
+
+
+def _nonconstant_off_Y_pair_bumped_M(bundle):
+    return _bump_M(_nonconstant_off_Y_pair(bundle))
+
+
 TAMPERS = [
+    ("ci33_p3_r3", _bump_M, "dependency_locus"),
+    ("ci22_p3", _bump_M, "dependency_locus"),
+    ("two_points_p2_r3", _double_pivot_section, "section_relation"),
+    ("point_p2", _nonconstant_off_Y_pair_bumped_M, "dependency_locus"),
     ("line_p3_r4", _bump_raw_entry, "determinant_raw"),
     ("two_points_p2_r3", _conjugate_corrected, "transition_cocycle"),
     ("two_points_unit.gf5", _conjugate_corrected, "transition_cocycle"),
@@ -227,3 +315,64 @@ def test_glue_identities_subtract_only_for_a_failing_entry(monkeypatch):
                                             bundle.frames)
     assert entries and all(e.passed for e in entries)
     assert not calls
+
+
+@pytest.mark.parametrize("name", BUNDLE_REFS)
+def test_verify_builds_no_groebner_basis(name, monkeypatch):
+    """Every frame premise holds on a built document, so no minor ideal is
+    decided by a basis, and no other check needs one."""
+    built = []
+    real = ideals.buchberger
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    assert verify.run_all(_load_ref(name)).ok
+    assert not built
+
+
+def _frame_entries(bundle, check):
+    return {e.scope: e for e in verify.run_all(bundle).entries
+            if e.check == check}
+
+
+def test_tampered_M_fails_dependency_locus_on_its_chart():
+    bundle = _load_ref("ci33_p3_r3")
+    entries = _frame_entries(_bump_M(bundle), "dependency_locus")
+    assert [s for s, e in entries.items() if not e.passed] == ["chart 0"]
+    ref = reference_verify_dependency_locus(_bump_M(bundle).frames,
+                                            bundle.sub)
+    assert entries["chart 0"] == ref[0] and ref[0].witness
+
+
+def test_tampered_pivot_section_fails_section_relation():
+    bundle = _double_pivot_section(_load_ref("two_points_p2_r3"))
+    assert verify._rebuilt_frame(bundle.frames[0])
+    entries = _frame_entries(bundle, "section_relation")
+    assert [s for s, e in entries.items() if not e.passed] == ["chart 0"]
+    assert entries["chart 0"] == reference_verify_section_relation(
+        bundle.frames)[0]
+    assert _frame_entries(bundle, "dependency_locus")["chart 0"].passed
+
+
+def test_off_Y_chart_with_a_nonconstant_pair_is_computed_in_full(
+        monkeypatch):
+    bundle = _nonconstant_off_Y_pair(_load_ref("point_p2"))
+    assert not bundle.sub.meets_Y[0] and verify._rebuilt_frame(
+        bundle.frames[0])
+    dets = []
+    det = MatrixL.det
+
+    def counted(self):
+        dets.append(1)
+        return det(self)
+    monkeypatch.setattr(MatrixL, "det", counted)
+    entries = verify.verify_dependency_locus(bundle.frames, bundle.sub)
+    assert all(e.passed for e in entries)
+    assert len(dets) == bundle.frames[0].M.shape[0]
+    tampered = _bump_M(bundle)
+    entries = verify.verify_dependency_locus(tampered.frames, tampered.sub)
+    assert entries == reference_verify_dependency_locus(tampered.frames,
+                                                        tampered.sub)
+    assert entries[0].witness == "minors do not generate the unit ideal"
