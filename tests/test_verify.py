@@ -2,7 +2,7 @@
 identities off the sorted ones, and the frame checks read their entries off
 the rebuilt frame (the lemmas in the `verify` module docstring).  These
 tests keep the direct versions, which multiply out every ordered pair and
-triple and decide every minor ideal with Groebner bases, as references, and
+triple and compute every minor ideal, as references, and
 require the same full report — order, scope, pass flag and witness — on
 every reference document and on tampered copies where a premise of a lemma
 fails."""
@@ -67,8 +67,8 @@ def reference_verify_det(Z, lb):
 
 
 def reference_verify_dependency_locus(frames, sub):
-    """Every maximal minor of every M_i, and the two ideals compared by
-    saturated Groebner bases."""
+    """Every maximal minor of every M_i, and the minor ideal compared with
+    (f_i, g_i) or with the unit ideal by `ideal_equal` or `is_unit_ideal`."""
     entries = []
     for i in sorted(frames):
         fr = frames[i]
