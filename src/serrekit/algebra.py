@@ -309,6 +309,12 @@ def _cancel_variable(p, pos, cap=None):
                               for e, c in p.terms.items()}), m
 
 
+def at_zero(p, pos):
+    """p with the variable at position pos set to 0: its terms free of
+    that variable."""
+    return Poly._of(p.arity, {e: c for e, c in p.terms.items() if not e[pos]})
+
+
 def lift_poly(p):
     """p in k[x] read in k[x, T], T a new last variable."""
     return Poly._of(p.arity + 1, {e + (0,): c for e, c in p.terms.items()})
@@ -836,6 +842,15 @@ class LocElem:
                          for k, e in sorted(self.den.items(), key=lambda kv: _unit_sort(kv[0])))
             return f"({s})/({d})"
         return s
+
+
+def den_ratio(a, b):
+    """The unit exponents of den a / den b, as `LocElem.times_units` takes
+    them."""
+    exps = dict(a.den)
+    for k, e in b.den.items():
+        exps[k] = exps.get(k, 0) - e
+    return exps
 
 
 # -- transport ----------------------------------------------------------------

@@ -361,14 +361,25 @@ def _unique_keys(pairs):
     return out
 
 
+def _int_literal(text):
+    """`parse_int` hook for `json.load`: a literal past the interpreter's
+    digit limit gets `_too_long`'s fixed line."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise _too_long(
+            "cannot read input document: an integer literal") from exc
+
+
 def _read_json(path):
+    hooks = {"object_pairs_hook": _unique_keys, "parse_int": _int_literal}
     try:
         if path == "-":
-            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
+            return json.load(sys.stdin, **hooks)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    # ValueError covers malformed JSON, bad UTF-8 and integer literals past
-    # the interpreter's digit limit; RecursionError covers deep nesting
+            return json.load(fh, **hooks)
+    # ValueError covers malformed JSON and bad UTF-8; RecursionError covers
+    # deep nesting
     except (OSError, ValueError, RecursionError) as exc:
         raise ShapeViolation(f"cannot read input document: {exc}") from exc
 

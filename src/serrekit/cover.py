@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, chart_monomial,
-                      dehomogenize, homogenize, is_homogeneous, parse_poly,
-                      transport)
+from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, at_zero,
+                      chart_monomial, dehomogenize, den_ratio, homogenize,
+                      is_homogeneous, parse_poly, transport)
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
 from .ideals import (ideal_equal, in_ideal, is_unit_ideal, lift_pair,
@@ -287,12 +287,46 @@ def load_subscheme(cover, doc):
     return sub
 
 
+def _meets_by_premise(sub, ctx, i, j):
+    """Whether the codimension premise of `extend_off_Y` shows that Y
+    meets U_i and U_j: the overlap's only unit is x_j / x_i, chart i meets
+    Y, and (p, q), the numerators of (f_i, g_i) with x_j := 0, are a
+    regular pair or the unit ideal on the unit-free chart i."""
+    if not sub.meets_Y[i] or ctx.unit_keys() != (f"c{j}",):
+        return False
+    chart = sub.cover.chart_ctx(i)
+    pos = chart.axes().index(j)
+    p, q = (LocElem(chart, at_zero(e.num, pos)) for e in sub.pairs[i])
+    return regular_pair(p, q)
+
+
 def extend_off_Y(sub, secs, lb):
     """Build the 2x2 matrix A_ij with (f_i; g_i) = A_ij (f_j; g_j), exactly,
     on every sorted overlap i < j, using lifts where the overlap meets Y and
     the unit-certificate product form where it does not, and enforce the
     section compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i)
     there, on the same restrictions.
+
+    Whether the overlap meets Y needs no saturated basis when a premise
+    decides it.  Codimension lemma: let the overlap carry no section unit,
+    let chart i meet Y, and let p and q be the numerators of f_i and g_i
+    with x_j := 0, read on the unit-free chart i, of dimension n.  p and q
+    do not involve x_j, so dim V(p, q) = 1 + dim V(f_i, g_i, x_j).  If
+    (p, q) is a regular pair or the unit ideal, then dim V(f_i, g_i, x_j)
+    is at most n - 3.  As (f_i, g_i) is a regular pair meeting Y, every
+    component of V(f_i, g_i) has dimension n - 2, so none lies in V(x_j):
+    Y meets U_i and U_j, and (f_i, g_i) is proper on the overlap
+    (Nullstellensatz).  Otherwise, and on every overlap with a section
+    unit, `is_unit_ideal` decides.
+
+    Where the numerators of f_i and f_j agree on the overlap, the top row of
+    A_ij is (f_i / f_j, 0), the quotient of the two denominators, and this
+    is the Groebner lift: `buchberger` pushes the first generator f_j
+    unreduced as basis[0], and `divide` takes the first basis element whose
+    lead divides, so f_i lifts to (1, 0, ...) before the denominator shift.
+    Where the numerators of g_i and g_j agree, the bottom row is defined as
+    (0, g_i / g_j); no lemma makes it the Groebner lift, though it is on
+    every corpus overlap.  Every other row is a `lift_pair`.
 
     No A_ji is built and the reversed check, s_j = (det A_ji / h_ji) s_i mod
     (f_j, g_j), is not run: it is implied.  (f_i, g_i) and (f_j, g_j)
@@ -307,16 +341,21 @@ def extend_off_Y(sub, secs, lb):
         ctx = cover.ctx((i, j))
         fi, gi = sub.pair_on(i, ctx)
         fj, gj = sub.pair_on(j, ctx)
-        sub.empty_overlap[(i, j)] = is_unit_ideal([fi, gi])
-        if sub.empty_overlap[(i, j)]:
+        sub.empty_overlap[(i, j)] = empty = (
+            not _meets_by_premise(sub, ctx, i, j)
+            and is_unit_ideal([fi, gi]))
+        if empty:
             ui, vi = unit_certificate(fi, gi)
             uj, vj = unit_certificate(fj, gj)
             left = MatrixL(ctx, [[fi, -vi], [gi, ui]])
             right = MatrixL(ctx, [[uj, vj], [-gj, fj]])
             a = left @ right
         else:
-            top = lift_pair(fi, fj, gj)
-            bot = lift_pair(gi, fj, gj)
+            one, zero = LocElem.one(ctx), LocElem.zero(ctx)
+            top = ((one.times_units(den_ratio(fj, fi)), zero)
+                   if fi.num == fj.num else lift_pair(fi, fj, gj))
+            bot = ((zero, one.times_units(den_ratio(gj, gi)))
+                   if gi.num == gj.num else lift_pair(gi, fj, gj))
             a = MatrixL(ctx, [[top[0], top[1]], [bot[0], bot[1]]])
         if a.matvec((fj, gj)) != (fi, gi):
             raise AssertionError("gluing identity failed re-verification")

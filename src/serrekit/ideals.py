@@ -27,8 +27,8 @@ from heapq import heappop, heappush
 from itertools import count
 from operator import sub
 
-from .algebra import (LocElem, Poly, divide, grevlex_key, lift_poly, qdiv,
-                      split_last)
+from .algebra import (LocElem, Poly, den_ratio, divide, grevlex_key,
+                      lift_poly, qdiv, split_last)
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
                      PreconditionViolated)
 
@@ -214,10 +214,7 @@ def member_with_lift(p, gens):
             else:
                 a = LocElem.zero(ctx)
         # clear the generator/target denominators: a * U_m / U_p
-        shift = dict(g.den)
-        for k, e in p.den.items():
-            shift[k] = shift.get(k, 0) - e
-        out.append(a.times_units(shift))
+        out.append(a.times_units(den_ratio(g, p)))
     # paranoia: the certificate is an exact identity or it does not leave
     acc = LocElem.zero(ctx)
     for a, g in zip(out, gens):
@@ -257,11 +254,8 @@ def _quotient(a, b):
                        grevlex_key)
     if not rem.is_zero():
         return None
-    shift = dict(b.den)
-    for k, e in a.den.items():
-        shift[k] = shift.get(k, 0) - e
     return LocElem(ctx, q, {k: n for k in ctx.unit_keys()} if n else {}
-                   ).times_units(shift)
+                   ).times_units(den_ratio(b, a))
 
 
 def invert(e):
@@ -286,8 +280,17 @@ def ideal_equal(gens_a, gens_b):
 
 
 def unit_certificate(f, g):
-    """(u, v) with u*f + v*g == 1, or NotCoprime."""
+    """(u, v) with u*f + v*g == 1, or NotCoprime.
+
+    When f's numerator is a nonzero constant c, the answer is (1/f, 0) with
+    no basis, and it is the Groebner answer: `buchberger` pushes its first
+    generator, c, unreduced, so the monic basis[0] is 1, and `divide`
+    takes the first basis element whose lead divides, so 1 lifts to
+    (1/c, 0, ...) before the shift by f's denominator, which is 1/f.
+    `invert` re-checks (1/f)*f == 1."""
     ctx = _check_ctxs([f, g])
+    if f.num.is_constant() and not f.is_zero():
+        return invert(f), LocElem.zero(ctx)
     lift = member_with_lift(LocElem.one(ctx), [f, g])
     if lift is None:
         raise NotCoprime("1 is not in the localized ideal (f, g)")
