@@ -32,12 +32,19 @@ saturated bases, frame restrictions or products that an earlier one kept:
   transitions, whose factoring of each triple defect divides through
   `ideals.koszul_divide`.
 
+Loading an input document, on a new `Cover` per repetition, made before
+its timer starts, so that no repetition reads the bases its contexts kept:
+
+- `ci23_p4.load`: `cover.load_subscheme` and `cover.load_sections` of the
+  curved input `ci23_p4` (chart pairs, pivots and every overlap's A_ij).
+
 Prints one JSON line per case with the case name, its max degree (null
-for the matrix and check cases), the number of repetitions, the best and
-the median time in seconds and the outcome (`solved` or `Inconclusive` for
-a solve, `computed` for a matrix case or the obstruction, `passed` or
-`failed` for the verify suite).  Best-of-N alone does not resolve a 20%
-change on a shared host; compare medians from alternating runs.
+for the matrix, check and load cases), the number of repetitions, the best
+and the median time in seconds and the outcome (`solved` or `Inconclusive`
+for a solve, `computed` for a matrix case or the obstruction, `passed` or
+`failed` for the verify suite, `loaded` for a load).  Best-of-N alone does
+not resolve a 20% change on a shared host; compare medians from alternating
+runs.
 """
 
 import argparse
@@ -54,6 +61,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from serrekit import serre  # noqa: E402
 from serrekit.cech import coboundary_solve, is_cocycle  # noqa: E402
 from serrekit.cli import _read_json, load_bundle  # noqa: E402
+from serrekit.cover import (Cover, LineBundleData, load_sections,  # noqa: E402
+                            load_subscheme, read_ambient)
 from serrekit.errors import Inconclusive  # noqa: E402
 from serrekit.verify import run_all  # noqa: E402
 
@@ -134,6 +143,24 @@ def _obstruction(bundle):
     return "computed"
 
 
+def _load(name):
+    """`load_subscheme` and `load_sections` of `perfbench/inputs/<name>.json`
+    per repetition, on a new cover."""
+    doc = _read_json(os.path.join(ROOT, "perfbench", "inputs", f"{name}.json"))
+
+    def prepare():
+        ambient = read_ambient(doc)
+        cover = Cover(ambient)
+        lb = LineBundleData(ambient, doc["line_bundle"]["twist"])
+
+        def run():
+            sub = load_subscheme(cover, doc["subscheme"])
+            load_sections(cover, lb, sub, doc["sections"], doc["rank"])
+            return "loaded"
+        return run
+    return prepare
+
+
 def cases():
     """(case name, max degree or None, prepare) for every case."""
     xi = serre.compare_bundles(_ref("two_points_unit"),
@@ -153,6 +180,7 @@ def cases():
          _on_fresh_load("ci33_dense_p3", _run_all)),
         ("two_points_unit.gf5.obstruction", None,
          _on_fresh_load("two_points_unit.gf5", _obstruction)),
+        ("ci23_p4.load", None, _load("ci23_p4")),
     ]
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from serrekit.algebra import (
-    MAX_POWER, MAX_TERMS, MAX_WORK, Context, LocElem, MatrixL, Poly, SUnit, divide, dot,
-    format_poly, from_laurent, grevlex_key, homogenize, dehomogenize,
+    MAX_POWER, MAX_TERMS, MAX_WORK, Context, at_zero, LocElem, MatrixL, Poly, SUnit, divide,
+    dot, format_poly, from_laurent, grevlex_key, homogenize, dehomogenize,
     lift_poly, parse_poly, qdiv, split_last, to_laurent, transport,
 )
 from serrekit.cli import load_bundle, main
@@ -1110,6 +1110,24 @@ def test_lift_poly_and_split_last_match_checked_construction():
         assert split == {j: q for j, q in pieces.items() if not q.is_zero()}
         assert all(q.arity == n for q in split.values())
 
+
+
+def test_at_zero_drops_the_terms_of_one_variable():
+    """Setting a variable to 0 keeps exactly the terms free of it, as the
+    checked constructor builds them, and leaves a polynomial free of it
+    unchanged."""
+    rng = random.Random(2801)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        p = _rand_poly(rng, n, deg=3, nterms=rng.randint(0, 5))
+        pos = rng.randrange(n)
+        cut = at_zero(p, pos)
+        want = Poly(n, {e: c for e, c in p.terms.items() if e[pos] == 0})
+        assert (cut.arity, cut.terms) == (want.arity, want.terms)
+        assert at_zero(cut, pos) == cut
+        x = Poly.variable(n, pos)
+        assert at_zero(p * x, pos).is_zero()
+        assert at_zero(cut + p * x, pos) == cut
 
 # -- stored coefficients: an int when integral, every division by qdiv ----------
 

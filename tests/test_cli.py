@@ -551,19 +551,25 @@ def test_verify_truncated_file(tmp_path, capsys):
     assert code == 1 and "error[parse]" in err
 
 
-@pytest.mark.parametrize("command, text", [
-    ("verify", "[" * 100000 + "]" * 100000),
-    ("build", '{"rank": ' + "9" * 5000 + "}"),
+@pytest.mark.parametrize("command, text, line", [
+    ("verify", "[" * 100000 + "]" * 100000, None),
+    ("build", '{"rank": ' + "9" * 5000 + "}",
+     "error[parse]: cannot read input document: an integer literal has more "
+     "than 4300 digits\n"),
 ], ids=["deep-nesting", "long-integer"])
-def test_unreadable_json_is_a_parse_error(tmp_path, capsys, command, text):
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, command, text,
+                                          line):
     """JSON that the decoder cannot hold, nested past the recursion limit
-    or an integer past the digit limit, ends in one parse error."""
+    or an integer past the digit limit, ends in one parse error; past the
+    digit limit it is one fixed line, not the interpreter's own text."""
     path = tmp_path / "in.json"
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, command, str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error[parse]: cannot read input document: ")
     assert err.count("\n") == 1
+    if line is not None:
+        assert err == line
 
 
 def test_missing_sections_are_reported_before_rank_sized_work(tmp_path,

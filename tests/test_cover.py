@@ -2,16 +2,24 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from serrekit import cover as cover_module
+from serrekit import ideals
 from serrekit.algebra import LocElem, MatrixL, parse_poly, transport
+from serrekit.cli import bundle_doc
 from serrekit.cover import (AmbientSpec, Cover, LineBundleData, SectionData,
-                            extend_off_Y, load_sections, load_subscheme)
+                            _meets_by_premise, extend_off_Y, load_sections,
+                            load_subscheme)
 from serrekit.errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                              PreconditionViolated, ShapeViolation)
-from serrekit.ideals import in_ideal, is_unit_ideal, lift_pair, unit_certificate
+from serrekit.ideals import (in_ideal, is_unit_ideal, lift_pair,
+                             member_with_lift, unit_certificate)
+from serrekit.serre import build_bundle
 
 
 def _poly(ctx, text):
@@ -286,3 +294,152 @@ def test_reversed_compatibility_check_fails_with_the_sorted_one():
                 for c, v in _THREE_POINT_SECTIONS.items()}
     verdicts = _check_reversed_is_implied(sub, lb, sections, 2, [(0, 1)])
     assert not verdicts[(0, 1, 0)]
+
+
+# -- overlaps decided without a saturated basis -------------------------------
+# `extend_off_Y` decided every overlap with `is_unit_ideal` and lifted every
+# row of A_ij with `lift_pair` before its codimension premise and diagonal
+# rows; that computation is kept here as the reference.
+
+def reference_unit_certificate(f, g):
+    """(u, v) with u*f + v*g == 1, as a lift of 1 over the saturated basis
+    of (f, g)."""
+    u, v = member_with_lift(LocElem.one(f.ctx), [f, g])
+    return u, v
+
+
+def reference_overlap(sub, i, j):
+    """(empty, A_ij) of a sorted overlap, with a saturated basis on every
+    overlap."""
+    ctx = sub.cover.ctx((i, j))
+    fi, gi = sub.pair_on(i, ctx)
+    fj, gj = sub.pair_on(j, ctx)
+    empty = is_unit_ideal([fi, gi])
+    if empty:
+        ui, vi = reference_unit_certificate(fi, gi)
+        uj, vj = reference_unit_certificate(fj, gj)
+        a = (MatrixL(ctx, [[fi, -vi], [gi, ui]])
+             @ MatrixL(ctx, [[uj, vj], [-gj, fj]]))
+    else:
+        a = MatrixL(ctx, [list(lift_pair(fi, fj, gj)),
+                          list(lift_pair(gi, fj, gj))])
+    return empty, a
+
+
+def _printed(a):
+    """What a document prints of a matrix, entry by entry."""
+    return [[(repr(e), e.num.terms, e.den) for e in row] for row in a.rows]
+
+
+def _loaded(doc):
+    """The subscheme data of an input document after `load_sections`."""
+    cover = Cover(AmbientSpec(doc["ambient"]["kind"], doc["ambient"]["dim"]))
+    lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
+    sub = load_subscheme(cover, doc["subscheme"])
+    load_sections(cover, lb, sub, doc.get("sections"), doc["rank"])
+    return sub
+
+
+def _check_overlaps(sub, seen):
+    """Asserts that every overlap's empty bit and A_ij are the reference's,
+    byte for byte, and that the premise says "meets" only where the
+    reference does; counts in `seen` how each overlap was decided and how
+    many rows of A_ij were diagonal."""
+    for (i, j), a in sub.A.items():
+        ctx = a.ctx
+        empty, ref = reference_overlap(sub, i, j)
+        premise = _meets_by_premise(sub, ctx, i, j)
+        assert not (premise and empty), (i, j)
+        assert sub.empty_overlap[(i, j)] == empty, (i, j)
+        assert _printed(a) == _printed(ref), (i, j)
+        seen["premise" if premise else "empty" if empty else "full"] += 1
+        if not empty:
+            fi, gi = sub.pair_on(i, ctx)
+            fj, gj = sub.pair_on(j, ctx)
+            seen["diagonal"] += (fi.num == fj.num) + (gi.num == gj.num)
+
+
+def test_overlaps_match_the_reference_on_the_corpus():
+    seen = Counter()
+    for path in sorted(INPUTS.glob("*.json")):
+        _check_overlaps(_loaded(json.loads(path.read_text(encoding="utf-8"))),
+                        seen)
+    # 61 overlaps decided by the premise, 50 empty, 1 meeting Y by the full
+    # computation, 124 diagonal rows
+    assert seen["premise"] >= 60 and seen["empty"] >= 50 and seen["full"]
+    assert seen["diagonal"] >= 120
+
+
+def _random_form(rng, names, degree):
+    """A form of the given degree: two to four monomials with small
+    coefficients."""
+    monomials = list(itertools.combinations_with_replacement(names, degree))
+    count = rng.randint(2, min(4, len(monomials)))
+    return " + ".join(f"{rng.choice([1, -1, 2, -3])}*{'*'.join(m)}"
+                      for m in rng.sample(monomials, count))
+
+
+def test_overlaps_match_the_reference_on_random_complete_intersections():
+    """Fifteen seeded global complete intersections on P^2 .. P^4 with
+    constant sections and twist deg F + deg G; those that are no regular
+    pair on some chart are skipped."""
+    rng = random.Random(7)
+    seen, loaded = Counter(), 0
+    for dim in (2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4):
+        names = [f"x{k}" for k in range(dim + 1)]
+        degrees = rng.choice([(1, 2), (2, 1), (2, 2), (1, 3)])
+        cover = Cover(AmbientSpec("projective", dim))
+        doc = {"mode": "global_ci", **{tag: _random_form(rng, names, d)
+                                       for tag, d in zip("FG", degrees)}}
+        try:
+            sub = load_subscheme(cover, doc)
+        except NotCodimTwo:
+            continue
+        lb = LineBundleData(cover.ambient, sum(degrees))
+        load_sections(cover, lb, sub, {i: ["1"] for i in cover.charts
+                                       if sub.meets_Y[i]}, 2)
+        _check_overlaps(sub, seen)
+        loaded += 1
+    # all 15 load: 87 overlaps decided by the premise, 3 empty, 5 meeting Y
+    # by the full computation, 180 diagonal rows
+    assert loaded >= 12
+    assert min(seen["premise"], seen["empty"], seen["full"]) >= 3
+    assert seen["diagonal"] >= 150
+
+
+def test_curved_builds_make_no_saturated_basis(monkeypatch):
+    """The six `curved` builds of the benchmark ran 40 Rabinowitsch bases,
+    one per overlap, before the codimension premise."""
+    made = []
+    real = ideals._rabinowitsch
+
+    def counted(ctx):
+        made.append(ctx)
+        return real(ctx)
+    monkeypatch.setattr(ideals, "_rabinowitsch", counted)
+    for name in ("ci22_p3", "ci23_p3", "ci33_dense_p3", "ci23_p4",
+                 "ci33_p3_r3", "ci44_p3"):
+        doc = json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8"))
+        assert build_bundle(doc).report.ok
+    assert made == []
+
+
+def test_empty_overlap_is_decided_by_the_full_computation(monkeypatch):
+    """Each overlap of `two_points_p2_r3` misses both points; with x_j := 0
+    its chart pair is no regular pair, so `is_unit_ideal` decides it and the
+    bundle prints it empty."""
+    decided = {}
+    real = cover_module.is_unit_ideal
+
+    def recorded(gens):
+        out = real(gens)
+        if len(gens[0].ctx.indices) == 2:
+            decided[gens[0].ctx.indices] = out
+        return out
+    monkeypatch.setattr(cover_module, "is_unit_ideal", recorded)
+    doc = json.loads((INPUTS / "two_points_p2_r3.json").read_text(
+        encoding="utf-8"))
+    overlaps = bundle_doc(build_bundle(doc))["overlaps"]
+    assert decided == {(0, 1): True, (0, 2): True, (1, 2): True}
+    assert {key: ov["empty"] for key, ov in overlaps.items()} == {
+        "0,1": True, "0,2": True, "1,2": True}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from serrekit import ideals, serre
+from serrekit import cover, ideals, serre
 from serrekit.algebra import (Context, LocElem, Poly, SUnit, divide,
                               grevlex_key, lift_poly, parse_poly)
 from serrekit.cli import main
@@ -785,10 +785,11 @@ def _argv(corpus, op):
 @pytest.fixture(scope="module")
 def corpus_calls():
     """Every context that one pass over the three benchmark workloads
-    creates, and the arguments of every `invert` and `koszul_divide` call
-    of that pass."""
+    creates, and the arguments of every `invert`, `koszul_divide` and
+    `extend_off_Y`'s `unit_certificate` call of that pass."""
     corpus = _corpus()
-    contexts, calls = [], {"invert": [], "koszul_divide": []}
+    contexts, calls = [], {"invert": [], "koszul_divide": [],
+                           "unit_certificate": []}
     init = Context.__init__
 
     def record(self, *args):
@@ -805,6 +806,8 @@ def corpus_calls():
         m.setattr(serre, "invert", recorded("invert", serre.invert))
         m.setattr(serre, "koszul_divide",
                   recorded("koszul_divide", serre.koszul_divide))
+        m.setattr(cover, "unit_certificate",
+                  recorded("unit_certificate", cover.unit_certificate))
         for ops in corpus.WORKLOADS.values():
             for op in ops:
                 with redirect_stdout(io.StringIO()), \
@@ -822,6 +825,34 @@ def test_invert_and_koszul_divide_match_the_references_on_the_corpus(
     for args in calls["koszul_divide"]:
         assert (_outcome(koszul_divide, *args)
                 == _outcome(reference_koszul_divide, *args)), args
+
+
+def reference_unit_certificate(f, g):
+    """(u, v) as a lift of 1 over the saturated basis of (f, g)."""
+    lift = member_with_lift(LocElem.one(f.ctx), [f, g])
+    if lift is None:
+        raise NotCoprime("1 is not in the localized ideal (f, g)")
+    return lift[0], lift[1]
+
+
+def _certificate(f, g, fn=unit_certificate):
+    """fn(f, g) as the printed forms of (u, v), or NotCoprime."""
+    try:
+        return tuple(map(_form, fn(f, g)))
+    except NotCoprime as exc:
+        return type(exc)
+
+
+def test_unit_certificate_matches_the_reference_on_the_corpus(corpus_calls):
+    _, calls = corpus_calls
+    constant = [(f, g) for f, g in calls["unit_certificate"]
+                if f.num.is_constant()]
+    # 78 of the pass's 116 calls have a constant first member
+    assert len(constant) >= 70 and len(calls["unit_certificate"]) > len(
+        constant)
+    for f, g in calls["unit_certificate"]:
+        assert _certificate(f, g) == _certificate(
+            f, g, reference_unit_certificate), (f, g)
 
 
 # x1*(1 + x1) on chart 0 of P^2: a reducible section unit, so an element such
@@ -920,3 +951,34 @@ def test_zero_lifts_and_constant_generators_build_no_basis(monkeypatch):
     ctx = _ctx((0,))
     assert not is_unit_ideal([_loc(ctx, "x1^2 - x2"), _loc(ctx, "x1*x2")])
     assert built
+
+
+def test_constant_first_member_certificate_matches_the_reference(
+        corpus_calls, monkeypatch):
+    """(1/f, 0) for a nonzero constant numerator over random units, against
+    any g, on every context of the pass; it builds no basis."""
+    contexts, _ = corpus_calls
+    rng = random.Random(28)
+    cases = []
+    for ctx in sorted(contexts, key=repr) + [_REDUCIBLE]:
+        keys = ctx.unit_keys()
+        for _ in range(2):
+            c = Poly.const(ctx.nvars, rng.choice([1, -2, Fraction(3, 2)]))
+            f = LocElem(ctx, c, {k: rng.randint(0, 2) for k in keys})
+            g = (LocElem.zero(ctx) if rng.random() < 0.3 else LocElem(
+                ctx, _rand_poly(rng, ctx.nvars) * _unit_part(rng, ctx),
+                {k: rng.randint(0, 2) for k in keys}))
+            cases.append((f, g))
+    built = []
+    real = ideals.buchberger
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    answers = [_certificate(f, g) for f, g in cases]
+    assert not built
+    for (f, g), answer in zip(cases, answers):
+        assert answer == _certificate(f, g, reference_unit_certificate), (f, g)
+        u, v = unit_certificate(f, g)
+        assert v.is_zero() and u * f == LocElem.one(f.ctx)
