@@ -297,15 +297,13 @@ def test_reversed_compatibility_check_fails_with_the_sorted_one():
 
 
 # -- overlaps decided without a saturated basis -------------------------------
-# `extend_off_Y` decided every overlap with `is_unit_ideal` and lifted every
-# row of A_ij with `lift_pair` before its codimension premise and diagonal
-# rows; that computation is kept here as the reference.
+# The reference decides every overlap with `is_unit_ideal` and lifts every
+# row of A_ij with `lift_pair`: no codimension premise and no diagonal rows.
 
 def reference_unit_certificate(f, g):
     """(u, v) with u*f + v*g == 1, as a lift of 1 over the saturated basis
     of (f, g)."""
-    u, v = member_with_lift(LocElem.one(f.ctx), [f, g])
-    return u, v
+    return tuple(member_with_lift(LocElem.one(f.ctx), [f, g]))
 
 
 def reference_overlap(sub, i, j):
