@@ -158,12 +158,24 @@ def _cochain_load(cover, lb, degree, width, doc, where):
     return CechCochain(cover, lb, degree, width, data)
 
 
+def _same_form(A, B):
+    """Do A and B hold the same numerator and the same `den` dict in every
+    entry?  A structural test, not `LocElem.__eq__`, which is extensional
+    and would let a different representation through."""
+    return all(a.num == b.num and a.den == b.den
+               for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb))
+
+
 def load_bundle(doc):
     """Rebuild a BundleResult from its serialized document.
 
     Only schema shape is enforced here; the mathematical identities are the
     verify suite's job, so a hand-edited entry loads fine and then fails its
-    named check.
+    named check.  Both matrices of every overlap are parsed in full; where
+    the corrected one has the raw one's form (`_same_form`) the raw object
+    is stored for both, and the corrected set is built on the raw set, so
+    `verify` computes each value of a shared overlap or triple once
+    (`TransitionSet`).
     """
     if need(doc, "schema", str, "") != _SCHEMA:
         raise ShapeViolation("document: unknown schema tag")
@@ -236,13 +248,16 @@ def load_bundle(doc):
         empty[(i, j)] = need(ov, "empty", bool, where)
         Z_raw[(i, j)] = _mat_load(ctx, need(ov, "raw", list, where),
                                   (r, r), where)
-        Z_cor[(i, j)] = _mat_load(ctx, need(ov, "corrected", list, where),
-                                  (r, r), where)
+        cor = _mat_load(ctx, need(ov, "corrected", list, where), (r, r),
+                        where)
+        Z_cor[(i, j)] = (Z_raw[(i, j)] if _same_form(Z_raw[(i, j)], cor)
+                         else cor)
 
     sub = SubschemeData(cover, need(doc, "mode", str, ""), pairs, meets, empty)
     secs = SectionData(sections, t_map, tier_map, r)
     raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw, branch)
-    cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor, branch)
+    cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor, branch,
+                        base=raw)
     obs = _cochain_load(cover, lb, 2, r - 1,
                         need(doc, "obstruction", list, ""),
                         "obstruction")

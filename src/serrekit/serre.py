@@ -155,16 +155,29 @@ class TransitionSet:
     what it derives (reversed transitions from `get`, `det`, `defect`), so
     the build and the verify suite compute each once.
 
-    Invariant, checked at construction (ValueError): Z is keyed by exactly
-    `pairs`, each sorted i < j.  A stored reversed Z_ji would bypass
-    adj(Z_ij) h_ji, and `verify_cocycle` and `verify_det` read the reversed
-    identities off the sorted ones only because `get` derives them so.
+    Sharing: a set built on a `base` (the raw set under a corrected one)
+    answers `get`, `det` and `defect` with the base's kept value whenever
+    every sorted transition the value reads is the base's own object, since
+    a value computed from the very same `MatrixL` objects is the same value;
+    any other value is computed and kept here.  Where the correction is
+    zero `correct` and `cli.load_bundle` store the raw object itself, so
+    those values are computed once for both sets.
+
+    Invariants, checked at construction (ValueError): Z is keyed by exactly
+    `pairs`, each sorted i < j, and a base has the same cover, line bundle,
+    rank and pairs.  A stored reversed Z_ji would bypass adj(Z_ij) h_ji,
+    and `verify_cocycle` and `verify_det` read the reversed identities off
+    the sorted ones only because `get` derives them so.
     """
 
-    def __init__(self, rank, status, cover, lb, pairs, Z, branch):
+    def __init__(self, rank, status, cover, lb, pairs, Z, branch, base=None):
         if sorted(Z) != sorted(pairs) or any(i >= j for i, j in pairs):
             raise ValueError("transitions must be keyed by exactly the "
                              "sorted pairs i < j")
+        if base is not None and (base.cover is not cover or base.lb is not lb
+                                 or base.rank != rank or base.pairs != pairs):
+            raise ValueError("a base must have the same cover, line bundle, "
+                             "rank and pairs")
         self.rank = rank
         self.status = status    # "raw" | "corrected"
         self.cover = cover
@@ -172,9 +185,18 @@ class TransitionSet:
         self.pairs = pairs      # sorted (i, j), i < j
         self.Z = Z              # (i, j) -> r x r MatrixL on cover.ctx((i, j))
         self.branch = branch    # (i, j) -> "unit" | "split"
+        self.base = base
+        # the sorted pairs whose transition is the base's own object
+        self._shared = frozenset(p for p in pairs if base is not None
+                                 and Z[p] is base.Z[p])
         # (kind, *charts) -> value derived from Z; valid because Z never
         # changes
         self._derived = {}
+
+    def _shares(self, *charts):
+        """Does every sorted transition among `charts` belong to the base?"""
+        return bool(self._shared) and all(
+            p in self._shared for p in combinations(sorted(set(charts)), 2))
 
     def get(self, i, j):
         """Transition for the ordered overlap (i, j)."""
@@ -182,6 +204,8 @@ class TransitionSet:
             return MatrixL.identity(self.cover.chart_ctx(i), self.rank)
         if (i, j) in self.Z:
             return self.Z[(i, j)]
+        if self._shares(i, j):
+            return self.base.get(i, j)
         key = ("get", i, j)
         if key not in self._derived:
             Zji = self.Z[(j, i)]
@@ -191,6 +215,8 @@ class TransitionSet:
 
     def det(self, i, j):
         """det Z_ij on the ordered overlap (i, j)."""
+        if self._shares(i, j):
+            return self.base.det(i, j)
         key = ("det", i, j)
         if key not in self._derived:
             self._derived[key] = self.get(i, j).det()
@@ -201,6 +227,8 @@ class TransitionSet:
 
         Each entry is one `dot`, normalized once: the Z_ij row against the
         negated Z_jk column, plus Z_ik's entry times 1."""
+        if self._shares(i, j, k):
+            return self.base.defect(i, j, k)
         key = ("defect", i, j, k)
         if key not in self._derived:
             ctx = self.cover.ctx((i, j, k))
@@ -377,11 +405,12 @@ def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
     return raw
 
 
-def _check_glue(Z, frames):
-    """Z_ij M_j = M_i and det Z_ij = h_ij on every sorted overlap.  A raw set
-    fails at stage build_Z, a corrected one at stage correct."""
+def _check_glue(Z, frames, pairs=None):
+    """Z_ij M_j = M_i and det Z_ij = h_ij on every sorted overlap of `pairs`
+    (all of Z's by default).  A raw set fails at stage build_Z, a corrected
+    one at stage correct."""
     stage = "build_Z" if Z.status == "raw" else "correct"
-    for i, j in Z.pairs:
+    for i, j in Z.pairs if pairs is None else pairs:
         ctx = Z.cover.ctx((i, j))
         if Z.Z[(i, j)] @ frames[j].M_on(ctx) != frames[i].M_on(ctx):
             raise GluingFailure(
@@ -423,17 +452,30 @@ def correct(Z, obs, frames, max_degree=MAX_DEGREE):
     to every transition: Z_ij gains the rank-one update `_rank_one`(xi_ij,
     frame_i, frame_j), so Q and S change and P and R do not.  The corrected
     set satisfies Z_ik = Z_ij Z_jk exactly on every triple, with det and
-    M-transport preserved.  Returns (corrected set, xi)."""
+    M-transport preserved.  Returns (corrected set, xi).
+
+    Z is `build_Z`'s raw set, whose `_check_glue` has passed.  Where xi_ij
+    is zero the corrected Z_ij is the raw object itself, and the corrected
+    set is built on the raw one (`TransitionSet`'s sharing), so only the
+    changed overlaps are glue-checked again and a triple whose three
+    transitions are all raw reads the defect `obstruction` kept.  Every
+    triple is still compared with zero; on a shared one the raw defect is
+    U(obs_ijk), and obs_ijk = (d xi)_ijk = 0 there."""
     cover, lb, r = Z.cover, Z.lb, Z.rank
     xi = coboundary_solve(obs, max_degree=max_degree)
-    newZ = {}
+    newZ, changed = {}, []
     for i, j in Z.pairs:
-        _, U = _rank_one(xi.get((i, j)), frames[i], frames[j],
-                         cover.ctx((i, j)), r)
+        val = xi.get((i, j))
+        if all(v.is_zero() for v in val):
+            newZ[(i, j)] = Z.Z[(i, j)]
+            continue
+        _, U = _rank_one(val, frames[i], frames[j], cover.ctx((i, j)), r)
         newZ[(i, j)] = Z.Z[(i, j)] + U
+        changed.append((i, j))
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
-                              pairs=Z.pairs, Z=newZ, branch=dict(Z.branch))
-    _check_glue(corrected, frames)
+                              pairs=Z.pairs, Z=newZ, branch=dict(Z.branch),
+                              base=Z)
+    _check_glue(corrected, frames, changed)
     for i, j, k in combinations(cover.charts, 3):
         zero = MatrixL.zeros(cover.ctx((i, j, k)), r, r)
         if corrected.defect(i, j, k) != zero:
