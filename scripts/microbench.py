@@ -28,6 +28,8 @@ document, made before its timer starts, so that no repetition reads the
 saturated bases, frame restrictions or products that an earlier one kept:
 
 - `ci33_dense_p3.run_all`: `verify.run_all`, the full verify suite;
+- `line_p6.run_all`: the same on `line_p6`, where 20 of the 21 corrected
+  transitions are the raw ones and share their values with the raw set;
 - `two_points_unit.gf5.obstruction`: `serre.obstruction` of the raw
   transitions, whose factoring of each triple defect divides through
   `ideals.koszul_divide`.
@@ -178,6 +180,7 @@ def cases():
         ("line_p6.defect", None, _defects(_ref("line_p6").raw)),
         ("ci33_dense_p3.run_all", None,
          _on_fresh_load("ci33_dense_p3", _run_all)),
+        ("line_p6.run_all", None, _on_fresh_load("line_p6", _run_all)),
         ("two_points_unit.gf5.obstruction", None,
          _on_fresh_load("two_points_unit.gf5", _obstruction)),
         ("ci23_p4.load", None, _load("ci23_p4")),

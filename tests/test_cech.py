@@ -620,3 +620,23 @@ def test_ansatz_assembly_matches_reference_on_random_coboundaries():
         key = (shares, got == "Inconclusive")
         outcomes[key] = outcomes.get(key, 0) + 1
     assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in REFS.glob("*.json")
+    if "error" not in json.loads(p.read_text("utf-8"))))
+def test_differential_squares_to_zero_on_every_ref_cover(name):
+    """d(d c) = 0 for seeded random degree-0 and degree-1 cochains on the
+    cover of every bundle reference, section units included: the lemma by
+    which `run_all` reads `obstruction_cocycle` off d xi = obs."""
+    bundle = _ref_bundle(name)
+    cover, lb, width = bundle.cover, bundle.lb, bundle.rank - 1
+    rng = random.Random(2901)
+    for degree in (0, 1):
+        data = {key: tuple(_unit_elem(rng, cover.ctx(key))
+                           for _ in range(width))
+                for key in itertools.combinations(cover.charts, degree + 1)
+                if rng.random() < 0.7}
+        c = CechCochain(cover, lb, degree, width, data)
+        assert not differential(c).is_zero()
+        assert differential(differential(c)).is_zero()

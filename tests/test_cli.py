@@ -340,6 +340,25 @@ def test_verify_rejects_non_integer_value(tmp_path, capsys, edit):
     assert err.startswith("error[parse]: ")
 
 
+@pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+def test_verify_parses_a_corrected_matrix_equal_to_the_raw_one(
+        tmp_path, capsys, value):
+    """Overlap (0, 1) of two_points_p2_r3 has raw == corrected.  A load
+    shares such a matrix only after parsing both, so an exponent that only
+    compares equal to the raw one's 1 is still a parse error."""
+    doc = json.loads((CORPUS / "refs" / "two_points_p2_r3.json").read_text(
+        encoding="utf-8"))
+    ov = doc["overlaps"]["0,1"]
+    assert ov["raw"] == ov["corrected"]
+    assert ov["corrected"][2][1] == {"num": "x2", "den": {"c1": 1}}
+    ov["corrected"][2][1]["den"]["c1"] = value
+    assert ov["raw"] == ov["corrected"]  # 1 == 1.0 == True
+    code, out, err = run_cli(capsys, "verify",
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert (code, out) == (1, "")
+    assert err == "error[parse]: overlap (0, 1) c1 must be an integer\n"
+
+
 def _raw_01(doc):
     return doc["overlaps"]["0,1"]["raw"]
 

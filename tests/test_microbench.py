@@ -22,6 +22,7 @@ def test_microbench_prints_one_line_per_case(capsys):
         ("line_p3_r4.det", None, "computed"),
         ("line_p6.defect", None, "computed"),
         ("ci33_dense_p3.run_all", None, "passed"),
+        ("line_p6.run_all", None, "passed"),
         ("two_points_unit.gf5.obstruction", None, "computed"),
         ("ci23_p4.load", None, "loaded")]
     assert all(r["repeat"] == 1 and r["best_s"] == r["median_s"] > 0

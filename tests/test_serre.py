@@ -369,6 +369,47 @@ def test_transition_set_keeps_dets_and_defects():
         assert raw.det(i, j) == bundle.lb.h(i, j, cover.ctx((i, j)))
 
 
+def test_correct_shares_and_glue_checks_only_the_changed_overlaps(
+        monkeypatch):
+    """line_p6's correction is nonzero on one overlap: the corrected set
+    stores the raw object on the other 20 and glue-checks only that one."""
+    checked = []
+    real = serre._check_glue
+
+    def record(Z, frames, pairs=None):
+        checked.append((Z.status, None if pairs is None else list(pairs)))
+        return real(Z, frames, pairs)
+    monkeypatch.setattr(serre, "_check_glue", record)
+    bundle = build_bundle(json.loads((INPUTS / "line_p6.json").read_text(
+        encoding="utf-8")))
+    changed = sorted(bundle.xi.data)
+    assert len(changed) == 1
+    assert checked == [("raw", None), ("corrected", changed)]
+    cor = bundle.transitions
+    assert cor.base is bundle.raw
+    for p in cor.pairs:
+        assert (cor.Z[p] is bundle.raw.Z[p]) == (p not in changed)
+
+
+def test_correction_breaking_the_glue_fails_at_stage_correct(monkeypatch):
+    """A rank-one update that also moves entry (0, 0) breaks det or
+    M-transport on the one changed overlap of line_p6, and the corrected
+    glue check names that overlap before any triple is compared."""
+    real = serre._rank_one
+
+    def broken(val, fr_i, fr_j, ctx, r):
+        x, U = real(val, fr_i, fr_j, ctx, r)
+        rows = [list(row) for row in U.rows]
+        rows[0][0] = rows[0][0] + LocElem.one(ctx)
+        return x, MatrixL(ctx, rows)
+    monkeypatch.setattr(serre, "_rank_one", broken)
+    with pytest.raises(GluingFailure, match=r"^overlap \(\d, \d\): corrected "
+                       "transition") as exc:
+        build_bundle(json.loads((INPUTS / "line_p6.json").read_text(
+            encoding="utf-8")))
+    assert exc.value.stage == "correct"
+
+
 REFS = INPUTS.parent / "refs"
 
 

@@ -5,17 +5,23 @@ tests keep the direct versions, which multiply out every ordered pair and
 triple and compute every minor ideal, as references, and
 require the same full report — order, scope, pass flag and witness — on
 every reference document and on tampered copies where a premise of a lemma
-fails."""
+fails.  Likewise a corrected set that shares the raw set's transitions
+(`TransitionSet`'s `base`) is compared with one built with no base."""
 
+import importlib.util
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from serrekit import ideals, verify
+from serrekit import cli, ideals, verify
 from serrekit.algebra import LocElem, MatrixL, Poly
-from serrekit.cli import bundle_doc, load_bundle
+from serrekit.cech import CechCochain, is_cocycle
+from serrekit.cli import bundle_doc, load_bundle, main
+from serrekit.cover import LineBundleData
 from serrekit.ideals import ideal_equal, is_unit_ideal
 from serrekit.serre import FrameData, TransitionSet
 
@@ -376,3 +382,202 @@ def test_off_Y_chart_with_a_nonconstant_pair_is_computed_in_full(
     assert entries == reference_verify_dependency_locus(tampered.frames,
                                                         tampered.sub)
     assert entries[0].witness == "minors do not generate the unit ideal"
+
+
+# -- a corrected set built on the raw one -------------------------------------
+
+
+def _unshared(doc, monkeypatch):
+    """`doc` loaded with every corrected matrix parsed on its own and the
+    corrected set built with no base: nothing is shared with the raw set."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_same_form", lambda A, B: False)
+        bundle = load_bundle(doc)
+    cor = bundle.transitions
+    return bundle._replace(transitions=TransitionSet(
+        cor.rank, cor.status, cor.cover, cor.lb, cor.pairs, cor.Z,
+        cor.branch))
+
+
+def _shared_and_reference(doc, monkeypatch):
+    """run_all's entries on a plain load of `doc`, and on the unshared load
+    with `obstruction_cocycle` decided by `is_cocycle` alone."""
+    shared = load_bundle(doc)
+    fast = verify.run_all(shared).entries
+    bundle = _unshared(doc, monkeypatch)
+    assert not bundle.transitions._shared
+    slow = [e._replace(passed=is_cocycle(bundle.obstruction))
+            if e.check == "obstruction_cocycle" else e
+            for e in verify.run_all(bundle).entries]
+    return shared, fast, slow
+
+
+def _same_json(doc):
+    """The sorted pairs whose raw and corrected matrices print alike."""
+    return {tuple(map(int, key.split(","))) for key, ov
+            in doc["overlaps"].items() if ov["raw"] == ov["corrected"]}
+
+
+@pytest.mark.parametrize("name", BUNDLE_REFS)
+def test_shared_report_matches_the_unshared_reference_on_refs(name,
+                                                              monkeypatch):
+    doc = json.loads((REFS / f"{name}.json").read_text("utf-8"))
+    shared, fast, slow = _shared_and_reference(doc, monkeypatch)
+    assert fast == slow and all(e.passed for e in fast)
+    raw, cor = shared.raw, shared.transitions
+    assert cor.base is raw and cor._shared == _same_json(doc)
+    for i, j in cor._shared:
+        assert cor.Z[(i, j)] is raw.Z[(i, j)]
+        assert cor.det(i, j) is raw.det(i, j)
+    assert not any(key[0] == "det" and key[1:] in cor._shared
+                   for key in cor._derived)
+
+
+def _shared_pair(bundle):
+    return min(bundle.transitions._shared)
+
+
+def _bump_shared_entry(bundle):
+    """1 added to entry (0, 0) of a shared Z_ij, in the raw and the
+    corrected set alike: the load shares it again and both sets fail."""
+    pair = _shared_pair(bundle)
+
+    def bump(rows):
+        rows[0][0] = rows[0][0] + LocElem.one(rows[0][0].ctx)
+    Z = _edit_rows(bundle.raw.Z[pair], bump)
+    return bundle._replace(raw=_with_Z(bundle.raw, {pair: Z}),
+                           transitions=_with_Z(bundle.transitions, {pair: Z}))
+
+
+def _double_shared_corrected_row(bundle):
+    """Row 0 of a shared corrected Z_ij scaled by 2: the load no longer
+    shares it, and its values are computed in full."""
+    pair = _shared_pair(bundle)
+
+    def double(rows):
+        rows[0] = [e.scale(2) for e in rows[0]]
+    return bundle._replace(transitions=_with_Z(bundle.transitions, {
+        pair: _edit_rows(bundle.transitions.Z[pair], double)}))
+
+
+def _bump_obstruction(bundle):
+    """1 added to the first value of the obstruction on triple (0, 1, 2):
+    it no longer equals d xi, so `obstruction_cocycle` is computed."""
+    obs = bundle.obstruction
+    vals = list(obs.get((0, 1, 2)))
+    vals[0] = vals[0] + LocElem.one(vals[0].ctx)
+    return bundle._replace(obstruction=CechCochain(
+        obs.cover, obs.lb, 2, obs.width, {**obs.data, (0, 1, 2): vals}))
+
+
+SHARING_TAMPERS = [
+    ("ci22_p3", _bump_shared_entry,
+     ("determinant_raw", "determinant_corrected")),
+    ("line_p6", _bump_shared_entry,
+     ("determinant_raw", "determinant_corrected")),
+    ("ci22_p3", _double_shared_corrected_row, ("determinant_corrected",)),
+    ("line_p5", _double_shared_corrected_row, ("determinant_corrected",)),
+    ("ci22_p3", _bump_obstruction,
+     ("obstruction_cocycle", "correction_solves_obstruction")),
+    ("line_p6", _bump_obstruction,
+     ("obstruction_cocycle", "correction_solves_obstruction")),
+]
+
+
+@pytest.mark.parametrize("name, tamper, broken", SHARING_TAMPERS,
+                         ids=[f"{n}-{t.__name__.strip('_')}"
+                              for n, t, _ in SHARING_TAMPERS])
+def test_shared_report_matches_the_unshared_reference_on_tampered_copies(
+        name, tamper, broken, monkeypatch):
+    bundle = _load_ref(name)
+    pair = _shared_pair(bundle)
+    doc = json.loads(json.dumps(bundle_doc(tamper(bundle))))
+    shared, fast, slow = _shared_and_reference(doc, monkeypatch)
+    assert fast == slow
+    failed = {e.check for e in fast if not e.passed}
+    assert set(broken) <= failed
+    expect_shared = tamper is not _double_shared_corrected_row
+    assert (pair in shared.transitions._shared) == expect_shared
+
+
+def _corpus():
+    spec = importlib.util.spec_from_file_location(
+        "corpus", REFS.parent / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+def _argv(corpus, op):
+    def ref(name):
+        return str(REFS / f"{name}.json")
+    if op["op"] == "build":
+        inp = corpus.REFERENCES[op["ref"]][0]
+        return ["build", str(REFS.parent / "inputs" / f"{inp}.json"),
+                *op["args"]]
+    if op["op"] == "verify":
+        return ["verify", ref(op["ref"])]
+    return ["compare", *map(ref, op["ref"]), *op["args"]]
+
+
+def test_corrected_triple_defects_computed_per_workload_pass(monkeypatch):
+    """Counted over every corrected set of one pass of each benchmark
+    workload: a shared triple reads the raw defect and keeps none of its
+    own.  Without sharing the counts are 116, 44 and 3."""
+    corpus = _corpus()
+    made = []
+    init = TransitionSet.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(TransitionSet, "__init__", record)
+    computed = {}
+    for workload, ops in corpus.WORKLOADS.items():
+        made.clear()
+        for op in ops:
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                assert main(_argv(corpus, op)) == op["exit"]
+        computed[workload] = sum(
+            key[0] == "defect" for Zset in made
+            if Zset.status == "corrected" for key in Zset._derived)
+    assert computed["curved"] == 0
+    assert computed["linear"] <= 32
+    assert computed["ansatz"] == 3
+
+
+@pytest.mark.parametrize("change", ["cover", "twist", "rank", "pairs"])
+def test_transition_set_rejects_a_base_of_another_shape(change):
+    raw = _load_ref("line_p3_r4").raw
+    other = _load_ref("ci22_p3").raw
+    fields = {"rank": raw.rank, "status": "raw", "cover": raw.cover,
+              "lb": raw.lb, "pairs": raw.pairs, "Z": raw.Z,
+              "branch": raw.branch}
+    if change == "cover":
+        fields.update(cover=other.cover, lb=other.lb, pairs=other.pairs,
+                      Z=other.Z, branch=other.branch)
+    elif change == "twist":
+        fields["lb"] = LineBundleData(raw.cover.ambient, raw.lb.twist + 1)
+    elif change == "rank":
+        fields["rank"] = raw.rank + 1
+    else:
+        fields["pairs"] = raw.pairs[:-1]
+        fields["Z"] = {p: raw.Z[p] for p in raw.pairs[:-1]}
+    with pytest.raises(ValueError, match="same cover"):
+        TransitionSet(**fields, base=raw)
+    TransitionSet(**{**fields, "status": "corrected"})  # no base: accepted
+
+
+def test_same_form_is_structural_not_extensional():
+    """x1 / x1 kept unnormalized equals 1, but it is another form, so a
+    load would not share it."""
+    Z = _load_ref("line_p3_r4").raw.Z[(0, 1)]
+    ctx = Z.ctx
+    key = ctx.unit_keys()[0]
+    x = LocElem(ctx, ctx.unit_poly(key), {key: 1}, normalize=False)
+    edited = _edit_rows(Z, lambda rows: rows[0].__setitem__(0, x))
+    one = _edit_rows(Z, lambda rows: rows[0].__setitem__(
+        0, LocElem.one(ctx)))
+    assert edited == one and not cli._same_form(edited, one)
+    assert cli._same_form(one, _edit_rows(one, lambda rows: None))
