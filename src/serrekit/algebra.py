@@ -50,8 +50,6 @@ from operator import add, sub
 
 from .errors import PreconditionViolated
 
-Exps = tuple  # exponent vector, one entry per context variable
-
 
 def grevlex_key(exps):
     """Sort key realizing graded reverse lexicographic order (max = leading)."""
@@ -297,12 +295,10 @@ def divide(p, basis, leads, key):
     return Poly._of(n, rem), [Poly._of(n, t) for t in q]
 
 
-def _cancel_variable(p, pos, cap=None):
-    """(p / x^m, m) for the variable x at position pos and the largest m
-    (at most cap, if given) with x^m dividing the nonzero polynomial p."""
-    m = min(e[pos] for e in p.terms)
-    if cap is not None and cap < m:
-        m = cap
+def _cancel_variable(p, pos, cap):
+    """(p / x^m, m) for the variable x at position pos and the largest m at
+    most cap with x^m dividing the nonzero polynomial p."""
+    m = min(cap, *(e[pos] for e in p.terms))
     if not m:
         return p, 0
     return Poly._of(p.arity, {e[:pos] + (e[pos] - m,) + e[pos + 1:]: c

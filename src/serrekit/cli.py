@@ -158,12 +158,10 @@ def _cochain_load(cover, lb, degree, width, doc, where):
     return CechCochain(cover, lb, degree, width, data)
 
 
-def _same_form(A, B):
-    """Do A and B hold the same numerator and the same `den` dict in every
-    entry?  A structural test, not `LocElem.__eq__`, which is extensional
-    and would let a different representation through."""
-    return all(a.num == b.num and a.den == b.den
-               for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb))
+def _prints_alike(a, b):
+    """Do two JSON values print alike?  `==` alone takes 1, 1.0 and true
+    for one another; `json.dumps` tells them apart, and key order too."""
+    return a == b and json.dumps(a) == json.dumps(b)
 
 
 def load_bundle(doc):
@@ -171,11 +169,12 @@ def load_bundle(doc):
 
     Only schema shape is enforced here; the mathematical identities are the
     verify suite's job, so a hand-edited entry loads fine and then fails its
-    named check.  Both matrices of every overlap are parsed in full; where
-    the corrected one has the raw one's form (`_same_form`) the raw object
-    is stored for both, and the corrected set is built on the raw set, so
-    `verify` computes each value of a shared overlap or triple once
-    (`TransitionSet`).
+    named check.  An overlap's raw matrix is parsed; where its corrected
+    matrix prints alike (`_prints_alike`), it would parse to the same
+    numerators and `den` dicts, so the raw object is stored for both
+    unparsed.  Any other corrected matrix is parsed in full.  The corrected
+    set is built on the raw set, so `verify` computes each value of a shared
+    overlap or triple once (`TransitionSet`).
     """
     if need(doc, "schema", str, "") != _SCHEMA:
         raise ShapeViolation("document: unknown schema tag")
@@ -246,12 +245,11 @@ def load_bundle(doc):
             raise ShapeViolation(f"{where}: unknown branch {br!r}")
         branch[(i, j)] = br
         empty[(i, j)] = need(ov, "empty", bool, where)
-        Z_raw[(i, j)] = _mat_load(ctx, need(ov, "raw", list, where),
-                                  (r, r), where)
-        cor = _mat_load(ctx, need(ov, "corrected", list, where), (r, r),
-                        where)
-        Z_cor[(i, j)] = (Z_raw[(i, j)] if _same_form(Z_raw[(i, j)], cor)
-                         else cor)
+        raw_doc = need(ov, "raw", list, where)
+        Z_raw[(i, j)] = _mat_load(ctx, raw_doc, (r, r), where)
+        cor_doc = need(ov, "corrected", list, where)
+        Z_cor[(i, j)] = (Z_raw[(i, j)] if _prints_alike(raw_doc, cor_doc)
+                         else _mat_load(ctx, cor_doc, (r, r), where))
 
     sub = SubschemeData(cover, need(doc, "mode", str, ""), pairs, meets, empty)
     secs = SectionData(sections, t_map, tier_map, r)

@@ -324,9 +324,17 @@ def extend_off_Y(sub, secs, lb):
     is the Groebner lift: `buchberger` pushes the first generator f_j
     unreduced as basis[0], and `divide` takes the first basis element whose
     lead divides, so f_i lifts to (1, 0, ...) before the denominator shift.
-    Where the numerators of g_i and g_j agree, the bottom row is defined as
-    (0, g_i / g_j); no lemma makes it the Groebner lift, though it is on
-    every corpus overlap.  Every other row is a `lift_pair`.
+    Where the numerators of g_i and g_j agree, the bottom row (0, g_i / g_j)
+    is the Groebner lift too.  The overlap meets Y, so (f_j, g_j) is a
+    regular pair there and f_j's numerator F does not divide g_j's, G.
+    `buchberger` reduces each generator by the basis pushed so far before
+    it forms any S-pair, so G leaves a nonzero remainder G' = G - qF, pushed
+    right after F with cofactor row (-q, 1) up to scale.  Dividing G by the
+    final basis, F takes every term it took then, since it comes first; at
+    the first term it does not take, the lead of G', the element G' takes
+    it and leaves a multiple of F, which F takes to remainder 0.  The
+    quotients give q (1, 0) + (-q, 1) = (0, 1) before the denominator
+    shift.  Every other row is a `lift_pair`.
 
     No A_ji is built and the reversed check, s_j = (det A_ji / h_ji) s_i mod
     (f_j, g_j), is not run: it is implied.  (f_i, g_i) and (f_j, g_j)

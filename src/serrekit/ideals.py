@@ -22,7 +22,6 @@ identity is verified by exact re-multiplication before it escapes.
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
 from operator import sub
@@ -147,21 +146,15 @@ def _rabinowitsch(ctx):
     return u, Poly.const(n + 1, 1) - Poly.variable(n + 1, n) * lift_poly(u)
 
 
-def _sat_gb(ctx, nums, positional=True):
+def _sat_gb(ctx, nums):
     """Groebner data for the saturated ideal of `nums` in the context's
-    localized ring, kept in the context's memo, so it lives as long as the
-    cover that built the context.  Returns (gb, u_poly_or_None); when u is
-    present the gb lives in k[x, T] with generators nums' + [1 - T*u], T
-    last.
-
-    A basis is kept under its generators in order and, for the first one
-    built, under their multiset.  `positional=False` takes a basis built for
-    any permutation of `nums`: it spans the same ideal under the same order,
-    so the remainder of a division by it is the same normal form; only its
-    cofactor rows follow the other generator order.
+    localized ring, kept in the context's memo under `nums` in order, so it
+    lives as long as the cover that built the context.  Returns
+    (gb, u_poly_or_None); when u is present the gb lives in k[x, T] with
+    generators nums' + [1 - T*u], T last.
     """
-    bag = ("saturation", frozenset(Counter(nums).items()))
-    hit = ctx._memo.get(("saturation", nums) if positional else bag)
+    key = ("saturation", nums)
+    hit = ctx._memo.get(key)
     if hit is not None:
         return hit
     if not ctx.unit_keys():
@@ -170,8 +163,7 @@ def _sat_gb(ctx, nums, positional=True):
         u, rel = _rabinowitsch(ctx)
         gb = buchberger([lift_poly(g) for g in nums] + [rel], ctx.nvars + 1)
         out = (gb, u)
-    ctx._memo[("saturation", nums)] = out
-    ctx._memo.setdefault(bag, out)
+    ctx._memo[key] = out
     return out
 
 
@@ -225,10 +217,11 @@ def member_with_lift(p, gens):
 
 
 def in_ideal(p, gens):
-    """Is p in the localized ideal of gens?  Only the remainder is needed,
-    so any generator order's basis serves (see `_sat_gb`)."""
+    """Is p in the localized ideal of gens?  Only the remainder of a
+    division by the saturated basis (`_sat_gb`) is needed, so no cofactor
+    is carried back."""
     ctx = _check_ctxs([p] + list(gens))
-    gb, u = _sat_gb(ctx, tuple(g.num for g in gens), positional=False)
+    gb, u = _sat_gb(ctx, tuple(g.num for g in gens))
     num = lift_poly(p.num) if u is not None else p.num
     return divide(num, gb.basis, gb.leads, gb.key)[0].is_zero()
 
@@ -355,6 +348,6 @@ def regular_pair(f, g):
     Rabinowitsch relation, k[x, T]/J is k[x]_u/(f, g).
     """
     ctx = _check_ctxs([f, g])
-    gb, _ = _sat_gb(ctx, (f.num, g.num), positional=False)
+    gb, _ = _sat_gb(ctx, (f.num, g.num))
     dim = _dimension(gb)
     return dim < 0 or dim == ctx.nvars - 2

@@ -160,8 +160,9 @@ class TransitionSet:
     every sorted transition the value reads is the base's own object, since
     a value computed from the very same `MatrixL` objects is the same value;
     any other value is computed and kept here.  Where the correction is
-    zero `correct` and `cli.load_bundle` store the raw object itself, so
-    those values are computed once for both sets.
+    zero `correct` stores the raw object itself, and so does
+    `cli.load_bundle` where the corrected matrix prints like the raw one,
+    without parsing it; those values are computed once for both sets.
 
     Invariants, checked at construction (ValueError): Z is keyed by exactly
     `pairs`, each sorted i < j, and a base has the same cover, line bundle,
