@@ -40,6 +40,12 @@ its timer starts, so that no repetition reads the bases its contexts kept:
 - `ci23_p4.load`: `cover.load_subscheme` and `cover.load_sections` of the
   curved input `ci23_p4` (chart pairs, pivots and every overlap's A_ij).
 
+Loading a bundle document, read from JSON once before timing:
+
+- `line_p6.load_bundle`: `cli.load_bundle` of `line_p6`, which parses
+  the corrected matrix of its one overlap with a nonzero correction and
+  shares the raw one on the other 20.
+
 Prints one JSON line per case with the case name, its max degree (null
 for the matrix, check and load cases), the number of repetitions, the best
 and the median time in seconds and the outcome (`solved` or `Inconclusive`
@@ -163,6 +169,17 @@ def _load(name):
     return prepare
 
 
+def _load_bundle(name):
+    """`load_bundle` of the parsed `perfbench/refs/<name>.json` per
+    repetition."""
+    doc = _read_json(os.path.join(ROOT, "perfbench", "refs", f"{name}.json"))
+
+    def run():
+        load_bundle(doc)
+        return "loaded"
+    return lambda: run
+
+
 def cases():
     """(case name, max degree or None, prepare) for every case."""
     xi = serre.compare_bundles(_ref("two_points_unit"),
@@ -184,6 +201,7 @@ def cases():
         ("two_points_unit.gf5.obstruction", None,
          _on_fresh_load("two_points_unit.gf5", _obstruction)),
         ("ci23_p4.load", None, _load("ci23_p4")),
+        ("line_p6.load_bundle", None, _load_bundle("line_p6")),
     ]
 
 

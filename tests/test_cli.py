@@ -344,8 +344,9 @@ def test_verify_rejects_non_integer_value(tmp_path, capsys, edit):
 def test_verify_parses_a_corrected_matrix_equal_to_the_raw_one(
         tmp_path, capsys, value):
     """Overlap (0, 1) of two_points_p2_r3 has raw == corrected.  A load
-    shares such a matrix only after parsing both, so an exponent that only
-    compares equal to the raw one's 1 is still a parse error."""
+    shares a corrected matrix unparsed only where it prints like the raw
+    one, and 1.0 or true only compares equal to the raw one's 1, so the
+    matrix is parsed and its exponent is a parse error."""
     doc = json.loads((CORPUS / "refs" / "two_points_p2_r3.json").read_text(
         encoding="utf-8"))
     ov = doc["overlaps"]["0,1"]

@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import, function and class of the
-package and every non-dunder method of its classes is used, no module keeps
+"""Source hygiene: every module-level import, function, class and assigned
+name of the package and every non-dunder method of its classes is used, no module keeps
 state that its functions change, every function the benchmark traces still
 exists, the unchecked constructors stay inside the arithmetic kernel, and
 every coefficient division goes through `algebra.qdiv`."""
@@ -43,17 +43,19 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _unused_definitions():
-    """Module-level functions and classes of the package, and the non-dunder
-    methods of its classes, that no file of `src/` names, as an `ast.Name` or
-    an `ast.Attribute`."""
+    """Module-level functions, classes and assigned names of the package,
+    and the non-dunder methods of its classes, that no file of `src/` reads,
+    as an `ast.Name` or an `ast.Attribute` in `Load` context (an assignment
+    stores its own name, which is not a use)."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
                 used.add(node.attr)
     defs = []
     for path, tree in trees.items():
@@ -64,6 +66,12 @@ def _unused_definitions():
                 defs += [(f"{path.name}:{node.name}.{meth.name}", meth.name)
                          for meth in node.body if isinstance(meth, _DEFS)
                          and not meth.name.startswith("__")]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defs += [(f"{path.name}:{t.id}", t.id) for t in targets
+                         if isinstance(t, ast.Name)
+                         and not t.id.startswith("__")]
     return [label for label, name in defs if name not in used]
 
 

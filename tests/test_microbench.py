@@ -24,6 +24,7 @@ def test_microbench_prints_one_line_per_case(capsys):
         ("ci33_dense_p3.run_all", None, "passed"),
         ("line_p6.run_all", None, "passed"),
         ("two_points_unit.gf5.obstruction", None, "computed"),
-        ("ci23_p4.load", None, "loaded")]
+        ("ci23_p4.load", None, "loaded"),
+        ("line_p6.load_bundle", None, "loaded")]
     assert all(r["repeat"] == 1 and r["best_s"] == r["median_s"] > 0
                for r in rows)

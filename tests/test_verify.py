@@ -391,7 +391,7 @@ def _unshared(doc, monkeypatch):
     """`doc` loaded with every corrected matrix parsed on its own and the
     corrected set built with no base: nothing is shared with the raw set."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_same_form", lambda A, B: False)
+        m.setattr(cli, "_prints_alike", lambda a, b: False)
         bundle = load_bundle(doc)
     cor = bundle.transitions
     return bundle._replace(transitions=TransitionSet(
@@ -415,7 +415,8 @@ def _shared_and_reference(doc, monkeypatch):
 def _same_json(doc):
     """The sorted pairs whose raw and corrected matrices print alike."""
     return {tuple(map(int, key.split(","))) for key, ov
-            in doc["overlaps"].items() if ov["raw"] == ov["corrected"]}
+            in doc["overlaps"].items()
+            if json.dumps(ov["raw"]) == json.dumps(ov["corrected"])}
 
 
 @pytest.mark.parametrize("name", BUNDLE_REFS)
@@ -569,15 +570,52 @@ def test_transition_set_rejects_a_base_of_another_shape(change):
     TransitionSet(**{**fields, "status": "corrected"})  # no base: accepted
 
 
-def test_same_form_is_structural_not_extensional():
-    """x1 / x1 kept unnormalized equals 1, but it is another form, so a
-    load would not share it."""
-    Z = _load_ref("line_p3_r4").raw.Z[(0, 1)]
-    ctx = Z.ctx
-    key = ctx.unit_keys()[0]
-    x = LocElem(ctx, ctx.unit_poly(key), {key: 1}, normalize=False)
-    edited = _edit_rows(Z, lambda rows: rows[0].__setitem__(0, x))
-    one = _edit_rows(Z, lambda rows: rows[0].__setitem__(
-        0, LocElem.one(ctx)))
-    assert edited == one and not cli._same_form(edited, one)
-    assert cli._same_form(one, _edit_rows(one, lambda rows: None))
+def _keys_reversed(entry):
+    return dict(reversed(entry.items()))
+
+
+def _times_one(entry):
+    return {**entry, "num": f"1*({entry['num']})"}
+
+
+@pytest.mark.parametrize("rewrite", [_keys_reversed, _times_one],
+                         ids=["keys-reversed", "times-one"])
+def test_corrected_matrix_equal_in_value_but_not_in_text_is_parsed(
+        rewrite, monkeypatch):
+    """Entry (0, 0) of corrected Z_01 rewritten so that it denotes the raw
+    one's value but prints otherwise (keys reversed still compare `==`): the
+    load parses it and shares nothing on that overlap, and the report is the
+    no-sharing reference's."""
+    doc = json.loads((REFS / "ci22_p3.json").read_text("utf-8"))
+    ov = doc["overlaps"]["0,1"]
+    assert ov["raw"] == ov["corrected"]
+    ov["corrected"][0][0] = rewrite(ov["corrected"][0][0])
+    assert (ov["raw"] == ov["corrected"]) == (rewrite is _keys_reversed)
+    shared, fast, slow = _shared_and_reference(doc, monkeypatch)
+    assert fast == slow and all(e.passed for e in fast)
+    raw, cor = shared.raw, shared.transitions
+    assert (0, 1) not in cor._shared and cor._shared == _same_json(doc)
+    Z_raw, Z_cor = raw.Z[(0, 1)], cor.Z[(0, 1)]
+    assert Z_cor is not Z_raw and Z_cor == Z_raw
+
+
+def test_load_parses_a_corrected_matrix_only_where_it_prints_otherwise(
+        monkeypatch):
+    """Every chart's M and every raw matrix are parsed, and a corrected
+    matrix only where it does not print like the raw one: 242 matrices over
+    the 19 refs and 29 on `line_p6` (364 and 49 with every corrected matrix
+    parsed)."""
+    parsed = []
+    mat_load = cli._mat_load
+
+    def counted(*args):
+        parsed.append(1)
+        return mat_load(*args)
+    monkeypatch.setattr(cli, "_mat_load", counted)
+    assert len(BUNDLE_REFS) == 19
+    for name in BUNDLE_REFS:
+        _load_ref(name)
+    assert len(parsed) == 242
+    parsed.clear()
+    _load_ref("line_p6")
+    assert len(parsed) == 29
