@@ -19,14 +19,12 @@ constructors.
 
 Conventions
 -----------
-* A *context* records where an element lives: the ambient space, the set of
-  chart indices whose intersection we are working on, the *home* chart whose
-  affine coordinates are used for numerators, and the designated units that
-  may appear in denominators.
-* On the projective chart ``home = h`` of P^n the variables are the
-  dehomogenized coordinates ``x_k`` for ``k != h`` (meaning ``x_k / x_h``).
-  On affine n-space the variables are ``x_1 .. x_n`` and there is a single
-  chart, index 0.
+* A *context* records where an element lives: the dimension n of P^n, the
+  set of chart indices whose intersection we are working on, the *home*
+  chart whose coordinates are used for numerators, and the designated units
+  that may appear in denominators.
+* On the chart ``home = h`` of P^n the variables are the dehomogenized
+  coordinates ``x_k`` for ``k != h`` (meaning ``x_k / x_h``).
 * Designated units carry string keys: ``"c<k>"`` is the coordinate unit
   ``x_k / x_home`` (available when chart ``k`` belongs to the context) and
   ``"s<c>"`` is the registered section unit of chart ``c``.
@@ -553,29 +551,24 @@ def is_homogeneous(form):
 # -- contexts ----------------------------------------------------------------
 
 # A registered section unit: the chart it belongs to, its homogeneous
-# representative (projective: a form in n+1 variables; affine: the chart
-# polynomial itself) and that form's degree.
+# representative (a form in n+1 variables) and that form's degree.
 SUnit = namedtuple("SUnit", "chart form degree")
 
 
 class Context:
-    def __init__(self, kind, dim, home, indices, sunits=()):
-        if kind not in ("projective", "affine"):
-            raise ValueError(f"unknown ambient kind {kind!r}")
+    def __init__(self, dim, home, indices, sunits=()):
         if tuple(sorted(indices)) != indices:
             raise ValueError("context indices must be sorted")
         if home not in indices:
             raise ValueError("home chart must belong to the context")
-        self.kind = kind            # "projective" | "affine"
         self.dim = dim
         self.home = home
         self.indices = indices      # sorted chart indices of the overlap
         self.sunits = sunits        # SUnit, sorted by chart
         # axes and the saturated bases of `ideals._sat_gb` in `_memo`, unit
         # polynomials in `_units`, each computed once; they stay out of ==
-        # and hash (nothing changes the five fields above)
-        self._memo = {"axes": tuple(range(1, dim + 1)) if kind == "affine"
-                      else tuple(k for k in range(dim + 1) if k != home)}
+        # and hash (nothing changes the four fields above)
+        self._memo = {"axes": tuple(k for k in range(dim + 1) if k != home)}
         self._units = {}
 
     def __eq__(self, other):
@@ -585,13 +578,11 @@ class Context:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.kind, self.dim, self.home, self.indices, self.sunits)
-                == (other.kind, other.dim, other.home, other.indices,
-                    other.sunits))
+        return ((self.dim, self.home, self.indices, self.sunits)
+                == (other.dim, other.home, other.indices, other.sunits))
 
     def __hash__(self):
-        return hash((self.kind, self.dim, self.home, self.indices,
-                     self.sunits))
+        return hash((self.dim, self.home, self.indices, self.sunits))
 
     @property
     def nvars(self):
@@ -616,16 +607,14 @@ class Context:
         anything but one of `unit_keys()`."""
         u = self._units.get(key)
         if u is None:
-            u = self._units[key] = self._unit_poly(key)
+            if key not in self.unit_keys():
+                raise KeyError(key)
+            k = int(key[1:])
+            u = self._units[key] = (
+                Poly.variable(self.nvars, self.axes().index(k))
+                if key[0] == "c" else dehomogenize(self.sunit(k).form,
+                                                   self.home))
         return u
-
-    def _unit_poly(self, key):
-        if key not in self.unit_keys():
-            raise KeyError(key)
-        if key[0] == "c":
-            return Poly.variable(self.nvars, self.axes().index(int(key[1:])))
-        form = self.sunit(int(key[1:])).form
-        return form if self.kind == "affine" else dehomogenize(form, self.home)
 
     def sunit(self, chart):
         for u in self.sunits:
@@ -872,8 +861,8 @@ def _homogeneous_view(e):
 
 
 def chart_monomial(alpha, ctx, num=None):
-    """(num · x^alpha, den) on a projective context's home chart, num = 1 if
-    None: each negative entry of the degree-0 vector alpha becomes a
+    """(num · x^alpha, den) on a context's home chart, num = 1 if None:
+    each negative entry of the degree-0 vector alpha becomes a
     coordinate-unit denominator, PreconditionViolated outside the context."""
     exps = [0] * ctx.nvars
     den = {}
@@ -905,7 +894,7 @@ def transport(e, dst):
     src = e.ctx
     if src == dst:
         return e
-    if (src.kind, src.dim) != (dst.kind, dst.dim):
+    if src.dim != dst.dim:
         raise PreconditionViolated("transport between different ambients")
     if not set(src.indices) <= set(dst.indices):
         raise PreconditionViolated(
@@ -927,11 +916,9 @@ def to_laurent(e):
 
     Only defined in the monomial regime: every section unit appearing in the
     denominator must have a single-term homogeneous form.  Coordinate units
-    are always monomial.  Affine contexts are not supported here.
+    are always monomial.
     """
     ctx = e.ctx
-    if ctx.kind != "projective":
-        return None
     form, gamma, m = _homogeneous_view(e)
     scale = 1
     for c, a in m.items():

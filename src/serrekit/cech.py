@@ -417,15 +417,11 @@ def cohomology_dim(ambient, twist, degree):
     """dim H^degree(P^n, O(twist)) by the classical Laurent-monomial count
     over the standard cover: H^0 counts monomials with all exponents >= 0,
     H^n those with all exponents <= -1, nothing in between."""
-    if ambient.kind != "projective":
-        raise ShapeViolation("cohomology dimensions are for projective space")
     n = ambient.dim
-    m = int(twist)
-    q = int(degree)
-    if q < 0 or q > n:
+    if degree < 0 or degree > n:
         return 0
-    if q == 0:
-        return comb(m + n, n) if m >= 0 else 0
-    if q == n:
-        return comb(-m - 1, n) if -m - 1 >= n else 0
+    if degree == 0:
+        return comb(twist + n, n) if twist >= 0 else 0
+    if degree == n:
+        return comb(-twist - 1, n) if -twist - 1 >= n else 0
     return 0

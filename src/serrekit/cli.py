@@ -95,7 +95,7 @@ def bundle_doc(bundle):
     meta["tiers"] = {str(k): v for k, v in bundle.meta["tiers"].items()}
     return {
         "schema": _SCHEMA,
-        "ambient": {"kind": bundle.ambient.kind, "dim": bundle.ambient.dim},
+        "ambient": {"kind": "projective", "dim": bundle.ambient.dim},
         "line_bundle": {"twist": bundle.lb.twist},
         "rank": bundle.rank,
         "mode": bundle.sub.mode,
@@ -189,14 +189,13 @@ def load_bundle(doc):
         form = poly_field(need(u, "form", str, "units"), bare.hom_names(),
                           "units")
         degree = need(u, "degree", int, "units")
-        # what `cover.section_unit` builds: a nonzero form of the stated
-        # degree, homogeneous on projective space
-        projective = ambient.kind == "projective"
+        # what `cover.section_unit` builds: a nonzero homogeneous form of
+        # the stated degree
         if (form.is_zero() or form.total_degree() != degree
-                or projective and not is_homogeneous(form)):
+                or not is_homogeneous(form)):
             raise ShapeViolation(
-                f"units: chart {chart} needs a nonzero "
-                f"{'homogeneous ' if projective else ''}form of degree {degree}")
+                f"units: chart {chart} needs a nonzero homogeneous form of "
+                f"degree {degree}")
         units.append(SUnit(chart, form, degree))
     cover = Cover(ambient, units)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
@@ -449,16 +448,14 @@ def _too_long(what):
 
 
 def cmd_cohomology(args):
-    spec = args.ambient.strip()
-    if spec[:1].upper() != "P" or not (spec[1:].isascii()
-                                       and spec[1:].isdigit()):
+    spec = args.ambient
+    if spec[:1] != "P" or not (spec[1:].isascii() and spec[1:].isdigit()):
         raise ShapeViolation("ambient must be P<n> (projective space)")
     try:
         dim = int(spec[1:])
     except ValueError as exc:
         raise _too_long("cohomology: --ambient") from exc
-    answer = cohomology_dim(AmbientSpec("projective", dim), args.twist,
-                            args.degree)
+    answer = cohomology_dim(AmbientSpec(dim), args.twist, args.degree)
     try:
         text = str(answer)
     except ValueError as exc:

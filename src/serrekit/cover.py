@@ -1,14 +1,14 @@
-"""Standard affine cover, line bundles on it, and input-data loading.
+"""The standard cover of P^n, line bundles on it, and input-data loading.
 
-The cover of P^n is U_0 .. U_n (U_k = {x_k != 0}); affine n-space is a single
-chart.  A codimension-two subscheme arrives either as one global complete
-intersection (two homogeneous forms) or as per-chart pairs; charts the
-subscheme misses are completed with the canonical pair (1, 0).  Sections are
-(r-1)-tuples per chart; loading selects each chart's pivot component t_i,
-fixes a section unit where the pivot is not already invertible (a cover's
-units are set when it is built, so loading ends on a new cover carrying
-them), builds one 2x2 matrix A_ij per sorted overlap i < j, and validates
-the overlap compatibility of the sections there.
+The cover of P^n is U_0 .. U_n (U_k = {x_k != 0}).  A codimension-two
+subscheme arrives either as one global complete intersection (two
+homogeneous forms) or as per-chart pairs; charts the subscheme misses are
+completed with the canonical pair (1, 0).  Sections are (r-1)-tuples per
+chart; loading selects each chart's pivot component t_i, fixes a section
+unit where the pivot is not already invertible (a cover's units are set
+when it is built, so loading ends on a new cover carrying them), builds one
+2x2 matrix A_ij per sorted overlap i < j, and validates the overlap
+compatibility of the sections there.
 
 The field readers `need`, `chart_key`, `chart_table` and `poly_field` are
 the one place where the input and bundle documents are read: a field has
@@ -23,8 +23,8 @@ from collections import namedtuple
 from itertools import combinations
 
 from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, at_zero,
-                      chart_monomial, dehomogenize, den_ratio, homogenize,
-                      is_homogeneous, parse_poly, transport)
+                      chart_monomial, default_names, dehomogenize, den_ratio,
+                      homogenize, is_homogeneous, parse_poly, transport)
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
 from .ideals import (ideal_equal, in_ideal, is_unit_ideal, lift_pair,
@@ -92,27 +92,28 @@ def poly_field(text, names, where):
 MAX_DIM = 16
 
 
-class AmbientSpec(namedtuple("AmbientSpec", "kind dim")):
-    """An ambient space, its dimension between 1 and MAX_DIM."""
+class AmbientSpec(namedtuple("AmbientSpec", "dim")):
+    """Projective space P^dim, its dimension between 1 and MAX_DIM."""
     __slots__ = ()
 
-    def __new__(cls, kind, dim):
-        if kind not in ("projective", "affine"):
-            raise ShapeViolation(f"unknown ambient kind {kind!r}")
+    def __new__(cls, dim):
         if dim < 1:
             raise ShapeViolation("ambient dimension must be >= 1")
         if dim > MAX_DIM:
             raise ShapeViolation(
                 f"ambient dimension must be at most {MAX_DIM}")
-        return super().__new__(cls, kind, dim)
+        return super().__new__(cls, dim)
 
 
 def read_ambient(doc):
     """The `ambient` table of an input or bundle document, read before any
-    cover is built."""
+    cover is built: the kind must be "projective"."""
     amb = need(doc, "ambient", dict, "")
-    return AmbientSpec(need(amb, "kind", str, "ambient"),
-                       need(amb, "dim", int, "ambient"))
+    kind = need(amb, "kind", str, "ambient")
+    dim = need(amb, "dim", int, "ambient")
+    if kind != "projective":
+        raise ShapeViolation(f"unknown ambient kind {kind!r}")
+    return AmbientSpec(dim)
 
 
 class Cover:
@@ -126,10 +127,7 @@ class Cover:
 
     def __init__(self, ambient, sunits=()):
         self.ambient = ambient
-        if ambient.kind == "projective":
-            self.charts = tuple(range(ambient.dim + 1))
-        else:
-            self.charts = (0,)
+        self.charts = tuple(range(ambient.dim + 1))
         by_chart = {}
         for unit in sunits:
             if by_chart.setdefault(unit.chart, unit) != unit:
@@ -147,40 +145,31 @@ class Cover:
         ctx = self._ctxs.get(indices)
         if ctx is None:
             ctx = self._ctxs[indices] = Context(
-                self.ambient.kind, self.ambient.dim, indices[0], indices,
-                self.sunits)
+                self.ambient.dim, indices[0], indices, self.sunits)
         return ctx
 
     def chart_ctx(self, i):
         return self.ctx((i,))
 
     def hom_names(self):
-        if self.ambient.kind == "affine":
-            return tuple(f"x{i}" for i in range(1, self.ambient.dim + 1))
-        return tuple(f"x{i}" for i in range(self.ambient.dim + 1))
+        return default_names(self.ambient.dim + 1)
 
 
 def section_unit(ambient, chart, chart_poly):
     """The section unit that makes a chart polynomial invertible on its
     (shrunk) chart."""
-    if ambient.kind == "projective":
-        form, deg = homogenize(chart_poly, chart, ambient.dim)
-    else:
-        form, deg = chart_poly, max(chart_poly.total_degree(), 0)
-    return SUnit(chart, form, deg)
+    return SUnit(chart, *homogenize(chart_poly, chart, ambient.dim))
 
 
 class LineBundleData:
     """O(twist) with transition h_ij = (x_j / x_i)^twist on chart overlaps."""
 
     def __init__(self, ambient, twist):
-        if ambient.kind == "affine" and twist != 0:
-            raise ShapeViolation("affine ambient admits only the trivial twist")
         self.ambient = ambient
         self.twist = twist
 
     def h(self, i, j, ctx):
-        if self.ambient.kind == "affine" or i == j or self.twist == 0:
+        if i == j or self.twist == 0:
             return LocElem.one(ctx)
         if i not in ctx.indices or j not in ctx.indices:
             raise PreconditionViolated(
@@ -223,8 +212,6 @@ def load_subscheme(cover, doc):
     mode = need(doc, "mode", str, "subscheme")
     declared = {}
     if mode == "global_ci":
-        if cover.ambient.kind != "projective":
-            raise ShapeViolation("global_ci mode needs a projective ambient")
         F, G = (poly_field(need(doc, tag, str, "subscheme"), cover.hom_names(),
                            f"subscheme {tag}") for tag in ("F", "G"))
         for form, tag in ((F, "F"), (G, "G")):
@@ -429,8 +416,6 @@ def load_sections(cover, lb, sub, doc, rank):
     it.  `extend_off_Y` then builds the overlap matrices and checks the
     sections' compatibility on them.
     """
-    if rank < 2:
-        raise ShapeViolation("rank must be at least 2")
     if doc is None:
         doc = {}
     if isinstance(doc, list):
@@ -492,20 +477,17 @@ def load_sections(cover, lb, sub, doc, rank):
     # x_i != 0, and each such chart has a unit vanishing there.  For the
     # largest such i, the check of chart i sees the point: the charts before
     # it hold their final units by then, and x_j = 0 there for every later
-    # j.  So one pass in increasing chart order suffices.  An affine build
-    # has one chart and lives on its unit's open set by design.  The check
-    # runs on the unit-free contexts, which the unit cover below replaces.
-    if cover.ambient.kind == "projective":
-        for i in sorted(units):
-            while not _covers_chart(cover, units, i):
-                t, _, to_register = next(tries[i], (None, None, None))
-                if t is None:
-                    raise PreconditionViolated(
-                        f"chart {i}: every pivot candidate leaves a point of "
-                        "the chart outside all shrunk charts",
-                        stage="load_sections")
-                units[i] = section_unit(cover.ambient, i, to_register)
-                t_map[i] = t
+    # j.  So one pass in increasing chart order suffices.  The check runs
+    # on the unit-free contexts, which the unit cover below replaces.
+    for i in sorted(units):
+        while not _covers_chart(cover, units, i):
+            t, _, to_register = next(tries[i], (None, None, None))
+            if t is None:
+                raise PreconditionViolated(
+                    f"chart {i}: every pivot candidate leaves a point of the "
+                    "chart outside all shrunk charts", stage="load_sections")
+            units[i] = section_unit(cover.ambient, i, to_register)
+            t_map[i] = t
 
     # The pivots above were chosen without section units; a chart context
     # exposes only its own chart's unit, so no chart's choice depends on the

@@ -578,11 +578,11 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
 def build_bundle(doc, lift_order=None, max_degree=None):
     """Run the whole pipeline on a parsed input document.
 
-    Document fields: ambient {kind, dim}, line_bundle {twist}, rank,
-    subscheme {mode, ...}, sections, options {lift_order, max_degree}; the
-    arguments, when given, override the options.  Returns a BundleResult
-    carrying the raw and corrected transition sets, the obstruction data,
-    and the verification report.
+    Document fields: ambient {kind: "projective", dim}, line_bundle
+    {twist}, rank, subscheme {mode, ...}, sections, options {lift_order,
+    max_degree}; the arguments, when given, override the options.  Returns
+    a BundleResult carrying the raw and corrected transition sets, the
+    obstruction data, and the verification report.
     """
     ambient = read_ambient(doc)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
@@ -613,11 +613,8 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     obs = obstruction(raw, frames)
     corrected, xi = correct(raw, obs, frames, max_degree=max_degree)
 
-    if ambient.kind == "projective":
-        h1 = (rank - 1) * cohomology_dim(ambient, -twist, 1)
-        h2 = (rank - 1) * cohomology_dim(ambient, -twist, 2)
-    else:
-        h1 = h2 = 0
+    h1 = (rank - 1) * cohomology_dim(ambient, -twist, 1)
+    h2 = (rank - 1) * cohomology_dim(ambient, -twist, 2)
     meta = {
         "pivots": dict(secs.t),
         "tiers": dict(secs.tier),

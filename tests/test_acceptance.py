@@ -299,7 +299,7 @@ def test_criterion_5():
                 by_pattern[pattern] = _monomial_cohomology(n, pattern)
             for q, d in enumerate(by_pattern[pattern]):
                 counts[(m, q)] += d
-        ambient = AmbientSpec("projective", n)
+        ambient = AmbientSpec(n)
         for m in range(-6, 7):
             for q in range(n + 2):
                 assert cohomology_dim(ambient, m, q) == counts[(m, q)], \
@@ -310,7 +310,7 @@ def test_criterion_5():
 def test_criterion_6(tmp_path, capsys):
     # the inverse-cube class: only candidate multidegree for the plane's
     # twist -3 top cohomology
-    ambient = AmbientSpec("projective", 2)
+    ambient = AmbientSpec(2)
     cover = Cover(ambient)
     lb = LineBundleData(ambient, 3)
     ctx = cover.ctx((0, 1, 2))
@@ -369,7 +369,7 @@ def test_criterion_7():
         assert _tprime_reference(fr).matvec(fr.apply(u, ctx,
                                                      inverse=True)) == u
 
-    ambient = AmbientSpec("projective", 2)
+    ambient = AmbientSpec(2)
     cover = Cover(ambient)
     lb = LineBundleData(ambient, 2)
     for degree in (0, 1):

@@ -30,7 +30,7 @@ def _poly(ctx, text):
 
 def _ctx(indices, home=None, dim=3, sunits=()):
     indices = tuple(sorted(indices))
-    return Context("projective", dim, min(indices) if home is None else home,
+    return Context(dim, min(indices) if home is None else home,
                    indices, tuple(sunits))
 
 
@@ -228,19 +228,18 @@ def test_poly_power_squares_and_multiplies(monkeypatch, n):
 
 
 def test_context_equality_and_hash_follow_the_fields():
-    a = Context("projective", 2, 0, (0, 1))
-    b = Context("projective", 2, 0, (0, 1))
+    a = Context(2, 0, (0, 1))
+    b = Context(2, 0, (0, 1))
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert a == a and {a: 1}[b] == 1
-    for other in (Context("projective", 2, 1, (0, 1)),
-                  Context("projective", 3, 0, (0, 1)),
-                  Context("affine", 2, 0, (0, 1)),
-                  Context("projective", 2, 0, (0, 1, 2)),
-                  Context("projective", 2, 0, (0, 1),
+    for other in (Context(2, 1, (0, 1)),
+                  Context(3, 0, (0, 1)),
+                  Context(2, 0, (0, 1, 2)),
+                  Context(2, 0, (0, 1),
                           (SUnit(1, parse_poly("x1", ("x0", "x1", "x2")),
                                  1),))):
         assert a != other and not a == other
-    assert a != (("projective", 2, 0, (0, 1), ()))
+    assert a != ((2, 0, (0, 1), ()))
     assert (a == "projective") is False
 
 
@@ -358,7 +357,7 @@ def test_unit_decomposition_section_unit_first():
     # factors are eaten by coordinate units: x1 first would leave
     # (x1 + 1) / s1 instead of 1 / c1.
     s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))  # x1*(x1+x0)
-    ctx = Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))
+    ctx = Context(2, 0, (0, 1), (SUnit(1, s_form, 2),))
     e = LocElem(ctx, ctx.unit_poly("s1"), {"c1": 1, "s1": 1})
     assert e.num == Poly.const(2, 1) and e.den == {"c1": 1}
 
@@ -390,7 +389,7 @@ def test_unit_poly_answers_only_unit_keys():
     # The memo entries beside the units ("axes", a saturated basis) and a
     # non-canonical spelling of a unit key are no units of the context.
     s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
-    ctx = Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))
+    ctx = Context(2, 0, (0, 1), (SUnit(1, s_form, 2),))
     x1 = _poly(ctx, "x1")
     assert in_ideal(LocElem(ctx, x1), [LocElem(ctx, x1)])  # fills the memo
     assert ctx.unit_keys() == ("c1", "s1")
@@ -464,7 +463,7 @@ def _unit_ctx():
     """P^2 on charts (0, 1, 2), home 0, with a non-monomial section unit on
     chart 1 (x1 (x1 + x0)) and a monomial one on chart 2 (x2)."""
     hom = ("x0", "x1", "x2")
-    return Context("projective", 2, 0, (0, 1, 2), (
+    return Context(2, 0, (0, 1, 2), (
         SUnit(1, parse_poly("x1^2 + x0*x1", hom), 2),
         SUnit(2, parse_poly("x2", hom), 1)))
 
@@ -605,7 +604,7 @@ def test_transport_example_coordinate_flip():
     # On U_0 cap U_1 of P^1: 1/(x1/x0) seen from chart 1 is the polynomial
     # x0/x1.
     c01_home0 = _ctx((0, 1), dim=1)
-    c01_home1 = Context("projective", 1, 1, (0, 1))
+    c01_home1 = Context(1, 1, (0, 1))
     e = LocElem(c01_home0, Poly.const(1, 1), {"c1": 1})  # (x1/x0)^-1
     t = transport(e, c01_home1)
     assert t == LocElem(c01_home1, _poly(c01_home1, "x0"), {})
@@ -654,8 +653,8 @@ def test_transport_section_unit():
     # Section unit of chart 1 (form x0^2 + x1^2), moved from home 0 to home 1.
     form = parse_poly("x0^2 + x1^2", ("x0", "x1", "x2"))
     su = SUnit(1, form, 2)
-    a = Context("projective", 2, 0, (0, 1), (su,))
-    b = Context("projective", 2, 1, (0, 1), (su,))
+    a = Context(2, 0, (0, 1), (su,))
+    b = Context(2, 1, (0, 1), (su,))
     e = LocElem(a, _poly(a, "x1"), {"s1": 1})  # x1 / (S/x0^2) on chart 0
     t = transport(e, b)
     pt = (3, 4, 5)
@@ -680,11 +679,11 @@ def test_laurent_roundtrip():
 
 def test_laurent_requires_monomial_sunits():
     form = parse_poly("x0^2 + x1^2", ("x0", "x1", "x2"))
-    ctx = Context("projective", 2, 0, (0, 1), (SUnit(1, form, 2),))
+    ctx = Context(2, 0, (0, 1), (SUnit(1, form, 2),))
     e = LocElem(ctx, Poly.const(2, 1), {"s1": 1})
     assert to_laurent(e) is None
     mono = SUnit(1, parse_poly("x1^2", ("x0", "x1", "x2")), 2)
-    ctx2 = Context("projective", 2, 0, (0, 1), (mono,))
+    ctx2 = Context(2, 0, (0, 1), (mono,))
     e2 = LocElem(ctx2, _poly(ctx2, "x2"), {"s1": 1})
     # (x2/x0) / (x1^2/x0^2) = x0*x2/x1^2
     lau = to_laurent(e2)
@@ -704,12 +703,10 @@ def _transport_reference(e, dst):
     src = e.ctx
     if src == dst:
         return e
-    if (src.kind, src.dim) != (dst.kind, dst.dim):
+    if src.dim != dst.dim:
         raise PreconditionViolated("transport between different ambients")
     if not set(src.indices) <= set(dst.indices):
         raise PreconditionViolated("target does not refine the source")
-    if src.kind == "affine":
-        return LocElem(dst, e.num, dict(e.den))
     n = src.dim
     h, h2 = src.home, dst.home
     form, deg = homogenize(e.num, h, n)
@@ -745,8 +742,6 @@ def _transport_reference(e, dst):
 
 def _to_laurent_reference(e):
     ctx = e.ctx
-    if ctx.kind != "projective":
-        return None
     n = ctx.dim
     form, deg = homogenize(e.num, ctx.home, n)
     gamma = [0] * (n + 1)
@@ -799,7 +794,7 @@ def _from_laurent_reference(laurent, ctx):
 
 
 def _h_reference(twist, i, j, ctx):
-    if ctx.kind == "affine" or i == j or twist == 0:
+    if i == j or twist == 0:
         return LocElem.one(ctx)
     delta = [0] * (ctx.dim + 1)
     delta[j] += twist
@@ -876,11 +871,11 @@ def test_transport_matches_reference():
                 with pytest.raises(PreconditionViolated):
                     transport(got, src)
     assert min(moved.values()) > 25
-    # affine: one chart, so transport only moves an element onto a context
-    # with more section units
-    aff = SUnit(0, parse_poly("x1*x2 + 1", ("x1", "x2")), 2)
-    bare = Context("affine", 2, 0, (0,))
-    unit = Context("affine", 2, 0, (0,), (aff,))
+    # one chart: transport only moves an element onto a context with more
+    # section units
+    su = SUnit(0, parse_poly("x1*x2 + x0^2", ("x0", "x1", "x2")), 2)
+    bare = Context(2, 0, (0,))
+    unit = Context(2, 0, (0,), (su,))
     for _ in range(50):
         for src, dst in ((bare, unit), (unit, unit)):
             e = _rand_elem(rng, src)
@@ -906,7 +901,6 @@ def test_laurent_views_match_reference():
                 assert _same(from_laurent(lau, back),
                              _from_laurent_reference(lau, back))
     assert laurent > 150
-    assert to_laurent(LocElem.one(Context("affine", 2, 0, (0,)))) is None
 
 
 def test_from_laurent_errors_match_reference():
@@ -921,7 +915,7 @@ def test_from_laurent_errors_match_reference():
 
 def test_line_bundle_h_matches_reference():
     for dim in (2, 3):
-        lbs = [LineBundleData(AmbientSpec("projective", dim), d)
+        lbs = [LineBundleData(AmbientSpec(dim), d)
                for d in range(-3, 4)]
         for idx in itertools.chain.from_iterable(
                 itertools.combinations(range(dim + 1), r)
@@ -932,9 +926,6 @@ def test_line_bundle_h_matches_reference():
                     for i, j in itertools.product(idx, repeat=2):
                         assert _same(lb.h(i, j, ctx),
                                      _h_reference(lb.twist, i, j, ctx))
-    aff = Context("affine", 2, 0, (0,))
-    lb = LineBundleData(AmbientSpec("affine", 2), 0)
-    assert _same(lb.h(0, 0, aff), _h_reference(0, 0, 0, aff))
 
 
 def test_times_units_matches_reference():

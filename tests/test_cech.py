@@ -23,7 +23,7 @@ def _poly(ctx, text):
 
 
 def P(n):
-    return AmbientSpec("projective", n)
+    return AmbientSpec(n)
 
 
 def elem(cover, key, text, den=None):
@@ -103,11 +103,6 @@ def test_cohomology_dim_spot_values():
     assert cohomology_dim(P(2), -1, 1) == 0
     assert cohomology_dim(P(1), -1, 0) == 0
     assert cohomology_dim(P(2), 5, 3) == 0
-
-
-def test_cohomology_dim_rejects_affine():
-    with pytest.raises(ShapeViolation):
-        cohomology_dim(AmbientSpec("affine", 2), 0, 0)
 
 
 def test_differential_degree_zero_untwisted():

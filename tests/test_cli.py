@@ -503,8 +503,8 @@ def test_rejects_duplicate_key(tmp_path, capsys, edit):
 
 
 # Each edit gives a bundle document a section unit that `cover.section_unit`
-# cannot build (projective: a nonzero homogeneous form of the stated degree on
-# a chart of the cover; affine: a nonzero polynomial of that total degree).
+# cannot build (a nonzero homogeneous form of the stated degree on a chart of
+# the cover).
 UNIT_EDITS = {
     "degree 2": lambda u: u["0"].update(degree=2),
     "degree 0": lambda u: u["0"].update(degree=0),
@@ -514,7 +514,20 @@ UNIT_EDITS = {
     "chart 7": lambda u: u.update({"7": {"form": "x0", "degree": 1}}),
 }
 
-# Affine A^3; the section 1 + x1 registers the unit x1 + 1 on chart 0.
+@pytest.mark.parametrize("edit", sorted(UNIT_EDITS))
+def test_verify_rejects_unbuildable_section_unit(tmp_path, capsys, edit):
+    doc = json.loads((CORPUS / "refs" / "two_points_unit.json").read_text(
+        encoding="utf-8"))
+    UNIT_EDITS[edit](doc["units"])
+    code, out, err = run_cli(capsys, "verify",
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error[parse]: units: ")
+
+
+# An input on affine 3-space, whose section 1 + x1 would make x1 + 1 a unit
+# of the one chart.  Affine space has no cover to glue across, so serrekit
+# reads projective space only.
 AFFINE_UNIT = {
     "ambient": {"kind": "affine", "dim": 3},
     "line_bundle": {"twist": 0},
@@ -523,42 +536,24 @@ AFFINE_UNIT = {
     "sections": {"0": ["1 + x1"]},
 }
 
-AFFINE_UNIT_EDITS = {
-    "affine degree 2": lambda u: u["0"].update(degree=2),
-    "affine zero form": lambda u: u["0"].update(form="0"),
-    "affine chart 1": lambda u: u.update({"1": {"form": "x1", "degree": 1}}),
-}
 
-
-def _affine_unit_doc(tmp_path, capsys):
-    out = str(tmp_path / "affine.json")
-    assert run_cli(capsys, "build", write_doc(tmp_path, AFFINE_UNIT),
-                   "-o", out)[0] == 0
-    doc = json.loads(Path(out).read_text(encoding="utf-8"))
-    assert doc["units"] == {"0": {"degree": 1, "form": "x1 + 1"}}
-    return doc
-
-
-@pytest.mark.parametrize("edit",
-                         sorted(UNIT_EDITS) + sorted(AFFINE_UNIT_EDITS))
-def test_verify_rejects_unbuildable_section_unit(tmp_path, capsys, edit):
-    if edit in UNIT_EDITS:
-        doc = json.loads((CORPUS / "refs" / "two_points_unit.json").read_text(
-            encoding="utf-8"))
-        UNIT_EDITS[edit](doc["units"])
+@pytest.mark.parametrize("kind", ["affine", "Projective", ""])
+@pytest.mark.parametrize("command", ["build", "verify", "compare"])
+def test_only_projective_ambient_is_read(tmp_path, capsys, command, kind):
+    """Any ambient kind but "projective" ends in one parse error, in build
+    and in both documents that verify and compare read."""
+    ref = str(CORPUS / "refs" / "point_p2.json")
+    if command == "build":
+        doc = dict(AFFINE_UNIT, ambient={"kind": kind, "dim": 3})
     else:
-        doc = _affine_unit_doc(tmp_path, capsys)
-        AFFINE_UNIT_EDITS[edit](doc["units"])
-    code, out, err = run_cli(capsys, "verify",
-                             write_doc(tmp_path, doc, "edited.json"))
-    assert code == 1 and out == ""
-    assert err.startswith("error[parse]: units: ")
-
-
-def test_verify_accepts_non_homogeneous_affine_unit(tmp_path, capsys):
-    doc = _affine_unit_doc(tmp_path, capsys)
-    code, _, _ = run_cli(capsys, "verify", write_doc(tmp_path, doc, "a.json"))
-    assert code == 0
+        doc = json.loads(Path(ref).read_text(encoding="utf-8"))
+        doc["ambient"]["kind"] = kind
+    edited = write_doc(tmp_path, doc)
+    argv = {"build": [edited], "verify": [edited],
+            "compare": [ref, edited]}[command]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error[parse]: unknown ambient kind {kind!r}\n"
 
 
 def test_verify_truncated_file(tmp_path, capsys):
@@ -684,9 +679,12 @@ def test_cohomology_rejects_affine(capsys):
     assert code == 1 and "error[parse]" in err
 
 
-@pytest.mark.parametrize("spec", ["P\u00b2", "P\u0662"],
-                         ids=["superscript", "arabic-indic"])
+@pytest.mark.parametrize("spec", ["P\u00b2", "P\u0662", "p3", " P3", "P3 "],
+                         ids=["superscript", "arabic-indic", "lower-case",
+                              "leading-space", "trailing-space"])
 def test_cohomology_accepts_ascii_digits_only(capsys, spec):
+    """--ambient is read as written: an upper-case P and ASCII digits, with
+    no case folding and no stripped spaces."""
     code, out, err = run_cli(capsys, "cohomology", "--ambient", spec,
                              "--twist", "0", "--degree", "0")
     assert (code, out) == (1, "")

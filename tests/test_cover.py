@@ -14,7 +14,7 @@ from serrekit.algebra import LocElem, MatrixL, parse_poly, transport
 from serrekit.cli import bundle_doc
 from serrekit.cover import (AmbientSpec, Cover, LineBundleData, SectionData,
                             _meets_by_premise, extend_off_Y, load_sections,
-                            load_subscheme)
+                            load_subscheme, read_ambient)
 from serrekit.errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                              PreconditionViolated, ShapeViolation)
 from serrekit.ideals import (in_ideal, is_unit_ideal, lift_pair,
@@ -28,18 +28,20 @@ def _poly(ctx, text):
 
 
 def _p3():
-    return Cover(AmbientSpec("projective", 3))
+    return Cover(AmbientSpec(3))
 
 
 def _p2():
-    return Cover(AmbientSpec("projective", 2))
+    return Cover(AmbientSpec(2))
 
 
 def test_standard_cover_charts():
     assert _p3().charts == (0, 1, 2, 3)
-    assert Cover(AmbientSpec("affine", 2)).charts == (0,)
-    with pytest.raises(ShapeViolation):
-        AmbientSpec("weird", 2)
+    assert Cover(AmbientSpec(1)).charts == (0, 1)
+    for kind in ("weird", "affine"):
+        with pytest.raises(ShapeViolation,
+                           match=f"unknown ambient kind '{kind}'"):
+            read_ambient({"ambient": {"kind": kind, "dim": 2}})
 
 
 def test_cover_builds_each_context_once():
@@ -59,13 +61,6 @@ def test_line_bundle_cocycle():
         assert lb.h(i, j, ctx) * lb.h(j, i, ctx) == LocElem.one(ctx)
     ctx = cover.ctx((1, 2))
     assert lb.h(1, 1, ctx) == LocElem.one(ctx)
-
-
-def test_line_bundle_affine_requires_trivial():
-    aff = AmbientSpec("affine", 3)
-    LineBundleData(aff, 0)
-    with pytest.raises(ShapeViolation):
-        LineBundleData(aff, 1)
 
 
 def test_load_subscheme_global_ci_line_in_p3():
@@ -88,7 +83,7 @@ def test_load_subscheme_rejects_non_regular():
 
 
 def test_load_subscheme_rejects_dim1():
-    cover = Cover(AmbientSpec("projective", 1))
+    cover = Cover(AmbientSpec(1))
     with pytest.raises(NotCodimTwo):
         load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
 
@@ -271,8 +266,7 @@ def _check_reversed_is_implied(sub, lb, sections, rank, pairs=None):
                          ids=lambda p: p.stem)
 def test_reversed_compatibility_check_is_implied(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
-    cover = Cover(AmbientSpec(doc["ambient"]["kind"],
-                                       doc["ambient"]["dim"]))
+    cover = Cover(read_ambient(doc))
     lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
     secs = load_sections(cover, lb, sub, doc.get("sections"), doc["rank"])
@@ -331,7 +325,7 @@ def _printed(a):
 
 def _loaded(doc):
     """The subscheme data of an input document after `load_sections`."""
-    cover = Cover(AmbientSpec(doc["ambient"]["kind"], doc["ambient"]["dim"]))
+    cover = Cover(read_ambient(doc))
     lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
     load_sections(cover, lb, sub, doc.get("sections"), doc["rank"])
@@ -386,7 +380,7 @@ def test_overlaps_match_the_reference_on_random_complete_intersections():
     for dim in (2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4):
         names = [f"x{k}" for k in range(dim + 1)]
         degrees = rng.choice([(1, 2), (2, 1), (2, 2), (1, 3)])
-        cover = Cover(AmbientSpec("projective", dim))
+        cover = Cover(AmbientSpec(dim))
         doc = {"mode": "global_ci", **{tag: _random_form(rng, names, d)
                                        for tag, d in zip("FG", degrees)}}
         try:

@@ -28,7 +28,7 @@ def _poly(ctx, text):
 
 def _ctx(indices, home=None, dim=2, sunits=()):
     indices = tuple(sorted(indices))
-    return Context("projective", dim, min(indices) if home is None else home,
+    return Context(dim, min(indices) if home is None else home,
                    indices, tuple(sunits))
 
 
@@ -182,7 +182,7 @@ def test_ideal_equal():
 def test_ideal_equal_answer_does_not_depend_on_generator_order():
     s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
     for ctx in (_ctx((0,)), _ctx((0, 1)),
-                Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))):
+                Context(2, 0, (0, 1), (SUnit(1, s_form, 2),))):
         f, g = _loc(ctx, "x1^2 - x2"), _loc(ctx, "x1*x2 + x2")
         h = _loc(ctx, "x2 - 1")
         cases = [([f, g], [g, f, f]), ([f, g], [f + h * g, g]),
@@ -190,8 +190,7 @@ def test_ideal_equal_answer_does_not_depend_on_generator_order():
         answers = []
         for a, b in cases:
             # answered on an equal context with an empty memo
-            fresh = Context(ctx.kind, ctx.dim, ctx.home, ctx.indices,
-                            ctx.sunits)
+            fresh = Context(ctx.dim, ctx.home, ctx.indices, ctx.sunits)
 
             def move(gens):
                 return [LocElem(fresh, x.num, x.den) for x in gens]
@@ -204,7 +203,7 @@ def test_ideal_equal_answer_does_not_depend_on_generator_order():
 
 
 def test_koszul_divide_monomials():
-    ctx = Context("affine", 3, 0, (0,))
+    ctx = Context(3, 0, (0,))
     names = ctx.var_names()
     f = _loc(ctx, names[0])
     g = _loc(ctx, names[1])
@@ -367,9 +366,9 @@ _PAIR_CONTEXTS = {
     "chart": [_ctx((0,)), _ctx((1,), dim=3), _ctx((2,), dim=4)],
     "overlap": [_ctx((0, 1)), _ctx((0, 2), dim=3), _ctx((1, 2, 3), dim=3),
                 _ctx((0, 4), dim=4)],
-    "sunit": [Context("projective", 2, 0, (0, 1), (SUnit(1, _S_P2, 2),)),
-              Context("projective", 3, 0, (0,), (SUnit(0, _S_P3, 2),)),
-              Context("projective", 3, 2, (1, 2), (SUnit(1, _S_P3, 2),))],
+    "sunit": [Context(2, 0, (0, 1), (SUnit(1, _S_P2, 2),)),
+              Context(3, 0, (0,), (SUnit(0, _S_P3, 2),)),
+              Context(3, 2, (1, 2), (SUnit(1, _S_P3, 2),))],
 }
 
 
@@ -665,7 +664,7 @@ def test_member_with_lift_matches_sympy():
     sympy = pytest.importorskip("sympy")
     s_form = parse_poly("x1^2 + x0*x1", ("x0", "x1", "x2"))
     contexts = [_ctx((0,)), _ctx((0, 1)), _ctx((0, 1, 2)),
-                Context("projective", 2, 0, (0, 1), (SUnit(1, s_form, 2),))]
+                Context(2, 0, (0, 1), (SUnit(1, s_form, 2),))]
     rng = random.Random(97)
     for _ in range(40):
         ctx = rng.choice(contexts)
@@ -847,7 +846,7 @@ def test_unit_certificate_matches_the_reference_on_the_corpus(corpus_calls):
 
 # x1*(1 + x1) on chart 0 of P^2: a reducible section unit, so an element such
 # as x1 is a unit although no whole unit polynomial divides it
-_REDUCIBLE = Context("projective", 2, 0, (0,), (SUnit(
+_REDUCIBLE = Context(2, 0, (0,), (SUnit(
     0, parse_poly("x1*x0 + x1^2", ("x0", "x1", "x2")), 2),))
 
 

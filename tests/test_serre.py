@@ -11,8 +11,9 @@ import pytest
 from serrekit import serre
 from serrekit.algebra import LocElem, MatrixL, Poly, parse_poly
 from serrekit.cech import cohomology_dim
-from serrekit.cover import (AmbientSpec, Cover, LineBundleData,
-                            SubschemeData, load_sections, load_subscheme)
+from serrekit.cover import (Cover, LineBundleData,
+                            SubschemeData, load_sections, load_subscheme,
+                            read_ambient)
 from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
                              SerreError, ShapeViolation)
 from serrekit.ideals import invert
@@ -89,7 +90,7 @@ def two_points_doc():
 
 
 def _loaded(doc):
-    ambient = AmbientSpec(doc["ambient"]["kind"], doc["ambient"]["dim"])
+    ambient = read_ambient(doc)
     cover = Cover(ambient)
     lb = LineBundleData(ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
