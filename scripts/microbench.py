@@ -38,7 +38,10 @@ Loading an input document, on a new `Cover` per repetition, made before
 its timer starts, so that no repetition reads the bases its contexts kept:
 
 - `ci23_p4.load`: `cover.load_subscheme` and `cover.load_sections` of the
-  curved input `ci23_p4` (chart pairs, pivots and every overlap's A_ij).
+  curved input `ci23_p4` (chart pairs, pivots and every overlap's A_ij);
+- `dense_d6_p3.load`: the same on `dense_ci(6)`, a dense complete
+  intersection of two sextics on P^3 generated from a fixed seed, whose
+  build is almost all the bases that decide its charts.
 
 Loading a bundle document, read from JSON once before timing:
 
@@ -58,10 +61,11 @@ runs.
 import argparse
 import json
 import os
+import random
 import statistics
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -151,11 +155,32 @@ def _obstruction(bundle):
     return "computed"
 
 
-def _load(name):
-    """`load_subscheme` and `load_sections` of `perfbench/inputs/<name>.json`
-    per repetition, on a new cover."""
-    doc = _read_json(os.path.join(ROOT, "perfbench", "inputs", f"{name}.json"))
+def dense_ci(degree, seed=7):
+    """An input document on P^3: F and G of the given degree, each with
+    10 * (degree - 2) distinct monomials and coefficients 1-9 drawn from
+    `random.Random(seed)`, twist 2 * degree, rank 2 and the section 1 on
+    every chart."""
+    rng = random.Random(seed)
+    monomials = list(combinations_with_replacement(range(4), degree))
 
+    def form():
+        return " + ".join(
+            f"{rng.randint(1, 9)}*" + "*".join(f"x{k}" for k in m)
+            for m in rng.sample(monomials, 10 * (degree - 2)))
+    return {"ambient": {"kind": "projective", "dim": 3},
+            "line_bundle": {"twist": 2 * degree}, "rank": 2,
+            "subscheme": {"mode": "global_ci", "F": form(), "G": form()},
+            "sections": {str(i): ["1"] for i in range(4)}}
+
+
+def _input(name):
+    return _read_json(os.path.join(ROOT, "perfbench", "inputs",
+                                   f"{name}.json"))
+
+
+def _load(doc):
+    """`load_subscheme` and `load_sections` of the input document `doc` per
+    repetition, on a new cover."""
     def prepare():
         ambient = read_ambient(doc)
         cover = Cover(ambient)
@@ -200,7 +225,8 @@ def cases():
         ("line_p6.run_all", None, _on_fresh_load("line_p6", _run_all)),
         ("two_points_unit.gf5.obstruction", None,
          _on_fresh_load("two_points_unit.gf5", _obstruction)),
-        ("ci23_p4.load", None, _load("ci23_p4")),
+        ("ci23_p4.load", None, _load(_input("ci23_p4"))),
+        ("dense_d6_p3.load", None, _load(dense_ci(6))),
         ("line_p6.load_bundle", None, _load_bundle("line_p6")),
     ]
 

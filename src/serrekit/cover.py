@@ -28,7 +28,7 @@ from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, at_zero,
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
 from .ideals import (ideal_equal, in_ideal, is_unit_ideal, lift_pair,
-                     regular_pair, unit_certificate)
+                     regular_hyperplane, regular_pair, unit_certificate)
 
 
 _KIND_NAMES = {int: "an integer", str: "a string", bool: "true or false",
@@ -181,13 +181,15 @@ class LineBundleData:
 
 
 class SubschemeData:
-    def __init__(self, cover, mode, pairs, meets_Y, empty_overlap=None):
+    def __init__(self, cover, mode, pairs, meets_Y, empty_overlap=None,
+                 regular=frozenset()):
         self.cover = cover
         self.mode = mode
         self.pairs = pairs  # chart -> (f, g) as LocElems in the chart context
         self.meets_Y = meets_Y  # chart -> bool
         self.A = {}             # sorted (i, j), i < j -> 2x2 A_ij
         self.empty_overlap = empty_overlap or {}  # sorted (i, j) -> bool
+        self.regular = regular  # charts j whose hyperplane x_j = 0 is regular
 
     def pair_on(self, i, ctx):
         f, g = self.pairs[i]
@@ -206,11 +208,37 @@ def load_subscheme(cover, doc):
     Declared chart pairs must be regular pairs (unless they generate the unit
     ideal, marking the chart as missing Y), must agree on overlaps, and at
     least the ambient must have dimension >= 2.
+
+    A global complete intersection is decided once per hyperplane.
+    Hyperplane lemma: for a chart j let F_j and G_j be F and G with
+    x_j := 0, forms in the other n coordinates, and call H_j = V(x_j)
+    regular when both are nonzero and (F_j, G_j) is a regular sequence,
+    i.e. their basis, with no Rabinowitsch variable, has dimension n - 2
+    (`ideals.regular_hyperplane`).  If H_j is regular, then:
+    - (x_j, F, G) is a homogeneous regular sequence in k[x_0..x_n], since
+      F and G read modulo x_j are F_j and G_j.  A homogeneous regular
+      sequence stays regular in any order, so (F, G, x_j) is regular too:
+      (F, G) is a regular sequence and x_j is no zero-divisor modulo it.
+      Dehomogenizing at x_i is a localization followed by the faithfully
+      flat step k[chart] -> k[chart][x_i, 1/x_i], so it keeps a regular
+      sequence regular or makes it the unit ideal: every chart pair is a
+      regular pair or the unit ideal, and `is_unit_ideal` alone decides a
+      chart.
+    - x_j lies in no associated prime of (F, G), so no component of Y lies
+      in H_j.  F_j and G_j are non-units, so F and G have positive degree
+      and Y is not empty (n >= 2): Y meets U_j, and chart j needs no basis.
+      For the same reason Y meets U_i ∩ U_j for every chart i that meets Y,
+      which `_meets_by_premise` reads.
+    Where no hyperplane is regular, every chart asks `is_unit_ideal` and
+    then `regular_pair`, so a chart that is no regular pair fails with the
+    same message at the same chart.  Where one is, no chart can fail and
+    some chart meets Y, so no error of this function remains.
     """
     if cover.ambient.dim < 2:
         raise NotCodimTwo("codimension-two subschemes need ambient dim >= 2")
     mode = need(doc, "mode", str, "subscheme")
     declared = {}
+    regular = frozenset()
     if mode == "global_ci":
         F, G = (poly_field(need(doc, tag, str, "subscheme"), cover.hom_names(),
                            f"subscheme {tag}") for tag in ("F", "G"))
@@ -223,6 +251,8 @@ def load_subscheme(cover, doc):
             ctx = cover.chart_ctx(i)
             declared[i] = (LocElem(ctx, dehomogenize(F, i)),
                            LocElem(ctx, dehomogenize(G, i)))
+        regular = frozenset(j for j in cover.charts
+                            if regular_hyperplane(F, G, j))
     elif mode == "charts":
         raw = need(doc, "pairs", dict, "subscheme")
         if not raw:
@@ -244,13 +274,15 @@ def load_subscheme(cover, doc):
         else:
             ctx = cover.chart_ctx(i)
             f, g = LocElem.one(ctx), LocElem.zero(ctx)
-        if is_unit_ideal([f, g]):
+        if i in regular:
+            meets[i] = True
+        elif is_unit_ideal([f, g]):
             meets[i] = False
             # canonical frame off Y, whatever the declared restriction was
             ctx = f.ctx
             f, g = LocElem.one(ctx), LocElem.zero(ctx)
         else:
-            if not regular_pair(f, g):
+            if not regular and not regular_pair(f, g):
                 raise NotCodimTwo(
                     f"chart {i}: (f, g) is not a regular pair, so it does not "
                     "cut out a codimension-two local complete intersection")
@@ -260,7 +292,7 @@ def load_subscheme(cover, doc):
     if not any(meets.values()):
         raise NotCodimTwo("the subscheme is empty on every chart")
 
-    sub = SubschemeData(cover, mode, pairs, meets)
+    sub = SubschemeData(cover, mode, pairs, meets, regular=regular)
     if mode == "charts":
         # overlap consistency of declared ideals
         for i, j in combinations(cover.charts, 2):
@@ -277,10 +309,14 @@ def load_subscheme(cover, doc):
 def _meets_by_premise(sub, ctx, i, j):
     """Whether the codimension premise of `extend_off_Y` shows that Y
     meets U_i and U_j: the overlap's only unit is x_j / x_i, chart i meets
-    Y, and (p, q), the numerators of (f_i, g_i) with x_j := 0, are a
-    regular pair or the unit ideal on the unit-free chart i."""
+    Y, and either the hyperplane x_j = 0 is regular (no basis; the lemma of
+    `load_subscheme`) or (p, q), the numerators of (f_i, g_i) with
+    x_j := 0, are a regular pair or the unit ideal on the unit-free chart
+    i."""
     if not sub.meets_Y[i] or ctx.unit_keys() != (f"c{j}",):
         return False
+    if j in sub.regular:
+        return True
     chart = sub.cover.chart_ctx(i)
     pos = chart.axes().index(j)
     p, q = (LocElem(chart, at_zero(e.num, pos)) for e in sub.pairs[i])
@@ -304,7 +340,9 @@ def extend_off_Y(sub, secs, lb):
     component of V(f_i, g_i) has dimension n - 2, so none lies in V(x_j):
     Y meets U_i and U_j, and (f_i, g_i) is proper on the overlap
     (Nullstellensatz).  Otherwise, and on every overlap with a section
-    unit, `is_unit_ideal` decides.
+    unit, `is_unit_ideal` decides.  On a global complete intersection whose
+    hyperplane x_j = 0 is regular, the premise holds with no basis at all
+    (the lemma of `load_subscheme`).
 
     Where the numerators of f_i and f_j agree on the overlap, the top row of
     A_ij is (f_i / f_j, 0), the quotient of the two denominators, and this

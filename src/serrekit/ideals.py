@@ -26,8 +26,8 @@ from heapq import heappop, heappush
 from itertools import count
 from operator import sub
 
-from .algebra import (LocElem, Poly, den_ratio, divide, grevlex_key,
-                      lift_poly, qdiv, split_last)
+from .algebra import (LocElem, Poly, at_zero, dehomogenize, den_ratio,
+                      divide, grevlex_key, lift_poly, qdiv, split_last)
 from .errors import (NotCoprime, NotInIdeal, NotRegularPair,
                      PreconditionViolated)
 
@@ -351,3 +351,17 @@ def regular_pair(f, g):
     gb, _ = _sat_gb(ctx, (f.num, g.num))
     dim = _dimension(gb)
     return dim < 0 or dim == ctx.nvars - 2
+
+
+def regular_hyperplane(F, G, j):
+    """Is the hyperplane x_j = 0 regular: are F_j and G_j, the forms F and
+    G of P^n with x_j := 0, nonzero and a regular sequence in the other n
+    coordinates?  For two nonzero forms that is dim k[..]/(F_j, G_j) ==
+    n - 2, as in `regular_pair` (a constant gives the unit ideal, of
+    dimension -1), read from one basis with no Rabinowitsch variable and no
+    memo.  `cover.load_subscheme` states what a regular hyperplane
+    decides."""
+    Fj, Gj = (dehomogenize(at_zero(e, j), j) for e in (F, G))
+    if Fj.is_zero() or Gj.is_zero():
+        return False
+    return _dimension(buchberger([Fj, Gj], Fj.arity)) == Fj.arity - 2

@@ -143,6 +143,21 @@ def test_build_zero_sections_tagged_load_sections(tmp_path, capsys):
     assert "error[load_sections]" in err
 
 
+def test_build_common_factor_names_the_first_chart(tmp_path, capsys):
+    """x0*x1 and x0*x2 share x0, so no hyperplane is regular and every chart
+    takes the full path: chart 0 is the pair (x1, x2), and chart 1, where
+    x0 is no unit, is the first that fails."""
+    doc = {"ambient": {"kind": "projective", "dim": 3},
+           "line_bundle": {"twist": 4}, "rank": 2,
+           "subscheme": {"mode": "global_ci", "F": "x0*x1", "G": "x0*x2"},
+           "sections": {}}
+    code, stdout, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
+    assert (code, stdout) == (1, "")
+    assert err == ("error[load_subscheme]: chart 1: (f, g) is not a regular "
+                   "pair, so it does not cut out a codimension-two local "
+                   "complete intersection\n")
+
+
 def test_build_obstructed_exit_two_with_witness(tmp_path, capsys):
     doc = dict(POINT, line_bundle={"twist": 3})
     code, stdout, err = run_cli(capsys, "build", write_doc(tmp_path, doc))

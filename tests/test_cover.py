@@ -10,7 +10,8 @@ import pytest
 
 from serrekit import cover as cover_module
 from serrekit import ideals
-from serrekit.algebra import LocElem, MatrixL, parse_poly, transport
+from serrekit.algebra import (LocElem, MatrixL, at_zero, default_names,
+                              dehomogenize, parse_poly, transport)
 from serrekit.cli import bundle_doc
 from serrekit.cover import (AmbientSpec, Cover, LineBundleData, SectionData,
                             _meets_by_premise, extend_off_Y, load_sections,
@@ -18,7 +19,8 @@ from serrekit.cover import (AmbientSpec, Cover, LineBundleData, SectionData,
 from serrekit.errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                              PreconditionViolated, ShapeViolation)
 from serrekit.ideals import (in_ideal, is_unit_ideal, lift_pair,
-                             member_with_lift, unit_certificate)
+                             member_with_lift, regular_hyperplane,
+                             regular_pair, unit_certificate)
 from serrekit.serre import build_bundle
 
 
@@ -416,6 +418,124 @@ def test_curved_builds_make_no_saturated_basis(monkeypatch):
     assert made == []
 
 
+def test_curved_builds_make_one_basis_per_hyperplane(monkeypatch):
+    """The six `curved` builds made 65 bases before the hyperplane lemma:
+    25 for the charts of `load_subscheme` and 40 for the premises of
+    `extend_off_Y`.  Every hyperplane of them is regular, so one basis per
+    hyperplane decides all of it."""
+    made = []
+    real = ideals.buchberger
+
+    def counted(gens, arity, key=None):
+        made.append(arity)
+        return real(gens, arity, key)
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    per_build = []
+    for name in ("ci22_p3", "ci23_p3", "ci33_dense_p3", "ci23_p4",
+                 "ci33_p3_r3", "ci44_p3"):
+        doc = json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8"))
+        before = len(made)
+        bundle = build_bundle(doc)
+        assert bundle.report.ok
+        assert bundle.sub.regular == frozenset(bundle.sub.cover.charts)
+        per_build.append(len(made) - before)
+    assert per_build == [4, 4, 4, 5, 4, 4]
+    # each basis lives on a hyperplane: n variables on P^n, no T
+    assert made == [3] * 12 + [4] * 5 + [3] * 8
+
+
+# -- the hyperplane lemma against today's decisions --------------------------
+# The reference decides each chart with `is_unit_ideal` and then
+# `regular_pair`, and each overlap (i, j) with the premise of
+# `_meets_by_premise` read from chart i's pair with x_j := 0.
+
+_NOT_REGULAR = ("chart {}: (f, g) is not a regular pair, so it does not cut "
+                "out a codimension-two local complete intersection")
+
+
+def reference_charts(cover, F, G):
+    """(meets_Y, None) as `load_subscheme` decides it chart by chart, or
+    (None, the message of its NotCodimTwo)."""
+    meets = {}
+    for i in cover.charts:
+        ctx = cover.chart_ctx(i)
+        f, g = (LocElem(ctx, dehomogenize(e, i)) for e in (F, G))
+        if is_unit_ideal([f, g]):
+            meets[i] = False
+        elif regular_pair(f, g):
+            meets[i] = True
+        else:
+            return None, _NOT_REGULAR.format(i)
+    if not any(meets.values()):
+        return None, "the subscheme is empty on every chart"
+    return meets, None
+
+
+def reference_premise(cover, F, G, i, j):
+    """Chart i's pair with x_j := 0 is a regular pair or the unit ideal."""
+    ctx = cover.chart_ctx(i)
+    pos = ctx.axes().index(j)
+    p, q = (LocElem(ctx, at_zero(dehomogenize(e, i), pos)) for e in (F, G))
+    return regular_pair(p, q)
+
+
+def _random_ci(rng, dim):
+    """Forms F of degree 1-3 and G of degree 1-2; about one pair in five
+    shares a linear factor."""
+    names = default_names(dim + 1)
+    F = _random_form(rng, names, rng.randint(1, 3))
+    G = _random_form(rng, names, rng.randint(1, 2))
+    if rng.random() < 0.2:
+        common = _random_form(rng, names, 1)
+        F, G = f"({common})*({F})", f"({common})*({G})"
+    return F, G
+
+
+def test_regular_hyperplanes_agree_with_todays_decisions():
+    """Forty seeded global complete intersections on P^2 .. P^4: every claim
+    the lemma makes for a regular hyperplane H_j holds by the reference
+    (chart j meets Y, every chart is a regular pair or the unit ideal, and
+    the premise holds on each overlap (i, j) whose chart i meets Y), and an
+    input with no regular hyperplane loads, or fails, as the reference
+    does."""
+    rng = random.Random(11)
+    claims = Counter()
+    for _ in range(40):
+        dim = rng.choice((2, 3, 4))
+        F_text, G_text = _random_ci(rng, dim)
+        names = default_names(dim + 1)
+        F, G = parse_poly(F_text, names), parse_poly(G_text, names)
+        ref_cover = Cover(AmbientSpec(dim))
+        meets, message = reference_charts(ref_cover, F, G)
+        regular = {j for j in ref_cover.charts
+                   if regular_hyperplane(F, G, j)}
+        cover = Cover(AmbientSpec(dim))
+        doc = {"mode": "global_ci", "F": F_text, "G": G_text}
+        if message is not None:
+            assert not regular, (F_text, G_text)
+            with pytest.raises(NotCodimTwo) as exc:
+                load_subscheme(cover, doc)
+            assert str(exc.value) == message
+            claims["failed"] += 1
+            continue
+        sub = load_subscheme(cover, doc)
+        assert sub.regular == regular and sub.meets_Y == meets
+        claims["loaded"] += 1
+        for j in regular:
+            assert meets[j]
+            claims["chart"] += len(meets) + 1
+            for i in ref_cover.charts:
+                if i == j or not meets[i]:
+                    continue
+                assert reference_premise(ref_cover, F, G, i, j), (i, j)
+                claims["premise"] += 1
+                # `extend_off_Y` asks it on sorted overlaps only
+                if i < j:
+                    assert _meets_by_premise(sub, cover.ctx((i, j)), i, j)
+    # 29 load, each with a regular hyperplane, and 11 fail with none:
+    # 417 chart claims and 245 premise claims
+    assert claims["failed"] >= 5 and claims["loaded"] >= 25
+    assert claims["chart"] >= 350 and claims["premise"] >= 200
 def test_empty_overlap_is_decided_by_the_full_computation(monkeypatch):
     """Each overlap of `two_points_p2_r3` misses both points; with x_j := 0
     its chart pair is no regular pair, so `is_unit_ideal` decides it and the
