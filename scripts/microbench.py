@@ -173,11 +173,6 @@ def dense_ci(degree, seed=7):
             "sections": {str(i): ["1"] for i in range(4)}}
 
 
-def _input(name):
-    return _read_json(os.path.join(ROOT, "perfbench", "inputs",
-                                   f"{name}.json"))
-
-
 def _load(doc):
     """`load_subscheme` and `load_sections` of the input document `doc` per
     repetition, on a new cover."""
@@ -225,7 +220,8 @@ def cases():
         ("line_p6.run_all", None, _on_fresh_load("line_p6", _run_all)),
         ("two_points_unit.gf5.obstruction", None,
          _on_fresh_load("two_points_unit.gf5", _obstruction)),
-        ("ci23_p4.load", None, _load(_input("ci23_p4"))),
+        ("ci23_p4.load", None, _load(_read_json(os.path.join(
+            ROOT, "perfbench", "inputs", "ci23_p4.json")))),
         ("dense_d6_p3.load", None, _load(dense_ci(6))),
         ("line_p6.load_bundle", None, _load_bundle("line_p6")),
     ]

@@ -536,6 +536,8 @@ def test_regular_hyperplanes_agree_with_todays_decisions():
     # 417 chart claims and 245 premise claims
     assert claims["failed"] >= 5 and claims["loaded"] >= 25
     assert claims["chart"] >= 350 and claims["premise"] >= 200
+
+
 def test_empty_overlap_is_decided_by_the_full_computation(monkeypatch):
     """Each overlap of `two_points_p2_r3` misses both points; with x_j := 0
     its chart pair is no regular pair, so `is_unit_ideal` decides it and the
