@@ -41,7 +41,10 @@ its timer starts, so that no repetition reads the bases its contexts kept:
   curved input `ci23_p4` (chart pairs, pivots and every overlap's A_ij);
 - `dense_d6_p3.load`: the same on `dense_ci(6)`, a dense complete
   intersection of two sextics on P^3 generated from a fixed seed, whose
-  build is almost all the bases that decide its charts.
+  build is almost all the bases that decide its charts;
+- `skew_unit.load`: the same on the `charts` input `skew_unit`, which
+  fixes a section unit, so its overlaps are decided on the unit-free cover
+  and their A_ij built on the cover with the unit.
 
 Loading a bundle document, read from JSON once before timing:
 
@@ -223,6 +226,8 @@ def cases():
         ("ci23_p4.load", None, _load(_read_json(os.path.join(
             ROOT, "perfbench", "inputs", "ci23_p4.json")))),
         ("dense_d6_p3.load", None, _load(dense_ci(6))),
+        ("skew_unit.load", None, _load(_read_json(os.path.join(
+            ROOT, "perfbench", "inputs", "skew_unit.json")))),
         ("line_p6.load_bundle", None, _load_bundle("line_p6")),
     ]
 

@@ -85,7 +85,7 @@ def bundle_doc(bundle):
     overlaps = {}
     for (i, j) in bundle.transitions.pairs:
         overlaps[f"{i},{j}"] = {
-            "empty": bundle.sub.empty_overlap.get((i, j), False),
+            "empty": bundle.sub.empty_overlap[(i, j)],
             "branch": bundle.transitions.branch[(i, j)],
             "raw": _mat_doc(bundle.raw.Z[(i, j)]),
             "corrected": _mat_doc(bundle.transitions.Z[(i, j)]),

@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, at_zero,
-                      chart_monomial, default_names, dehomogenize, den_ratio,
-                      homogenize, is_homogeneous, parse_poly, transport)
+from .algebra import (Context, LocElem, MatrixL, Poly, SUnit, chart_monomial,
+                      default_names, dehomogenize, den_ratio, homogenize,
+                      is_homogeneous, parse_poly, transport)
 from .errors import (CompatibilityFailure, NotCodimTwo, NotGenerating,
                      PreconditionViolated, ShapeViolation)
 from .ideals import (ideal_equal, in_ideal, is_unit_ideal, lift_pair,
@@ -181,15 +181,13 @@ class LineBundleData:
 
 
 class SubschemeData:
-    def __init__(self, cover, mode, pairs, meets_Y, empty_overlap=None,
-                 regular=frozenset()):
+    def __init__(self, cover, mode, pairs, meets_Y, empty_overlap):
         self.cover = cover
         self.mode = mode
         self.pairs = pairs  # chart -> (f, g) as LocElems in the chart context
         self.meets_Y = meets_Y  # chart -> bool
         self.A = {}             # sorted (i, j), i < j -> 2x2 A_ij
-        self.empty_overlap = empty_overlap or {}  # sorted (i, j) -> bool
-        self.regular = regular  # charts j whose hyperplane x_j = 0 is regular
+        self.empty_overlap = empty_overlap  # sorted (i, j), i < j -> bool
 
     def pair_on(self, i, ctx):
         f, g = self.pairs[i]
@@ -228,11 +226,21 @@ def load_subscheme(cover, doc):
       in H_j.  F_j and G_j are non-units, so F and G have positive degree
       and Y is not empty (n >= 2): Y meets U_j, and chart j needs no basis.
       For the same reason Y meets U_i ∩ U_j for every chart i that meets Y,
-      which `_meets_by_premise` reads.
+      and that overlap needs no basis either.
     Where no hyperplane is regular, every chart asks `is_unit_ideal` and
     then `regular_pair`, so a chart that is no regular pair fails with the
     same message at the same chart.  Where one is, no chart can fail and
     some chart meets Y, so no error of this function remains.
+
+    Every sorted overlap (i, j) is decided here too, on this unit-free
+    cover: it is empty iff chart i misses Y, or H_j is not regular and
+    (f_i, g_i) generate the unit ideal on U_i ∩ U_j.  Section-unit lemma:
+    the units that `load_sections` fixes later do not change this answer.
+    A unit s_i of chart i is fixed only where (f_i, g_i, s_i) = (1) on U_i,
+    so s_i vanishes nowhere on Y ∩ U_i, and Y ∩ U_i ∩ U_j lies in
+    D(s_i) ∩ D(s_j).  The shrunk overlap therefore meets Y exactly where
+    the unit-free one does, and by the Nullstellensatz (f_i, g_i) is the
+    unit ideal on both or on neither.
     """
     if cover.ambient.dim < 2:
         raise NotCodimTwo("codimension-two subschemes need ambient dim >= 2")
@@ -292,57 +300,32 @@ def load_subscheme(cover, doc):
     if not any(meets.values()):
         raise NotCodimTwo("the subscheme is empty on every chart")
 
-    sub = SubschemeData(cover, mode, pairs, meets, regular=regular)
-    if mode == "charts":
-        # overlap consistency of declared ideals
-        for i, j in combinations(cover.charts, 2):
-            ctx = cover.ctx((i, j))
+    sub = SubschemeData(cover, mode, pairs, meets, {})
+    for i, j in combinations(cover.charts, 2):
+        ctx = cover.ctx((i, j))
+        if mode == "charts":
+            # overlap consistency of declared ideals
             fi, gi = sub.pair_on(i, ctx)
             fj, gj = sub.pair_on(j, ctx)
             if not ideal_equal([fi, gi], [fj, gj]):
                 raise PreconditionViolated(
                     f"chart pairs {i} and {j} generate different ideals on "
                     "their overlap", stage="load_subscheme")
+        elif meets[i] and j not in regular:
+            # the only overlaps of a global complete intersection read below
+            fi, gi = sub.pair_on(i, ctx)
+        sub.empty_overlap[(i, j)] = not meets[i] or (
+            j not in regular and is_unit_ideal([fi, gi]))
     return sub
-
-
-def _meets_by_premise(sub, ctx, i, j):
-    """Whether the codimension premise of `extend_off_Y` shows that Y
-    meets U_i and U_j: the overlap's only unit is x_j / x_i, chart i meets
-    Y, and either the hyperplane x_j = 0 is regular (no basis; the lemma of
-    `load_subscheme`) or (p, q), the numerators of (f_i, g_i) with
-    x_j := 0, are a regular pair or the unit ideal on the unit-free chart
-    i."""
-    if not sub.meets_Y[i] or ctx.unit_keys() != (f"c{j}",):
-        return False
-    if j in sub.regular:
-        return True
-    chart = sub.cover.chart_ctx(i)
-    pos = chart.axes().index(j)
-    p, q = (LocElem(chart, at_zero(e.num, pos)) for e in sub.pairs[i])
-    return regular_pair(p, q)
 
 
 def extend_off_Y(sub, secs, lb):
     """Build the 2x2 matrix A_ij with (f_i; g_i) = A_ij (f_j; g_j), exactly,
     on every sorted overlap i < j, using lifts where the overlap meets Y and
-    the unit-certificate product form where it does not, and enforce the
-    section compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i)
-    there, on the same restrictions.
-
-    Whether the overlap meets Y needs no saturated basis when a premise
-    decides it.  Codimension lemma: let the overlap carry no section unit,
-    let chart i meet Y, and let p and q be the numerators of f_i and g_i
-    with x_j := 0, read on the unit-free chart i, of dimension n.  p and q
-    do not involve x_j, so dim V(p, q) = 1 + dim V(f_i, g_i, x_j).  If
-    (p, q) is a regular pair or the unit ideal, then dim V(f_i, g_i, x_j)
-    is at most n - 3.  As (f_i, g_i) is a regular pair meeting Y, every
-    component of V(f_i, g_i) has dimension n - 2, so none lies in V(x_j):
-    Y meets U_i and U_j, and (f_i, g_i) is proper on the overlap
-    (Nullstellensatz).  Otherwise, and on every overlap with a section
-    unit, `is_unit_ideal` decides.  On a global complete intersection whose
-    hyperplane x_j = 0 is regular, the premise holds with no basis at all
-    (the lemma of `load_subscheme`).
+    the unit-certificate product form where it does not (as
+    `load_subscheme` decided in sub.empty_overlap), and enforce the section
+    compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) there, on
+    the same restrictions.
 
     Where the numerators of f_i and f_j agree on the overlap, the top row of
     A_ij is (f_i / f_j, 0), the quotient of the two denominators, and this
@@ -374,10 +357,7 @@ def extend_off_Y(sub, secs, lb):
         ctx = cover.ctx((i, j))
         fi, gi = sub.pair_on(i, ctx)
         fj, gj = sub.pair_on(j, ctx)
-        sub.empty_overlap[(i, j)] = empty = (
-            not _meets_by_premise(sub, ctx, i, j)
-            and is_unit_ideal([fi, gi]))
-        if empty:
+        if sub.empty_overlap[(i, j)]:
             ui, vi = unit_certificate(fi, gi)
             uj, vj = unit_certificate(fj, gj)
             left = MatrixL(ctx, [[fi, -vi], [gi, ui]])

@@ -381,7 +381,7 @@ def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
             A = adjust_glue(As[(i, j)], fr_i, fr_j, target, lift_order)
             S = A.scalar_mul(sji.scale(sgn_j))
             branch[(i, j)] = "unit"
-        elif sub.empty_overlap.get((i, j)):
+        elif sub.empty_overlap[(i, j)]:
             ui, vi = unit_certificate(fi, gi)
             uj, vj = unit_certificate(fj, gj)
             S = ((MatrixL(ctx, [[fi], [gi]]) @ MatrixL(ctx, [[uj, vj]]))

@@ -29,6 +29,7 @@ def test_microbench_prints_one_line_per_case(capsys):
         ("two_points_unit.gf5.obstruction", None, "computed"),
         ("ci23_p4.load", None, "loaded"),
         ("dense_d6_p3.load", None, "loaded"),
+        ("skew_unit.load", None, "loaded"),
         ("line_p6.load_bundle", None, "loaded")]
     assert all(r["repeat"] == 1 and r["best_s"] == r["median_s"] > 0
                for r in rows)
