@@ -380,8 +380,8 @@ def test_overlaps_match_the_reference_on_the_corpus():
                        and len(a.ctx.unit_keys()) > 1}
     # 58 overlaps decided by the premise, 50 empty, 4 meeting Y by the full
     # computation, 124 diagonal rows
-    assert seen["premise"] >= 55 and seen["empty"] >= 50 and seen["full"]
-    assert seen["diagonal"] >= 120
+    assert seen["premise"] >= 58 and seen["empty"] >= 50
+    assert seen["full"] >= 4 and seen["diagonal"] >= 120
     assert ("skew_unit", (0, 1), ("c1", "s0")) in with_units
 
 
