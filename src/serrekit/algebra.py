@@ -182,7 +182,8 @@ class Poly:
         return Poly._of(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a class test first: `Fraction` is an ABC, so `isinstance` is slow
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._chk(other)
         terms = {}
@@ -245,7 +246,7 @@ class Poly:
         return f"Poly({self.arity}, {format_poly(self)})"
 
 
-def divide(p, basis, leads, key):
+def divide(p, basis, leads, key, exact=False):
     """Divide p by the basis list, the package's one polynomial division;
     returns (remainder, per-basis quotients).
 
@@ -256,6 +257,11 @@ def divide(p, basis, leads, key):
     dict and one quotient dict per basis element; the order key of each
     monomial is computed once per division.  A subtraction can leave an
     integral Fraction in that dict, so `_canon` stores remainder terms.
+
+    With `exact`, only the quotients are returned, or None at the first
+    term that moves to the remainder.  A term moved there is never
+    cancelled (every later term is smaller), so None comes exactly when the
+    full remainder is nonzero, and otherwise the quotients are the same.
     """
     keys = {e: key(e) for e in p.terms}
     r = dict(p.terms)
@@ -269,6 +275,8 @@ def divide(p, basis, leads, key):
             if min(d) >= 0:
                 break
         else:
+            if exact:
+                return None
             rem[re] = _canon(rc)
             continue
         b = basis[i].terms
@@ -290,7 +298,8 @@ def divide(p, basis, leads, key):
                 else:
                     del r[e]
     n = p.arity
-    return Poly._of(n, rem), [Poly._of(n, t) for t in q]
+    quotients = [Poly._of(n, t) for t in q]
+    return quotients if exact else (Poly._of(n, rem), quotients)
 
 
 def _cancel_variable(p, pos, cap):
@@ -639,10 +648,10 @@ def _normalize(ctx, num, den):
             u = ctx.unit_poly(key)
             lead = (max(u.terms, key=grevlex_key),)
             while den[key] > 0:
-                rem, (q,) = divide(num, (u,), lead, grevlex_key)
-                if not rem.is_zero():
+                q = divide(num, (u,), lead, grevlex_key, exact=True)
+                if q is None:
                     break
-                num = q
+                num, = q
                 den[key] -= 1
         if den[key] == 0:
             del den[key]
@@ -708,9 +717,9 @@ class LocElem:
         Contract: `num` has the context's arity, and `den` is a dict that
         nothing else references, keyed by unit keys of `ctx` with positive
         int exponents: it was assembled from the `den`s of elements already
-        on `ctx` (or, for a same-home transport, on a context whose unit
-        keys `ctx` contains).  Only this module may call it; input from
-        parsers and documents goes through `LocElem(...)`.
+        on `ctx` (or, for a transport, of an element on a context that `ctx`
+        refines).  Only this module may call it; input from parsers and
+        documents goes through `LocElem(...)`.
         """
         e = cls.__new__(cls)
         e.ctx = ctx
@@ -788,7 +797,7 @@ class LocElem:
                            normalize=False)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LocElem and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._chk(other)
         den = dict(self.den)
@@ -860,10 +869,10 @@ def _homogeneous_view(e):
     return form, gamma, m
 
 
-def chart_monomial(alpha, ctx, num=None):
-    """(num · x^alpha, den) on a context's home chart, num = 1 if None:
-    each negative entry of the degree-0 vector alpha becomes a
-    coordinate-unit denominator, PreconditionViolated outside the context."""
+def chart_monomial(alpha, ctx):
+    """(x^alpha, den) on a context's home chart: each negative entry of the
+    degree-0 vector alpha becomes a coordinate-unit denominator,
+    PreconditionViolated outside the context."""
     exps = [0] * ctx.nvars
     den = {}
     for k, a in enumerate(alpha):
@@ -877,10 +886,7 @@ def chart_monomial(alpha, ctx, num=None):
                     f"element has a pole along x{k} = 0, not invertible on "
                     f"charts {ctx.indices}")
             den[f"c{k}"] = -a
-    mono = Poly._of(ctx.nvars, {tuple(exps): 1})
-    if num is None:
-        return mono, den
-    return (num * mono if any(exps) else num), den
+    return Poly._of(ctx.nvars, {tuple(exps): 1}), den
 
 
 def transport(e, dst):
@@ -888,8 +894,15 @@ def transport(e, dst):
 
     The destination must be a restriction of the source (its index set
     contains the source's) over the same ambient space.  A new home chart
-    goes through `_homogeneous_view` and `chart_monomial`; a pole along a
-    coordinate not invertible in the destination raises PreconditionViolated.
+    h2 is one pass over the numerator's terms, reading e as
+    form · x^gamma / prod(s_c^m_c) (`_homogeneous_view`): with h = src.home,
+    deg = max(deg num, 0) and the units c<k>^a_k, s<c>^m_c of e.den,
+    gamma_h = -deg + sum(a_k) + sum(deg(s_c)·m_c) and gamma_k = -a_k.  A
+    term x^t takes the exponent t, deg - |t| on x_h, drops x_h2 and adds
+    max(gamma, 0); a negative gamma_k becomes c<k>^-gamma_k, section units
+    are copied, and `LocElem._of` normalizes.  No pole lies outside dst:
+    only gamma_h and the gamma_k of e's coordinate units are negative, and
+    those charts lie in src.indices, a subset of dst.indices.
     """
     src = e.ctx
     if src == dst:
@@ -901,12 +914,31 @@ def transport(e, dst):
             f"transport target {dst.indices} does not refine {src.indices}")
     if src.home == dst.home:
         return LocElem._of(dst, e.num, dict(e.den))
-    form, gamma, m = _homogeneous_view(e)
-    gamma[dst.home] -= sum(gamma)
-    num, den = chart_monomial(gamma, dst, dehomogenize(form, dst.home))
-    for c, a in m.items():
-        den[f"s{c}"] = a
-    return LocElem(dst, num, den)
+    h, h2, num = src.home, dst.home, e.num
+    deg = max(num.total_degree(), 0)
+    gamma = [0] * (src.dim + 1)
+    gamma[h] = -deg
+    units = {}
+    for key, a in e.den.items():
+        k = int(key[1:])
+        if key[0] == "c":
+            gamma[k] -= a
+            gamma[h] += a
+        else:
+            gamma[h] += src.sunit(k).degree * a
+            units[key] = a
+    del gamma[h2]
+    axes = dst.axes()
+    den = {f"c{k}": -g for k, g in zip(axes, gamma) if g < 0}
+    den.update(units)
+    shift = tuple(max(g, 0) for g in gamma)
+    lift = any(shift)
+    terms = {}
+    for t, c in num.terms.items():
+        t = t[:h] + (deg - sum(t),) + t[h:]
+        t = t[:h2] + t[h2 + 1:]
+        terms[tuple(map(add, t, shift)) if lift else t] = c
+    return LocElem._of(dst, Poly._of(dst.nvars, terms), den)
 
 
 # -- Laurent views (used by the Cech solver) ----------------------------------

@@ -243,11 +243,11 @@ def _quotient(a, b):
     ctx = b.ctx
     n = b.num.total_degree()
     lead = max(b.num.terms, key=grevlex_key)
-    rem, (q,) = divide(a.num * _unit_product(ctx) ** n, (b.num,), (lead,),
-                       grevlex_key)
-    if not rem.is_zero():
+    q = divide(a.num * _unit_product(ctx) ** n, (b.num,), (lead,),
+               grevlex_key, exact=True)
+    if q is None:
         return None
-    return LocElem(ctx, q, {k: n for k in ctx.unit_keys()} if n else {}
+    return LocElem(ctx, q[0], {k: n for k in ctx.unit_keys()} if n else {}
                    ).times_units(den_ratio(b, a))
 
 
