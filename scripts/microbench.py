@@ -21,7 +21,11 @@ repetition does the same work.  Matrix algebra on transitions:
 - `line_p3_r4.det`: `MatrixL.det` of every raw 4 x 4 transition Z_ij;
 - `line_p6.defect`: `TransitionSet.defect` of every sorted triple of the
   raw transitions, on a new `TransitionSet` per repetition, so that its
-  memo of derived values starts empty.
+  memo of derived values starts empty;
+- `line_p6.transport`: `algebra.transport` of every raw transition entry
+  onto each sorted triple context that contains its overlap (the home
+  changes for the overlaps that miss the triple's smallest chart) and onto
+  its own overlap with the other chart as home.
 
 Whole checks on a reference, each repetition on its own load of the
 document, made before its timer starts, so that no repetition reads the
@@ -76,6 +80,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from serrekit import serre  # noqa: E402
 from serrekit.cech import coboundary_solve, is_cocycle  # noqa: E402
 from serrekit.cli import _read_json, load_bundle  # noqa: E402
+from serrekit.algebra import Context  # noqa: E402
 from serrekit.cover import (Cover, LineBundleData, load_sections,  # noqa: E402
                             load_subscheme, read_ambient)
 from serrekit.errors import Inconclusive  # noqa: E402
@@ -137,6 +142,22 @@ def _defects(Z):
                                     Z.Z, Z.branch)
         for i, j, k in combinations(Z.cover.charts, 3):
             fresh.defect(i, j, k)
+        return "computed"
+    return lambda: run
+
+
+def _transports(Z):
+    moves = []
+    for (i, j), M in sorted(Z.Z.items()):
+        targets = [Z.cover.ctx((i, j, k)) for k in Z.cover.charts
+                   if k not in (i, j)]
+        targets.append(Context(M.ctx.dim, j, M.ctx.indices, M.ctx.sunits))
+        moves.append((M, targets))
+
+    def run():
+        for M, targets in moves:
+            for ctx in targets:
+                M.transport_to(ctx)
         return "computed"
     return lambda: run
 
@@ -218,6 +239,7 @@ def cases():
         ("line_p6", 8, _solve(_ref("line_p6").obstruction, 8)),
         ("line_p3_r4.det", None, _dets(_ref("line_p3_r4").raw)),
         ("line_p6.defect", None, _defects(_ref("line_p6").raw)),
+        ("line_p6.transport", None, _transports(_ref("line_p6").raw)),
         ("ci33_dense_p3.run_all", None,
          _on_fresh_load("ci33_dense_p3", _run_all)),
         ("line_p6.run_all", None, _on_fresh_load("line_p6", _run_all)),

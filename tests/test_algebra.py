@@ -308,6 +308,47 @@ def test_poly_division_property():
                        for e in rem.terms for le in leads)
 
 
+def test_divide_exact_mode_matches_full_division():
+    """Exact mode returns None iff the full remainder is nonzero, and
+    otherwise the full division's quotients: on exact products d·q and on
+    perturbed ones, in 1-4 variables, with int and Fraction coefficients."""
+    rng = random.Random(3407)
+    pools = {int: [c for c in _STORED if type(c) is int and c],
+             Fraction: [c for c in _STORED if type(c) is Fraction]}
+    seen = Counter()
+    for _ in range(600):
+        arity = rng.randint(1, 4)
+        kind = rng.choice((int, Fraction))
+        coeffs = pools[kind]
+
+        def draw(deg, nterms):
+            terms = {}
+            for _ in range(nterms):
+                e = [0] * arity
+                for _ in range(rng.randint(0, deg)):
+                    e[rng.randrange(arity)] += 1
+                terms[tuple(e)] = rng.choice(coeffs)
+            return Poly(arity, terms)
+        basis = [d for d in (draw(2, rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 2)))
+                 if not d.is_zero()]
+        if not basis:
+            continue
+        p = Poly.zero(arity)
+        for d in basis:
+            p = p + d * draw(2, rng.randint(1, 3))
+        perturbed = rng.random() < 0.5
+        if perturbed:
+            p = p + draw(3, 1)
+        leads = _leads(basis)
+        rem, q = divide(p, basis, leads, grevlex_key)
+        got = divide(p, basis, leads, grevlex_key, exact=True)
+        assert got == (q if rem.is_zero() else None)
+        seen[kind, perturbed, rem.is_zero()] += 1
+    assert all(seen[k, perturbed, exact] > 10 for k in (int, Fraction)
+               for perturbed in (False, True) for exact in (False, True))
+
+
 def test_homogenize_dehomogenize():
     names = ("x1", "x2", "x3")  # chart 0 of P^3
     p = parse_poly("x1^2 + x2 - 1", names)
@@ -692,11 +733,13 @@ def test_laurent_requires_monomial_sunits():
 
 # -- homogeneous bookkeeping against the forms it replaced ----------------------
 #
-# `transport`, `to_laurent`, `from_laurent` and `LineBundleData.h` share
-# `_homogeneous_view` and `chart_monomial`; `LocElem.times_units` replaced a
-# helper of the ideals layer.  Normalization with section units is greedy, so
-# the shared forms must hand `LocElem` the same (num, den) as these, the
-# separate forms they replaced, kept as references.
+# `to_laurent` reads elements with `_homogeneous_view`, and `from_laurent`
+# and `LineBundleData.h` read degree-0 vectors back with `chart_monomial`;
+# `transport` moves each numerator term to a new home in one pass of its own,
+# and `LocElem.times_units` replaced a helper of the ideals layer.
+# Normalization with section units is greedy, so each must hand `LocElem` the
+# same (num, den) as these, the separate forms they replaced, kept as
+# references.
 
 
 def _transport_reference(e, dst):
@@ -871,6 +914,13 @@ def test_transport_matches_reference():
                 with pytest.raises(PreconditionViolated):
                     transport(got, src)
     assert min(moved.values()) > 25
+    # a zero numerator over a denominator kept as given, moved to a new
+    # home, comes out with no denominator
+    src = _ctx((1, 3), home=1, sunits=_p3_units(False))
+    dst = _ctx((0, 1, 3), home=3, sunits=_p3_units(False))
+    zero = LocElem(src, Poly.zero(3), {"c3": 2, "s1": 1}, normalize=False)
+    assert zero.den and transport(zero, dst).den == {}
+    assert _same(transport(zero, dst), _transport_reference(zero, dst))
     # one chart: transport only moves an element onto a context with more
     # section units
     su = SUnit(0, parse_poly("x1*x2 + x0^2", ("x0", "x1", "x2")), 2)

@@ -24,6 +24,7 @@ def test_microbench_prints_one_line_per_case(capsys):
         ("skew_unit.gf4", 4, "Inconclusive"), ("line_p6", 8, "solved"),
         ("line_p3_r4.det", None, "computed"),
         ("line_p6.defect", None, "computed"),
+        ("line_p6.transport", None, "computed"),
         ("ci33_dense_p3.run_all", None, "passed"),
         ("line_p6.run_all", None, "passed"),
         ("two_points_unit.gf5.obstruction", None, "computed"),
