@@ -78,9 +78,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from serrekit import serre  # noqa: E402
+from serrekit.algebra import Context  # noqa: E402
 from serrekit.cech import coboundary_solve, is_cocycle  # noqa: E402
 from serrekit.cli import _read_json, load_bundle  # noqa: E402
-from serrekit.algebra import Context  # noqa: E402
 from serrekit.cover import (Cover, LineBundleData, load_sections,  # noqa: E402
                             load_subscheme, read_ambient)
 from serrekit.errors import Inconclusive  # noqa: E402
