@@ -17,7 +17,7 @@ and quartiles of each side and how many pairs (same workload and seed) each
 side won.  Whether lower or higher is better is read from `BENCHMARK.json`
 (lower if a metric is not listed there); a side that ran a workload and
 seed twice counts its last row.  `--pairs 0` only prints the summary of an
-existing OUT.
+existing OUT.  Each run compiles into a new empty bytecode cache directory.
 """
 
 import argparse
@@ -26,6 +26,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("linear", "curved", "ansatz")
@@ -54,13 +55,19 @@ def workload_list(text):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One `perfbench/run.py` run; its verdict and metrics as a dict."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, stdin=subprocess.DEVNULL, capture_output=True,
-        text=True)
+    """One `perfbench/run.py` run; its verdict and metrics as a dict.
+
+    The run and its children read and write bytecode only in a new empty
+    directory (`PYTHONPYCACHEPREFIX`), so no side reads a `__pycache__`
+    left in its checkout and skips compiling what the other side compiles.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(
+            [sys.executable, os.path.join("perfbench", "run.py"),
+             "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, stdin=subprocess.DEVNULL, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     lines = proc.stdout.strip().splitlines()
     try:
         last = json.loads(lines[-1])

@@ -47,8 +47,9 @@ its timer starts, so that no repetition reads the bases its contexts kept:
   intersection of two sextics on P^3 generated from a fixed seed, whose
   build is almost all the bases that decide its charts;
 - `skew_unit.load`: the same on the `charts` input `skew_unit`, which
-  fixes a section unit, so its overlaps are decided on the unit-free cover
-  and their A_ij built on the cover with the unit.
+  fixes a section unit on chart 0 after its overlaps are decided: the A_ij
+  of the overlaps with chart 0 are built on new contexts carrying the unit,
+  and the others on the contexts, and bases, that decided them.
 
 Loading a bundle document, read from JSON once before timing:
 

@@ -30,7 +30,7 @@ Conventions
   ``"s<c>"`` is the registered section unit of chart ``c``.
 * Moving between charts goes through exponent vectors over the homogeneous
   coordinates x_0 .. x_n.  On P^n a localized element is read as
-  ``e = form · x^γ / ∏ s_c^{m_c}`` (`_homogeneous_view`): ``form`` is its
+  ``e = form · x^γ / ∏ s_c^{m_c}`` (`_homogeneous_reading`): ``form`` is its
   homogenized numerator, ``γ`` collects the home and coordinate-unit powers
   and ``s_c`` is the homogeneous form of the section unit of chart c.  A
   degree-0 vector ``α`` is read back on a chart by `chart_monomial`, which
@@ -565,6 +565,12 @@ SUnit = namedtuple("SUnit", "chart form degree")
 
 
 class Context:
+    """The ring of the overlap U_I (I = `indices`) of P^dim on the home
+    chart: its coordinates, with x_k / x_home (k in I) and the section units
+    of the charts in I inverted.  `sunits` keeps only those charts' units,
+    since no other unit is invertible on U_I, so two contexts are equal
+    exactly when their rings are."""
+
     def __init__(self, dim, home, indices, sunits=()):
         if tuple(sorted(indices)) != indices:
             raise ValueError("context indices must be sorted")
@@ -573,7 +579,8 @@ class Context:
         self.dim = dim
         self.home = home
         self.indices = indices      # sorted chart indices of the overlap
-        self.sunits = sunits        # SUnit, sorted by chart
+        # SUnit of the charts in indices, sorted by chart
+        self.sunits = tuple(u for u in sunits if u.chart in indices)
         # axes and the saturated bases of `ideals._sat_gb` in `_memo`, unit
         # polynomials in `_units`, each computed once; they stay out of ==
         # and hash (nothing changes the four fields above)
@@ -608,7 +615,7 @@ class Context:
         """Deterministic unit order: coordinate units by index, then section
         units by chart."""
         keys = [f"c{k}" for k in self.indices if k != self.home]
-        keys += [f"s{u.chart}" for u in self.sunits if u.chart in self.indices]
+        keys += [f"s{u.chart}" for u in self.sunits]
         return tuple(keys)
 
     def unit_poly(self, key):
@@ -849,15 +856,18 @@ def den_ratio(a, b):
 
 # -- transport ----------------------------------------------------------------
 
-def _homogeneous_view(e):
-    """(form, gamma, m) with e = form · x^gamma / prod(s_c^m[c]) of total
-    degree 0 on P^n; m maps section-unit charts to exponents."""
+def _homogeneous_reading(e):
+    """(deg, gamma, units): e = form · x^gamma / prod(s_c^m_c) of degree 0
+    on P^n, where form gives each term x^t of the numerator deg - |t| on
+    x_home (deg = max(deg num, 0)), units = {s<c>: m_c} are e.den's section
+    units and, with its coordinate units c<k>^a_k, gamma_home = -deg +
+    sum(a_k) + sum(deg(s_c)·m_c) and gamma_k = -a_k."""
     ctx = e.ctx
     h = ctx.home
-    form, deg = homogenize(e.num, h, ctx.dim)
+    deg = max(e.num.total_degree(), 0)
     gamma = [0] * (ctx.dim + 1)
     gamma[h] = -deg
-    m = {}
+    units = {}
     for key, a in e.den.items():
         k = int(key[1:])
         if key[0] == "c":
@@ -865,8 +875,8 @@ def _homogeneous_view(e):
             gamma[h] += a
         else:
             gamma[h] += ctx.sunit(k).degree * a
-            m[k] = a
-    return form, gamma, m
+            units[key] = a
+    return deg, gamma, units
 
 
 def chart_monomial(alpha, ctx):
@@ -895,10 +905,8 @@ def transport(e, dst):
     The destination must be a restriction of the source (its index set
     contains the source's) over the same ambient space.  A new home chart
     h2 is one pass over the numerator's terms, reading e as
-    form · x^gamma / prod(s_c^m_c) (`_homogeneous_view`): with h = src.home,
-    deg = max(deg num, 0) and the units c<k>^a_k, s<c>^m_c of e.den,
-    gamma_h = -deg + sum(a_k) + sum(deg(s_c)·m_c) and gamma_k = -a_k.  A
-    term x^t takes the exponent t, deg - |t| on x_h, drops x_h2 and adds
+    form · x^gamma / prod(s_c^m_c) (`_homogeneous_reading`, h = src.home):
+    a term x^t takes the exponent t, deg - |t| on x_h, drops x_h2 and adds
     max(gamma, 0); a negative gamma_k becomes c<k>^-gamma_k, section units
     are copied, and `LocElem._of` normalizes.  No pole lies outside dst:
     only gamma_h and the gamma_k of e's coordinate units are negative, and
@@ -914,19 +922,8 @@ def transport(e, dst):
             f"transport target {dst.indices} does not refine {src.indices}")
     if src.home == dst.home:
         return LocElem._of(dst, e.num, dict(e.den))
-    h, h2, num = src.home, dst.home, e.num
-    deg = max(num.total_degree(), 0)
-    gamma = [0] * (src.dim + 1)
-    gamma[h] = -deg
-    units = {}
-    for key, a in e.den.items():
-        k = int(key[1:])
-        if key[0] == "c":
-            gamma[k] -= a
-            gamma[h] += a
-        else:
-            gamma[h] += src.sunit(k).degree * a
-            units[key] = a
+    h, h2 = src.home, dst.home
+    deg, gamma, units = _homogeneous_reading(e)
     del gamma[h2]
     axes = dst.axes()
     den = {f"c{k}": -g for k, g in zip(axes, gamma) if g < 0}
@@ -934,7 +931,7 @@ def transport(e, dst):
     shift = tuple(max(g, 0) for g in gamma)
     lift = any(shift)
     terms = {}
-    for t, c in num.terms.items():
+    for t, c in e.num.terms.items():
         t = t[:h] + (deg - sum(t),) + t[h:]
         t = t[:h2] + t[h2 + 1:]
         terms[tuple(map(add, t, shift)) if lift else t] = c
@@ -951,25 +948,19 @@ def to_laurent(e):
     are always monomial.
     """
     ctx = e.ctx
-    form, gamma, m = _homogeneous_view(e)
+    h = ctx.home
+    deg, gamma, units = _homogeneous_reading(e)
     scale = 1
-    for c, a in m.items():
-        u = ctx.sunit(c)
+    for key, a in units.items():
+        u = ctx.sunit(int(key[1:]))
         if len(u.form.terms) != 1:
             return None
         (ue, uc), = u.form.terms.items()
-        for k in range(ctx.dim + 1):
-            gamma[k] -= ue[k] * a
+        gamma = [g - k * a for g, k in zip(gamma, ue)]
         scale = qdiv(scale, uc ** a)
-    out = {}
-    for te, tc in form.terms.items():
-        key = tuple(map(add, te, gamma))
-        v = out.get(key, 0) + tc * scale
-        if v:
-            out[key] = _canon(v)
-        else:
-            del out[key]
-    return out
+    # distinct terms stay distinct: each gets its own exponent plus gamma
+    return {tuple(map(add, t[:h] + (deg - sum(t),) + t[h:], gamma)):
+            _canon(c * scale) for t, c in e.num.terms.items()}
 
 
 def from_laurent(laurent, ctx):

@@ -181,12 +181,12 @@ def load_bundle(doc):
     ambient = read_ambient(doc)
     if ambient.dim < 2:
         raise ShapeViolation("document: ambient dimension must be >= 2")
-    bare = Cover(ambient)
+    cover = Cover(ambient)
     units = []
-    unit_docs = chart_table(need(doc, "units", dict, "").items(), bare.charts,
+    unit_docs = chart_table(need(doc, "units", dict, "").items(), cover.charts,
                             "units")
     for chart, u in sorted(unit_docs.items()):
-        form = poly_field(need(u, "form", str, "units"), bare.hom_names(),
+        form = poly_field(need(u, "form", str, "units"), cover.hom_names(),
                           "units")
         degree = need(u, "degree", int, "units")
         # what `cover.section_unit` builds: a nonzero homogeneous form of
@@ -197,7 +197,7 @@ def load_bundle(doc):
                 f"units: chart {chart} needs a nonzero homogeneous form of "
                 f"degree {degree}")
         units.append(SUnit(chart, form, degree))
-    cover = Cover(ambient, units)
+    cover.fix_units(units)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
                  "line_bundle")
     lb = LineBundleData(ambient, twist)

@@ -5,10 +5,10 @@ subscheme arrives either as one global complete intersection (two
 homogeneous forms) or as per-chart pairs; charts the subscheme misses are
 completed with the canonical pair (1, 0).  Sections are (r-1)-tuples per
 chart; loading selects each chart's pivot component t_i, fixes a section
-unit where the pivot is not already invertible (a cover's units are set
-when it is built, so loading ends on a new cover carrying them), builds one
-2x2 matrix A_ij per sorted overlap i < j, and validates the overlap
-compatibility of the sections there.
+unit where the pivot is not already invertible (on the one cover of the
+build, replacing only the contexts of the overlaps that contain that
+chart), builds one 2x2 matrix A_ij per sorted overlap i < j, and validates
+the overlap compatibility of the sections there.
 
 The field readers `need`, `chart_key`, `chart_table` and `poly_field` are
 the one place where the input and bundle documents are read: a field has
@@ -117,25 +117,31 @@ def read_ambient(doc):
 
 
 class Cover:
-    """The standard cover with its section units, fixed at construction.
+    """The standard cover of P^n with its section units.
 
-    Contexts built by `ctx` carry every section unit of the cover, so an
-    element built on one cover is moved onto another with `transport`.
-    Each context is built once and kept, so the unit polynomials it memoizes
-    serve every element of the cover.
+    `ctx` builds each context once and keeps it, so the unit polynomials and
+    bases it memoizes serve every element of the cover.  A context carries
+    only its own charts' units, so fixing a unit on chart c changes the ring
+    of exactly the overlaps that contain c: `fix_units` drops those kept
+    contexts and keeps every other one.
     """
 
     def __init__(self, ambient, sunits=()):
         self.ambient = ambient
         self.charts = tuple(range(ambient.dim + 1))
-        by_chart = {}
-        for unit in sunits:
-            if by_chart.setdefault(unit.chart, unit) != unit:
-                raise PreconditionViolated(
-                    f"chart {unit.chart} already has a different registered "
-                    "unit")
-        self.sunits = tuple(by_chart[c] for c in sorted(by_chart))
+        self.sunits = ()
         self._ctxs = {}  # sorted indices -> Context, filled by `ctx`
+        self.fix_units(sunits)
+
+    def fix_units(self, sunits):
+        """Fix the section units `sunits` (at most one per chart) in place,
+        dropping the kept contexts of the overlaps that contain their
+        charts."""
+        new = {u.chart: u for u in sunits}
+        by_chart = {**{u.chart: u for u in self.sunits}, **new}
+        self.sunits = tuple(by_chart[c] for c in sorted(by_chart))
+        self._ctxs = {key: ctx for key, ctx in self._ctxs.items()
+                      if new.keys().isdisjoint(key)}
 
     def ctx(self, indices):
         """The context of an overlap, home its smallest chart, built once."""
@@ -429,10 +435,10 @@ def load_sections(cover, lb, sub, doc, rank):
     chart's shrunk open set (tiers above).  Off-Y charts always carry the
     canonical tuple (1, 0, ..., 0).  `doc` is {chart: [values]}, a list of
     {"chart", "values"} entries, or None.  Pivots are chosen on the
-    unit-free `cover`; when section units are chosen, the cover carrying them
-    replaces sub.cover and the chart pairs and section tuples are moved onto
-    it.  `extend_off_Y` then builds the overlap matrices and checks the
-    sections' compatibility on them.
+    unit-free `cover`; the section units chosen are then fixed on it
+    (`Cover.fix_units`), and the pairs and section tuples of their charts
+    move onto the new chart contexts.  `extend_off_Y` then builds the
+    overlap matrices and checks the sections' compatibility on them.
     """
     if doc is None:
         doc = {}
@@ -496,7 +502,7 @@ def load_sections(cover, lb, sub, doc, rank):
     # largest such i, the check of chart i sees the point: the charts before
     # it hold their final units by then, and x_j = 0 there for every later
     # j.  So one pass in increasing chart order suffices.  The check runs
-    # on the unit-free contexts, which the unit cover below replaces.
+    # on the unit-free chart contexts, before the units are fixed below.
     for i in sorted(units):
         while not _covers_chart(cover, units, i):
             t, _, to_register = next(tries[i], (None, None, None))
@@ -508,16 +514,15 @@ def load_sections(cover, lb, sub, doc, rank):
             t_map[i] = t
 
     # The pivots above were chosen without section units; a chart context
-    # exposes only its own chart's unit, so no chart's choice depends on the
-    # units of the others.  Without units the cover stays, and with it the
-    # Groebner bases its contexts keep.
-    if units:
-        cover = Cover(cover.ambient, units.values())
-        for i in cover.charts:
-            ctx = cover.chart_ctx(i)
-            sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
-            sections[i] = tuple(transport(e, ctx) for e in sections[i])
-        sub.cover = cover
+    # holds only its own chart's unit, so no chart's choice depends on the
+    # units of the others.  Fixing the units replaces only the contexts of
+    # the overlaps that contain a unit chart: only those charts' pairs and
+    # sections move, and every other context keeps its Groebner bases.
+    cover.fix_units(units.values())
+    for i in units:
+        ctx = cover.chart_ctx(i)
+        sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
+        sections[i] = tuple(transport(e, ctx) for e in sections[i])
     secs = SectionData(sections, t_map, tier_map, rank)
     extend_off_Y(sub, secs, lb)
     return secs

@@ -606,7 +606,6 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     lb = LineBundleData(ambient, twist)
     sub = load_subscheme(cover, need(doc, "subscheme", dict, ""))
     secs = load_sections(cover, lb, sub, doc.get("sections"), rank)
-    cover = sub.cover
 
     frames, As = build_frames(sub, secs)
     raw = build_Z(frames, As, sub, secs, lb, lift_order=lift_order)

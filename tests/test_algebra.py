@@ -733,10 +733,10 @@ def test_laurent_requires_monomial_sunits():
 
 # -- homogeneous bookkeeping against the forms it replaced ----------------------
 #
-# `to_laurent` reads elements with `_homogeneous_view`, and `from_laurent`
-# and `LineBundleData.h` read degree-0 vectors back with `chart_monomial`;
-# `transport` moves each numerator term to a new home in one pass of its own,
-# and `LocElem.times_units` replaced a helper of the ideals layer.
+# `transport` and `to_laurent` read an element with `_homogeneous_reading`
+# and move each numerator term in one pass, `from_laurent` and
+# `LineBundleData.h` read degree-0 vectors back with `chart_monomial`, and
+# `LocElem.times_units` replaced a helper of the ideals layer.
 # Normalization with section units is greedy, so each must hand `LocElem` the
 # same (num, den) as these, the separate forms they replaced, kept as
 # references.

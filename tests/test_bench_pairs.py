@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,20 @@ def test_workloads_option_takes_subsets_and_rejects_unknown_names():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", ".", "--out", "x",
                           "--workloads", "linear,quadric"])
+
+
+def test_each_run_gets_a_new_empty_bytecode_cache(monkeypatch):
+    """A leftover `__pycache__` in one checkout cannot speed up its side:
+    every run compiles into its own empty `PYTHONPYCACHEPREFIX`."""
+    caches = []
+
+    def fake_run(cmd, **kwargs):
+        cache = kwargs["env"]["PYTHONPYCACHEPREFIX"]
+        caches.append((cache, os.path.isdir(cache) and os.listdir(cache)))
+        return subprocess.CompletedProcess(cmd, 0, stdout="{}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bench_pairs.run_once(".", "linear", 1, 1)["exit"] == 0
+    (first, first_listing), (second, second_listing) = caches
+    assert first != second and first_listing == second_listing == []

@@ -14,6 +14,7 @@ from serrekit import cli, errors, serre
 from serrekit.algebra import LocElem
 from serrekit.cech import CechCochain
 from serrekit.cli import main
+from serrekit.cover import Cover
 from serrekit.errors import FormMismatch, Inconclusive, Obstructed, SerreError
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench"
@@ -823,6 +824,39 @@ def test_compare_edited_corrected_entry_exit_two(tmp_path, capsys, col, num,
                            write_doc(tmp_path, doc, "edited.json"))
     assert code == 2
     assert "error[compare]" in err and message in err
+
+
+def test_compare_names_the_chart_whose_unit_differs(tmp_path, capsys):
+    """A context holds only its own charts' units, so chart 0's local data
+    are equal on both sides when only chart 1's unit form differs."""
+    ref = CORPUS / "refs" / "two_points_unit.json"
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    assert doc["units"]["1"]["form"] != "x1 + 2*x2"
+    doc["units"]["1"]["form"] = "x1 + 2*x2"
+    code, out, err = run_cli(capsys, "compare", str(ref),
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert (code, out) == (2, "")
+    assert err == ("error[compare]: chart 1: different normalized local "
+                   "data\n")
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "compare"])
+def test_each_document_builds_one_cover(monkeypatch, capsys, command):
+    """Fixing a section unit keeps the cover of the build, so a document
+    with units makes one `Cover`, and `compare` one per document."""
+    made = []
+    real = Cover.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(Cover, "__init__", counted)
+    ref = str(CORPUS / "refs" / "two_points_unit.json")
+    args = {"build": [str(CORPUS / "inputs" / "two_points_unit.json")],
+            "verify": [ref], "compare": [ref, ref]}[command]
+    assert run_cli(capsys, command, *args)[0] == 0
+    assert len(made) == len(args)
+    assert all(len(cover.sunits) == 2 for cover in made)
 
 
 def test_compare_inconclusive_search_exits_one(capsys):

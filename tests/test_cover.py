@@ -283,14 +283,33 @@ def test_reversed_compatibility_check_fails_with_the_sorted_one():
     sub = load_subscheme(cover, _THREE_POINT_DOC)
     with pytest.raises(CompatibilityFailure):
         load_sections(cover, lb, sub, _THREE_POINT_SECTIONS, rank=2)
-    # constant sections need no section unit, so sub keeps this cover and
-    # the A_ij built up to the failing overlap (0, 1)
+    # sub keeps the cover of the build, with the A_ij built up to the
+    # failing overlap (0, 1)
     assert sub.cover is cover
     assert set(sub.A) == {(0, 1)}
     sections = {int(c): (LocElem.const(cover.chart_ctx(int(c)), int(v[0])),)
                 for c, v in _THREE_POINT_SECTIONS.items()}
     verdicts = _check_reversed_is_implied(sub, lb, sections, 2, [(0, 1)])
     assert not verdicts[(0, 1, 0)]
+
+
+def test_fixing_a_section_unit_keeps_the_other_contexts():
+    """`skew_unit` fixes a unit on chart 0 only: the overlaps without chart
+    0 keep the contexts, and the bases, of `load_subscheme`."""
+    doc = json.loads((INPUTS / "skew_unit.json").read_text(encoding="utf-8"))
+    cover = Cover(read_ambient(doc))
+    lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
+    sub = load_subscheme(cover, doc["subscheme"])
+    ctx12, ctx01 = cover.ctx((1, 2)), cover.ctx((0, 1))
+    bases = {k for k in ctx12._memo if k != "axes"}
+    assert bases and ctx01.sunits == ()
+    load_sections(cover, lb, sub, doc["sections"], doc["rank"])
+    assert sub.cover is cover and [u.chart for u in cover.sunits] == [0]
+    assert cover.ctx((1, 2)) is ctx12 and bases <= set(ctx12._memo)
+    new01 = cover.ctx((0, 1))
+    assert new01 is not ctx01 and new01.unit_keys() == ("c1", "s0")
+    for ctx in cover._ctxs.values():
+        assert all(u.chart in ctx.indices for u in ctx.sunits), ctx.indices
 
 
 # -- overlaps decided without a saturated basis -------------------------------
@@ -469,8 +488,10 @@ def test_charts_builds_decide_overlaps_with_the_consistency_bases(
     """A `charts` input decides each overlap by `is_unit_ideal` in
     `load_subscheme`, on the saturated bases that the consistency check
     has just built there, so no overlap makes a basis of its own: 18, 11
-    and 28 bases where a codimension premise per overlap made 22, 14 and
-    31."""
+    and 24 bases where a codimension premise per overlap made 22, 14 and
+    31.  `skew_unit` fixes a unit on chart 0 only, so the overlaps (1, 2)
+    and (1, 3) keep their contexts and `unit_certificate` rebuilds none of
+    their 4 bases (28 when a unit replaced the whole cover)."""
     made = []
     real = ideals.buchberger
 
@@ -489,7 +510,7 @@ def test_charts_builds_decide_overlaps_with_the_consistency_bases(
         else:
             assert build_bundle(doc).report.ok
         per_build.append(len(made) - before)
-    assert per_build == [18, 11, 28]
+    assert per_build == [18, 11, 24]
 
 
 # -- the hyperplane lemma against today's decisions --------------------------
