@@ -17,16 +17,18 @@ and quartiles of each side and how many pairs (same workload and seed) each
 side won.  Whether lower or higher is better is read from `BENCHMARK.json`
 (lower if a metric is not listed there); a side that ran a workload and
 seed twice counts its last row.  `--pairs 0` only prints the summary of an
-existing OUT.  Each run compiles into a new empty bytecode cache directory.
+existing OUT.  Before each run every `__pycache__` under both checkouts'
+`src/` is removed, so both sides compile `src/` alike and read the standard
+library's own bytecode caches.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("linear", "curved", "ansatz")
@@ -54,20 +56,37 @@ def workload_list(text):
     return names
 
 
+def clear_bytecode(checkouts):
+    """Remove every `__pycache__` under the `src/` of each checkout, and
+    check that none is left."""
+    for checkout in checkouts:
+        for path in src_caches(checkout):
+            shutil.rmtree(path)
+        if src_caches(checkout):
+            raise RuntimeError(f"a __pycache__ is left under {checkout}/src")
+
+
+def src_caches(checkout):
+    """Every `__pycache__` directory under a checkout's `src/`."""
+    return [os.path.join(top, "__pycache__")
+            for top, dirs, _ in os.walk(os.path.join(checkout, "src"))
+            if "__pycache__" in dirs]
+
+
 def run_once(checkout, workload, seed, seconds):
     """One `perfbench/run.py` run; its verdict and metrics as a dict.
 
-    The run and its children read and write bytecode only in a new empty
-    directory (`PYTHONPYCACHEPREFIX`), so no side reads a `__pycache__`
-    left in its checkout and skips compiling what the other side compiles.
+    The child's environment sets no `PYTHONPYCACHEPREFIX`: the caller
+    clears the `src/` bytecode caches (`clear_bytecode`) before each run,
+    and the standard library's caches stay where they are.
     """
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        proc = subprocess.run(
-            [sys.executable, os.path.join("perfbench", "run.py"),
-             "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
-            cwd=checkout, stdin=subprocess.DEVNULL, capture_output=True,
-            text=True, env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, stdin=subprocess.DEVNULL, capture_output=True,
+        text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     try:
         last = json.loads(lines[-1])
@@ -164,6 +183,7 @@ def main(argv=None):
         order = SIDES if seed % 2 else SIDES[::-1]
         for workload in args.workloads:
             for pos, side in enumerate(order):
+                clear_bytecode(checkouts.values())
                 row = {"revision": revisions[side], "side": side,
                        "workload": workload, "seed": seed, "order": pos,
                        **run_once(checkouts[side], workload, seed,

@@ -65,8 +65,9 @@ def _cochain_doc(c):
             for key in sorted(c.data)]
 
 
-def bundle_doc(bundle):
-    """Serialize a BundleResult into a plain-JSON document."""
+def bundle_doc(bundle, report):
+    """Serialize a BundleResult and its verification report into a
+    plain-JSON document."""
     cover = bundle.cover
     names = cover.hom_names()
     charts = {}
@@ -107,7 +108,7 @@ def bundle_doc(bundle):
         "obstruction": _cochain_doc(bundle.obstruction),
         "correction": _cochain_doc(bundle.xi),
         "meta": meta,
-        "verification": bundle.report.to_doc() if bundle.report else [],
+        "verification": report.to_doc(),
     }
 
 
@@ -252,9 +253,8 @@ def load_bundle(doc):
 
     sub = SubschemeData(cover, need(doc, "mode", str, ""), pairs, meets, empty)
     secs = SectionData(sections, t_map, tier_map, r)
-    raw = TransitionSet(r, "raw", cover, lb, sorted_pairs, Z_raw, branch)
-    cor = TransitionSet(r, "corrected", cover, lb, sorted_pairs, Z_cor, branch,
-                        base=raw)
+    raw = TransitionSet(r, "raw", cover, lb, Z_raw, branch)
+    cor = TransitionSet(r, "corrected", cover, lb, Z_cor, branch, base=raw)
     obs = _cochain_load(cover, lb, 2, r - 1,
                         need(doc, "obstruction", list, ""),
                         "obstruction")
@@ -426,8 +426,9 @@ def cmd_build(args):
                          "message": str(exc)}},
               args, lambda _: [f"inconclusive: {exc}"])
         raise
-    _emit(bundle_doc(bundle), args, _text_bundle)
-    _check_report(bundle.report)
+    report = run_all(bundle)
+    _emit(bundle_doc(bundle, report), args, _text_bundle)
+    _check_report(report)
     return 0
 
 

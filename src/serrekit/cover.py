@@ -4,11 +4,11 @@ The cover of P^n is U_0 .. U_n (U_k = {x_k != 0}).  A codimension-two
 subscheme arrives either as one global complete intersection (two
 homogeneous forms) or as per-chart pairs; charts the subscheme misses are
 completed with the canonical pair (1, 0).  Sections are (r-1)-tuples per
-chart; loading selects each chart's pivot component t_i, fixes a section
-unit where the pivot is not already invertible (on the one cover of the
-build, replacing only the contexts of the overlaps that contain that
-chart), builds one 2x2 matrix A_ij per sorted overlap i < j, and validates
-the overlap compatibility of the sections there.
+chart; loading selects each chart's pivot component t_i and fixes a
+section unit where the pivot is not already invertible (on the one cover of
+the build, replacing only the contexts of the overlaps that contain that
+chart).  `extend_off_Y` then returns one 2x2 matrix A_ij per sorted overlap
+i < j and validates the overlap compatibility of the sections there.
 
 The field readers `need`, `chart_key`, `chart_table` and `poly_field` are
 the one place where the input and bundle documents are read: a field has
@@ -119,19 +119,19 @@ def read_ambient(doc):
 class Cover:
     """The standard cover of P^n with its section units.
 
-    `ctx` builds each context once and keeps it, so the unit polynomials and
-    bases it memoizes serve every element of the cover.  A context carries
-    only its own charts' units, so fixing a unit on chart c changes the ring
-    of exactly the overlaps that contain c: `fix_units` drops those kept
-    contexts and keeps every other one.
+    A new cover has no section units; `fix_units` is the one way to fix
+    them.  `ctx` builds each context once and keeps it, so the unit
+    polynomials and bases it memoizes serve every element of the cover.  A
+    context carries only its own charts' units, so fixing a unit on chart c
+    changes the ring of exactly the overlaps that contain c: `fix_units`
+    drops those kept contexts and keeps every other one.
     """
 
-    def __init__(self, ambient, sunits=()):
+    def __init__(self, ambient):
         self.ambient = ambient
         self.charts = tuple(range(ambient.dim + 1))
         self.sunits = ()
         self._ctxs = {}  # sorted indices -> Context, filled by `ctx`
-        self.fix_units(sunits)
 
     def fix_units(self, sunits):
         """Fix the section units `sunits` (at most one per chart) in place,
@@ -192,7 +192,6 @@ class SubschemeData:
         self.mode = mode
         self.pairs = pairs  # chart -> (f, g) as LocElems in the chart context
         self.meets_Y = meets_Y  # chart -> bool
-        self.A = {}             # sorted (i, j), i < j -> 2x2 A_ij
         self.empty_overlap = empty_overlap  # sorted (i, j), i < j -> bool
 
     def pair_on(self, i, ctx):
@@ -326,12 +325,13 @@ def load_subscheme(cover, doc):
 
 
 def extend_off_Y(sub, secs, lb):
-    """Build the 2x2 matrix A_ij with (f_i; g_i) = A_ij (f_j; g_j), exactly,
-    on every sorted overlap i < j, using lifts where the overlap meets Y and
-    the unit-certificate product form where it does not (as
-    `load_subscheme` decided in sub.empty_overlap), and enforce the section
-    compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) there, on
-    the same restrictions.
+    """{(i, j): A_ij}: the 2x2 matrix with (f_i; g_i) = A_ij (f_j; g_j),
+    exactly, on every sorted overlap i < j of the loaded pairs and sections
+    (`load_sections` has fixed the section units), using lifts where the
+    overlap meets Y and the unit-certificate product form where it does not
+    (as `load_subscheme` decided in sub.empty_overlap).  It enforces the
+    section compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i)
+    there, on the same restrictions.
 
     Where the numerators of f_i and f_j agree on the overlap, the top row of
     A_ij is (f_i / f_j, 0), the quotient of the two denominators, and this
@@ -359,6 +359,7 @@ def extend_off_Y(sub, secs, lb):
     j) before (j, i), the sorted loop also reports the same first failure.
     """
     cover = sub.cover
+    As = {}
     for i, j in combinations(cover.charts, 2):
         ctx = cover.ctx((i, j))
         fi, gi = sub.pair_on(i, ctx)
@@ -378,7 +379,7 @@ def extend_off_Y(sub, secs, lb):
             a = MatrixL(ctx, [[top[0], top[1]], [bot[0], bot[1]]])
         if a.matvec((fj, gj)) != (fi, gi):
             raise AssertionError("gluing identity failed re-verification")
-        sub.A[(i, j)] = a
+        As[(i, j)] = a
         factor = a.det() * lb.h(j, i, ctx)  # det A_ij / h_ij
         for m, (si, sj) in enumerate(zip(secs.sections[i], secs.sections[j])):
             residue = transport(si, ctx) - factor * transport(sj, ctx)
@@ -386,7 +387,7 @@ def extend_off_Y(sub, secs, lb):
                 raise CompatibilityFailure(
                     f"sections {m + 1} on overlap ({i}, {j}) are not "
                     "compatible modulo (f, g)")
-    return sub
+    return As
 
 
 SectionData = namedtuple("SectionData", [
@@ -426,9 +427,8 @@ def _covers_chart(cover, units, i):
     return is_unit_ideal(gens)
 
 
-def load_sections(cover, lb, sub, doc, rank):
-    """Parse and validate the section data, fix the section units, and fill
-    sub.A on the way.
+def load_sections(cover, sub, doc, rank):
+    """Parse and validate the section data and fix the section units.
 
     Per chart meeting Y: the r-1 section components together with (f, g) must
     generate the unit ideal, and a pivot component must be invertible on the
@@ -437,8 +437,8 @@ def load_sections(cover, lb, sub, doc, rank):
     {"chart", "values"} entries, or None.  Pivots are chosen on the
     unit-free `cover`; the section units chosen are then fixed on it
     (`Cover.fix_units`), and the pairs and section tuples of their charts
-    move onto the new chart contexts.  `extend_off_Y` then builds the
-    overlap matrices and checks the sections' compatibility on them.
+    move onto the new chart contexts.  Returns the SectionData, which
+    `extend_off_Y` reads next.
     """
     if doc is None:
         doc = {}
@@ -523,6 +523,4 @@ def load_sections(cover, lb, sub, doc, rank):
         ctx = cover.chart_ctx(i)
         sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
         sections[i] = tuple(transport(e, ctx) for e in sections[i])
-    secs = SectionData(sections, t_map, tier_map, rank)
-    extend_off_Y(sub, secs, lb)
-    return secs
+    return SectionData(sections, t_map, tier_map, rank)

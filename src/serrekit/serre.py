@@ -4,9 +4,11 @@ Given a codimension-two locally complete intersection Y with chart pairs
 (f_i, g_i), a line-bundle twist, and r-1 section representatives that
 generate along Y, the pipeline produces r x r transition matrices Z_ij whose
 cokernel presentation realizes Y as the dependency locus of r-1 sections of
-the resulting bundle:
+the resulting bundle.  `build_bundle` chains the stages, each returning
+what it makes for the next:
 
-    build_frames (normalize_generators on each chart) -> build_Z
+    load_subscheme -> load_sections -> extend_off_Y (the A_ij) ->
+        build_frames (normalize_generators on each chart) -> build_Z
         (adjust_glue on each overlap) -> obstruction -> correct
 
 `build_Z` glues chart frames pairwise; the triple-overlap defect is exactly
@@ -16,7 +18,8 @@ line bundle, and `correct` removes it by solving a coboundary equation.
 by solving the analogous degree-1 problem.
 
 All identities asserted here hold exactly (no tolerances); a failed assertion
-raises, it never warns.
+raises, it never warns.  Checking the identities of a finished bundle is a
+separate act, `verify.run_all`, which the caller runs.
 """
 
 from collections import namedtuple
@@ -24,8 +27,8 @@ from itertools import combinations
 
 from .algebra import LocElem, MatrixL, dot, transport
 from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
-from .cover import (Cover, LineBundleData, load_sections, load_subscheme,
-                    need, read_ambient)
+from .cover import (Cover, LineBundleData, extend_off_Y, load_sections,
+                    load_subscheme, need, read_ambient)
 from .errors import (FormMismatch, GluingFailure, NotInIdeal,
                      PreconditionViolated, SerreError, ShapeViolation)
 from .ideals import invert, koszul_divide, lift_pair, unit_certificate
@@ -165,25 +168,26 @@ class TransitionSet:
     without parsing it; those values are computed once for both sets.
 
     Invariants, checked at construction (ValueError): Z is keyed by exactly
-    `pairs`, each sorted i < j, and a base has the same cover, line bundle,
-    rank and pairs.  A stored reversed Z_ji would bypass adj(Z_ij) h_ji,
-    and `verify_cocycle` and `verify_det` read the reversed identities off
-    the sorted ones only because `get` derives them so.
+    the cover's sorted pairs i < j, which `pairs` holds, and a base has the
+    same cover, line bundle and rank.  A stored reversed Z_ji would bypass
+    adj(Z_ij) h_ji, and `verify_cocycle` and `verify_det` read the reversed
+    identities off the sorted ones only because `get` derives them so.
     """
 
-    def __init__(self, rank, status, cover, lb, pairs, Z, branch, base=None):
-        if sorted(Z) != sorted(pairs) or any(i >= j for i, j in pairs):
+    def __init__(self, rank, status, cover, lb, Z, branch, base=None):
+        pairs = tuple(combinations(cover.charts, 2))
+        if sorted(Z) != list(pairs):
             raise ValueError("transitions must be keyed by exactly the "
                              "sorted pairs i < j")
         if base is not None and (base.cover is not cover or base.lb is not lb
-                                 or base.rank != rank or base.pairs != pairs):
-            raise ValueError("a base must have the same cover, line bundle, "
-                             "rank and pairs")
+                                 or base.rank != rank):
+            raise ValueError("a base must have the same cover, line bundle "
+                             "and rank")
         self.rank = rank
         self.status = status    # "raw" | "corrected"
         self.cover = cover
         self.lb = lb
-        self.pairs = pairs      # sorted (i, j), i < j
+        self.pairs = pairs      # the cover's sorted (i, j), i < j
         self.Z = Z              # (i, j) -> r x r MatrixL on cover.ctx((i, j))
         self.branch = branch    # (i, j) -> "unit" | "split"
         self.base = base
@@ -257,7 +261,7 @@ BundleResult = namedtuple("BundleResult", [
     "raw",
     "obstruction",  # triple-overlap defect, degree 2
     "xi",           # solved correction 1-cochain
-    "meta", "report"], defaults=(None,))
+    "meta"])
 
 
 def normalize_generators(chart, f, g, s, t):
@@ -309,22 +313,23 @@ def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
     return A
 
 
-def build_frames(sub, secs):
+def build_frames(sub, secs, As):
     """The frame M of every chart (`normalize_generators` on its loaded pair
-    and sections) and the overlap matrices A_ij carried along.
+    and sections) and the overlap matrices `extend_off_Y` returned (As)
+    carried along.
 
     Each A_ij (sorted, i < j) is conjugated by the charts' rescalings so
     A_ij (f_j; g_j) = (f_i; g_i) keeps holding for the normalized pairs,
     which is re-checked exactly on the frames' restrictions to the overlap
     (`FrameData.on`, kept for `build_Z`).  Returns (frames, {(i, j):
-    A_ij}); `sub` and `secs` keep the loaded data.
+    conjugated A_ij}); `sub`, `secs` and `As` keep the loaded data.
     """
     frames, invs = {}, {}
     for i in sub.cover.charts:
         frames[i], invs[i] = normalize_generators(
             i, *sub.pairs[i], secs.sections[i], secs.t[i])
-    As = {}
-    for (i, j), A in sub.A.items():
+    normalized = {}
+    for (i, j), A in As.items():
         ctx = A.ctx
         inv_i = transport(invs[i], ctx)
         piv_j = transport(secs.sections[j][secs.t[j] - 1], ctx)
@@ -338,8 +343,8 @@ def build_frames(sub, secs):
         if A.matvec((fj, gj)) != (fi, gi):
             raise PreconditionViolated(
                 f"overlap ({i}, {j}): normalization broke the gluing identity")
-        As[(i, j)] = A
-    return frames, As
+        normalized[(i, j)] = A
+    return frames, normalized
 
 
 def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
@@ -365,8 +370,7 @@ def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
     cover = sub.cover
     r = secs.rank
     Zs, branch = {}, {}
-    pairs = tuple(combinations(cover.charts, 2))
-    for i, j in pairs:
+    for i, j in combinations(cover.charts, 2):
         ctx = cover.ctx((i, j))
         fr_i, fr_j = frames[i], frames[j]
         t_i, sgn_i = fr_i.t, fr_i.sign
@@ -400,8 +404,8 @@ def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
         left = fr_i.M_on(ctx).delete_col(t_j - 1)
         Zs[(i, j)] = MatrixL(ctx, [(*a, *b) for a, b
                                    in zip(left.rows, [*Q, *S.rows])])
-    raw = TransitionSet(rank=r, status="raw", cover=cover, lb=lb,
-                        pairs=pairs, Z=Zs, branch=branch)
+    raw = TransitionSet(rank=r, status="raw", cover=cover, lb=lb, Z=Zs,
+                        branch=branch)
     _check_glue(raw, frames)
     return raw
 
@@ -474,8 +478,7 @@ def correct(Z, obs, frames, max_degree=MAX_DEGREE):
         newZ[(i, j)] = Z.Z[(i, j)] + U
         changed.append((i, j))
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
-                              pairs=Z.pairs, Z=newZ, branch=dict(Z.branch),
-                              base=Z)
+                              Z=newZ, branch=dict(Z.branch), base=Z)
     _check_glue(corrected, frames, changed)
     for i, j, k in combinations(cover.charts, 3):
         zero = MatrixL.zeros(cover.ctx((i, j, k)), r, r)
@@ -580,9 +583,10 @@ def build_bundle(doc, lift_order=None, max_degree=None):
 
     Document fields: ambient {kind: "projective", dim}, line_bundle
     {twist}, rank, subscheme {mode, ...}, sections, options {lift_order,
-    max_degree}; the arguments, when given, override the options.  Returns
-    a BundleResult carrying the raw and corrected transition sets, the
-    obstruction data, and the verification report.
+    max_degree}; the arguments, when given, override the options.  The
+    stages run in order, each fed what the one before returned.  Returns a
+    BundleResult carrying the raw and corrected transition sets and the
+    obstruction data; it does not verify them (`verify.run_all` does).
     """
     ambient = read_ambient(doc)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
@@ -605,9 +609,10 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     cover = Cover(ambient)
     lb = LineBundleData(ambient, twist)
     sub = load_subscheme(cover, need(doc, "subscheme", dict, ""))
-    secs = load_sections(cover, lb, sub, doc.get("sections"), rank)
+    secs = load_sections(cover, sub, doc.get("sections"), rank)
+    As = extend_off_Y(sub, secs, lb)
 
-    frames, As = build_frames(sub, secs)
+    frames, As = build_frames(sub, secs, As)
     raw = build_Z(frames, As, sub, secs, lb, lift_order=lift_order)
     obs = obstruction(raw, frames)
     corrected, xi = correct(raw, obs, frames, max_degree=max_degree)
@@ -624,9 +629,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
         "h2_dim": h2,
         "unique": h1 == 0,
     }
-    result = BundleResult(ambient=ambient, cover=cover, lb=lb, rank=rank,
-                          sub=sub, secs=secs, frames=frames,
-                          transitions=corrected, raw=raw, obstruction=obs,
-                          xi=xi, meta=meta)
-    from .verify import run_all
-    return result._replace(report=run_all(result))
+    return BundleResult(ambient=ambient, cover=cover, lb=lb, rank=rank,
+                        sub=sub, secs=secs, frames=frames,
+                        transitions=corrected, raw=raw, obstruction=obs,
+                        xi=xi, meta=meta)

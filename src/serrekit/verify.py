@@ -170,13 +170,14 @@ def verify_cocycle(Z):
     return entries
 
 
-def verify_det(Z, lb):
-    """det Z_ij = h_ij exactly on every ordered overlap.
+def verify_det(Z):
+    """det Z_ij = h_ij exactly on every ordered overlap, h being the set's
+    own line bundle Z.lb.
 
     The sorted dets are computed; a reversed det Z_ji = det(Z_ij)^{r-1}
     h_ji^r is emitted as passed without computing it when det Z_ij = h_ij
     passed and h_ij h_ji == 1 (module docstring), and computed otherwise."""
-    cover = Z.cover
+    cover, lb = Z.cover, Z.lb
 
     def det(i, j):
         d, h = Z.det(i, j), lb.h(i, j, cover.ctx((i, j)))
@@ -269,8 +270,8 @@ def verify_section_relation(frames):
     return entries
 
 
-def verify_glue_identities(Z, lb, frames):
-    """Raw-set identities on sorted overlaps and triples:
+def verify_glue_identities(Z, frames):
+    """Raw-set identities on sorted overlaps and triples, h being Z.lb's:
       (a) (g_i, -f_i) S_ij = (-1)^{t_i+t_j} h_ij (g_j, -f_j), read from the
           last two columns of the two sides of (c);
       (b) R_ij is (f_i; g_i) in column t_i and zero elsewhere, with
@@ -288,7 +289,7 @@ def verify_glue_identities(Z, lb, frames):
         fi, gi, _ = fr_i.on(ctx)
         fj, gj, _ = fr_j.on(ctx)
         sgn = fr_i.sign * fr_j.sign
-        h = lb.h(i, j, ctx)
+        h = Z.lb.h(i, j, ctx)
         R = MatrixL(ctx, [row[:r - 2] for row in Z.Z[(i, j)].rows[r - 2:]])
 
         lhs = _mrow(ctx, r, fi, gi) @ Z.Z[(i, j)]
@@ -335,8 +336,8 @@ def run_all(bundle):
     entries = []
     entries += verify_section_relation(bundle.frames)
     entries += verify_dependency_locus(bundle.frames, bundle.sub)
-    entries += verify_glue_identities(bundle.raw, bundle.lb, bundle.frames)
-    entries += verify_det(bundle.raw, bundle.lb)
+    entries += verify_glue_identities(bundle.raw, bundle.frames)
+    entries += verify_det(bundle.raw)
     entries += verify_defect_shape(bundle.raw, bundle.frames)
     c = bundle.obstruction
     # d(d xi) = 0, so a solved obstruction is a cocycle (module docstring)
@@ -345,6 +346,6 @@ def run_all(bundle):
                                solves or is_cocycle(c)))
     entries.append(ReportEntry("correction_solves_obstruction", "all pairs",
                                solves))
-    entries += verify_det(bundle.transitions, bundle.lb)
+    entries += verify_det(bundle.transitions)
     entries += verify_cocycle(bundle.transitions)
     return Report(entries)

@@ -104,18 +104,38 @@ def test_workloads_option_takes_subsets_and_rejects_unknown_names():
                           "--workloads", "linear,quadric"])
 
 
-def test_each_run_gets_a_new_empty_bytecode_cache(monkeypatch):
+def test_each_run_starts_with_no_src_bytecode_and_no_prefix(tmp_path,
+                                                           monkeypatch):
     """A leftover `__pycache__` in one checkout cannot speed up its side:
-    every run compiles into its own empty `PYTHONPYCACHEPREFIX`."""
-    caches = []
+    before every run neither `src/` tree holds one, and the child reads the
+    standard library's caches because its environment sets no prefix."""
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+
+    def plant(checkout):
+        for pkg in ("src", "src/serrekit"):
+            cache = checkout / pkg / "__pycache__"
+            cache.mkdir(parents=True, exist_ok=True)
+            (cache / "mod.cpython-311.pyc").write_bytes(b"")
+
+    for checkout in trees.values():
+        plant(checkout)
+    runs = []
 
     def fake_run(cmd, **kwargs):
-        cache = kwargs["env"]["PYTHONPYCACHEPREFIX"]
-        caches.append((cache, os.path.isdir(cache) and os.listdir(cache)))
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+        assert "PYTHONPYCACHEPREFIX" not in kwargs["env"]
+        for checkout in trees.values():
+            assert not list((checkout / "src").rglob("__pycache__"))
+        runs.append(kwargs["cwd"])
+        plant(Path(kwargs["cwd"]))  # the child compiles into its checkout
         return subprocess.CompletedProcess(cmd, 0, stdout="{}\n", stderr="")
 
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    for _ in range(2):
-        assert bench_pairs.run_once(".", "linear", 1, 1)["exit"] == 0
-    (first, first_listing), (second, second_listing) = caches
-    assert first != second and first_listing == second_listing == []
+    monkeypatch.setattr(bench_pairs, "ROOT", str(trees["change"]))
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--pairs", "2",
+                             "--seconds", "1", "--workloads", "linear",
+                             "--out", str(tmp_path / "pairs.jsonl")]) == 0
+    assert runs == [str(trees[s]) for s in
+                    ("parent", "change", "change", "parent")]
