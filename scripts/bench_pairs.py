@@ -59,18 +59,14 @@ def workload_list(text):
 def clear_bytecode(checkouts):
     """Remove every `__pycache__` under the `src/` of each checkout, and
     check that none is left."""
-    for checkout in checkouts:
-        for path in src_caches(checkout):
-            shutil.rmtree(path)
-        if src_caches(checkout):
-            raise RuntimeError(f"a __pycache__ is left under {checkout}/src")
-
-
-def src_caches(checkout):
-    """Every `__pycache__` directory under a checkout's `src/`."""
-    return [os.path.join(top, "__pycache__")
-            for top, dirs, _ in os.walk(os.path.join(checkout, "src"))
-            if "__pycache__" in dirs]
+    def caches():
+        return [os.path.join(top, "__pycache__") for checkout in checkouts
+                for top, dirs, _ in os.walk(os.path.join(checkout, "src"))
+                if "__pycache__" in dirs]
+    for path in caches():
+        shutil.rmtree(path)
+    if caches():
+        raise RuntimeError("a __pycache__ is left under a src/ tree")
 
 
 def run_once(checkout, workload, seed, seconds):

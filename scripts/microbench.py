@@ -41,8 +41,9 @@ saturated bases, frame restrictions or products that an earlier one kept:
 Loading an input document, on a new `Cover` per repetition, made before
 its timer starts, so that no repetition reads the bases its contexts kept:
 
-- `ci23_p4.load`: `cover.load_subscheme` and `cover.load_sections` of the
-  curved input `ci23_p4` (chart pairs, pivots and every overlap's A_ij);
+- `ci23_p4.load`: `cover.load_subscheme`, `cover.load_sections` and
+  `cover.extend_off_Y` of the curved input `ci23_p4` (chart pairs, pivots
+  and every overlap's A_ij);
 - `dense_d6_p3.load`: the same on `dense_ci(6)`, a dense complete
   intersection of two sextics on P^3 generated from a fixed seed, whose
   build is almost all the bases that decide its charts;
@@ -82,8 +83,9 @@ from serrekit import serre  # noqa: E402
 from serrekit.algebra import Context  # noqa: E402
 from serrekit.cech import coboundary_solve, is_cocycle  # noqa: E402
 from serrekit.cli import _read_json, load_bundle  # noqa: E402
-from serrekit.cover import (Cover, LineBundleData, load_sections,  # noqa: E402
-                            load_subscheme, read_ambient)
+from serrekit.cover import (Cover, LineBundleData,  # noqa: E402
+                            extend_off_Y, load_sections, load_subscheme,
+                            read_ambient)
 from serrekit.errors import Inconclusive  # noqa: E402
 from serrekit.verify import run_all  # noqa: E402
 
@@ -139,8 +141,8 @@ def _dets(Z):
 
 def _defects(Z):
     def run():
-        fresh = serre.TransitionSet(Z.rank, Z.status, Z.cover, Z.lb, Z.pairs,
-                                    Z.Z, Z.branch)
+        fresh = serre.TransitionSet(Z.rank, Z.status, Z.cover, Z.lb, Z.Z,
+                                    Z.branch)
         for i, j, k in combinations(Z.cover.charts, 3):
             fresh.defect(i, j, k)
         return "computed"
@@ -199,8 +201,8 @@ def dense_ci(degree, seed=7):
 
 
 def _load(doc):
-    """`load_subscheme` and `load_sections` of the input document `doc` per
-    repetition, on a new cover."""
+    """`load_subscheme`, `load_sections` and `extend_off_Y` of the input
+    document `doc` per repetition, on a new cover."""
     def prepare():
         ambient = read_ambient(doc)
         cover = Cover(ambient)
@@ -208,7 +210,8 @@ def _load(doc):
 
         def run():
             sub = load_subscheme(cover, doc["subscheme"])
-            load_sections(cover, lb, sub, doc["sections"], doc["rank"])
+            secs = load_sections(cover, sub, doc["sections"], doc["rank"])
+            extend_off_Y(sub, secs, lb)
             return "loaded"
         return run
     return prepare

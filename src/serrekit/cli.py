@@ -66,8 +66,7 @@ def _cochain_doc(c):
 
 
 def bundle_doc(bundle, report):
-    """Serialize a BundleResult and its verification report into a
-    plain-JSON document."""
+    """Serialize a BundleResult and its report into a plain-JSON document."""
     cover = bundle.cover
     names = cover.hom_names()
     charts = {}

@@ -119,12 +119,12 @@ def read_ambient(doc):
 class Cover:
     """The standard cover of P^n with its section units.
 
-    A new cover has no section units; `fix_units` is the one way to fix
-    them.  `ctx` builds each context once and keeps it, so the unit
-    polynomials and bases it memoizes serve every element of the cover.  A
-    context carries only its own charts' units, so fixing a unit on chart c
-    changes the ring of exactly the overlaps that contain c: `fix_units`
-    drops those kept contexts and keeps every other one.
+    A new cover has no units; `fix_units` alone fixes them.  `ctx` builds
+    each context once and keeps it, so the unit polynomials and bases it
+    memoizes serve every element of the cover.  A context carries only its
+    own charts' units, so fixing a unit on chart c changes the ring of
+    exactly the overlaps that contain c: `fix_units` drops those kept
+    contexts and keeps every other one.
     """
 
     def __init__(self, ambient):
@@ -325,13 +325,12 @@ def load_subscheme(cover, doc):
 
 
 def extend_off_Y(sub, secs, lb):
-    """{(i, j): A_ij}: the 2x2 matrix with (f_i; g_i) = A_ij (f_j; g_j),
-    exactly, on every sorted overlap i < j of the loaded pairs and sections
-    (`load_sections` has fixed the section units), using lifts where the
-    overlap meets Y and the unit-certificate product form where it does not
-    (as `load_subscheme` decided in sub.empty_overlap).  It enforces the
-    section compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i)
-    there, on the same restrictions.
+    """{(i, j): A_ij}, the 2x2 matrix with (f_i; g_i) = A_ij (f_j; g_j)
+    exactly on every sorted overlap i < j, by lifts where the overlap meets
+    Y and the unit-certificate product form where it does not (as
+    `load_subscheme` decided in sub.empty_overlap).  It enforces the section
+    compatibility s_i - (det A_ij / h_ij) s_j = 0 mod (f_i, g_i) there, on
+    the same restrictions.
 
     Where the numerators of f_i and f_j agree on the overlap, the top row of
     A_ij is (f_i / f_j, 0), the quotient of the two denominators, and this

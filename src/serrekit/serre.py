@@ -4,8 +4,7 @@ Given a codimension-two locally complete intersection Y with chart pairs
 (f_i, g_i), a line-bundle twist, and r-1 section representatives that
 generate along Y, the pipeline produces r x r transition matrices Z_ij whose
 cokernel presentation realizes Y as the dependency locus of r-1 sections of
-the resulting bundle.  `build_bundle` chains the stages, each returning
-what it makes for the next:
+the resulting bundle, each stage returning what the next one reads:
 
     load_subscheme -> load_sections -> extend_off_Y (the A_ij) ->
         build_frames (normalize_generators on each chart) -> build_Z
@@ -18,8 +17,7 @@ line bundle, and `correct` removes it by solving a coboundary equation.
 by solving the analogous degree-1 problem.
 
 All identities asserted here hold exactly (no tolerances); a failed assertion
-raises, it never warns.  Checking the identities of a finished bundle is a
-separate act, `verify.run_all`, which the caller runs.
+raises, it never warns.  Callers verify the result (`verify.run_all`).
 """
 
 from collections import namedtuple
@@ -315,8 +313,7 @@ def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
 
 def build_frames(sub, secs, As):
     """The frame M of every chart (`normalize_generators` on its loaded pair
-    and sections) and the overlap matrices `extend_off_Y` returned (As)
-    carried along.
+    and sections) and `extend_off_Y`'s overlap matrices As carried along.
 
     Each A_ij (sorted, i < j) is conjugated by the charts' rescalings so
     A_ij (f_j; g_j) = (f_i; g_i) keeps holding for the normalized pairs,
@@ -583,10 +580,9 @@ def build_bundle(doc, lift_order=None, max_degree=None):
 
     Document fields: ambient {kind: "projective", dim}, line_bundle
     {twist}, rank, subscheme {mode, ...}, sections, options {lift_order,
-    max_degree}; the arguments, when given, override the options.  The
-    stages run in order, each fed what the one before returned.  Returns a
-    BundleResult carrying the raw and corrected transition sets and the
-    obstruction data; it does not verify them (`verify.run_all` does).
+    max_degree}; the arguments, when given, override the options.  Returns
+    a BundleResult carrying the raw and corrected transition sets and the
+    obstruction data, unverified: `verify.run_all` checks it.
     """
     ambient = read_ambient(doc)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,

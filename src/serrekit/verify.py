@@ -171,8 +171,7 @@ def verify_cocycle(Z):
 
 
 def verify_det(Z):
-    """det Z_ij = h_ij exactly on every ordered overlap, h being the set's
-    own line bundle Z.lb.
+    """det Z_ij = h_ij (of Z.lb) exactly on every ordered overlap.
 
     The sorted dets are computed; a reversed det Z_ji = det(Z_ij)^{r-1}
     h_ji^r is emitted as passed without computing it when det Z_ij = h_ij

@@ -17,6 +17,13 @@ from serrekit.errors import (Inconclusive, NotACocycle, Obstructed,
                              PreconditionViolated, ShapeViolation)
 
 
+
+def _with_units(ambient, units):
+    """A cover of `ambient` with the section units `units` fixed."""
+    cover = Cover(ambient)
+    cover.fix_units(units)
+    return cover
+
 def _poly(ctx, text):
     """A polynomial in the variables of the context ctx."""
     return parse_poly(text, ctx.var_names())
@@ -202,7 +209,7 @@ def test_differential_matches_one_face_at_a_time_reference():
              "non-monomial unit": ((0, "1 + x1"), (2, "x1 + 1"))}
     nonzero = {kind: 0 for kind in kinds}
     for kind, units in kinds.items():
-        cover = Cover(ambient, [
+        cover = _with_units(ambient, [
             section_unit(ambient, chart, _poly(bare.chart_ctx(chart), text))
             for chart, text in units])
         for _ in range(12):
@@ -306,7 +313,8 @@ def test_obstruction_vanishes_when_positivity_allows():
 def test_ansatz_solves_section_unit_denominator():
     ambient = P(2)
     ctx0 = Cover(ambient).chart_ctx(0)
-    cover = Cover(ambient, [section_unit(ambient, 0, _poly(ctx0, "1 + x1"))])
+    cover = _with_units(
+        ambient, [section_unit(ambient, 0, _poly(ctx0, "1 + x1"))])
     lb = LineBundleData(ambient, 0)
     y0 = LocElem(cover.ctx((0,)), Poly.const(2, 1), {"s0": 1})
     y = CechCochain(cover, lb, 0, 1, {(0,): (y0,)})
@@ -318,7 +326,8 @@ def test_ansatz_solves_section_unit_denominator():
 def test_ansatz_failure_is_inconclusive():
     ambient = P(2)
     ctx0 = Cover(ambient).chart_ctx(0)
-    cover = Cover(ambient, [section_unit(ambient, 0, _poly(ctx0, "1 + x1"))])
+    cover = _with_units(
+        ambient, [section_unit(ambient, 0, _poly(ctx0, "1 + x1"))])
     lb = LineBundleData(ambient, 3)
     ctx = cover.ctx((0, 1, 2))
     v = LocElem(ctx, _poly(ctx, "x2^2"), {"c1": 1, "s0": 1})
@@ -602,7 +611,7 @@ def test_ansatz_assembly_matches_reference_on_random_coboundaries():
             ctx = bare.chart_ctx(chart)
             units.append(section_unit(ambient, chart, _poly(ctx, 
                 _section_unit_text(rng, ctx, shares))))
-        cover = Cover(ambient, units)
+        cover = _with_units(ambient, units)
         lb = LineBundleData(ambient, rng.randint(0, 1))
         degree = rng.randint(0, 1)
         width = rng.randint(1, 2)

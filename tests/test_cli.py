@@ -159,6 +159,44 @@ def test_build_common_factor_names_the_first_chart(tmp_path, capsys):
                    "complete intersection\n")
 
 
+CHARTS_P2 = dict(POINT, sections={})
+
+# input document -> the one stderr line of its exit-1 build
+BUILD_ERROR_LINES = {
+    "no-pivot": ({
+        "ambient": {"kind": "projective", "dim": 2},
+        "line_bundle": {"twist": 3}, "rank": 3,
+        "subscheme": {"mode": "global_ci", "F": "x1", "G": "x2^2 - x0^2"},
+        "sections": {"0": ["x2 - 1", "x2 + 1"], "2": ["1", "1"]}},
+        "error[load_sections]: chart 0: no section component is invertible "
+        "on the chart or nonvanishing on Y; no pivot available"),
+    "sections-scalar": (dict(POINT, sections="1"),
+                        "error[parse]: sections must be a table or a list "
+                        "of entries"),
+    "F-zero": (dict(POINT, subscheme={"mode": "global_ci", "F": "0",
+                                      "G": "x1"}),
+               "error[parse]: form F must be nonzero"),
+    "F-inhomogeneous": (dict(POINT, subscheme={"mode": "global_ci",
+                                               "F": "x0 + 1", "G": "x1"}),
+                        "error[parse]: form F must be homogeneous"),
+    "charts-no-pairs": (dict(CHARTS_P2, subscheme={"mode": "charts",
+                                                   "pairs": {}}),
+                        "error[parse]: charts mode needs a nonempty 'pairs' "
+                        "table"),
+    "charts-empty-everywhere": (
+        dict(CHARTS_P2, subscheme={"mode": "charts",
+                                   "pairs": {"0": ["1", "0"]}}),
+        "error[load_subscheme]: the subscheme is empty on every chart"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_ERROR_LINES))
+def test_build_error_lines(tmp_path, capsys, case):
+    doc, line = BUILD_ERROR_LINES[case]
+    code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 def test_build_obstructed_exit_two_with_witness(tmp_path, capsys):
     doc = dict(POINT, line_bundle={"twist": 3})
     code, stdout, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
@@ -1040,6 +1078,16 @@ def test_module_entry_point_and_stdin(tmp_path):
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error[parse]: ")
+
+
+def test_build_from_stdin_prints_the_reference(capsys, monkeypatch):
+    """`build -` reads the input document from stdin."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        (CORPUS / "inputs" / "point_p2.json").read_text(encoding="utf-8")))
+    code, out, err = run_cli(capsys, "build", "-")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (CORPUS / "refs" / "point_p2.json"
+                                   ).read_bytes()
 
 
 # -- the command line ----------------------------------------------------------

@@ -23,6 +23,7 @@ from serrekit.ideals import (in_ideal, is_unit_ideal, lift_pair,
                              member_with_lift, regular_hyperplane,
                              regular_pair, unit_certificate)
 from serrekit.serre import build_bundle
+from serrekit.verify import run_all
 
 
 def _poly(ctx, text):
@@ -113,14 +114,14 @@ def test_extend_off_Y_gluing_identity():
                         for i in cover.charts},
                        dict.fromkeys(cover.charts, 1),
                        {0: 0, 1: 0, 2: 1, 3: 1}, 2)
-    assert extend_off_Y(sub, secs, lb) is sub
+    As = extend_off_Y(sub, secs, lb)
     # one matrix per sorted overlap; no reversed A_ji is built
-    assert set(sub.A) == set(itertools.combinations(cover.charts, 2))
+    assert set(As) == set(itertools.combinations(cover.charts, 2))
     for i, j in itertools.combinations(cover.charts, 2):
         ctx = cover.ctx((i, j))
         fi, gi = sub.pair_on(i, ctx)
         fj, gj = sub.pair_on(j, ctx)
-        assert sub.A[(i, j)].matvec((fj, gj)) == (fi, gi)
+        assert As[(i, j)].matvec((fj, gj)) == (fi, gi)
     # overlap emptiness: U_2 cap U_3 still meets the line x0 = x1 = 0
     assert sub.empty_overlap[(2, 3)] is False
     assert sub.empty_overlap[(0, 1)] is True
@@ -129,9 +130,8 @@ def test_extend_off_Y_gluing_identity():
 
 def test_load_sections_line_in_p3():
     cover = _p3()
-    lb = LineBundleData(cover.ambient, 2)
     sub = load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
-    secs = load_sections(cover, lb, sub, {"2": ["1"], "3": ["1"]}, rank=2)
+    secs = load_sections(cover, sub, {"2": ["1"], "3": ["1"]}, rank=2)
     assert secs.t == {0: 1, 1: 1, 2: 1, 3: 1}
     assert secs.tier[2] == 1 and secs.tier[3] == 1
     # off-Y charts got the canonical tuple
@@ -140,17 +140,15 @@ def test_load_sections_line_in_p3():
 
 def test_load_sections_rejects_non_generating():
     cover = _p2()
-    lb = LineBundleData(cover.ambient, 1)
     sub = load_subscheme(cover, {"mode": "charts", "pairs": {"2": ["x0", "x1"]}})
     with pytest.raises(NotGenerating):
-        load_sections(cover, lb, sub, {"2": ["x0"]}, rank=2)
+        load_sections(cover, sub, {"2": ["x0"]}, rank=2)
 
 
 def test_load_sections_tier4_registers_unit():
     cover = _p2()
-    lb = LineBundleData(cover.ambient, 1)
     sub = load_subscheme(cover, {"mode": "charts", "pairs": {"2": ["x0", "x1"]}})
-    secs = load_sections(cover, lb, sub, {"2": ["1 + x0"]}, rank=2)
+    secs = load_sections(cover, sub, {"2": ["1 + x0"]}, rank=2)
     assert secs.t[2] == 1 and secs.tier[2] == 4
     ctx2 = sub.cover.chart_ctx(2)
     assert "s2" in ctx2.unit_keys()
@@ -163,9 +161,8 @@ def test_load_sections_monomial_pivot_must_be_nonvanishing_on_Y():
     # so registering it as a unit would shrink chart 2 off Y.  The pivot is
     # the second component, nonvanishing on Y, and its form is registered.
     cover = _p2()
-    lb = LineBundleData(cover.ambient, 1)
     sub = load_subscheme(cover, {"mode": "global_ci", "F": "x0", "G": "x1"})
-    secs = load_sections(cover, lb, sub, {"2": ["x0", "1 + x1"]}, rank=3)
+    secs = load_sections(cover, sub, {"2": ["x0", "1 + x1"]}, rank=3)
     assert secs.t[2] == 2 and secs.tier[2] == 4
     ctx2 = sub.cover.chart_ctx(2)
     assert ctx2.unit_keys() == ("s2",)
@@ -178,14 +175,13 @@ def test_load_sections_monomial_pivot_must_be_nonvanishing_on_Y():
 
 def test_load_sections_schema_errors():
     cover = _p2()
-    lb = LineBundleData(cover.ambient, 1)
     sub = load_subscheme(cover, {"mode": "charts", "pairs": {"2": ["x0", "x1"]}})
     with pytest.raises(ShapeViolation):
-        load_sections(cover, lb, sub, {"2": ["1", "x0"]}, rank=2)  # too many
+        load_sections(cover, sub, {"2": ["1", "x0"]}, rank=2)  # too many
     with pytest.raises(ShapeViolation):
-        load_sections(cover, lb, sub, {"0": ["1"], "2": ["1"]}, rank=2)  # off-Y
+        load_sections(cover, sub, {"0": ["1"], "2": ["1"]}, rank=2)  # off-Y
     with pytest.raises(ShapeViolation):
-        load_sections(cover, lb, sub, {}, rank=2)  # missing Y-chart data
+        load_sections(cover, sub, {}, rank=2)  # missing Y-chart data
 
 
 def test_load_sections_compatibility_failure():
@@ -193,11 +189,13 @@ def test_load_sections_compatibility_failure():
     # the sections must agree with det A times each other modulo the point's
     # ideal on every overlap; constants 1 and 2 cannot (evaluating the
     # residue at the point gives 1 - 2*det A(point) != 0 for det = +-1).
+    # The sections load; `extend_off_Y` rejects them on the first overlap.
     cover = _p2()
     lb = LineBundleData(cover.ambient, 0)
     sub = load_subscheme(cover, _THREE_POINT_DOC)
+    secs = load_sections(cover, sub, _THREE_POINT_SECTIONS, rank=2)
     with pytest.raises(CompatibilityFailure, match=r"overlap \(0, 1\)"):
-        load_sections(cover, lb, sub, _THREE_POINT_SECTIONS, rank=2)
+        extend_off_Y(sub, secs, lb)
 
 
 # -- the reversed compatibility check ----------------------------------------
@@ -237,10 +235,11 @@ def _compatible(s, t, factor, f, g):
     return residue.is_zero() or in_ideal(residue, [f, g])
 
 
-def _check_reversed_is_implied(sub, lb, sections, rank, pairs=None):
+def _check_reversed_is_implied(sub, lb, sections, rank, As, pairs=None):
     """Reference for the lemma in `extend_off_Y`: run the section
     compatibility check on both orders (i, j) and (j, i) of every sorted
-    overlap in `pairs` (default: all), with A_ji from `_reversed_A`.
+    overlap in `pairs` (default: all), with A_ij from As and A_ji from
+    `_reversed_A`.
     Asserts det A_ij det A_ji = 1 modulo (f_i, g_i) and that the two orders
     agree, component by component.  Returns the sorted verdicts {(i, j, m):
     compatible}."""
@@ -251,7 +250,7 @@ def _check_reversed_is_implied(sub, lb, sections, rank, pairs=None):
         ctx = sub.cover.ctx((i, j))
         fi, gi = sub.pair_on(i, ctx)
         fj, gj = sub.pair_on(j, ctx)
-        A_ij, A_ji = sub.A[(i, j)], _reversed_A(sub, i, j)
+        A_ij, A_ji = As[(i, j)], _reversed_A(sub, i, j)
         unit = A_ij.det() * A_ji.det() - LocElem.one(ctx)
         assert unit.is_zero() or in_ideal(unit, [fi, gi]), (i, j)
         forward = A_ij.det() * lb.h(j, i, ctx)     # det A_ij / h_ij
@@ -272,8 +271,10 @@ def test_reversed_compatibility_check_is_implied(path):
     cover = Cover(read_ambient(doc))
     lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
-    secs = load_sections(cover, lb, sub, doc.get("sections"), doc["rank"])
-    verdicts = _check_reversed_is_implied(sub, lb, secs.sections, secs.rank)
+    secs = load_sections(cover, sub, doc.get("sections"), doc["rank"])
+    As = extend_off_Y(sub, secs, lb)
+    verdicts = _check_reversed_is_implied(sub, lb, secs.sections, secs.rank,
+                                          As)
     assert verdicts and all(verdicts.values())
 
 
@@ -281,15 +282,17 @@ def test_reversed_compatibility_check_fails_with_the_sorted_one():
     cover = _p2()
     lb = LineBundleData(cover.ambient, 0)
     sub = load_subscheme(cover, _THREE_POINT_DOC)
+    secs = load_sections(cover, sub, _THREE_POINT_SECTIONS, rank=2)
     with pytest.raises(CompatibilityFailure):
-        load_sections(cover, lb, sub, _THREE_POINT_SECTIONS, rank=2)
-    # sub keeps the cover of the build, with the A_ij built up to the
-    # failing overlap (0, 1)
+        extend_off_Y(sub, secs, lb)
+    # sub keeps the cover of the build; with no section component there is
+    # nothing to check, and `extend_off_Y` returns every A_ij
     assert sub.cover is cover
-    assert set(sub.A) == {(0, 1)}
+    As = extend_off_Y(sub, secs._replace(
+        sections={c: () for c in cover.charts}, rank=1), lb)
     sections = {int(c): (LocElem.const(cover.chart_ctx(int(c)), int(v[0])),)
                 for c, v in _THREE_POINT_SECTIONS.items()}
-    verdicts = _check_reversed_is_implied(sub, lb, sections, 2, [(0, 1)])
+    verdicts = _check_reversed_is_implied(sub, lb, sections, 2, As, [(0, 1)])
     assert not verdicts[(0, 1, 0)]
 
 
@@ -303,7 +306,7 @@ def test_fixing_a_section_unit_keeps_the_other_contexts():
     ctx12, ctx01 = cover.ctx((1, 2)), cover.ctx((0, 1))
     bases = {k for k in ctx12._memo if k != "axes"}
     assert bases and ctx01.sunits == ()
-    load_sections(cover, lb, sub, doc["sections"], doc["rank"])
+    load_sections(cover, sub, doc["sections"], doc["rank"])
     assert sub.cover is cover and [u.chart for u in cover.sunits] == [0]
     assert cover.ctx((1, 2)) is ctx12 and bases <= set(ctx12._memo)
     new01 = cover.ctx((0, 1))
@@ -355,22 +358,22 @@ def _regular(cover, subscheme):
 
 
 def _loaded(doc):
-    """The subscheme data of an input document after `load_sections`, and
-    its regular hyperplanes."""
+    """The subscheme data of an input document after `load_sections`, the
+    A_ij of `extend_off_Y`, and its regular hyperplanes."""
     cover = Cover(read_ambient(doc))
     lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
-    load_sections(cover, lb, sub, doc.get("sections"), doc["rank"])
-    return sub, _regular(cover, doc["subscheme"])
+    secs = load_sections(cover, sub, doc.get("sections"), doc["rank"])
+    return sub, extend_off_Y(sub, secs, lb), _regular(cover, doc["subscheme"])
 
 
-def _check_overlaps(sub, regular, seen):
+def _check_overlaps(sub, As, regular, seen):
     """Asserts that every overlap's empty bit and A_ij are the reference's,
     byte for byte, and that the premise (chart i meets Y and the hyperplane
     x_j = 0 is regular) says "meets" only where the reference does; counts
     in `seen` how each overlap was decided and how many rows of A_ij were
     diagonal."""
-    for (i, j), a in sub.A.items():
+    for (i, j), a in As.items():
         ctx = a.ctx
         empty, ref = reference_overlap(sub, i, j)
         premise = sub.meets_Y[i] and j in regular
@@ -391,10 +394,11 @@ def test_overlaps_match_the_reference_on_the_corpus():
     section unit."""
     seen, with_units = Counter(), set()
     for path in sorted(INPUTS.glob("*.json")):
-        sub, regular = _loaded(json.loads(path.read_text(encoding="utf-8")))
-        _check_overlaps(sub, regular, seen)
+        sub, As, regular = _loaded(
+            json.loads(path.read_text(encoding="utf-8")))
+        _check_overlaps(sub, As, regular, seen)
         with_units |= {(path.stem, key, a.ctx.unit_keys())
-                       for key, a in sub.A.items()
+                       for key, a in As.items()
                        if not sub.empty_overlap[key]
                        and len(a.ctx.unit_keys()) > 1}
     # 58 overlaps decided by the premise, 50 empty, 4 meeting Y by the full
@@ -430,9 +434,10 @@ def test_overlaps_match_the_reference_on_random_complete_intersections():
         except NotCodimTwo:
             continue
         lb = LineBundleData(cover.ambient, sum(degrees))
-        load_sections(cover, lb, sub, {i: ["1"] for i in cover.charts
-                                       if sub.meets_Y[i]}, 2)
-        _check_overlaps(sub, _regular(cover, doc), seen)
+        secs = load_sections(cover, sub, {i: ["1"] for i in cover.charts
+                                          if sub.meets_Y[i]}, 2)
+        _check_overlaps(sub, extend_off_Y(sub, secs, lb),
+                        _regular(cover, doc), seen)
         loaded += 1
     # all 15 load: 84 overlaps decided by the premise, 3 empty, 8 meeting Y
     # by the full computation, 180 diagonal rows
@@ -454,7 +459,7 @@ def test_curved_builds_make_no_saturated_basis(monkeypatch):
     for name in ("ci22_p3", "ci23_p3", "ci33_dense_p3", "ci23_p4",
                  "ci33_p3_r3", "ci44_p3"):
         doc = json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8"))
-        assert build_bundle(doc).report.ok
+        assert run_all(build_bundle(doc)).ok
     assert made == []
 
 
@@ -475,8 +480,7 @@ def test_curved_builds_make_one_basis_per_hyperplane(monkeypatch):
                  "ci33_p3_r3", "ci44_p3"):
         doc = json.loads((INPUTS / f"{name}.json").read_text(encoding="utf-8"))
         before = len(made)
-        bundle = build_bundle(doc)
-        assert bundle.report.ok
+        assert run_all(build_bundle(doc)).ok
         per_build.append(len(made) - before)
     assert per_build == [4, 4, 4, 5, 4, 4]
     # each basis lives on a hyperplane: n variables on P^n, no T
@@ -508,7 +512,7 @@ def test_charts_builds_decide_overlaps_with_the_consistency_bases(
             with pytest.raises(Inconclusive):
                 build_bundle(doc, lift_order="gf", max_degree=4)
         else:
-            assert build_bundle(doc).report.ok
+            assert run_all(build_bundle(doc)).ok
         per_build.append(len(made) - before)
     assert per_build == [18, 11, 24]
 
@@ -627,7 +631,8 @@ def test_empty_overlap_is_decided_by_the_full_computation(monkeypatch):
     monkeypatch.setattr(cover_module, "is_unit_ideal", recorded)
     doc = json.loads((INPUTS / "two_points_p2_r3.json").read_text(
         encoding="utf-8"))
-    overlaps = bundle_doc(build_bundle(doc))["overlaps"]
+    bundle = build_bundle(doc)
+    overlaps = bundle_doc(bundle, run_all(bundle))["overlaps"]
     assert decided == {(0, 1): True, (0, 2): True, (1, 2): True}
     assert {key: ov["empty"] for key, ov in overlaps.items()} == {
         "0,1": True, "0,2": True, "1,2": True}

@@ -39,6 +39,52 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path) == []
 
 
+def _package_imports(tree):
+    """The package modules that the module-level imports of `tree` name."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("serrekit."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("serrekit.")}
+    return names
+
+
+def test_imports_are_module_level_and_acyclic():
+    """Every import of the package sits at module level, so the import
+    graph is its whole dependency graph, and that graph has no cycle: a
+    module that would need a function-level import to break one does its
+    work in a caller instead."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    nested = [f"{name}.py:{node.lineno}" for name, tree in trees.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and node not in tree.body]
+    assert nested == []
+    graph = {name: _package_imports(tree) & trees.keys()
+             for name, tree in trees.items()}
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, " -> ".join(path[path.index(name):] + [name])
+        if name in done:
+            return
+        path.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        path.pop()
+        done.add(name)
+    for name in sorted(graph):
+        visit(name)
+    assert graph["verify"] >= {"serre"} and "verify" not in graph["serre"]
+
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

@@ -11,8 +11,8 @@ import pytest
 from serrekit import serre
 from serrekit.algebra import LocElem, MatrixL, Poly, parse_poly
 from serrekit.cech import cohomology_dim
-from serrekit.cover import (Cover, LineBundleData,
-                            SubschemeData, load_sections, load_subscheme,
+from serrekit.cover import (Cover, LineBundleData, SubschemeData,
+                            extend_off_Y, load_sections, load_subscheme,
                             read_ambient)
 from serrekit.errors import (FormMismatch, GluingFailure, Obstructed,
                              SerreError, ShapeViolation)
@@ -21,6 +21,7 @@ from serrekit.serre import (BundleResult, TransitionSet, adjust_glue,
                             build_bundle, build_frames, build_Z,
                             compare_bundles, correct, normalize_generators,
                             obstruction)
+from serrekit.verify import run_all
 
 
 def _poly(ctx, text):
@@ -90,12 +91,14 @@ def two_points_doc():
 
 
 def _loaded(doc):
+    """The loaded stages of a build: cover, line bundle, subscheme and
+    section data, and the A_ij of `extend_off_Y`."""
     ambient = read_ambient(doc)
     cover = Cover(ambient)
     lb = LineBundleData(ambient, doc["line_bundle"]["twist"])
     sub = load_subscheme(cover, doc["subscheme"])
-    secs = load_sections(cover, lb, sub, doc["sections"], doc["rank"])
-    return cover, lb, sub, secs
+    secs = load_sections(cover, sub, doc["sections"], doc["rank"])
+    return cover, lb, sub, secs, extend_off_Y(sub, secs, lb)
 
 
 def rand_loc(ctx, rng, deg=3):
@@ -119,7 +122,7 @@ def rand_loc(ctx, rng, deg=3):
 def test_normalize_constant_section():
     """Pivot 1 at position 1: f is kept, g flips sign, s becomes -1; the
     loaded pair and sections are left as they were."""
-    cover, lb, sub, secs = _loaded(point_doc())
+    cover, lb, sub, secs, As = _loaded(point_doc())
     ctx2 = sub.pairs[2][0].ctx
     f_before, g_before = sub.pairs[2]
     fr, inv = normalize_generators(2, f_before, g_before, secs.sections[2],
@@ -136,7 +139,7 @@ def test_normalize_twice_restores_pair():
     """Starting from s = -1, two applications undo each other on (f, g)."""
     doc = point_doc()
     doc["sections"] = {"2": ["-1"]}
-    cover, lb, sub, secs = _loaded(doc)
+    cover, lb, sub, secs, As = _loaded(doc)
     f0, g0 = sub.pairs[2]
     fr, _ = normalize_generators(2, f0, g0, secs.sections[2], secs.t[2])
     assert fr.f == -f0 and fr.g == -g0
@@ -147,10 +150,10 @@ def test_normalize_twice_restores_pair():
 
 
 def test_normalize_keeps_overlap_matrices_exact():
-    cover, lb, sub, secs = _loaded(skew_lines_doc())
-    frames, As = build_frames(sub, secs)
-    assert set(As) == set(sub.A)
-    for (i, j), A in As.items():
+    cover, lb, sub, secs, As = _loaded(skew_lines_doc())
+    frames, normalized = build_frames(sub, secs, As)
+    assert set(normalized) == set(As)
+    for (i, j), A in normalized.items():
         ctx = A.ctx
         fi, gi, _ = frames[i].on(ctx)
         fj, gj, _ = frames[j].on(ctx)
@@ -194,8 +197,8 @@ def _tpp_reference(fr):
 
 
 def test_frame_identities_rank_three():
-    cover, lb, sub, secs = _loaded(two_points_doc())
-    frames, _ = build_frames(sub, secs)
+    cover, lb, sub, secs, As = _loaded(two_points_doc())
+    frames, _ = build_frames(sub, secs, As)
     assert {frames[i].t for i in cover.charts} == {1, 2}
     for i in cover.charts:
         fr = frames[i]
@@ -212,8 +215,8 @@ def test_frame_identities_rank_three():
 
 
 def test_frame_rank_two_degenerates_to_pair_column():
-    cover, lb, sub, secs = _loaded(point_doc())
-    frames, _ = build_frames(sub, secs)
+    cover, lb, sub, secs, As = _loaded(point_doc())
+    frames, _ = build_frames(sub, secs, As)
     fr = frames[2]
     assert fr.M.shape == (2, 1)
     assert fr.M[0, 0] == fr.f and fr.M[1, 0] == fr.g
@@ -221,8 +224,8 @@ def test_frame_rank_two_degenerates_to_pair_column():
 
 def test_tprime_inverse_roundtrip_random():
     """The closed-form inverse composed with the frame is the identity."""
-    cover, lb, sub, secs = _loaded(two_points_doc())
-    frames, _ = build_frames(sub, secs)
+    cover, lb, sub, secs, As = _loaded(two_points_doc())
+    frames, _ = build_frames(sub, secs, As)
     rng = random.Random(501)
     for trial in range(120):
         fr = frames[cover.charts[trial % len(cover.charts)]]
@@ -233,8 +236,8 @@ def test_tprime_inverse_roundtrip_random():
 
 
 def test_tprime_inverse_fixes_off_pivot_columns():
-    cover, lb, sub, secs = _loaded(two_points_doc())
-    frames, _ = build_frames(sub, secs)
+    cover, lb, sub, secs, As = _loaded(two_points_doc())
+    frames, _ = build_frames(sub, secs, As)
     fr = frames[1]          # pivot at position 2
     ctx = fr.f.ctx
     e1 = (LocElem.one(ctx), LocElem.zero(ctx))
@@ -248,8 +251,8 @@ def _ci_line_overlap():
     """The normalized ci_line overlap matrices, its frames and the overlap
     (2, 3) with its determinant target (-1) * h / (-1), both pivot signs
     being -1."""
-    cover, lb, sub, secs = _loaded(ci_line_doc())
-    frames, As = build_frames(sub, secs)
+    cover, lb, sub, secs, As = _loaded(ci_line_doc())
+    frames, As = build_frames(sub, secs, As)
     ctx = cover.ctx((2, 3))
     return As, frames, ctx, lb.h(2, 3, ctx)
 
@@ -316,7 +319,7 @@ def test_build_restricts_each_chart_pair_to_each_overlap_once(monkeypatch):
 
 def test_ci_line_build():
     bundle = build_bundle(ci_line_doc())
-    assert bundle.report.ok
+    assert run_all(bundle).ok
     assert bundle.transitions.status == "corrected"
     ctx = bundle.cover.ctx((2, 3))
     a3 = LocElem(ctx, _poly(ctx, "x3"))
@@ -329,7 +332,7 @@ def test_ci_line_build():
 
 def test_point_build_exercises_off_subscheme_charts():
     bundle = build_bundle(point_doc())
-    assert bundle.report.ok
+    assert run_all(bundle).ok
     assert bundle.sub.meets_Y == {0: False, 1: False, 2: True}
     assert bundle.meta["pivots"] == {0: 1, 1: 1, 2: 1}
     assert bundle.meta["unique"] is True
@@ -337,7 +340,7 @@ def test_point_build_exercises_off_subscheme_charts():
 
 def test_skew_lines_build_and_correction():
     bundle = build_bundle(skew_lines_doc())
-    assert bundle.report.ok
+    assert run_all(bundle).ok
     assert bundle.transitions.status == "corrected"
     # every chart carries part of the union, no canonical off charts
     assert all(bundle.sub.meets_Y.values())
@@ -468,8 +471,8 @@ def test_transition_left_block_is_the_frame_of_chart_i(name):
 
 
 def test_build_Z_failure_is_tagged_glue():
-    cover, lb, sub, secs = _loaded(ci_line_doc())
-    frames, As = build_frames(sub, secs)
+    cover, lb, sub, secs, As = _loaded(ci_line_doc())
+    frames, As = build_frames(sub, secs, As)
     As[(2, 3)] = As[(2, 3)].scalar_mul(LocElem.const(As[(2, 3)].ctx, 2))
     with pytest.raises(GluingFailure) as err:
         build_Z(frames, As, sub, secs, lb)
@@ -484,7 +487,7 @@ def _raw_with_bumped_entry(bundle, pair, row, col):
     rows[row][col] = rows[row][col] + LocElem.one(Z[pair].ctx)
     Z[pair] = MatrixL(Z[pair].ctx, rows)
     return TransitionSet(rank=raw.rank, status="raw", cover=raw.cover,
-                         lb=raw.lb, pairs=raw.pairs, Z=Z, branch=raw.branch)
+                         lb=raw.lb, Z=Z, branch=raw.branch)
 
 
 def test_obstruction_rejects_defect_outside_last_columns():
@@ -510,13 +513,14 @@ def test_obstruction_rejects_defect_that_does_not_factor():
 
 def test_two_points_rank_three_build():
     bundle = build_bundle(two_points_doc())
-    assert bundle.report.ok
+    report = run_all(bundle)
+    assert report.ok
     assert bundle.meta["pivots"] == {0: 1, 1: 2, 2: 1}
     branches = bundle.meta["branches"]
     assert branches["0,1"] == "split"
     assert branches["1,2"] == "split"
     assert branches["0,2"] == "unit"
-    names = {e.check for e in bundle.report.entries}
+    names = {e.check for e in report.entries}
     assert "glue_row_transform_S" in names
     assert "glue_selector_R" in names
     assert "defect_shape" in names
@@ -553,7 +557,7 @@ def test_sections_list_form_equivalent():
     doc["sections"] = [{"chart": 2, "values": ["1"]},
                        {"chart": 3, "values": ["1"]}]
     bundle = build_bundle(doc)
-    assert bundle.report.ok
+    assert run_all(bundle).ok
 
 
 # -- comparison --------------------------------------------------------------
