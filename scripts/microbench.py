@@ -142,7 +142,7 @@ def _dets(Z):
 def _defects(Z):
     def run():
         fresh = serre.TransitionSet(Z.rank, Z.status, Z.cover, Z.lb, Z.Z,
-                                    Z.branch)
+                                    Z.branch, Z.empty)
         for i, j, k in combinations(Z.cover.charts, 3):
             fresh.defect(i, j, k)
         return "computed"

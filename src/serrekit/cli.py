@@ -31,9 +31,8 @@ from types import SimpleNamespace
 
 from .algebra import LocElem, MatrixL, SUnit, format_poly, is_homogeneous
 from .cech import MAX_DEGREE, CechCochain, cohomology_dim
-from .cover import (AmbientSpec, Cover, LineBundleData, SectionData,
-                    SubschemeData, chart_key, chart_table, need, poly_field,
-                    read_ambient)
+from .cover import (AmbientSpec, Cover, LineBundleData, chart_key,
+                    chart_table, need, poly_field, read_ambient)
 from .errors import (FormMismatch, Inconclusive, Obstructed, SerreError,
                      ShapeViolation)
 from .serre import (BundleResult, FrameData, TransitionSet, build_bundle,
@@ -66,16 +65,16 @@ def _cochain_doc(c):
 
 
 def bundle_doc(bundle, report):
-    """Serialize a BundleResult and its report into a plain-JSON document."""
-    cover = bundle.cover
+    """Serialize a BundleResult and its report into a plain-JSON document;
+    `meta` gains the pivots, tiers, branches and h^1, h^2 derived here."""
+    cover, raw = bundle.cover, bundle.raw
     names = cover.hom_names()
     charts = {}
-    for i in cover.charts:
-        fr = bundle.frames[i]
+    for i, fr in sorted(bundle.frames.items()):
         charts[str(i)] = {
-            "meets": bundle.sub.meets_Y[i],
+            "meets": fr.meets,
             "t": fr.t,
-            "tier": bundle.secs.tier[i],
+            "tier": fr.tier,
             "sign": fr.sign,
             "f": _elem_doc(fr.f),
             "g": _elem_doc(fr.g),
@@ -83,22 +82,25 @@ def bundle_doc(bundle, report):
             "M": _mat_doc(fr.M),
         }
     overlaps = {}
-    for (i, j) in bundle.transitions.pairs:
+    for (i, j) in raw.pairs:
         overlaps[f"{i},{j}"] = {
-            "empty": bundle.sub.empty_overlap[(i, j)],
-            "branch": bundle.transitions.branch[(i, j)],
-            "raw": _mat_doc(bundle.raw.Z[(i, j)]),
+            "empty": raw.empty[(i, j)],
+            "branch": raw.branch[(i, j)],
+            "raw": _mat_doc(raw.Z[(i, j)]),
             "corrected": _mat_doc(bundle.transitions.Z[(i, j)]),
         }
-    meta = dict(bundle.meta)
-    meta["pivots"] = {str(k): v for k, v in bundle.meta["pivots"].items()}
-    meta["tiers"] = {str(k): v for k, v in bundle.meta["tiers"].items()}
+    h1, h2 = ((raw.rank - 1) * cohomology_dim(cover.ambient, -raw.lb.twist,
+                                              degree) for degree in (1, 2))
+    meta = {**bundle.meta, "h1_dim": h1, "h2_dim": h2, "unique": h1 == 0,
+            "pivots": {str(i): fr.t for i, fr in bundle.frames.items()},
+            "tiers": {str(i): fr.tier for i, fr in bundle.frames.items()},
+            "branches": {f"{i},{j}": b for (i, j), b in raw.branch.items()}}
     return {
         "schema": _SCHEMA,
-        "ambient": {"kind": "projective", "dim": bundle.ambient.dim},
-        "line_bundle": {"twist": bundle.lb.twist},
-        "rank": bundle.rank,
-        "mode": bundle.sub.mode,
+        "ambient": {"kind": "projective", "dim": cover.ambient.dim},
+        "line_bundle": {"twist": raw.lb.twist},
+        "rank": raw.rank,
+        "mode": bundle.mode,
         "units": {str(u.chart): {"form": format_poly(u.form, names),
                                  "degree": u.degree}
                   for u in cover.sunits},
@@ -169,12 +171,13 @@ def load_bundle(doc):
 
     Only schema shape is enforced here; the mathematical identities are the
     verify suite's job, so a hand-edited entry loads fine and then fails its
-    named check.  An overlap's raw matrix is parsed; where its corrected
-    matrix prints alike (`_prints_alike`), it would parse to the same
-    numerators and `den` dicts, so the raw object is stored for both
-    unparsed.  Any other corrected matrix is parsed in full.  The corrected
-    set is built on the raw set, so `verify` computes each value of a shared
-    overlap or triple once (`TransitionSet`).
+    named check.  Chart facts go onto the frames, overlap facts into the
+    transition sets, and `meta` stays as read, its chart keys checked.  An
+    overlap's raw matrix is parsed; where its corrected matrix prints alike
+    (`_prints_alike`), it would parse to the same numerators and `den`
+    dicts, so the raw object is stored for both unparsed, and any other
+    corrected matrix is parsed.  The corrected set is built on the raw set,
+    so `verify` computes each shared value once (`TransitionSet`).
     """
     if need(doc, "schema", str, "") != _SCHEMA:
         raise ShapeViolation("document: unknown schema tag")
@@ -209,7 +212,7 @@ def load_bundle(doc):
                              cover.charts, "charts")
     if len(charts_doc) != len(cover.charts):
         raise ShapeViolation("document: chart set does not match the cover")
-    frames, pairs, meets, sections, t_map, tier_map = {}, {}, {}, {}, {}, {}
+    frames = {}
     for i, ch in charts_doc.items():
         ctx = cover.chart_ctx(i)
         where = f"chart {i}"
@@ -223,12 +226,9 @@ def load_bundle(doc):
         g = _elem_load(ctx, need(ch, "g", dict, where), where)
         s = _vec_load(ctx, need(ch, "s", list, where), r - 1, where)
         M = _mat_load(ctx, need(ch, "M", list, where), (r, r - 1), where)
-        frames[i] = FrameData(chart=i, t=t, sign=sign, f=f, g=g, s=s, M=M)
-        pairs[i] = (f, g)
-        meets[i] = need(ch, "meets", bool, where)
-        sections[i] = s
-        t_map[i] = t
-        tier_map[i] = need(ch, "tier", int, where)
+        frames[i] = FrameData(i, t, sign, f, g, s,
+                              need(ch, "meets", bool, where),
+                              need(ch, "tier", int, where), M=M)
 
     overlaps_doc = need(doc, "overlaps", dict, "")
     sorted_pairs = tuple(combinations(cover.charts, 2))
@@ -250,24 +250,22 @@ def load_bundle(doc):
         Z_cor[(i, j)] = (Z_raw[(i, j)] if _prints_alike(raw_doc, cor_doc)
                          else _mat_load(ctx, cor_doc, (r, r), where))
 
-    sub = SubschemeData(cover, need(doc, "mode", str, ""), pairs, meets, empty)
-    secs = SectionData(sections, t_map, tier_map, r)
-    raw = TransitionSet(r, "raw", cover, lb, Z_raw, branch)
-    cor = TransitionSet(r, "corrected", cover, lb, Z_cor, branch, base=raw)
+    mode = need(doc, "mode", str, "")
+    raw = TransitionSet(r, "raw", cover, lb, Z_raw, branch, empty)
+    cor = TransitionSet(r, "corrected", cover, lb, Z_cor, branch, empty,
+                        base=raw)
     obs = _cochain_load(cover, lb, 2, r - 1,
                         need(doc, "obstruction", list, ""),
                         "obstruction")
     xi = _cochain_load(cover, lb, 1, r - 1,
                        need(doc, "correction", list, ""),
                        "correction")
-    meta = dict(need(doc, "meta", dict, ""))
+    meta = need(doc, "meta", dict, "")
     for field in ("pivots", "tiers"):
         if isinstance(meta.get(field), dict):
-            meta[field] = chart_table(meta[field].items(), cover.charts,
-                                      f"meta {field}")
-    return BundleResult(ambient=ambient, cover=cover, lb=lb, rank=r, sub=sub,
-                        secs=secs, frames=frames, transitions=cor, raw=raw,
-                        obstruction=obs, xi=xi, meta=meta)
+            chart_table(meta[field].items(), cover.charts, f"meta {field}")
+    return BundleResult(cover=cover, mode=mode, frames=frames, transitions=cor,
+                        raw=raw, obstruction=obs, xi=xi, meta=meta)
 
 
 def iso_doc(iso):

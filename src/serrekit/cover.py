@@ -396,15 +396,20 @@ SectionData = namedtuple("SectionData", [
     "rank"])
 
 
-def _pivot_candidates(f, g, sections):
-    """Pivot tiers, in the order they are tried: 1, a nonzero constant (the
-    only units of a unit-free chart), which ends the search; 4, nonvanishing
-    on Y by the Nullstellensatz (register it).  Yields (t, tier,
-    unit_to_register), lazily."""
+def _constant(s):
+    """A nonzero constant, the only unit of a unit-free chart."""
+    return not s.den and s.num.is_constant() and not s.num.is_zero()
+
+
+def _pivot_candidates(f, g, sections, shared):
+    """Pivot tiers, in the order they are tried: 1, a nonzero constant,
+    which ends the search (position `shared` if given, else the first);
+    4, nonvanishing on Y by the Nullstellensatz (register it).  Yields (t,
+    tier, unit_to_register), lazily."""
     candidates = list(enumerate(sections, start=1))
     for t, s in candidates:
-        if not s.den and s.num.is_constant() and not s.num.is_zero():
-            yield t, 1, None
+        if _constant(s):
+            yield shared or t, 1, None
             return
     for t, s in candidates:
         if not s.is_zero() and is_unit_ideal([f, g, s]):
@@ -435,9 +440,9 @@ def load_sections(cover, sub, doc, rank):
     canonical tuple (1, 0, ..., 0).  `doc` is {chart: [values]}, a list of
     {"chart", "values"} entries, or None.  Pivots are chosen on the
     unit-free `cover`; the section units chosen are then fixed on it
-    (`Cover.fix_units`), and the pairs and section tuples of their charts
-    move onto the new chart contexts.  Returns the SectionData, which
-    `extend_off_Y` reads next.
+    (`Cover.fix_units`), and the section tuples of their charts move onto
+    the new chart contexts; `sub` is not written, and later stages restrict
+    its pairs (`SubschemeData.pair_on`).  Returns the SectionData.
     """
     if doc is None:
         doc = {}
@@ -465,6 +470,12 @@ def load_sections(cover, sub, doc, rank):
     if missing:
         raise ShapeViolation(f"chart {missing[0]} meets the subscheme but has "
                              "no section data")
+    # `build_Z` needs chart j's component at chart i's pivot to be a unit
+    # where U_i ∩ U_j meets Y.  A position that is a constant on every chart
+    # meeting Y is one on every overlap, so tier 1 takes it on every chart.
+    shared = next((t for t in range(1, rank)
+                   if all(_constant(ss[t - 1]) for ss in parsed.values())),
+                  None)
 
     sections = {}
     t_map = {}
@@ -484,7 +495,7 @@ def load_sections(cover, sub, doc, rank):
             raise NotGenerating(
                 f"chart {i}: (f, g, s_1..s_{rank - 1}) do not generate the "
                 "unit ideal; the sections do not generate on Y")
-        tries[i] = _pivot_candidates(f, g, ss)
+        tries[i] = _pivot_candidates(f, g, ss, shared)
         t, tier, to_register = next(tries[i], (None, None, None))
         if t is None:
             raise NotGenerating(
@@ -515,11 +526,10 @@ def load_sections(cover, sub, doc, rank):
     # The pivots above were chosen without section units; a chart context
     # holds only its own chart's unit, so no chart's choice depends on the
     # units of the others.  Fixing the units replaces only the contexts of
-    # the overlaps that contain a unit chart: only those charts' pairs and
-    # sections move, and every other context keeps its Groebner bases.
+    # the overlaps that contain a unit chart: only those charts' sections
+    # move, and every other context keeps its Groebner bases.
     cover.fix_units(units.values())
     for i in units:
         ctx = cover.chart_ctx(i)
-        sub.pairs[i] = tuple(transport(e, ctx) for e in sub.pairs[i])
         sections[i] = tuple(transport(e, ctx) for e in sections[i])
     return SectionData(sections, t_map, tier_map, rank)

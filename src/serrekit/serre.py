@@ -16,6 +16,10 @@ line bundle, and `correct` removes it by solving a coboundary equation.
 `compare_bundles` decides isomorphism of two builds over the same local data
 by solving the analogous degree-1 problem.
 
+No stage writes into its inputs.  A chart's facts live on its `FrameData`
+and an overlap's on the `TransitionSet`; the subscheme and section data
+stay inside `build_bundle`, whose `BundleResult` holds only the bundle.
+
 All identities asserted here hold exactly (no tolerances); a failed assertion
 raises, it never warns.  Callers verify the result (`verify.run_all`).
 """
@@ -24,7 +28,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .algebra import LocElem, MatrixL, dot, transport
-from .cech import MAX_DEGREE, CechCochain, coboundary_solve, cohomology_dim
+from .cech import MAX_DEGREE, CechCochain, coboundary_solve
 from .cover import (Cover, LineBundleData, extend_off_Y, load_sections,
                     load_subscheme, need, read_ambient)
 from .errors import (FormMismatch, GluingFailure, NotInIdeal,
@@ -83,9 +87,10 @@ def off_columns(D):
 
 
 class FrameData:
-    """Per-chart frame of r-1 sections: M (r x (r-1)) stacks T' without its
-    pivot row over T''.  T' is the (r-1) x (r-1) identity whose pivot column
-    t carries -sign s_a in each row a != t; T'' is 2 x (r-1), (f; g) in the
+    """Per-chart frame of r-1 sections, with the chart's facts (does Y meet
+    it, which pivot tier chose t): M (r x (r-1)) stacks T' without its pivot
+    row over T''.  T' is the (r-1) x (r-1) identity whose pivot column t
+    carries -sign s_a in each row a != t; T'' is 2 x (r-1), (f; g) in the
     pivot column and zero elsewhere.  So M has one row per a != t (1 at a,
     -sign s_a at t), then f e_t and g e_t, and M s = (0, ..., 0, sign f,
     sign g) as s[t-1] == sign.
@@ -104,13 +109,15 @@ class FrameData:
     rank-one update and back (`_rank_one`, `_rank_one_value`).
     """
 
-    def __init__(self, chart, t, sign, f, g, s, M=None):
+    def __init__(self, chart, t, sign, f, g, s, meets, tier, M=None):
         self.chart = chart
         self.t = t          # pivot position, 1-based
         self.sign = sign    # (-1) ** t
         self.f = f
         self.g = g
         self.s = s          # normalized sections; s[t-1] == sign exactly
+        self.meets = meets  # does Y meet the chart
+        self.tier = tier    # pivot rule that chose t (`load_sections`)
         if M is None:
             ctx, p = f.ctx, t - 1
             one, zero = LocElem.one(ctx), LocElem.zero(ctx)
@@ -147,7 +154,7 @@ class FrameData:
 
 
 class TransitionSet:
-    """Transition matrices on sorted overlaps.
+    """Transition matrices on sorted overlaps, their branches and emptiness.
 
     Z_ij = [[P, Q], [R, S]] with P (r-2)x(r-2), Q (r-2)x2, R 2x(r-2), S 2x2;
     rows/columns are ordered with the pivot rows moved last.
@@ -172,7 +179,7 @@ class TransitionSet:
     identities off the sorted ones only because `get` derives them so.
     """
 
-    def __init__(self, rank, status, cover, lb, Z, branch, base=None):
+    def __init__(self, rank, status, cover, lb, Z, branch, empty, base=None):
         pairs = tuple(combinations(cover.charts, 2))
         if sorted(Z) != list(pairs):
             raise ValueError("transitions must be keyed by exactly the "
@@ -188,6 +195,7 @@ class TransitionSet:
         self.pairs = pairs      # the cover's sorted (i, j), i < j
         self.Z = Z              # (i, j) -> r x r MatrixL on cover.ctx((i, j))
         self.branch = branch    # (i, j) -> "unit" | "split"
+        self.empty = empty      # (i, j) -> does Y miss the overlap
         self.base = base
         # the sorted pairs whose transition is the base's own object
         self._shared = frozenset(p for p in pairs if base is not None
@@ -253,8 +261,9 @@ IsomorphismData = namedtuple("IsomorphismData", [
     "N",    # chart -> r x r MatrixL
     "xi"])  # degree-1 cochain recovered from the block deltas
 
+# The bundle alone; ambient, lb, rank: cover.ambient, raw.lb, raw.rank
 BundleResult = namedtuple("BundleResult", [
-    "ambient", "cover", "lb", "rank", "sub", "secs", "frames",
+    "cover", "mode", "frames",
     "transitions",  # corrected
     "raw",
     "obstruction",  # triple-overlap defect, degree 2
@@ -263,10 +272,10 @@ BundleResult = namedtuple("BundleResult", [
 
 
 def normalize_generators(chart, f, g, s, t):
-    """One chart's frame, rescaled so its pivot section is (-1)^t exactly.
+    """One chart's (f, g, s), rescaled so its pivot section is (-1)^t exactly.
 
     With pivot value p = s[t-1]: f <- f / p, g <- (-1)^t g, s <- (-1)^t s /
-    p.  Returns (frame, 1 / p); mutates nothing.
+    p.  Returns (f, g, s, 1 / p); mutates nothing.
     """
     sgn = _sign(t)
     inv = invert(s[t - 1])
@@ -277,8 +286,7 @@ def normalize_generators(chart, f, g, s, t):
     if s[t - 1] != LocElem.const(inv.ctx, sgn):
         raise PreconditionViolated(
             f"chart {chart}: pivot did not normalize to {sgn}")
-    return FrameData(chart=chart, t=t, sign=sgn, f=f * inv, g=g.scale(sgn),
-                     s=s), inv
+    return f * inv, g.scale(sgn), s, inv
 
 
 def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
@@ -312,8 +320,8 @@ def adjust_glue(A, fr_i, fr_j, target, lift_order="fg"):
 
 
 def build_frames(sub, secs, As):
-    """The frame M of every chart (`normalize_generators` on its loaded pair
-    and sections) and `extend_off_Y`'s overlap matrices As carried along.
+    """The frame of every chart (its pair restricted to its chart context,
+    `normalize_generators`) and `extend_off_Y`'s overlap matrices As.
 
     Each A_ij (sorted, i < j) is conjugated by the charts' rescalings so
     A_ij (f_j; g_j) = (f_i; g_i) keeps holding for the normalized pairs,
@@ -323,8 +331,11 @@ def build_frames(sub, secs, As):
     """
     frames, invs = {}, {}
     for i in sub.cover.charts:
-        frames[i], invs[i] = normalize_generators(
-            i, *sub.pairs[i], secs.sections[i], secs.t[i])
+        t = secs.t[i]
+        f, g, s, invs[i] = normalize_generators(
+            i, *sub.pair_on(i, sub.cover.chart_ctx(i)), secs.sections[i], t)
+        frames[i] = FrameData(i, t, _sign(t), f, g, s, sub.meets_Y[i],
+                              secs.tier[i])
     normalized = {}
     for (i, j), A in As.items():
         ctx = A.ctx
@@ -402,7 +413,7 @@ def build_Z(frames, As, sub, secs, lb, lift_order="fg"):
         Zs[(i, j)] = MatrixL(ctx, [(*a, *b) for a, b
                                    in zip(left.rows, [*Q, *S.rows])])
     raw = TransitionSet(rank=r, status="raw", cover=cover, lb=lb, Z=Zs,
-                        branch=branch)
+                        branch=branch, empty=sub.empty_overlap)
     _check_glue(raw, frames)
     return raw
 
@@ -475,7 +486,7 @@ def correct(Z, obs, frames, max_degree=MAX_DEGREE):
         newZ[(i, j)] = Z.Z[(i, j)] + U
         changed.append((i, j))
     corrected = TransitionSet(rank=r, status="corrected", cover=cover, lb=lb,
-                              Z=newZ, branch=dict(Z.branch), base=Z)
+                              Z=newZ, branch=Z.branch, empty=Z.empty, base=Z)
     _check_glue(corrected, frames, changed)
     for i, j, k in combinations(cover.charts, 3):
         zero = MatrixL.zeros(cover.ctx((i, j, k)), r, r)
@@ -502,15 +513,15 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
     delta(Y) = xi is solved, and with (y_i, U_i) = `_rank_one`(Y_i, frame_i,
     frame_i) the automorphisms N_i = I + U_i are returned after checking
     det N_i = 1, N_i M_i = M_i and Z_ij N_j = N_i Z'_ij exactly."""
-    if A.ambient != B.ambient:
+    if A.cover.ambient != B.cover.ambient:
         raise SerreError("documents live on different ambient spaces",
                          stage="compare")
     _check_max_degree(max_degree)
-    if A.lb.twist != B.lb.twist:
+    if A.raw.lb.twist != B.raw.lb.twist:
         raise FormMismatch("the two bundles have different determinant twists")
-    if A.rank != B.rank:
+    if A.raw.rank != B.raw.rank:
         raise FormMismatch("the two bundles have different ranks")
-    r = A.rank
+    r = A.raw.rank
     for i in A.cover.charts:
         fa, fb = A.frames[i], B.frames[i]
         if fa.t != fb.t:
@@ -543,7 +554,7 @@ def compare_bundles(A, B, max_degree=MAX_DEGREE):
                 "shape")
         data[(i, j)] = val
 
-    xi = CechCochain(A.cover, A.lb, 1, r - 1, data)
+    xi = CechCochain(A.cover, A.raw.lb, 1, r - 1, data)
     # No Obstructed can come out here.  Only the monomial solver raises it,
     # and its per-multidegree systems are the graded pieces of the
     # standard-cover Cech complex of O(-twist); H^1(P^n, O(m)) = 0 for
@@ -581,8 +592,8 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     Document fields: ambient {kind: "projective", dim}, line_bundle
     {twist}, rank, subscheme {mode, ...}, sections, options {lift_order,
     max_degree}; the arguments, when given, override the options.  Returns
-    a BundleResult carrying the raw and corrected transition sets and the
-    obstruction data, unverified: `verify.run_all` checks it.
+    a BundleResult carrying the frames, the raw and corrected transition
+    sets and the obstruction data, unverified: `verify.run_all` checks it.
     """
     ambient = read_ambient(doc)
     twist = need(need(doc, "line_bundle", dict, ""), "twist", int,
@@ -613,19 +624,7 @@ def build_bundle(doc, lift_order=None, max_degree=None):
     obs = obstruction(raw, frames)
     corrected, xi = correct(raw, obs, frames, max_degree=max_degree)
 
-    h1 = (rank - 1) * cohomology_dim(ambient, -twist, 1)
-    h2 = (rank - 1) * cohomology_dim(ambient, -twist, 2)
-    meta = {
-        "pivots": dict(secs.t),
-        "tiers": dict(secs.tier),
-        "branches": {f"{i},{j}": raw.branch[(i, j)] for i, j in raw.pairs},
-        "lift_order": lift_order,
-        "max_degree": max_degree,
-        "h1_dim": h1,
-        "h2_dim": h2,
-        "unique": h1 == 0,
-    }
-    return BundleResult(ambient=ambient, cover=cover, lb=lb, rank=rank,
-                        sub=sub, secs=secs, frames=frames,
+    return BundleResult(cover=cover, mode=sub.mode, frames=frames,
                         transitions=corrected, raw=raw, obstruction=obs,
-                        xi=xi, meta=meta)
+                        xi=xi, meta={"lift_order": lift_order,
+                                     "max_degree": max_degree})

@@ -212,16 +212,17 @@ def _rebuilt_frame(fr):
     """Is the stored M the frame built from (t, sign, f, g, s)?  The
     premise of both frame checks (module docstring)."""
     return (1 <= fr.t <= len(fr.s) and fr.sign in (1, -1) and fr.M ==
-            FrameData(fr.chart, fr.t, fr.sign, fr.f, fr.g, fr.s).M)
+            FrameData(fr.chart, fr.t, fr.sign, fr.f, fr.g, fr.s, fr.meets,
+                      fr.tier).M)
 
 
 def _nonzero_constant(e):
     return e.num.is_constant() and not e.is_zero()
 
 
-def verify_dependency_locus(frames, sub):
-    """The maximal-minor ideal of M_i equals (f_i, g_i) on subscheme charts
-    and is the unit ideal elsewhere.  Minor k is det of M_i without row k;
+def verify_dependency_locus(frames):
+    """The maximal-minor ideal of M_i equals (f_i, g_i) on charts that meet
+    Y and is the unit ideal elsewhere.  Minor k is det of M_i without row k;
     a failure names the first generator of one ideal missing from the
     other.  A chart whose M is the rebuilt frame passes with no minor
     computed, off Y once f_i or g_i is a nonzero constant over units
@@ -229,14 +230,14 @@ def verify_dependency_locus(frames, sub):
     entries = []
     for i in sorted(frames):
         fr = frames[i]
-        if _rebuilt_frame(fr) and (sub.meets_Y[i] or _nonzero_constant(fr.f)
+        if _rebuilt_frame(fr) and (fr.meets or _nonzero_constant(fr.f)
                                    or _nonzero_constant(fr.g)):
             entries.append(ReportEntry("dependency_locus", f"chart {i}",
                                        True))
             continue
         r = fr.M.shape[0]
         minors = [fr.M.delete_row(row).det() for row in range(r)]
-        if sub.meets_Y[i]:
+        if fr.meets:
             ok = ideal_equal(minors, [fr.f, fr.g])
             witness = "" if ok else _minor_ideal_gap(minors, fr.f, fr.g)
         else:
@@ -334,7 +335,7 @@ def run_all(bundle):
     """Full deterministic verification suite for a BundleResult."""
     entries = []
     entries += verify_section_relation(bundle.frames)
-    entries += verify_dependency_locus(bundle.frames, bundle.sub)
+    entries += verify_dependency_locus(bundle.frames)
     entries += verify_glue_identities(bundle.raw, bundle.frames)
     entries += verify_det(bundle.raw)
     entries += verify_defect_shape(bundle.raw, bundle.frames)

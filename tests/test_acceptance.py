@@ -126,11 +126,11 @@ def test_criterion_1(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     assert main(["build", str(src), "-o", str(out_a)]) == 0
     bundle = load_bundle(json.loads(out_a.read_text(encoding="utf-8")))
-    cover, lb = bundle.cover, bundle.lb
+    cover, lb = bundle.cover, bundle.raw.lb
     # The comparand realizes the direct sum of two twist-1 bundles: diagonal
     # monomial transitions conjugated by constant-determinant chart frames
     # that carry the split model's generating section onto (f, g).
-    ratio = LineBundleData(bundle.ambient, 1)
+    ratio = LineBundleData(cover.ambient, 1)
 
     def chart_mat(i, rows):
         ctx = cover.chart_ctx(i)
@@ -184,10 +184,11 @@ def test_criterion_2(tmp_path, capsys):
     entries = json.loads(capsys.readouterr().out)
     assert entries and all(e["passed"] for e in entries)
     bundle = load_bundle(json.loads(out.read_text(encoding="utf-8")))
-    assert bundle.sub.meets_Y == {0: False, 1: False, 2: True}
+    assert {i: fr.meets for i, fr in bundle.frames.items()} == {
+        0: False, 1: False, 2: True}
     # every overlap avoids the point, so each one went through the
     # certificate-product construction and both canonical-pair directions
-    assert all(bundle.sub.empty_overlap[p] for p in bundle.transitions.pairs)
+    assert all(bundle.raw.empty[p] for p in bundle.transitions.pairs)
     glue_scopes = {e["scope"] for e in entries
                    if e["check"].startswith("glue_")}
     assert any("(0, 1)" in s for s in glue_scopes)

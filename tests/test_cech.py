@@ -634,7 +634,7 @@ def test_differential_squares_to_zero_on_every_ref_cover(name):
     cover of every bundle reference, section units included: the lemma by
     which `run_all` reads `obstruction_cocycle` off d xi = obs."""
     bundle = _ref_bundle(name)
-    cover, lb, width = bundle.cover, bundle.lb, bundle.rank - 1
+    cover, lb, width = bundle.cover, bundle.raw.lb, bundle.raw.rank - 1
     rng = random.Random(2901)
     for degree in (0, 1):
         data = {key: tuple(_unit_elem(rng, cover.ctx(key))

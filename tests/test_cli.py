@@ -161,6 +161,14 @@ def test_build_common_factor_names_the_first_chart(tmp_path, capsys):
 
 CHARTS_P2 = dict(POINT, sections={})
 
+# Y = (1:1:0) on P^2, rank 3: chart 0's and chart 1's section tuples share
+# the constant position 2, so tier 1 takes it on both charts.
+SHARED_PIVOT = {
+    "ambient": {"kind": "projective", "dim": 2},
+    "line_bundle": {"twist": 2}, "rank": 3,
+    "subscheme": {"mode": "global_ci", "F": "x0 - x1", "G": "x2"},
+    "sections": {"0": ["1", "1"], "1": ["1 + x0*x2 - x2", "1"]}}
+
 # input document -> the one stderr line of its exit-1 build
 BUILD_ERROR_LINES = {
     "no-pivot": ({
@@ -187,6 +195,13 @@ BUILD_ERROR_LINES = {
         dict(CHARTS_P2, subscheme={"mode": "charts",
                                    "pairs": {"0": ["1", "0"]}}),
         "error[load_subscheme]: the subscheme is empty on every chart"),
+    # no position is constant on both charts, so chart 0 keeps its first
+    # constant 1, and chart 1's component 1 vanishes off Y on U_0 ∩ U_1
+    "pivot-not-shared": (
+        dict(SHARED_PIVOT, sections={"0": ["1", "1 + x2"],
+                                     "1": ["1 + x0*x2 - x2", "1"]}),
+        "error[build_Z]: overlap (0, 1): chart 1's tuple is not invertible "
+        "at pivot 1 and the overlap still meets the subscheme"),
 }
 
 
@@ -195,6 +210,20 @@ def test_build_error_lines(tmp_path, capsys, case):
     doc, line = BUILD_ERROR_LINES[case]
     code, out, err = run_cli(capsys, "build", write_doc(tmp_path, doc))
     assert (code, out, err) == (1, "", line + "\n")
+
+
+def test_build_takes_the_shared_constant_pivot(tmp_path, capsys):
+    """Both lift orders build and verify, and the two builds compare
+    isomorphic; every chart that meets Y has pivot 2."""
+    src = write_doc(tmp_path, SHARED_PIVOT)
+    outs = [str(tmp_path / f"{order}.json") for order in ("fg", "gf")]
+    for order, out in zip(("fg", "gf"), outs):
+        assert run_cli(capsys, "build", src, "--lift-order", order,
+                       "-o", out) == (0, "", "")
+        assert run_cli(capsys, "verify", out, "-o", str(tmp_path / "r"))[0] == 0
+        doc = json.loads(Path(out).read_text(encoding="utf-8"))
+        assert doc["meta"]["pivots"] == {"0": 2, "1": 2, "2": 1}
+    assert run_cli(capsys, "compare", *outs)[0] == 0
 
 
 def test_build_obstructed_exit_two_with_witness(tmp_path, capsys):
@@ -231,6 +260,34 @@ def test_build_non_closed_obstruction_tagged_cech(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error[cech]: coboundary_solve target is not a "
                           "cocycle")
+
+
+def test_build_unadjusted_glue_fails_the_raw_determinant(capsys,
+                                                         monkeypatch):
+    """An overlap matrix left at its lifted determinant breaks det Z_ij =
+    h_ij, and the raw glue check names the first overlap."""
+    monkeypatch.setattr(serre, "adjust_glue", lambda A, *args, **kw: A)
+    code, out, err = run_cli(capsys, "build",
+                             str(CORPUS / "inputs" / "point_p2.json"))
+    assert (code, out) == (1, "")
+    assert err == ("error[build_Z]: overlap (0, 1): raw transition "
+                   "determinant is not h_ij\n")
+
+
+def test_verify_does_not_recheck_document_claims(tmp_path, capsys):
+    """A known gap: `verify` re-checks a document's identities but not its
+    claims about them (uniqueness, h^2, pivots, an overlap's emptiness and
+    branch, a chart's tier), so edited claims still verify."""
+    doc = json.loads((CORPUS / "refs" / "line_p5.json").read_text(
+        encoding="utf-8"))
+    assert doc["overlaps"]["2,3"]["empty"] is False
+    doc["meta"].update(unique=False, h2_dim=7)
+    doc["meta"]["pivots"]["2"] = 2
+    doc["overlaps"]["2,3"].update(empty=True, branch="split")
+    doc["charts"]["2"]["tier"] = 4
+    code, _, err = run_cli(capsys, "verify", write_doc(tmp_path, doc),
+                           "-o", str(tmp_path / "report.json"))
+    assert (code, err) == (0, "")
 
 
 def test_verify_catches_hand_edit(tmp_path, capsys):
@@ -862,6 +919,17 @@ def test_compare_edited_corrected_entry_exit_two(tmp_path, capsys, col, num,
                            write_doc(tmp_path, doc, "edited.json"))
     assert code == 2
     assert "error[compare]" in err and message in err
+
+
+def test_compare_names_the_chart_whose_pivot_differs(tmp_path, capsys):
+    ref = CORPUS / "refs" / "two_points_p2_r3.json"
+    doc = json.loads(ref.read_text(encoding="utf-8"))
+    assert doc["charts"]["1"]["t"] == 2
+    doc["charts"]["1"].update(t=1, sign=-1)
+    code, out, err = run_cli(capsys, "compare", str(ref),
+                             write_doc(tmp_path, doc, "edited.json"))
+    assert (code, out) == (2, "")
+    assert err == "error[compare]: chart 1: different pivot positions\n"
 
 
 def test_compare_names_the_chart_whose_unit_differs(tmp_path, capsys):

@@ -168,7 +168,9 @@ def test_load_sections_monomial_pivot_must_be_nonvanishing_on_Y():
     assert ctx2.unit_keys() == ("s2",)
     assert ctx2.sunit(2).form == parse_poly("x1 + x2",
                                             sub.cover.hom_names())
-    f, g = sub.pairs[2]
+    # the loaded pair stays on the unit-free chart; a later stage restricts it
+    assert sub.pairs[2][0].ctx != ctx2
+    f, g = sub.pair_on(2, ctx2)
     assert is_unit_ideal([f, g, secs.sections[2][1]])
     assert not is_unit_ideal([f, g, secs.sections[2][0]])
 

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import, function, class and assigned
 name of the package and every non-dunder method of its classes is used, no module keeps
-state that its functions change, every function the benchmark traces still
+state that its functions change, no function writes into the public
+attributes of its parameters, every function the benchmark traces still
 exists, the unchecked constructors stay inside the arithmetic kernel, and
 every coefficient division goes through `algebra.qdiv`."""
 
@@ -177,6 +178,53 @@ def test_no_module_state_mutated(path):
     pass (a cover, a context, a build); a module-level cache is shared by
     every build in the process and grows for its whole life."""
     assert _mutated_module_containers(path) == []
+
+
+def _parameter_stores(path):
+    """Stores into a public attribute of a function's parameter, or into an
+    item of one, and mutating calls on such an attribute: `p.a = v`,
+    `p.a[k] = v`, `del p.a[k]`, `p.a.append(v)`.  `self` and `cls` are
+    exempt, and so is an attribute whose name starts with `_` (a private
+    memo such as `ctx._memo`)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    offenders = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = func.args
+        params = {a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None} - {"self", "cls"}
+        for node in ast.walk(func):
+            if (isinstance(node, (ast.Attribute, ast.Subscript))
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                target = node
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            attr = None
+            while isinstance(target, (ast.Attribute, ast.Subscript)):
+                if isinstance(target, ast.Attribute):
+                    attr = target.attr
+                target = target.value
+            if (isinstance(target, ast.Name) and target.id in params
+                    and attr is not None and not attr.startswith("_")):
+                offenders.add(f"{path.name}:{node.lineno} "
+                              f"({target.id}.{attr})")
+    return sorted(offenders)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_writes_into_its_parameters(path):
+    """A stage returns what it makes and leaves its inputs as its caller
+    passed them, so each value has one owner: no function stores into a
+    public attribute of a parameter or into an item of one."""
+    assert _parameter_stores(path) == []
 
 
 def _tracing():

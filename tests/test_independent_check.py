@@ -197,3 +197,24 @@ def test_conjugated_document_fails_gluing_but_passes_verify(tmp_path):
                            str(path)], env=env, capture_output=True,
                           text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# Y = (1:1:0) on P^2, rank 3, the two charts that meet Y sharing the
+# constant section position 2
+SHARED_PIVOT = {
+    "ambient": {"kind": "projective", "dim": 2},
+    "line_bundle": {"twist": 2}, "rank": 3,
+    "subscheme": {"mode": "global_ci", "F": "x0 - x1", "G": "x2"},
+    "sections": {"0": ["1", "1"], "1": ["1 + x0*x2 - x2", "1"]}}
+
+
+@pytest.mark.parametrize("order", ["fg", "gf"])
+def test_checker_accepts_the_shared_pivot_build(tmp_path, order):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(SHARED_PIVOT), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "serrekit.cli", "build",
+                           str(path), "--lift-order", order], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert failures(json.loads(proc.stdout)) == set()

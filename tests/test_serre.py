@@ -11,6 +11,7 @@ import pytest
 from serrekit import serre
 from serrekit.algebra import LocElem, MatrixL, Poly, parse_poly
 from serrekit.cech import cohomology_dim
+from serrekit.cli import bundle_doc
 from serrekit.cover import (Cover, LineBundleData, SubschemeData,
                             extend_off_Y, load_sections, load_subscheme,
                             read_ambient)
@@ -101,6 +102,11 @@ def _loaded(doc):
     return cover, lb, sub, secs, extend_off_Y(sub, secs, lb)
 
 
+def _meta(bundle):
+    """The meta table that `build` prints for a bundle."""
+    return bundle_doc(bundle, run_all(bundle))["meta"]
+
+
 def rand_loc(ctx, rng, deg=3):
     terms = {}
     for _ in range(rng.randint(1, 4)):
@@ -125,11 +131,11 @@ def test_normalize_constant_section():
     cover, lb, sub, secs, As = _loaded(point_doc())
     ctx2 = sub.pairs[2][0].ctx
     f_before, g_before = sub.pairs[2]
-    fr, inv = normalize_generators(2, f_before, g_before, secs.sections[2],
-                                   secs.t[2])
-    assert fr.f == f_before
-    assert fr.g == -g_before
-    assert fr.s == (LocElem.const(ctx2, -1),)
+    f, g, s, inv = normalize_generators(2, f_before, g_before,
+                                        secs.sections[2], secs.t[2])
+    assert f == f_before
+    assert g == -g_before
+    assert s == (LocElem.const(ctx2, -1),)
     assert inv == LocElem.one(ctx2)
     assert sub.pairs[2] == (f_before, g_before)
     assert secs.sections[2] == (LocElem.one(ctx2),)
@@ -141,12 +147,12 @@ def test_normalize_twice_restores_pair():
     doc["sections"] = {"2": ["-1"]}
     cover, lb, sub, secs, As = _loaded(doc)
     f0, g0 = sub.pairs[2]
-    fr, _ = normalize_generators(2, f0, g0, secs.sections[2], secs.t[2])
-    assert fr.f == -f0 and fr.g == -g0
-    assert fr.s[0] == LocElem.const(f0.ctx, -1)
-    fr, _ = normalize_generators(2, fr.f, fr.g, fr.s, fr.t)
-    assert fr.f == f0 and fr.g == g0
-    assert fr.s[0] == LocElem.const(f0.ctx, -1)
+    f, g, s, _ = normalize_generators(2, f0, g0, secs.sections[2], secs.t[2])
+    assert f == -f0 and g == -g0
+    assert s[0] == LocElem.const(f0.ctx, -1)
+    f, g, s, _ = normalize_generators(2, f, g, s, secs.t[2])
+    assert f == f0 and g == g0
+    assert s[0] == LocElem.const(f0.ctx, -1)
 
 
 def test_normalize_keeps_overlap_matrices_exact():
@@ -161,13 +167,25 @@ def test_normalize_keeps_overlap_matrices_exact():
 
 
 def test_build_keeps_the_loaded_data():
-    """The frames are the one normalized copy: after a build the subscheme
-    and section data hold what was loaded."""
-    bundle = build_bundle(point_doc())
-    ctx2 = bundle.cover.chart_ctx(2)
-    assert bundle.secs.sections[2] == (LocElem.one(ctx2),)
-    assert bundle.frames[2].s == (LocElem.const(ctx2, -1),)
-    assert bundle.sub.pairs[2][1] == -bundle.frames[2].g
+    """The frames are the one normalized copy: no stage writes into the
+    subscheme or section data it reads, even where a section unit moves
+    chart 2 onto a new context."""
+    doc = point_doc()
+    cover = Cover(read_ambient(doc))
+    lb = LineBundleData(cover.ambient, doc["line_bundle"]["twist"])
+    sub = load_subscheme(cover, doc["subscheme"])
+    pairs = dict(sub.pairs)
+    secs = load_sections(cover, sub, {"2": ["1 + x0"]}, doc["rank"])
+    ctx2 = cover.chart_ctx(2)
+    assert "s2" in ctx2.unit_keys()
+    sections = dict(secs.sections)
+    frames, As = build_frames(sub, secs, extend_off_Y(sub, secs, lb))
+    build_Z(frames, As, sub, secs, lb)
+    assert all(sub.pairs[i] is pairs[i] for i in cover.charts)
+    assert all(secs.sections[i] is sections[i] for i in cover.charts)
+    assert sub.pairs[2][0].ctx != ctx2 and frames[2].f.ctx == ctx2
+    assert secs.sections[2][0].ctx == ctx2
+    assert frames[2].g == -sub.pair_on(2, ctx2)[1]
 
 
 # -- frames ------------------------------------------------------------------
@@ -299,8 +317,9 @@ def test_build_inverts_each_overlap_pivot_once(monkeypatch):
 
 
 def test_build_restricts_each_chart_pair_to_each_overlap_once(monkeypatch):
-    """`extend_off_Y` restricts both chart pairs to every sorted overlap and
-    no later stage asks `SubschemeData` again: 2 * 21 calls on P^6."""
+    """`extend_off_Y` restricts both chart pairs to every sorted overlap,
+    `build_frames` each pair to its own chart, and no other stage asks
+    `SubschemeData`: 2 * 21 + 7 calls on P^6."""
     calls = []
     pair_on = SubschemeData.pair_on
 
@@ -311,7 +330,7 @@ def test_build_restricts_each_chart_pair_to_each_overlap_once(monkeypatch):
     monkeypatch.setattr(SubschemeData, "pair_on", counted)
     build_bundle(json.loads((INPUTS / "line_p6.json").read_text(
         encoding="utf-8")))
-    assert len(calls) == 42
+    assert len(calls) == 49
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -326,16 +345,18 @@ def test_ci_line_build():
     Z = bundle.raw.Z[(2, 3)]
     assert Z[0, 0] == a3 and Z[1, 1] == a3
     assert Z[0, 1].is_zero() and Z[1, 0].is_zero()
-    assert bundle.meta["unique"] is True
-    assert bundle.meta["h1_dim"] == 0
+    meta = _meta(bundle)
+    assert meta["unique"] is True
+    assert meta["h1_dim"] == 0
 
 
 def test_point_build_exercises_off_subscheme_charts():
     bundle = build_bundle(point_doc())
     assert run_all(bundle).ok
-    assert bundle.sub.meets_Y == {0: False, 1: False, 2: True}
-    assert bundle.meta["pivots"] == {0: 1, 1: 1, 2: 1}
-    assert bundle.meta["unique"] is True
+    assert {i: fr.meets for i, fr in bundle.frames.items()} == {
+        0: False, 1: False, 2: True}
+    assert {i: fr.t for i, fr in bundle.frames.items()} == {0: 1, 1: 1, 2: 1}
+    assert _meta(bundle)["unique"] is True
 
 
 def test_skew_lines_build_and_correction():
@@ -343,15 +364,15 @@ def test_skew_lines_build_and_correction():
     assert run_all(bundle).ok
     assert bundle.transitions.status == "corrected"
     # every chart carries part of the union, no canonical off charts
-    assert all(bundle.sub.meets_Y.values())
+    assert all(fr.meets for fr in bundle.frames.values())
     # mixed-line overlaps are empty; same-line overlaps are not
-    assert bundle.sub.empty_overlap[(0, 2)]
-    assert bundle.sub.empty_overlap[(1, 3)]
-    assert not bundle.sub.empty_overlap[(0, 1)]
-    assert not bundle.sub.empty_overlap[(2, 3)]
-    assert cohomology_dim(bundle.ambient, -2, 2) == 0
-    assert cohomology_dim(bundle.ambient, -2, 1) == 0
-    assert bundle.meta["unique"] is True
+    assert bundle.raw.empty[(0, 2)]
+    assert bundle.raw.empty[(1, 3)]
+    assert not bundle.raw.empty[(0, 1)]
+    assert not bundle.raw.empty[(2, 3)]
+    assert cohomology_dim(bundle.cover.ambient, -2, 2) == 0
+    assert cohomology_dim(bundle.cover.ambient, -2, 1) == 0
+    assert _meta(bundle)["unique"] is True
 
 
 def test_transition_set_keeps_dets_and_defects():
@@ -370,7 +391,7 @@ def test_transition_set_keeps_dets_and_defects():
         D = corrected.defect(i, j, k)
         assert D == MatrixL.zeros(D.ctx, 2, 2)
     for i, j in permutations(cover.charts, 2):
-        assert raw.det(i, j) == bundle.lb.h(i, j, cover.ctx((i, j)))
+        assert raw.det(i, j) == raw.lb.h(i, j, cover.ctx((i, j)))
 
 
 def test_correct_shares_and_glue_checks_only_the_changed_overlaps(
@@ -459,7 +480,7 @@ def test_transition_left_block_is_the_frame_of_chart_i(name):
     corrected one."""
     bundle = build_bundle(json.loads((INPUTS / f"{name}.json").read_text(
         encoding="utf-8")))
-    r = bundle.rank
+    r = bundle.raw.rank
     assert r >= 3
     for Z in (bundle.raw, bundle.transitions):
         for i, j in Z.pairs:
@@ -487,7 +508,7 @@ def _raw_with_bumped_entry(bundle, pair, row, col):
     rows[row][col] = rows[row][col] + LocElem.one(Z[pair].ctx)
     Z[pair] = MatrixL(Z[pair].ctx, rows)
     return TransitionSet(rank=raw.rank, status="raw", cover=raw.cover,
-                         lb=raw.lb, Z=Z, branch=raw.branch)
+                         lb=raw.lb, Z=Z, branch=raw.branch, empty=raw.empty)
 
 
 def test_obstruction_rejects_defect_outside_last_columns():
@@ -515,8 +536,8 @@ def test_two_points_rank_three_build():
     bundle = build_bundle(two_points_doc())
     report = run_all(bundle)
     assert report.ok
-    assert bundle.meta["pivots"] == {0: 1, 1: 2, 2: 1}
-    branches = bundle.meta["branches"]
+    assert {i: fr.t for i, fr in bundle.frames.items()} == {0: 1, 1: 2, 2: 1}
+    branches = _meta(bundle)["branches"]
     assert branches["0,1"] == "split"
     assert branches["1,2"] == "split"
     assert branches["0,2"] == "unit"

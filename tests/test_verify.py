@@ -72,14 +72,14 @@ def reference_verify_det(Z):
     return entries
 
 
-def reference_verify_dependency_locus(frames, sub):
+def reference_verify_dependency_locus(frames):
     """Every maximal minor of every M_i, and the minor ideal compared with
     (f_i, g_i) or with the unit ideal by `ideal_equal` or `is_unit_ideal`."""
     entries = []
     for i in sorted(frames):
         fr = frames[i]
         minors = [fr.M.delete_row(row).det() for row in range(fr.M.shape[0])]
-        if sub.meets_Y[i]:
+        if fr.meets:
             ok = ideal_equal(minors, [fr.f, fr.g])
             witness = ("" if ok else
                        verify._minor_ideal_gap(minors, fr.f, fr.g))
@@ -144,7 +144,8 @@ def _with_Z(Zset, changes):
     """A fresh copy of a transition set with some Z_ij replaced."""
     return TransitionSet(rank=Zset.rank, status=Zset.status,
                          cover=Zset.cover, lb=Zset.lb,
-                         Z={**Zset.Z, **changes}, branch=Zset.branch)
+                         Z={**Zset.Z, **changes}, branch=Zset.branch,
+                         empty=Zset.empty)
 
 
 def _edit_rows(A, edit):
@@ -207,7 +208,8 @@ def _with_frame(bundle, chart, **changes):
     rebuilt from (t, sign, f, g, s) unless given."""
     fr = bundle.frames[chart]
     fields = {"chart": chart, "t": fr.t, "sign": fr.sign, "f": fr.f,
-              "g": fr.g, "s": fr.s, "M": fr.M, **changes}
+              "g": fr.g, "s": fr.s, "meets": fr.meets, "tier": fr.tier,
+              "M": fr.M, **changes}
     return bundle._replace(frames={**bundle.frames,
                                    chart: FrameData(**fields)})
 
@@ -306,7 +308,7 @@ def test_transition_set_rejects_unsorted_or_mismatched_keys(change):
         Z[(1, 0)] = Z[(0, 1)]
     with pytest.raises(ValueError, match="sorted pairs"):
         TransitionSet(rank=Zset.rank, status=Zset.status, cover=Zset.cover,
-                      lb=Zset.lb, Z=Z, branch=Zset.branch)
+                      lb=Zset.lb, Z=Z, branch=Zset.branch, empty=Zset.empty)
 
 
 def test_glue_identities_subtract_only_for_a_failing_entry(monkeypatch):
@@ -349,8 +351,7 @@ def test_tampered_M_fails_dependency_locus_on_its_chart():
     bundle = _load_ref("ci33_p3_r3")
     entries = _frame_entries(_bump_M(bundle), "dependency_locus")
     assert [s for s, e in entries.items() if not e.passed] == ["chart 0"]
-    ref = reference_verify_dependency_locus(_bump_M(bundle).frames,
-                                            bundle.sub)
+    ref = reference_verify_dependency_locus(_bump_M(bundle).frames)
     assert entries["chart 0"] == ref[0] and ref[0].witness
 
 
@@ -367,7 +368,7 @@ def test_tampered_pivot_section_fails_section_relation():
 def test_off_Y_chart_with_a_nonconstant_pair_is_computed_in_full(
         monkeypatch):
     bundle = _nonconstant_off_Y_pair(_load_ref("point_p2"))
-    assert not bundle.sub.meets_Y[0] and verify._rebuilt_frame(
+    assert not bundle.frames[0].meets and verify._rebuilt_frame(
         bundle.frames[0])
     dets = []
     det = MatrixL.det
@@ -376,13 +377,12 @@ def test_off_Y_chart_with_a_nonconstant_pair_is_computed_in_full(
         dets.append(1)
         return det(self)
     monkeypatch.setattr(MatrixL, "det", counted)
-    entries = verify.verify_dependency_locus(bundle.frames, bundle.sub)
+    entries = verify.verify_dependency_locus(bundle.frames)
     assert all(e.passed for e in entries)
     assert len(dets) == bundle.frames[0].M.shape[0]
     tampered = _bump_M(bundle)
-    entries = verify.verify_dependency_locus(tampered.frames, tampered.sub)
-    assert entries == reference_verify_dependency_locus(tampered.frames,
-                                                        tampered.sub)
+    entries = verify.verify_dependency_locus(tampered.frames)
+    assert entries == reference_verify_dependency_locus(tampered.frames)
     assert entries[0].witness == "minors do not generate the unit ideal"
 
 
@@ -397,7 +397,8 @@ def _unshared(doc, monkeypatch):
         bundle = load_bundle(doc)
     cor = bundle.transitions
     return bundle._replace(transitions=TransitionSet(
-        cor.rank, cor.status, cor.cover, cor.lb, cor.Z, cor.branch))
+        cor.rank, cor.status, cor.cover, cor.lb, cor.Z, cor.branch,
+        cor.empty))
 
 
 def _shared_and_reference(doc, monkeypatch):
@@ -554,10 +555,11 @@ def test_transition_set_rejects_a_base_of_another_shape(change):
     raw = _load_ref("line_p3_r4").raw
     other = _load_ref("ci22_p3").raw
     fields = {"rank": raw.rank, "status": "raw", "cover": raw.cover,
-              "lb": raw.lb, "Z": raw.Z, "branch": raw.branch}
+              "lb": raw.lb, "Z": raw.Z, "branch": raw.branch,
+              "empty": raw.empty}
     if change == "cover":
         fields.update(cover=other.cover, lb=other.lb, Z=other.Z,
-                      branch=other.branch)
+                      branch=other.branch, empty=other.empty)
     elif change == "twist":
         fields["lb"] = LineBundleData(raw.cover.ambient, raw.lb.twist + 1)
     else:
