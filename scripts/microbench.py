@@ -4,19 +4,25 @@
 
 Each case times one layer on data from a corpus reference
 (`perfbench/corpus.py`), against the `src/` of the checkout this script
-lives in.  `cech.coboundary_solve` on one cochain:
+lives in.  `cech.coboundary_solve` on one cochain, built anew for each
+repetition before its timer starts:
 
 - `two_points_unit.gf5` and `two_points_unit.gf6`: the obstruction cochain
   at `--max-degree` 5 and 6 (the bounded ansatz on P^2);
 - `compare.two_points_unit~two_points_unit.gf5`: the degree-1 `xi` that
-  `compare` solves, at its default max degree 8 (the bounded ansatz);
+  `compare` solves, captured from `serre.compare_bundles` before it
+  solves it, at its default max degree 8 (the bounded ansatz);
 - `skew_unit.gf4`: the obstruction cochain on P^3 that the `skew_unit`
   build at `--max-degree 4` fails to correct, captured from that build and
   timed through its `Inconclusive` (the exhausted bounded ansatz);
 - `line_p6`: the obstruction cochain (the monomial solver).
 
-The target's own differential is computed once before timing, so every
-repetition does the same work.  Matrix algebra on transitions:
+Each repetition's cochain comes from a new load of the reference (or a
+new build or compare), so it lives on a new `Cover`: no repetition reads
+the section-unit quotients (`algebra.Context._unit`) or the h_ij
+(`cover.LineBundleData.h`) that an earlier one kept.  The target's own
+differential is computed before the timer starts, so every repetition does
+the same work.  Matrix algebra on transitions:
 
 - `line_p3_r4.det`: `MatrixL.det` of every raw 4 x 4 transition Z_ij;
 - `line_p6.defect`: `TransitionSet.defect` of every sorted triple of the
@@ -95,10 +101,9 @@ def _ref(name):
         os.path.join(ROOT, "perfbench", "refs", f"{name}.json")))
 
 
-def _uncorrected(name, **options):
-    """The obstruction cochain that `build_bundle` of
-    `perfbench/inputs/<name>.json` with `options` hands to
-    `coboundary_solve`; the build stops there."""
+def _captured(call):
+    """The cochain that `call()` hands to `serre.coboundary_solve`; the
+    call stops there."""
     seen = []
 
     def capture(c, max_degree):
@@ -106,8 +111,7 @@ def _uncorrected(name, **options):
         raise Inconclusive("captured")
     saved, serre.coboundary_solve = serre.coboundary_solve, capture
     try:
-        serre.build_bundle(_read_json(os.path.join(
-            ROOT, "perfbench", "inputs", f"{name}.json")), **options)
+        call()
     except Inconclusive:
         pass
     finally:
@@ -115,20 +119,38 @@ def _uncorrected(name, **options):
     return seen[0]
 
 
+def _uncorrected(name, **options):
+    """The obstruction cochain that `build_bundle` of
+    `perfbench/inputs/<name>.json` with `options` hands to
+    `coboundary_solve`; the build stops there."""
+    doc = _read_json(os.path.join(ROOT, "perfbench", "inputs", f"{name}.json"))
+    return _captured(lambda: serre.build_bundle(doc, **options))
+
+
+def _compare_xi(a, b):
+    """The cochain xi that `compare_bundles` of the references a and b
+    solves, on a new load of each."""
+    return _captured(lambda: serre.compare_bundles(_ref(a), _ref(b)))
+
+
 # A case's `prepare()` runs before each repetition's timer starts and
 # returns the repetition: a zero-argument callable giving the outcome.
 
-def _solve(c, max_degree):
-    """One `coboundary_solve` of c per repetition."""
-    is_cocycle(c)  # keeps the target's differential out of the timings
+def _solve(make, max_degree):
+    """One `coboundary_solve` per repetition, of the cochain `make()`
+    builds for it on a new cover."""
+    def prepare():
+        c = make()
+        is_cocycle(c)  # keeps the target's differential out of the timings
 
-    def run():
-        try:
-            coboundary_solve(c, max_degree=max_degree)
-        except Inconclusive:
-            return "Inconclusive"
-        return "solved"
-    return lambda: run
+        def run():
+            try:
+                coboundary_solve(c, max_degree=max_degree)
+            except Inconclusive:
+                return "Inconclusive"
+            return "solved"
+        return run
+    return prepare
 
 
 def _dets(Z):
@@ -230,17 +252,17 @@ def _load_bundle(name):
 
 def cases():
     """(case name, max degree or None, prepare) for every case."""
-    xi = serre.compare_bundles(_ref("two_points_unit"),
-                               _ref("two_points_unit.gf5")).xi
     return [
         ("two_points_unit.gf5", 5,
-         _solve(_ref("two_points_unit.gf5").obstruction, 5)),
+         _solve(lambda: _ref("two_points_unit.gf5").obstruction, 5)),
         ("two_points_unit.gf6", 6,
-         _solve(_ref("two_points_unit.gf6").obstruction, 6)),
-        ("compare.two_points_unit~two_points_unit.gf5", 8, _solve(xi, 8)),
-        ("skew_unit.gf4", 4, _solve(
-            _uncorrected("skew_unit", lift_order="gf", max_degree=4), 4)),
-        ("line_p6", 8, _solve(_ref("line_p6").obstruction, 8)),
+         _solve(lambda: _ref("two_points_unit.gf6").obstruction, 6)),
+        ("compare.two_points_unit~two_points_unit.gf5", 8, _solve(
+            lambda: _compare_xi("two_points_unit", "two_points_unit.gf5"),
+            8)),
+        ("skew_unit.gf4", 4, _solve(lambda: _uncorrected(
+            "skew_unit", lift_order="gf", max_degree=4), 4)),
+        ("line_p6", 8, _solve(lambda: _ref("line_p6").obstruction, 8)),
         ("line_p3_r4.det", None, _dets(_ref("line_p3_r4").raw)),
         ("line_p6.defect", None, _defects(_ref("line_p6").raw)),
         ("line_p6.transport", None, _transports(_ref("line_p6").raw)),

@@ -569,7 +569,9 @@ class Context:
     chart: its coordinates, with x_k / x_home (k in I) and the section units
     of the charts in I inverted.  `sunits` keeps only those charts' units,
     since no other unit is invertible on U_I, so two contexts are equal
-    exactly when their rings are."""
+    exactly when their rings are.  Its private memos, the section-unit
+    quotients of `_normalize` among them (`_unit`), hold values that depend
+    only on those fields and belong to its owner, a build's `Cover`."""
 
     def __init__(self, dim, home, indices, sunits=()):
         if tuple(sorted(indices)) != indices:
@@ -581,9 +583,10 @@ class Context:
         self.indices = indices      # sorted chart indices of the overlap
         # SUnit of the charts in indices, sorted by chart
         self.sunits = tuple(u for u in sunits if u.chart in indices)
-        # axes and the saturated bases of `ideals._sat_gb` in `_memo`, unit
-        # polynomials in `_units`, each computed once; they stay out of ==
-        # and hash (nothing changes the four fields above)
+        # axes and the saturated bases of `ideals._sat_gb` in `_memo`, and
+        # per unit key in `_units` its polynomial, leading exponent and
+        # quotient memo (see `_unit`), each computed once; they stay out of
+        # == and hash (nothing changes the four fields above)
         self._memo = {"axes": tuple(k for k in range(dim + 1) if k != home)}
         self._units = {}
 
@@ -621,16 +624,25 @@ class Context:
     def unit_poly(self, key):
         """The unit as a polynomial in this context's variables; KeyError for
         anything but one of `unit_keys()`."""
-        u = self._units.get(key)
-        if u is None:
+        return self._unit(key)[0]
+
+    def _unit(self, key):
+        """(u, lead, quotients) for a unit key: the unit polynomial u, its
+        grevlex leading exponent, and the memo of `_normalize`'s exact
+        divisions by u, {numerator: quotient, or None when u does not divide
+        it}.  The quotient of an exact division is unique, so a memo hit is
+        what `divide` would return; the memo lives as long as the context,
+        which its cover owns."""
+        hit = self._units.get(key)
+        if hit is None:
             if key not in self.unit_keys():
                 raise KeyError(key)
             k = int(key[1:])
-            u = self._units[key] = (
-                Poly.variable(self.nvars, self.axes().index(k))
-                if key[0] == "c" else dehomogenize(self.sunit(k).form,
-                                                   self.home))
-        return u
+            u = (Poly.variable(self.nvars, self.axes().index(k))
+                 if key[0] == "c" else dehomogenize(self.sunit(k).form,
+                                                    self.home))
+            hit = self._units[key] = (u, max(u.terms, key=grevlex_key), {})
+        return hit
 
     def sunit(self, chart):
         for u in self.sunits:
@@ -643,7 +655,9 @@ class Context:
 
 
 def _normalize(ctx, num, den):
-    """(num, den) in normal form (see `LocElem`); `den` is changed in place."""
+    """(num, den) in normal form (see `LocElem`); `den` is changed in place.
+    Each section-unit division is read from, or added to, the context's
+    quotient memo (`Context._unit`)."""
     if num.is_zero():
         return num, {}
     for key in sorted(den, key=_unit_sort):
@@ -652,13 +666,15 @@ def _normalize(ctx, num, den):
                 num, ctx.axes().index(int(key[1:])), den[key])
             den[key] -= m
         else:
-            u = ctx.unit_poly(key)
-            lead = (max(u.terms, key=grevlex_key),)
+            u, lead, quotients = ctx._unit(key)
             while den[key] > 0:
-                q = divide(num, (u,), lead, grevlex_key, exact=True)
+                q = quotients.get(num, False)
+                if q is False:
+                    q = divide(num, (u,), (lead,), grevlex_key, exact=True)
+                    q = quotients[num] = q and q[0]
                 if q is None:
                     break
-                num, = q
+                num = q
                 den[key] -= 1
         if den[key] == 0:
             del den[key]
@@ -690,7 +706,10 @@ class LocElem:
     time, and each coordinate unit x_k at once, by the least power of x_k
     over the numerator's terms (capped by its exponent).  The form is
     canonical among coordinate-unit denominators and greedy-deterministic
-    with section units; `normalize=False` keeps (num, den) as given.  `==`
+    with section units; `normalize=False` keeps (num, den) as given.  A
+    section-unit division is made once per (context, unit, numerator) and
+    kept (`Context._unit`); an exact quotient is unique, so no normal form
+    depends on whether the memo was warm.  `==`
     compares numerators when the `den` dicts are equal (sound for any form:
     units are not zero-divisors), answers "both zero" when either numerator
     is zero, and cross-multiplies otherwise.

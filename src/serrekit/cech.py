@@ -27,7 +27,7 @@ tried and failure is only ever *inconclusive*.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, gcd, lcm
 from operator import add
 
 from .algebra import (LocElem, Poly, dot, from_laurent, qdiv, to_laurent,
@@ -151,20 +151,33 @@ _RHS = -1  # row-dict key of the right-hand side; columns are >= 0
 
 
 def _solve_exact(rows, ncols):
-    """Sparse Gauss-Jordan elimination over the rationals.
+    """Sparse Gauss-Jordan elimination over the rationals, on integer rows.
 
-    rows: (coeff-dict {col: value}, rhs) pairs over columns 0..ncols-1.  Each
-    row is kept as a dict of its nonzero entries (rhs under the key _RHS),
-    and an index from each column (and _RHS) to the rows holding it limits
-    every elimination step to the rows that hold the pivot column.  Pivots
-    are taken in increasing column order; among the rows not yet used as
+    rows: (coeff-dict {col: value}, rhs) pairs over columns 0..ncols-1, with
+    int or Fraction values.  Each row is kept as a dict of its nonzero
+    entries (rhs under the key _RHS); a row holding a Fraction is cleared of
+    denominators once and divided by its content (the gcd of its entries).
+    An index from each column (and _RHS) to the rows holding it limits every
+    elimination step to the rows that hold the pivot column.  Pivots are
+    taken in increasing column order; among the rows not yet used as
     pivots, the one with the fewest nonzeros wins, ties broken by row index.
+    Pivot entry p clears entry f of another row by
+    row <- (|p|/g)·row - (sign(p)·f/g)·pivot_row with g = gcd(p, f).  When
+    p divides f (always for p = ±1) the row is not scaled and only the pivot
+    row's columns change; a scaled row is divided by its content again, so
+    every entry stays a small int.
 
-    Full elimination with column-ordered pivots reaches the unique reduced
-    row echelon form, so the pivot columns, and the solution with every free
-    variable set to 0, do not depend on the row order or the pivot-row
-    choice.  Returns that solution vector, or None when the system is
-    inconsistent (a row reduces to a lone nonzero right-hand side).
+    Each row is at every step a nonzero multiple of the row that elimination
+    over Fractions, with every pivot scaled to 1, would hold, so the two
+    have the same nonzero entries and take the same pivots.  Full
+    elimination with column-ordered pivots reaches the unique reduced row
+    echelon form, here up to one factor per row, so the pivot columns, and
+    the solution with every free variable 0, read off as qdiv(rhs, pivot),
+    do not depend on the row order, the pivot-row choice or the arithmetic.
+    Returns that solution, each entry an int or a Fraction with denominator
+    > 1, or None when the system is inconsistent: a non-pivot row of `live`
+    reduces to a lone nonzero right-hand side, an integer combination of
+    the input rows.
     """
     live = []
     holders = {}  # col or _RHS -> indices of the rows with a nonzero entry
@@ -172,6 +185,11 @@ def _solve_exact(rows, ncols):
         row = {j: a for j, a in coeffs.items() if a}
         if rhs:
             row[_RHS] = rhs
+        if type(sum(row.values())) is not int:  # some entry is a Fraction
+            m = lcm(*(a.denominator for a in row.values()))
+            row = {j: (a * m).numerator for j, a in row.items()}
+            g = gcd(*row.values())
+            row = {j: a // g for j, a in row.items()}
         for j in row:
             holders.setdefault(j, set()).add(i)
         live.append(row)
@@ -184,16 +202,21 @@ def _solve_exact(rows, ncols):
         if piv is None:
             continue
         prow = live[piv]
-        inv = qdiv(1, prow[col])
-        for j in prow:
-            prow[j] *= inv
+        p = prow[col]
         for i in list(cands):
             if i == piv:
                 continue
             row = live[i]
             f = row[col]
-            for j, a in prow.items():
-                v = row.get(j, 0) - f * a
+            scaled = f % p
+            if scaled:
+                a = abs(p) // gcd(p, f)
+                for j in row:
+                    row[j] *= a
+                f *= a
+            f //= p
+            for j, x in prow.items():
+                v = row.get(j, 0) - f * x
                 if v:
                     if j not in row:
                         holders.setdefault(j, set()).add(i)
@@ -201,6 +224,11 @@ def _solve_exact(rows, ncols):
                 elif j in row:
                     del row[j]
                     holders[j].discard(i)
+            if scaled:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
         used.add(piv)
         pivots.append((col, piv))
     # every column left in a non-pivot row was eliminated, so a right-hand
@@ -209,7 +237,7 @@ def _solve_exact(rows, ncols):
         return None
     sol = [0] * ncols
     for col, i in pivots:
-        sol[col] = live[i].get(_RHS, 0)
+        sol[col] = qdiv(live[i].get(_RHS, 0), live[i][col])
     return sol
 
 

@@ -168,22 +168,33 @@ def section_unit(ambient, chart, chart_poly):
 
 
 class LineBundleData:
-    """O(twist) with transition h_ij = (x_j / x_i)^twist on chart overlaps."""
+    """O(twist) with transition h_ij = (x_j / x_i)^twist on chart overlaps.
+
+    Each h_ij is computed once per context and kept on the instance, which
+    a build or a load owns with its cover."""
 
     def __init__(self, ambient, twist):
         self.ambient = ambient
         self.twist = twist
+        self._h = {}  # (i, j, ctx) -> h_ij on ctx
 
     def h(self, i, j, ctx):
+        key = (i, j, ctx)
+        e = self._h.get(key)
+        if e is not None:
+            return e
         if i == j or self.twist == 0:
-            return LocElem.one(ctx)
-        if i not in ctx.indices or j not in ctx.indices:
+            e = LocElem.one(ctx)
+        elif i not in ctx.indices or j not in ctx.indices:
             raise PreconditionViolated(
                 f"h_{i}{j} is not defined on charts {ctx.indices}")
-        delta = [0] * (self.ambient.dim + 1)
-        delta[j] += self.twist
-        delta[i] -= self.twist
-        return LocElem(ctx, *chart_monomial(delta, ctx))
+        else:
+            delta = [0] * (self.ambient.dim + 1)
+            delta[j] += self.twist
+            delta[i] -= self.twist
+            e = LocElem(ctx, *chart_monomial(delta, ctx))
+        self._h[key] = e
+        return e
 
 
 class SubschemeData:

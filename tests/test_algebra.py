@@ -586,6 +586,54 @@ def test_normalization_matches_reference():
     assert cancelled > 100
 
 
+def _two_unit_ctx():
+    """P^2 on charts (0, 1, 2), home 0, with two non-monomial section
+    units: x0 + x1 on chart 1 and x2^2 + x0*x1 on chart 2."""
+    hom = ("x0", "x1", "x2")
+    return Context(2, 0, (0, 1, 2), (
+        SUnit(1, parse_poly("x0 + x1", hom), 1),
+        SUnit(2, parse_poly("x2^2 + x0*x1", hom), 2)))
+
+
+@pytest.mark.parametrize("make_ctx", [_unit_ctx, _two_unit_ctx])
+def test_quotient_memo_matches_reference(make_ctx):
+    """`_normalize` keeps each section-unit division in the context's
+    quotient memo.  Numerators drawn from a small pool repeat under
+    different denominators, so most divisions after the first read the
+    memo; a warm memo, a cold one and the reference agree."""
+    rng = random.Random(3801)
+    ctx = make_ctx()
+    keys = ctx.unit_keys()
+    pool = [_rand_unit_multiple(rng, ctx, keys) for _ in range(25)]
+    for _ in range(300):
+        num = rng.choice(pool)
+        den = {k: rng.randint(0, 3) for k in rng.sample(keys, rng.randint(1, 4))}
+        expected = _normalize_reference(ctx, num, den)
+        for fresh in (ctx, ctx, make_ctx()):
+            e = LocElem(fresh, num, den)
+            assert (e.num, e.den) == expected
+    for key in keys:
+        if key[0] == "s" and len(ctx.unit_poly(key).terms) > 1:
+            memo = ctx._unit(key)[2]
+            assert any(q is None for q in memo.values())
+            assert any(q is not None for q in memo.values())
+
+
+def test_quotient_memo_is_kept_per_unit():
+    """On one context, s1 divides a numerator that s2 does not: the memo
+    entry for s1 must not answer for s2."""
+    ctx = _two_unit_ctx()
+    s1, s2 = ctx.unit_poly("s1"), ctx.unit_poly("s2")
+    num = s1 * _poly(ctx, "x2 + 3")
+    for den in ({"s1": 1}, {"s2": 1}, {"s1": 1, "s2": 1}, {"s2": 2},
+                {"s1": 2}):
+        e = LocElem(ctx, num, den)
+        assert (e.num, e.den) == _normalize_reference(ctx, num, den)
+    assert LocElem(ctx, num, {"s2": 1}).den == {"s2": 1}
+    assert LocElem(ctx, num * s2, {"s1": 1, "s2": 1}) == LocElem(
+        ctx, _poly(ctx, "x2 + 3"))
+
+
 def test_locelem_equality_matches_cross_multiplication():
     rng = random.Random(73)
     ctx = _unit_ctx()

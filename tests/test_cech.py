@@ -1,13 +1,14 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from serrekit import serre
-from serrekit.algebra import LocElem, Poly, parse_poly, transport
+from serrekit.algebra import LocElem, Poly, parse_poly, qdiv, transport
 from serrekit.cech import (CechCochain, _solve_ansatz, _solve_exact,
                            coboundary_solve, cohomology_dim, differential,
                            is_cocycle)
@@ -383,6 +384,61 @@ def _dense_solve_exact(rows, ncols):
     return sol
 
 
+def _fraction_solve_exact(rows, ncols):
+    """Reference: the sparse solver over the rationals that the integer one
+    replaced, which scales each pivot row to a leading 1; the same pivot
+    rule, so the same reduced row echelon form."""
+    live = []
+    holders = {}
+    for i, (coeffs, rhs) in enumerate(rows):
+        row = {j: a for j, a in coeffs.items() if a}
+        if rhs:
+            row[-1] = rhs
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+        live.append(row)
+    used = set()
+    pivots = []
+    for col in range(ncols):
+        cands = holders.get(col, ())
+        piv = min((i for i in cands if i not in used),
+                  key=lambda i: (len(live[i]), i), default=None)
+        if piv is None:
+            continue
+        prow = live[piv]
+        inv = qdiv(1, prow[col])
+        for j in prow:
+            prow[j] *= inv
+        for i in list(cands):
+            if i == piv:
+                continue
+            row = live[i]
+            f = row[col]
+            for j, a in prow.items():
+                v = row.get(j, 0) - f * a
+                if v:
+                    if j not in row:
+                        holders.setdefault(j, set()).add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(i)
+        used.add(piv)
+        pivots.append((col, piv))
+    if holders.get(-1, set()) - used:
+        return None
+    sol = [0] * ncols
+    for col, i in pivots:
+        sol[col] = live[i].get(-1, 0)
+    return sol
+
+
+def _assert_stored(sol):
+    """Every entry an int, or a Fraction with denominator > 1."""
+    assert all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in sol), sol
+
+
 def _random_system(rng):
     """A sparse Fraction system with empty rows, unused columns, explicit
     zero entries, zero right-hand sides and dependent rows; the right-hand
@@ -424,13 +480,54 @@ def test_sparse_solver_matches_dense_reference():
     for _ in range(3000):
         rows, ncols = _random_system(rng)
         expected = _dense_solve_exact(rows, ncols)
+        assert _fraction_solve_exact(rows, ncols) == expected, (rows, ncols)
         got = _solve_exact(rows, ncols)
         assert got == expected, (rows, ncols)
         outcomes["solved" if got is not None else "inconsistent"] += 1
+        if got is not None:
+            _assert_stored(got)
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert _solve_exact(shuffled, ncols) == expected, (rows, ncols)
     assert min(outcomes.values()) > 300, outcomes
+
+
+def test_integer_solver_matches_references_on_large_entries():
+    """Integer systems with entries up to 10^12 and few unit pivots, and
+    their Fraction scalings: every row goes through cross-multiplication by
+    a non-unit pivot and content reduction, and the solution, read off as
+    rhs / pivot, matches both references in stored form."""
+    rng = random.Random(3802)
+    outcomes = Counter()
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        nrows = rng.randint(1, 9)
+
+        def value():
+            return rng.choice([-1, 1]) * rng.randint(2, 10 ** rng.randint(1, 12))
+
+        coeffs = [{j: value() for j in range(ncols) if rng.random() < 0.6}
+                  for _ in range(nrows)]
+        if rng.random() < 0.5:
+            x = [Fraction(value(), rng.randint(1, 50)) for _ in range(ncols)]
+            rhs = [sum((a * x[j] for j, a in row.items()), Fraction(0))
+                   for row in coeffs]
+        else:
+            rhs = [value() for _ in coeffs]
+        rows = list(zip(coeffs, rhs))
+        scaled = [({j: Fraction(a, d) for j, a in row.items()}, Fraction(b, d))
+                  for (row, b), d in ((r, rng.randint(1, 30)) for r in rows)]
+        expected = _dense_solve_exact(rows, ncols)
+        for system in (rows, scaled):
+            assert _fraction_solve_exact(system, ncols) == expected
+            got = _solve_exact(system, ncols)
+            assert got == expected, (system, ncols)
+            if got is not None:
+                _assert_stored(got)
+        outcomes["solved" if expected is not None else "inconsistent"] += 1
+        outcomes["fractional"] += expected is not None and any(
+            type(x) is Fraction and x.denominator > 1 for x in expected)
+    assert min(outcomes.values()) > 60, outcomes
 
 
 def test_sparse_solver_edge_cases():
