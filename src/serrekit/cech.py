@@ -176,7 +176,7 @@ def _solve_exact(rows, ncols):
     do not depend on the row order, the pivot-row choice or the arithmetic.
     Returns that solution, each entry an int or a Fraction with denominator
     > 1, or None when the system is inconsistent: a non-pivot row of `live`
-    reduces to a lone nonzero right-hand side, an integer combination of
+    reduces to a lone nonzero right-hand side, a rational combination of
     the input rows.
     """
     live = []

@@ -493,9 +493,9 @@ def test_sparse_solver_matches_dense_reference():
 
 
 def test_integer_solver_matches_references_on_large_entries():
-    """Integer systems with entries up to 10^12 and few unit pivots, and
-    their Fraction scalings: every row goes through cross-multiplication by
-    a non-unit pivot and content reduction, and the solution, read off as
+    """Integer systems with entries up to 10^12 and almost no unit pivot,
+    and their Fraction scalings: rows are cross-multiplied by non-unit
+    pivots and divided by their content, and the solution, read off as
     rhs / pivot, matches both references in stored form."""
     rng = random.Random(3802)
     outcomes = Counter()
@@ -504,7 +504,8 @@ def test_integer_solver_matches_references_on_large_entries():
         nrows = rng.randint(1, 9)
 
         def value():
-            return rng.choice([-1, 1]) * rng.randint(2, 10 ** rng.randint(1, 12))
+            size = 10 ** rng.randint(1, 12)
+            return rng.choice([-1, 1]) * rng.randint(2, size)
 
         coeffs = [{j: value() for j in range(ncols) if rng.random() < 0.6}
                   for _ in range(nrows)]
@@ -515,8 +516,11 @@ def test_integer_solver_matches_references_on_large_entries():
         else:
             rhs = [value() for _ in coeffs]
         rows = list(zip(coeffs, rhs))
-        scaled = [({j: Fraction(a, d) for j, a in row.items()}, Fraction(b, d))
-                  for (row, b), d in ((r, rng.randint(1, 30)) for r in rows)]
+        scaled = []  # each row divided by its own integer
+        for row, b in rows:
+            d = rng.randint(1, 30)
+            scaled.append(({j: Fraction(a, d) for j, a in row.items()},
+                           Fraction(b, d)))
         expected = _dense_solve_exact(rows, ncols)
         for system in (rows, scaled):
             assert _fraction_solve_exact(system, ncols) == expected
